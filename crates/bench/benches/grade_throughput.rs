@@ -166,7 +166,7 @@ fn bench(c: &mut Criterion) {
     // The batch-0 test set, for the per-batch criterion probes and the
     // lane-cycle throughput estimate.
     let ts = TestSet::pseudorandom(sys.pattern_width(), gcfg.patterns_per_batch, gcfg.seed)
-        .expect("16-stage TPGR always constructs");
+        .expect("the system's test patterns fit one 64-bit word");
     let cycles_per_batch = measure_power_with_testset(&sys, None, &ts, &gcfg).cycles;
 
     // Full-sweep timings (these feed BENCH_grade.json). The last row is

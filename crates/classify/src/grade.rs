@@ -332,7 +332,7 @@ fn batch_testset(sys: &System, cfg: &GradeConfig, batch: usize) -> TestSet {
         cfg.patterns_per_batch,
         cfg.seed.wrapping_add(batch as u32),
     )
-    .expect("16-stage TPGR always constructs")
+    .expect("the system's test patterns fit one 64-bit word")
 }
 
 /// Lane-packed [`mc_batch`]: one batch's reports for a whole fault pack
@@ -1099,7 +1099,7 @@ pub fn grade_faults_scalar_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::toy_system;
+    use sfr_faultsim::fixtures::toy_system;
 
     fn quick_cfg() -> GradeConfig {
         GradeConfig {

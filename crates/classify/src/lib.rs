@@ -62,8 +62,6 @@ mod oracle;
 mod pipeline;
 mod rules;
 mod table;
-#[cfg(test)]
-mod testutil;
 
 pub use grade::{
     compute_pack_payload, grade_faults, grade_faults_journaled, grade_faults_journaled_with_kernel,
@@ -73,11 +71,12 @@ pub use grade::{
     measure_power_tape_watched, measure_power_tape_watched_with, measure_power_with_testset,
     validate_pack_payload, GradeConfig, GradeIncident, GradeReport, PowerGrade,
 };
-pub use oracle::{judge, Mismatch, Verdict, HOLD_OBSERVE_CYCLES, LOOP_DEPTHS};
+pub use oracle::{judge, Mismatch, Verdict};
 pub use pipeline::{
     classify_system, classify_system_collapsed, classify_system_journaled, classify_system_with,
     collapse_grading_set, static_rule_label, Classification, ClassifiedFault, ClassifyConfig,
     FaultClass, SfiReason,
 };
 pub use rules::{classify_effect, judge_by_rules, EffectClass, RuleVerdict};
+pub use sfr_faultsim::{HOLD_OBSERVE_CYCLES, LOOP_DEPTHS};
 pub use table::{analyze_controller_fault, ControlLineEffect, ControllerBehavior};

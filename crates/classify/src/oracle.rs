@@ -21,14 +21,24 @@
 //! what to expect there — so differences at such cycles do not count.
 //! Status bits are compared only at loop-decision states, where the
 //! controller actually samples them.
+//!
+//! The fault-free side is the same for every fault, so it is simulated
+//! once per system ([`System::symbolic_golden`]): per state path, the
+//! output and status ids of every cycle, their observability, and the
+//! interned domain. [`judge`] steps only the faulty trace, in a copy of
+//! that domain, compares each row as it is produced, and returns at the
+//! first observable mismatch. A cycle that enters with the fault-free
+//! registers under an unaltered control word repeats the fault-free row
+//! exactly, so it is skipped, and the copy is taken only at the first
+//! cycle that can differ. Verdicts match two full traces in one fresh
+//! domain because hash-consed ids compare structurally whatever order
+//! the nodes were interned in, observability depends only on fault-free
+//! nodes, and mismatches are searched in the same order — cycle, then
+//! output ports, then statuses.
 
-use sfr_faultsim::System;
+use sfr_faultsim::{symbolic_step, SymbolicPath, System};
 use sfr_fsm::StateId;
-use sfr_netlist::Logic;
-use sfr_rtl::{DatapathSim, ExprId, InputId, RegId, SymbolicDomain};
-
-/// Per-cycle `(outputs, statuses)` expression ids of one symbolic trace.
-type TraceRows = Vec<(Vec<ExprId>, Vec<ExprId>)>;
+use sfr_rtl::{DatapathSim, RegId, SymbolicDomain};
 
 /// Why the oracle called a fault irredundant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,73 +69,6 @@ pub enum Verdict {
     Irredundant(Mismatch),
 }
 
-/// Which loop iteration counts to exercise (trajectories with `k`
-/// loop-backs for each `k` listed). Non-looping designs ignore this.
-pub const LOOP_DEPTHS: [usize; 4] = [0, 1, 2, 3];
-
-/// Hold-state cycles appended to each trajectory.
-pub const HOLD_OBSERVE_CYCLES: usize = 3;
-
-/// The canonical state trajectories for a system: RESET, the body
-/// (repeated per loop depth), then HOLD observation cycles.
-fn trajectories(sys: &System) -> Vec<Vec<StateId>> {
-    let n = sys.meta.n_steps;
-    match sys.meta.loop_spec {
-        None => {
-            let mut t = vec![sys.meta.reset_state()];
-            t.extend((1..=n).map(|k| sys.meta.state_of_step(k)));
-            t.extend(std::iter::repeat(sys.meta.hold_state()).take(HOLD_OBSERVE_CYCLES));
-            vec![t]
-        }
-        Some(l) => {
-            // Prologue once, then the loop region per depth.
-            let prologue: Vec<StateId> =
-                (1..l.back_to).map(|k| sys.meta.state_of_step(k)).collect();
-            let region: Vec<StateId> = (l.back_to..=n).map(|k| sys.meta.state_of_step(k)).collect();
-            LOOP_DEPTHS
-                .iter()
-                .map(|&d| {
-                    let mut t = vec![sys.meta.reset_state()];
-                    t.extend(&prologue);
-                    for _ in 0..=d {
-                        t.extend(&region);
-                    }
-                    t.extend(std::iter::repeat(sys.meta.hold_state()).take(HOLD_OBSERVE_CYCLES));
-                    t
-                })
-                .collect()
-        }
-    }
-}
-
-/// Runs one symbolic trace along `trajectory` using the given per-state
-/// output table, returning per-cycle `(outputs, statuses)` expression
-/// ids and the (moved-through) domain.
-fn run_trace(
-    sys: &System,
-    domain: SymbolicDomain,
-    trajectory: &[StateId],
-    table: &[Vec<bool>],
-) -> (TraceRows, SymbolicDomain) {
-    let dp = &sys.datapath;
-    let mut sim = DatapathSim::new(dp, domain);
-    // Boot values: the same named unknown per register in every trace.
-    for r in 0..dp.registers().len() {
-        let boot = sim.domain_mut().named_unknown(r as u32);
-        sim.set_reg(RegId(r), boot);
-    }
-    let mut rows = Vec::with_capacity(trajectory.len());
-    for (t, &st) in trajectory.iter().enumerate() {
-        let word: Vec<Logic> = table[st.0].iter().map(|&b| Logic::from_bool(b)).collect();
-        let inputs: Vec<ExprId> = (0..dp.inputs().len())
-            .map(|p| sim.domain_mut().input(InputId(p), t as u64))
-            .collect();
-        let r = sim.step(&word, &inputs);
-        rows.push((r.outputs, r.statuses));
-    }
-    (rows, sim.into_domain())
-}
-
 /// Decides SFR vs SFI for a non-sequence-altering controller fault given
 /// its faulty realized output table.
 ///
@@ -134,38 +77,71 @@ fn run_trace(
 /// Panics if `faulty_table` has the wrong shape.
 pub fn judge(sys: &System, faulty_table: &[Vec<bool>]) -> Verdict {
     assert_eq!(faulty_table.len(), sys.fsm.spec().state_count());
-    let golden_table = &sys.ctrl.realized_outputs;
+    let altered: Vec<bool> = faulty_table
+        .iter()
+        .zip(&sys.ctrl.realized_outputs)
+        .map(|(faulty, golden)| faulty != golden)
+        .collect();
     let decision_state = sys
         .meta
         .loop_spec
         .map(|_| sys.meta.state_of_step(sys.meta.n_steps));
-
-    for trajectory in trajectories(sys) {
-        let domain = SymbolicDomain::new(sys.datapath.width());
-        let (golden_rows, domain) = run_trace(sys, domain, &trajectory, golden_table);
-        let (faulty_rows, domain) = run_trace(sys, domain, &trajectory, faulty_table);
-        for (cycle, ((go, gs), (fo, fs))) in golden_rows.iter().zip(&faulty_rows).enumerate() {
-            for (port, (a, b)) in go.iter().zip(fo).enumerate() {
-                if a != b && !domain.contains_unknown(*a) {
-                    return Verdict::Irredundant(Mismatch::Output { cycle, port });
-                }
-            }
-            if Some(trajectory[cycle]) == decision_state {
-                for (status, (a, b)) in gs.iter().zip(fs).enumerate() {
-                    if a != b && !domain.contains_unknown(*a) {
-                        return Verdict::Irredundant(Mismatch::Status { cycle, status });
-                    }
-                }
-            }
+    for path in &sys.symbolic_golden().paths {
+        if let Some(m) = first_mismatch(sys, path, faulty_table, &altered, decision_state) {
+            return Verdict::Irredundant(m);
         }
     }
     Verdict::Redundant
 }
 
+/// Steps the faulty trace along one fault-free path, returning the first
+/// observable point where it differs.
+fn first_mismatch(
+    sys: &System,
+    path: &SymbolicPath,
+    faulty_table: &[Vec<bool>],
+    altered: &[bool],
+    decision_state: Option<StateId>,
+) -> Option<Mismatch> {
+    let mut sim: Option<DatapathSim<'_, SymbolicDomain>> = None;
+    // Whether the faulty registers differ from the fault-free ones
+    // entering the current cycle.
+    let mut diverged = false;
+    for (cycle, row) in path.rows.iter().enumerate() {
+        if !diverged && !altered[row.state.0] {
+            continue;
+        }
+        let sim = sim.get_or_insert_with(|| DatapathSim::new(&sys.datapath, path.domain.clone()));
+        if !diverged {
+            // Skipped cycles left the faulty registers at the fault-free values.
+            for (r, &v) in row.regs.iter().enumerate() {
+                sim.set_reg(RegId(r), v);
+            }
+        }
+        let step = symbolic_step(sim, cycle, &faulty_table[row.state.0]);
+        let differs = |golden: &[_], faulty: &[_], observable: &[bool]| {
+            (0..golden.len()).find(|&i| golden[i] != faulty[i] && observable[i])
+        };
+        if let Some(port) = differs(&row.outputs, &step.outputs, &row.outputs_observable) {
+            return Some(Mismatch::Output { cycle, port });
+        }
+        if Some(row.state) == decision_state {
+            if let Some(status) = differs(&row.statuses, &step.statuses, &row.statuses_observable) {
+                return Some(Mismatch::Status { cycle, status });
+            }
+        }
+        diverged = path
+            .rows
+            .get(cycle + 1)
+            .is_some_and(|next| sim.regs() != next.regs.as_slice());
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::toy_system;
+    use sfr_faultsim::fixtures::toy_system;
 
     #[test]
     fn golden_table_judged_redundant_against_itself() {

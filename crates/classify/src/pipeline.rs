@@ -288,7 +288,7 @@ pub fn classify_system_collapsed(
 
     let timer = PhaseTimer::start(progress, Phase::Golden);
     let ts = TestSet::pseudorandom(sys.pattern_width(), cfg.test_patterns, cfg.test_seed)
-        .expect("16-stage TPGR always constructs");
+        .expect("the system's test patterns fit one 64-bit word");
     let golden = golden_trace(sys, &ts, &cfg.run);
     timer.finish();
 
@@ -514,7 +514,7 @@ fn classify_outcome(sys: &System, o: sfr_faultsim::CampaignOutcome) -> Classifie
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{muxed_system, toy_system};
+    use sfr_faultsim::fixtures::{muxed_system, toy_system};
     use sfr_faultsim::CampaignOutcome;
 
     fn quick_cfg() -> ClassifyConfig {

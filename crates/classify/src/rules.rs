@@ -146,7 +146,7 @@ pub fn judge_by_rules(sys: &System, effects: &[ControlLineEffect]) -> RuleVerdic
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{muxed_system, toy_system};
+    use sfr_faultsim::fixtures::{muxed_system, toy_system};
 
     #[test]
     fn skipped_load_rule() {

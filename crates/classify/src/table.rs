@@ -145,7 +145,7 @@ pub fn analyze_controller_fault(sys: &System, fault: StuckAt) -> ControllerBehav
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::toy_system;
+    use sfr_faultsim::fixtures::toy_system;
     use sfr_netlist::FaultSite;
 
     #[test]

@@ -27,6 +27,7 @@ use sfr_hls::EmittedSystem;
 use sfr_journal::CampaignJournal;
 use sfr_obs::{PhaseTime, ProfileSection, RunManifest, Tallies};
 use sfr_power_model::MonteCarloConfig;
+use sfr_tpg::MAX_PATTERN_BITS;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -333,6 +334,7 @@ impl StudyBuilder {
             }
             Source::Emitted(name, emitted) => (name, *emitted),
         };
+        check_pattern_width(&name, &emitted)?;
         let system = System::build(&emitted, self.cfg.system)?;
         let mut cfg = self.cfg;
         if let Some(factor) = self.cycle_budget {
@@ -385,6 +387,27 @@ impl StudyBuilder {
             collapse: self.collapse,
         })
     }
+}
+
+/// Refuses a design whose data inputs do not fit one test pattern word:
+/// every cycle drives all of them from one [`MAX_PATTERN_BITS`]-bit
+/// pattern.
+///
+/// # Errors
+///
+/// [`StudyError::InvalidConfig`] naming the pattern width and the limit.
+pub fn check_pattern_width(name: &str, emitted: &EmittedSystem) -> Result<(), StudyError> {
+    let dp = &emitted.datapath;
+    let bits = dp.inputs().len() * dp.width();
+    if bits > MAX_PATTERN_BITS {
+        return Err(StudyError::InvalidConfig(format!(
+            "{name} at {} bits needs {bits}-bit test patterns ({} data inputs), \
+             over the {MAX_PATTERN_BITS}-bit pattern limit",
+            dp.width(),
+            dp.inputs().len()
+        )));
+    }
+    Ok(())
 }
 
 /// XORed into the *journal* fingerprint of collapsed campaigns: their
@@ -776,6 +799,22 @@ mod tests {
     fn zero_width_is_rejected_before_any_build() {
         let err = StudyBuilder::new("poly").width(0).build().unwrap_err();
         assert!(matches!(err, StudyError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn widths_past_the_64_bit_pattern_limit_are_rejected() {
+        // diffeq and poly have five data inputs, facet and fir four.
+        for (name, widest) in [("diffeq", 12), ("poly", 12), ("facet", 16), ("fir", 16)] {
+            if let Err(e) = StudyBuilder::new(name).width(widest).build() {
+                panic!("{name} at {widest} bits: {e}");
+            }
+            let err = StudyBuilder::new(name)
+                .width(widest + 1)
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, StudyError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("64-bit pattern limit"), "{err}");
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl TestProgram {
 pub fn generate_test_program(study: &Study, cfg: &TestProgramConfig) -> TestProgram {
     let sys = &study.system;
     let ts = TestSet::pseudorandom(sys.pattern_width(), cfg.patterns, cfg.seed)
-        .expect("16-stage TPGR always constructs");
+        .expect("the system's test patterns fit one 64-bit word");
     let golden = golden_trace(sys, &ts, &cfg.run);
 
     // Functional coverage over the whole controller fault universe.

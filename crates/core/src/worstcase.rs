@@ -163,7 +163,7 @@ impl WorstCase {
 pub fn worst_case_extra_effects(sys: &System, cfg: &GradeConfig) -> WorstCase {
     let harness = DatapathHarness::build(sys);
     let ts = TestSet::pseudorandom(sys.pattern_width(), cfg.patterns_per_batch * 4, cfg.seed)
-        .expect("16-stage TPGR always constructs");
+        .expect("the system's test patterns fit one 64-bit word");
     let baseline_table = sys.ctrl.realized_outputs.clone();
     let baseline = table_power(sys, &harness, &baseline_table, &ts, cfg);
 

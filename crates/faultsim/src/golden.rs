@@ -1,15 +1,33 @@
-//! The fault-free reference trace of an integrated test session.
+//! The fault-free references every fault is judged against.
 //!
-//! A test session is a sequence of *runs*: the tester resets the pair,
-//! lets the computation execute with TPGR data on the inputs, observes
-//! the data outputs every cycle, and resets again. Run boundaries are
-//! fixed by simulating the fault-free system once (the test program a
-//! real tester would replay); faulty circuits are then compared
-//! cycle-for-cycle against this trace.
+//! The paper compares each faulty system with one fault-free system, so
+//! both references here are computed once and shared by the whole fault
+//! list:
+//!
+//! * the [`GoldenTrace`] of an integrated test session — run
+//!   boundaries, applied patterns, and the settled outputs, control
+//!   word and controller state of every cycle. A session is a sequence
+//!   of *runs*: the tester resets the pair, lets the computation
+//!   execute with TPGR data on the inputs, observes the data outputs
+//!   every cycle, and resets again. Run boundaries are fixed by
+//!   simulating the fault-free system once (the test program a real
+//!   tester would replay), on lane 0 of a fault-free compiled tape;
+//!   faulty circuits are then compared cycle-for-cycle against it. The
+//!   scalar [`sfr_netlist::CycleSim`] stays the reference it is tested
+//!   against field for field.
+//! * the [`SymbolicGolden`] trajectories the SFR/SFI oracle compares
+//!   faulty control traces with: for each canonical state path (RESET,
+//!   the body at every loop depth, then HOLD), the fault-free
+//!   per-cycle output and status expressions over the symbolic RTL
+//!   domain, which of them a tester could observe, the register
+//!   values entering each cycle, and the interned domain itself.
+//!   [`System::symbolic_golden`] builds them on first use and keeps
+//!   them for the life of the system.
 
 use crate::system::System;
 use sfr_fsm::StateId;
-use sfr_netlist::{CycleSim, Logic};
+use sfr_netlist::{Logic, NetId, TapeProgram, TapeSim};
+use sfr_rtl::{DatapathSim, ExprId, InputId, RegId, StepResult, SymbolicDomain};
 use sfr_tpg::TestSet;
 
 /// One run within a session (a reset-to-reset window).
@@ -95,6 +113,9 @@ impl GoldenTrace {
 /// controller reaches HOLD (or at the loop-guard limit), and the next
 /// run begins on the following pattern. Trailing patterns too few to
 /// start a meaningful run are still consumed (a short final run).
+///
+/// The session runs on lane 0 of a fault-free [`TapeProgram`], the
+/// same compiled kernel the campaigns use.
 pub fn golden_trace(sys: &System, ts: &TestSet, cfg: &RunConfig) -> GoldenTrace {
     assert_eq!(
         ts.width(),
@@ -108,27 +129,30 @@ pub fn golden_trace(sys: &System, ts: &TestSet, cfg: &RunConfig) -> GoldenTrace 
         ctrl: Vec::new(),
         states: Vec::new(),
     };
-    let mut sim = CycleSim::new(&sys.netlist);
+    let prog =
+        TapeProgram::<u64>::compile(&sys.netlist, &[]).expect("a fault-free tape needs one lane");
+    let mut sim = TapeSim::new(&prog);
+    let lane0 = |sim: &TapeSim<'_, u64>, nets: &[NetId]| -> Vec<Logic> {
+        nets.iter().map(|&n| sim.value(n).lane(0)).collect()
+    };
     let mut idx = 0usize;
     let hold = sys.meta.hold_state();
 
     while idx < ts.len() {
         let start = trace.patterns.len();
-        sys.reset_sim(&mut sim, Logic::X);
+        sys.reset_tape(&mut sim, Logic::X);
         let mut in_hold_for = 0usize;
         let mut len = 0usize;
         while idx < ts.len() && len < cfg.max_cycles_per_run {
             let pat = ts.patterns()[idx];
             idx += 1;
             len += 1;
-            sys.apply_pattern(&mut sim, pat);
+            sys.apply_pattern_tape(&mut sim, pat);
             sim.eval();
             trace.patterns.push(pat);
-            trace.outputs.push(sim.outputs());
-            trace
-                .ctrl
-                .push(sys.ctrl.output_nets.iter().map(|&n| sim.value(n)).collect());
-            let st = sys.decode_state(&sim);
+            trace.outputs.push(lane0(&sim, sys.netlist.outputs()));
+            trace.ctrl.push(lane0(&sim, &sys.ctrl.output_nets));
+            let st = sys.decode_state_tape_lane(&sim, 0);
             trace.states.push(st);
             sim.clock();
             if st == Some(hold) {
@@ -141,6 +165,146 @@ pub fn golden_trace(sys: &System, ts: &TestSet, cfg: &RunConfig) -> GoldenTrace 
         trace.runs.push(RunSpec { start, len });
     }
     trace
+}
+
+/// Which loop iteration counts the symbolic trajectories exercise (one
+/// trajectory with `k` loop-backs for each `k` listed). Non-looping
+/// designs ignore this.
+pub const LOOP_DEPTHS: [usize; 4] = [0, 1, 2, 3];
+
+/// Hold-state cycles appended to each symbolic trajectory.
+pub const HOLD_OBSERVE_CYCLES: usize = 3;
+
+/// The fault-free symbolic trajectories of a system, one per canonical
+/// state path. Built once per [`System`] by [`System::symbolic_golden`].
+#[derive(Debug, Clone)]
+pub struct SymbolicGolden {
+    /// One entry per state path, in the order the oracle checks them.
+    pub paths: Vec<SymbolicPath>,
+}
+
+/// The fault-free symbolic trace along one state path.
+#[derive(Debug, Clone)]
+pub struct SymbolicPath {
+    /// One row per cycle.
+    pub rows: Vec<SymbolicRow>,
+    /// The domain every expression of [`SymbolicPath::rows`] is interned
+    /// in. A faulty trace continues in a copy of it, so a faulty
+    /// expression equals a fault-free one exactly when their ids do.
+    pub domain: SymbolicDomain,
+}
+
+/// One cycle of a fault-free symbolic trajectory.
+#[derive(Debug, Clone)]
+pub struct SymbolicRow {
+    /// The controller state of the cycle.
+    pub state: StateId,
+    /// Register values entering the cycle.
+    pub regs: Vec<ExprId>,
+    /// Data output expressions, in port order.
+    pub outputs: Vec<ExprId>,
+    /// Status expressions, in status order.
+    pub statuses: Vec<ExprId>,
+    /// Per output: whether its expression is free of unknowns, i.e. a
+    /// value the tester can predict and compare.
+    pub outputs_observable: Vec<bool>,
+    /// Per status: whether its expression is free of unknowns.
+    pub statuses_observable: Vec<bool>,
+}
+
+impl SymbolicGolden {
+    /// Simulates the fault-free system along every canonical state path.
+    pub(crate) fn build(sys: &System) -> SymbolicGolden {
+        let paths = state_paths(sys)
+            .into_iter()
+            .map(|states| SymbolicPath::build(sys, &states))
+            .collect();
+        SymbolicGolden { paths }
+    }
+}
+
+impl SymbolicPath {
+    fn build(sys: &System, states: &[StateId]) -> SymbolicPath {
+        let dp = &sys.datapath;
+        let mut sim = DatapathSim::new(dp, SymbolicDomain::new(dp.width()));
+        // Boot values: the same named unknown per register in every
+        // trace, fault-free or faulty.
+        for r in 0..dp.registers().len() {
+            let boot = sim.domain_mut().named_unknown(r as u32);
+            sim.set_reg(RegId(r), boot);
+        }
+        let mut rows = Vec::with_capacity(states.len());
+        for (cycle, &state) in states.iter().enumerate() {
+            let regs = sim.regs().to_vec();
+            let step = symbolic_step(&mut sim, cycle, &sys.ctrl.realized_outputs[state.0]);
+            let observable = |ids: &[ExprId]| -> Vec<bool> {
+                ids.iter()
+                    .map(|&id| !sim.domain().contains_unknown(id))
+                    .collect()
+            };
+            rows.push(SymbolicRow {
+                state,
+                regs,
+                outputs_observable: observable(&step.outputs),
+                statuses_observable: observable(&step.statuses),
+                outputs: step.outputs,
+                statuses: step.statuses,
+            });
+        }
+        SymbolicPath {
+            rows,
+            domain: sim.into_domain(),
+        }
+    }
+}
+
+/// Steps a symbolic simulation through trajectory cycle `cycle` under
+/// the control word `row` (one realized output table row). Data input
+/// `p` carries the symbol `(p, cycle)`, the same in every trace.
+pub fn symbolic_step(
+    sim: &mut DatapathSim<'_, SymbolicDomain>,
+    cycle: usize,
+    row: &[bool],
+) -> StepResult<ExprId> {
+    let word: Vec<Logic> = row.iter().map(|&b| Logic::from_bool(b)).collect();
+    let inputs: Vec<ExprId> = (0..sim.datapath().inputs().len())
+        .map(|p| sim.domain_mut().input(InputId(p), cycle as u64))
+        .collect();
+    sim.step(&word, &inputs)
+}
+
+/// The canonical state paths for a system: RESET, the body (repeated per
+/// loop depth), then HOLD observation cycles.
+fn state_paths(sys: &System) -> Vec<Vec<StateId>> {
+    let meta = &sys.meta;
+    let hold = std::iter::repeat(meta.hold_state()).take(HOLD_OBSERVE_CYCLES);
+    match meta.loop_spec {
+        None => {
+            let mut t = vec![meta.reset_state()];
+            t.extend((1..=meta.n_steps).map(|k| meta.state_of_step(k)));
+            t.extend(hold);
+            vec![t]
+        }
+        Some(l) => {
+            // Prologue once, then the loop region per depth.
+            let prologue: Vec<StateId> = (1..l.back_to).map(|k| meta.state_of_step(k)).collect();
+            let region: Vec<StateId> = (l.back_to..=meta.n_steps)
+                .map(|k| meta.state_of_step(k))
+                .collect();
+            LOOP_DEPTHS
+                .iter()
+                .map(|&d| {
+                    let mut t = vec![meta.reset_state()];
+                    t.extend(&prologue);
+                    for _ in 0..=d {
+                        t.extend(&region);
+                    }
+                    t.extend(hold.clone());
+                    t
+                })
+                .collect()
+        }
+    }
 }
 
 #[cfg(test)]

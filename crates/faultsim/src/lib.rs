@@ -58,5 +58,8 @@ pub use engine::{
     run_campaign, run_campaign_quarantined, run_with, Engine, EngineKind, LaneEngine,
     QuarantinedChunk, SerialEngine, SimKernel, TapeEngine, TapeWideEngine, ThreadedEngine,
 };
-pub use golden::{golden_trace, GoldenTrace, RunConfig, RunSpec};
+pub use golden::{
+    golden_trace, symbolic_step, GoldenTrace, RunConfig, RunSpec, SymbolicGolden, SymbolicPath,
+    SymbolicRow, HOLD_OBSERVE_CYCLES, LOOP_DEPTHS,
+};
 pub use system::{System, SystemConfig};

@@ -9,6 +9,7 @@
 //! controller's gates contiguous so its stuck-at fault universe — the
 //! paper's — is a gate-index range.
 
+use crate::golden::SymbolicGolden;
 use sfr_fsm::{synthesize_into, EncodedFsm, Encoding, FillPolicy, StateId, SynthesizedController};
 use sfr_hls::{DesignMeta, EmittedSystem};
 use sfr_netlist::{
@@ -16,6 +17,7 @@ use sfr_netlist::{
     ParallelFaultSim, Pat, StuckAt, TapeSim, TapeWord,
 };
 use sfr_rtl::{elaborate_into, Datapath, ElabNets};
+use std::sync::OnceLock;
 
 /// Configuration of system construction.
 #[derive(Debug, Clone, Copy)]
@@ -69,6 +71,10 @@ pub struct System {
     pub ctrl_netlist: Netlist,
     /// Handles into [`System::ctrl_netlist`].
     pub ctrl_standalone: SynthesizedController,
+    /// The fault-free symbolic trajectories, built on first use by
+    /// [`System::symbolic_golden`] — never by [`System::build`], so a
+    /// study that runs no oracle never pays for them.
+    symbolic_golden: OnceLock<SymbolicGolden>,
 }
 
 impl System {
@@ -142,7 +148,19 @@ impl System {
             cfg,
             ctrl_netlist,
             ctrl_standalone,
+            symbolic_golden: OnceLock::new(),
         })
+    }
+
+    /// The fault-free symbolic trajectories the SFR/SFI oracle judges
+    /// every fault against: simulated on the first call (from any
+    /// thread), then shared by every later one. They are derived from
+    /// [`System::datapath`], [`System::meta`] and the controller's
+    /// realized output table, so those must not change after the first
+    /// call.
+    pub fn symbolic_golden(&self) -> &SymbolicGolden {
+        self.symbolic_golden
+            .get_or_init(|| SymbolicGolden::build(self))
     }
 
     /// Translates a fault on the embedded controller into the equivalent
@@ -431,6 +449,22 @@ pub(crate) mod tests {
             sim.clock();
             psim.clock();
         }
+    }
+
+    #[test]
+    fn symbolic_golden_is_built_on_first_use_and_only_once() {
+        let sys = toy_system();
+        assert!(
+            sys.symbolic_golden.get().is_none(),
+            "System::build must not simulate the symbolic trajectories"
+        );
+        let first: *const SymbolicGolden = sys.symbolic_golden();
+        assert!(std::ptr::eq(first, sys.symbolic_golden()));
+        assert!(std::ptr::eq(first, sys.symbolic_golden.get().unwrap()));
+        // One straight-line path: RESET, CS1..CS3, then the HOLD tail.
+        let paths = &sys.symbolic_golden().paths;
+        assert_eq!(paths.len(), 1);
+        assert_eq!(paths[0].rows.len(), 4 + crate::HOLD_OBSERVE_CYCLES);
     }
 
     #[test]

@@ -219,6 +219,9 @@ pub struct Datapath {
     pub(crate) outputs: Vec<(String, DataSrc)>,
     pub(crate) statuses: Vec<(String, DataSrc)>,
     pub(crate) control: Vec<CtrlLine>,
+    /// Combinational components in dependency order, fixed by
+    /// [`DatapathBuilder::finish`].
+    pub(crate) comb_order: Vec<CombId>,
 }
 
 impl Datapath {
@@ -301,7 +304,13 @@ impl Datapath {
 
     /// Combinational components (muxes and FUs) in dependency order:
     /// every component appears after everything it combinationally reads.
-    pub(crate) fn topo_comb(&self) -> Vec<CombId> {
+    pub(crate) fn comb_order(&self) -> &[CombId] {
+        &self.comb_order
+    }
+
+    /// Computes [`Datapath::comb_order`] (once, when the builder
+    /// finishes).
+    fn topo_comb(&self) -> Vec<CombId> {
         // Simple DFS; validated acyclic at build time.
         let mut order = Vec::new();
         let mut seen = HashSet::new();
@@ -398,6 +407,7 @@ impl DatapathBuilder {
                 outputs: Vec::new(),
                 statuses: Vec::new(),
                 control: Vec::new(),
+                comb_order: Vec::new(),
             },
         }
     }
@@ -475,7 +485,7 @@ impl DatapathBuilder {
     /// Returns a [`DatapathError`] describing the first violated invariant
     /// (see [`Datapath`] for the list).
     pub fn finish(self) -> Result<Datapath, DatapathError> {
-        let dp = self.dp;
+        let mut dp = self.dp;
         if dp.width == 0 || dp.width > 32 {
             return Err(DatapathError::BadWidth { width: dp.width });
         }
@@ -608,6 +618,7 @@ impl DatapathBuilder {
             visit(&dp, CombId::Fu(i), &mut marks, &idx)?;
         }
 
+        dp.comb_order = dp.topo_comb();
         Ok(dp)
     }
 }
@@ -728,7 +739,8 @@ mod tests {
     #[test]
     fn topo_order_covers_all_comb_components() {
         let dp = block().finish().unwrap();
-        let order = dp.topo_comb();
+        let order = dp.comb_order();
+        assert_eq!(order, dp.topo_comb());
         assert_eq!(order.len(), 2);
         // Mux before FU (the FU reads the mux).
         assert_eq!(order[0], CombId::Mux(0));

@@ -74,7 +74,7 @@ pub fn elaborate_into(
     // Combinational components in dependency order.
     let mut mux_bits: Vec<Option<Vec<NetId>>> = vec![None; dp.muxes().len()];
     let mut fu_bits: Vec<Option<Vec<NetId>>> = vec![None; dp.fus().len()];
-    for c in dp.topo_comb() {
+    for &c in dp.comb_order() {
         match c {
             CombId::Mux(mi) => {
                 let mux = &dp.muxes()[mi];

@@ -7,7 +7,7 @@
 //! settle-then-clock discipline as the gate-level simulator in
 //! [`sfr_netlist`].
 
-use crate::component::{CtrlId, DataSrc, FuId, MuxId};
+use crate::component::{DataSrc, FuId, MuxId};
 use crate::datapath::{CombId, Datapath};
 use crate::domain::DataDomain;
 use sfr_netlist::Logic;
@@ -53,7 +53,6 @@ pub struct DatapathSim<'a, D: DataDomain> {
     dp: &'a Datapath,
     domain: D,
     regs: Vec<D::Value>,
-    comb_order: Vec<CombId>,
     time: u64,
 }
 
@@ -63,12 +62,10 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
         let regs = (0..dp.registers().len())
             .map(|_| domain.unknown())
             .collect();
-        let comb_order = dp.topo_comb();
         DatapathSim {
             dp,
             domain,
             regs,
-            comb_order,
             time: 0,
         }
     }
@@ -110,6 +107,11 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
         &self.regs[reg.0]
     }
 
+    /// Every register's current value, in declaration order.
+    pub fn regs(&self) -> &[D::Value] {
+        &self.regs
+    }
+
     /// Resets every register to a fresh unknown.
     pub fn reset_unknown(&mut self) {
         for r in self.regs.iter_mut() {
@@ -120,7 +122,7 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
 
     /// Settles the network and returns every component's value, indexed
     /// for muxes and FUs.
-    fn settle(&mut self, ctrl: &[Logic], inputs: &[D::Value]) -> (Vec<D::Value>, Vec<D::Value>) {
+    fn settle(&mut self, ctrl: &[Logic], inputs: &[D::Value]) -> Settled<D::Value> {
         assert_eq!(
             ctrl.len(),
             self.dp.control_width(),
@@ -131,49 +133,35 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
             self.dp.inputs().len(),
             "data input count mismatch"
         );
-        let mut mux_vals: Vec<Option<D::Value>> = vec![None; self.dp.muxes().len()];
-        let mut fu_vals: Vec<Option<D::Value>> = vec![None; self.dp.fus().len()];
-
-        for i in 0..self.comb_order.len() {
-            let c = self.comb_order[i];
+        let dp = self.dp;
+        let mut vals = Settled {
+            muxes: vec![None; dp.muxes().len()],
+            fus: vec![None; dp.fus().len()],
+        };
+        for &c in dp.comb_order() {
             match c {
                 CombId::Mux(mi) => {
-                    let v = self.eval_mux(mi, ctrl, inputs, &mux_vals, &fu_vals);
-                    mux_vals[mi] = Some(v);
+                    let v = self.eval_mux(mi, ctrl, inputs, &vals);
+                    vals.muxes[mi] = Some(v);
                 }
                 CombId::Fu(fi) => {
-                    let fu = &self.dp.fus()[fi];
-                    let a = self.resolve(fu.a(), inputs, &mux_vals, &fu_vals);
-                    let b = self.resolve(fu.b(), inputs, &mux_vals, &fu_vals);
+                    let fu = &dp.fus()[fi];
+                    let a = self.resolve(fu.a(), inputs, &vals);
+                    let b = self.resolve(fu.b(), inputs, &vals);
                     let v = self.domain.op(fu.op(), &a, &b);
-                    fu_vals[fi] = Some(v);
+                    vals.fus[fi] = Some(v);
                 }
             }
         }
-        (
-            mux_vals
-                .into_iter()
-                .map(|v| v.expect("topo complete"))
-                .collect(),
-            fu_vals
-                .into_iter()
-                .map(|v| v.expect("topo complete"))
-                .collect(),
-        )
+        vals
     }
 
-    fn resolve(
-        &mut self,
-        src: DataSrc,
-        inputs: &[D::Value],
-        mux_vals: &[Option<D::Value>],
-        fu_vals: &[Option<D::Value>],
-    ) -> D::Value {
+    fn resolve(&mut self, src: DataSrc, inputs: &[D::Value], vals: &Settled<D::Value>) -> D::Value {
         match src {
             DataSrc::Input(i) => inputs[i.0].clone(),
             DataSrc::Reg(r) => self.regs[r.0].clone(),
-            DataSrc::Mux(MuxId(m)) => mux_vals[m].clone().expect("mux evaluated before use"),
-            DataSrc::Fu(FuId(f)) => fu_vals[f].clone().expect("fu evaluated before use"),
+            DataSrc::Mux(MuxId(m)) => vals.muxes[m].clone().expect("mux evaluated before use"),
+            DataSrc::Fu(FuId(f)) => vals.fus[f].clone().expect("fu evaluated before use"),
             DataSrc::Const(c) => self.domain.constant(c),
         }
     }
@@ -183,16 +171,14 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
         mi: usize,
         ctrl: &[Logic],
         inputs: &[D::Value],
-        mux_vals: &[Option<D::Value>],
-        fu_vals: &[Option<D::Value>],
+        vals: &Settled<D::Value>,
     ) -> D::Value {
         let mux = &self.dp.muxes()[mi];
-        let sels: Vec<Logic> = mux.sels().iter().map(|&CtrlId(c)| ctrl[c]).collect();
-        let srcs: Vec<DataSrc> = mux.inputs().to_vec();
+        let sel = |bit: usize| ctrl[mux.sels()[bit].0];
         let mut index = 0usize;
         let mut known = true;
-        for (bit, s) in sels.iter().enumerate() {
-            match s.to_bool() {
+        for bit in 0..mux.sels().len() {
+            match sel(bit).to_bool() {
                 Some(true) => index |= 1 << bit,
                 Some(false) => {}
                 None => {
@@ -202,20 +188,20 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
             }
         }
         if known {
-            return self.resolve(srcs[index], inputs, mux_vals, fu_vals);
+            return self.resolve(mux.inputs()[index], inputs, vals);
         }
         // Unknown select: the output is known only if every selectable
         // input (consistent with the known select bits) agrees.
         let mut candidate: Option<D::Value> = None;
-        for (i, &src) in srcs.iter().enumerate() {
-            let consistent = sels.iter().enumerate().all(|(bit, s)| match s.to_bool() {
+        for (i, &src) in mux.inputs().iter().enumerate() {
+            let consistent = (0..mux.sels().len()).all(|bit| match sel(bit).to_bool() {
                 Some(b) => (i >> bit) & 1 == usize::from(b),
                 None => true,
             });
             if !consistent {
                 continue;
             }
-            let v = self.resolve(src, inputs, mux_vals, fu_vals);
+            let v = self.resolve(src, inputs, vals);
             match &candidate {
                 None => candidate = Some(v),
                 Some(c) if *c == v => {}
@@ -239,38 +225,28 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
     ///
     /// Panics if `ctrl` or `inputs` lengths do not match the datapath.
     pub fn step(&mut self, ctrl: &[Logic], inputs: &[D::Value]) -> StepResult<D::Value> {
-        let (mux_vals, fu_vals) = self.settle(ctrl, inputs);
-        let mux_vals: Vec<Option<D::Value>> = mux_vals.into_iter().map(Some).collect();
-        let fu_vals: Vec<Option<D::Value>> = fu_vals.into_iter().map(Some).collect();
-
-        let outputs = self
-            .dp
+        let vals = self.settle(ctrl, inputs);
+        let dp = self.dp;
+        let outputs = dp
             .outputs()
             .iter()
-            .map(|&(_, src)| self.resolve(src, inputs, &mux_vals, &fu_vals))
+            .map(|&(_, src)| self.resolve(src, inputs, &vals))
             .collect();
-        let statuses = self
-            .dp
+        let statuses = dp
             .statuses()
             .iter()
-            .map(|&(_, src)| self.resolve(src, inputs, &mux_vals, &fu_vals))
+            .map(|&(_, src)| self.resolve(src, inputs, &vals))
             .collect();
 
         // Clock edge.
-        let n = self.dp.registers().len();
-        let mut next: Vec<D::Value> = Vec::with_capacity(n);
-        for ri in 0..n {
-            let r = &self.dp.registers()[ri];
-            let load = ctrl[r.load().0];
+        let mut next: Vec<D::Value> = Vec::with_capacity(self.regs.len());
+        for (ri, r) in dp.registers().iter().enumerate() {
             let cur = self.regs[ri].clone();
-            let v = match load {
-                Logic::One => {
-                    let src = r.src();
-                    self.resolve(src, inputs, &mux_vals, &fu_vals)
-                }
+            let v = match ctrl[r.load().0] {
+                Logic::One => self.resolve(r.src(), inputs, &vals),
                 Logic::Zero => cur,
                 Logic::X => {
-                    let incoming = self.resolve(r.src(), inputs, &mux_vals, &fu_vals);
+                    let incoming = self.resolve(r.src(), inputs, &vals);
                     if incoming == cur {
                         cur
                     } else {
@@ -285,6 +261,12 @@ impl<'a, D: DataDomain> DatapathSim<'a, D> {
 
         StepResult { outputs, statuses }
     }
+}
+
+/// Settled mux and FU values of one cycle (`None` until evaluated).
+struct Settled<V> {
+    muxes: Vec<Option<V>>,
+    fus: Vec<Option<V>>,
 }
 
 #[cfg(test)]

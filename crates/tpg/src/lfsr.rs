@@ -44,7 +44,8 @@ const TAPS: [u32; 30] = [
     0x48000000, // 31: x^31 + x^28 + 1
 ];
 
-/// Error constructing an [`Lfsr`] with an unsupported width.
+/// Error constructing an [`Lfsr`] or a [`crate::TestSet`] with an
+/// unsupported width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsupportedWidthError {
     /// The requested width.
@@ -53,7 +54,12 @@ pub struct UnsupportedWidthError {
 
 impl fmt::Display for UnsupportedWidthError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LFSR width {} unsupported (need 2..=32)", self.width)
+        write!(
+            f,
+            "width {} unsupported (an LFSR takes 2..=32 stages, a test pattern at most {} bits)",
+            self.width,
+            crate::MAX_PATTERN_BITS
+        )
     }
 }
 

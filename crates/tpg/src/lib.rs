@@ -29,4 +29,4 @@ mod lfsr;
 mod testset;
 
 pub use lfsr::{Lfsr, UnsupportedWidthError};
-pub use testset::{TestSet, PAPER_PATTERNS, PAPER_SEEDS};
+pub use testset::{TestSet, MAX_PATTERN_BITS, PAPER_PATTERNS, PAPER_SEEDS};

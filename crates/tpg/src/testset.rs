@@ -13,6 +13,10 @@ pub const PAPER_PATTERNS: usize = 1200;
 /// Seeds used for the three test sets (the third is near-all-0s).
 pub const PAPER_SEEDS: [u32; 3] = [0xACE1, 0x5EED, 0x0001];
 
+/// The widest test pattern: one `u64` word carries every data input bit
+/// of a cycle.
+pub const MAX_PATTERN_BITS: usize = 64;
+
 /// A sequence of input patterns for a `width`-bit data port.
 ///
 /// # Examples
@@ -40,14 +44,16 @@ impl TestSet {
     ///
     /// # Errors
     ///
-    /// Returns [`UnsupportedWidthError`] if the internal LFSR width (16)
-    /// were unsupported — in practice this never fails, but the error is
-    /// surfaced rather than unwrapped.
+    /// Returns [`UnsupportedWidthError`] if `width` exceeds
+    /// [`MAX_PATTERN_BITS`].
     pub fn pseudorandom(
         width: usize,
         count: usize,
         seed: u32,
     ) -> Result<Self, UnsupportedWidthError> {
+        if width > MAX_PATTERN_BITS {
+            return Err(UnsupportedWidthError { width });
+        }
         let mut lfsr = Lfsr::new(16, seed)?;
         let patterns = (0..count).map(|_| lfsr.next_word(width)).collect();
         Ok(TestSet {
@@ -150,6 +156,15 @@ mod tests {
     fn patterns_fit_width() {
         let ts = TestSet::pseudorandom(5, 500, 7).unwrap();
         assert!(ts.iter().all(|&p| p < 32));
+    }
+
+    #[test]
+    fn pseudorandom_rejects_patterns_wider_than_a_word() {
+        let widest = TestSet::pseudorandom(MAX_PATTERN_BITS, 8, 0xACE1).unwrap();
+        assert_eq!(widest.width(), 64);
+        let err = TestSet::pseudorandom(MAX_PATTERN_BITS + 1, 8, 0xACE1).unwrap_err();
+        assert_eq!(err, UnsupportedWidthError { width: 65 });
+        assert!(err.to_string().contains("at most 64 bits"), "{err}");
     }
 
     #[test]

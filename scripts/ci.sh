@@ -41,6 +41,17 @@ grep -q "unreachable-state" /tmp/sfr-lint-fixture.out
 grep -q "combinational-loop" /tmp/sfr-lint-fixture.out
 rm -f /tmp/sfr-lint-fixture.out
 
+echo "== widths past the 64-bit test pattern are refused with exit code 1 =="
+for args in "grade diffeq --width 13" "classify poly --width 13" "grade fir --width 17"; do
+    rc=0
+    # shellcheck disable=SC2086 # split the argument string on purpose
+    "$SFR" $args > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "   ERROR: sfr $args exited $rc"
+        exit 1
+    fi
+done
+
 echo "== static prune equivalence (diffeq, threads 1/2/8) =="
 PRUNE_DIR="$(mktemp -d)"
 "$SFR" grade diffeq --patterns 600 > "$PRUNE_DIR/plain.out" 2>/dev/null
@@ -246,6 +257,13 @@ diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-tape.out"
 diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-tape-wide.out"
 echo "   poly: collapsed tape/tape-wide grade tables match the interpretive reference"
 rm -rf "$COLLAPSE_DIR"
+
+echo "== whole-study benchmark smoke (perfbench --smoke) =="
+# perfbench drives studies through the public layer calls it mirrors
+# (judge, golden_trace, analyze_controller_fault, ...) and checks every
+# study digest against perfbench/reference.tsv, so a changed signature
+# fails to build here and a drifted result fails the run.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke
 
 echo "== cargo bench --no-run =="
 cargo bench --workspace --no-run

@@ -284,6 +284,15 @@ fn build_bench(name: &str, width: usize) -> Result<EmittedSystem, String> {
     }
 }
 
+/// Builds a benchmark's integrated system for a command that drives it
+/// with test patterns, refusing widths whose data inputs do not fit one
+/// pattern word.
+fn build_tested_system(name: &str, width: usize) -> Result<System, String> {
+    let emitted = build_bench(name, width)?;
+    sfr_power::check_pattern_width(name, &emitted).map_err(|e| e.to_string())?;
+    System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())
+}
+
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
@@ -355,9 +364,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
     match cmd {
         "classify" => {
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            let sys = build_tested_system(&name, width)?;
             let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
             let sinks = obs.sinks();
             let tee = Tee::new(&sinks);
@@ -589,9 +596,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         }
         "table2" => {
             for name in ["diffeq", "facet", "poly"] {
-                let emitted = build_bench(name, width)?;
-                let sys =
-                    System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+                let sys = build_tested_system(name, width)?;
                 let c = classify_system_with(
                     &sys,
                     &ClassifyConfig {
