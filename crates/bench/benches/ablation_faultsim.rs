@@ -1,11 +1,12 @@
-//! Ablation: serial vs 63-lane bit-parallel fault simulation — the
-//! substrate speed-up claim of `DESIGN.md`.
+//! Ablation: the scalar reference campaign vs the 63-lane compiled
+//! tape campaign — the substrate speed-up claim of `DESIGN.md`.
 
 #![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sfr_core::{
-    benchmarks, golden_trace, run_parallel, run_serial, RunConfig, System, SystemConfig, TestSet,
+    benchmarks, golden_trace, run_serial, run_tape_counted, RunConfig, System, SystemConfig,
+    TestSet,
 };
 
 fn bench(c: &mut Criterion) {
@@ -18,8 +19,8 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_faultsim");
     g.sample_size(10);
     g.bench_function("serial", |b| b.iter(|| run_serial(&sys, &golden, &faults)));
-    g.bench_function("parallel_63_lanes", |b| {
-        b.iter(|| run_parallel(&sys, &golden, &faults))
+    g.bench_function("tape_63_lanes", |b| {
+        b.iter(|| run_tape_counted(&sys, &golden, &faults))
     });
     g.finish();
 }

@@ -1,14 +1,16 @@
-//! Grading throughput: scalar vs 63-lane vs threaded lane-packed vs
+//! Grading throughput: the scalar reference vs lane-packed
 //! compiled-tape Monte Carlo power grading, on the differential
 //! equation solver.
 //!
 //! Emits `BENCH_grade.json` at the workspace root (faults/sec, simulated
 //! lane-cycles/sec, speedups over the scalar reference) so the perf
-//! trajectory has data points, and cross-checks that every engine's
-//! grades are bit-identical before reporting anything. The tape rows
-//! are `tape_1t` (compiled 64-bit tape, one thread), `tape_wide_1t`
-//! (256-bit tape, 255 faults + baseline per pass, one thread) and
-//! `tape_mt` (the wide tape sharded across worker threads). A final
+//! trajectory has data points, and cross-checks that every row's
+//! grades are bit-identical before reporting anything. The rows are
+//! `scalar_1t` (one `CycleSim` pass per fault, one thread), `tape_1t`
+//! (the 64-bit tape, 63 faults + baseline per pass, one thread),
+//! `tape_mt` (the same tape with packs sharded across 2 threads) and
+//! `tape_1t_traced` (`tape_1t` with a JSONL trace sink attached; its
+//! delta to `tape_1t` is `trace_overhead_pct`). A final
 //! probe runs a coordinator + one-worker shard campaign untraced and
 //! with both sides writing flight-recorder traces, and reports the
 //! wall-clock delta as `shard_trace_overhead_pct` (contract: < 5%).
@@ -23,16 +25,27 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sfr_bench::quick_config;
 use sfr_core::exec::{Counters, EngineKind, NullProgress, SimKernel};
 use sfr_core::{
-    analyze_controller_static, benchmarks, classify_system_with, grade_faults_scalar_with,
-    grade_faults_with, grade_faults_with_kernel, measure_power_lanes_with_testset,
-    measure_power_tape_watched, measure_power_with_testset, render_table1, static_rule_label,
-    FaultClasses, GradeConfig, MonteCarloConfig, PowerGrade, StuckAt, System, SystemConfig,
-    TapeProgram, TestSet, W256,
+    analyze_controller_static, benchmarks, classify_system_with,
+    grade_faults_journaled_with_kernel, grade_faults_scalar_with, measure_power_tape_watched,
+    measure_power_with_testset, render_table1, static_rule_label, FaultClasses, GradeConfig,
+    MonteCarloConfig, PowerGrade, StuckAt, System, SystemConfig, TapeProgram, TestSet,
 };
 use std::time::{Duration, Instant};
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
+}
+
+/// Lane-packed tape grading on `threads` workers, without a journal.
+fn grade_tape(
+    sys: &System,
+    faults: &[StuckAt],
+    cfg: &GradeConfig,
+    threads: usize,
+    progress: &dyn sfr_core::exec::Progress,
+) -> Vec<PowerGrade> {
+    grade_faults_journaled_with_kernel(sys, faults, cfg, threads, progress, None, SimKernel::Tape)
+        .grades
 }
 
 /// One engine's timed full-grading run.
@@ -146,18 +159,18 @@ fn bench(c: &mut Criterion) {
         // every row and the numbers measure overhead, not simulation.
         GradeConfig::default()
     };
-    let threads = sfr_core::exec::default_threads().max(2);
+    let threads = 2;
 
     let emitted = benchmarks::diffeq(4).expect("diffeq builds");
     let sys = System::build(&emitted, cfg.system).expect("system builds");
-    let engine = EngineKind::for_threads(threads).build();
+    let engine = EngineKind::Tape(threads).build();
     let cls = classify_system_with(&sys, &cfg.classify, engine.as_ref(), &NullProgress);
     let mut faults: Vec<StuckAt> = cls.sfr().map(|f| f.fault).collect();
     if quick {
         faults.truncate(12);
     }
     eprintln!(
-        "grading {} diffeq SFR faults ({} mode, {} threads for the threaded engine)",
+        "grading {} diffeq SFR faults ({} mode, {} threads for tape_mt)",
         faults.len(),
         if quick { "quick" } else { "full" },
         threads
@@ -170,7 +183,7 @@ fn bench(c: &mut Criterion) {
     let cycles_per_batch = measure_power_with_testset(&sys, None, &ts, &gcfg).cycles;
 
     // Full-sweep timings (these feed BENCH_grade.json). The last row is
-    // the tracing-overhead probe: the same 1-thread lane sweep with the
+    // the tracing-overhead probe: the same 1-thread tape sweep with the
     // JSONL trace sink attached. The observability contract is that an
     // enabled trace costs under 2% — events are aggregated per worker
     // and flushed at pack boundaries, never inside the lane loop. Only
@@ -180,47 +193,22 @@ fn bench(c: &mut Criterion) {
     let rows: Vec<Box<dyn Fn() -> EngineRun + '_>> = vec![
         Box::new(|| {
             sweep("scalar_1t", |p| {
-                grade_faults_scalar_with(&sys, &faults, &gcfg, 1, p).1
+                grade_faults_scalar_with(&sys, &faults, &gcfg, p).1
             })
         }),
-        Box::new(|| {
-            sweep("lanes_1t", |p| {
-                grade_faults_with(&sys, &faults, &gcfg, 1, p).1
-            })
-        }),
-        Box::new(|| {
-            sweep("lanes_mt", |p| {
-                grade_faults_with(&sys, &faults, &gcfg, threads, p).1
-            })
-        }),
-        Box::new(|| {
-            sweep("tape_1t", |p| {
-                grade_faults_with_kernel(&sys, &faults, &gcfg, 1, p, SimKernel::Tape).1
-            })
-        }),
-        Box::new(|| {
-            sweep("tape_wide_1t", |p| {
-                grade_faults_with_kernel(&sys, &faults, &gcfg, 1, p, SimKernel::TapeWide).1
-            })
-        }),
-        // The fully accelerated configuration: the 256-lane tape with
-        // packs sharded across worker threads.
-        Box::new(|| {
-            sweep("tape_mt", |p| {
-                grade_faults_with_kernel(&sys, &faults, &gcfg, threads, p, SimKernel::TapeWide).1
-            })
-        }),
+        Box::new(|| sweep("tape_1t", |p| grade_tape(&sys, &faults, &gcfg, 1, p))),
+        Box::new(|| sweep("tape_mt", |p| grade_tape(&sys, &faults, &gcfg, threads, p))),
         Box::new(|| {
             let counters = Counters::new();
             let trace = sfr_core::obs::TraceWriter::create(&trace_path).expect("trace file opens");
             let sinks: [&dyn sfr_core::exec::Progress; 2] = [&counters, &trace];
             let tee = sfr_core::exec::Tee::new(&sinks);
             let start = Instant::now();
-            let grades = grade_faults_with(&sys, &faults, &gcfg, 1, &tee).1;
+            let grades = grade_tape(&sys, &faults, &gcfg, 1, &tee);
             let seconds = start.elapsed().as_secs_f64();
             trace.finish().expect("trace flushes");
             EngineRun {
-                name: "lanes_1t_traced",
+                name: "tape_1t_traced",
                 seconds,
                 mc_batches: counters.snapshot().mc_batches,
                 grades,
@@ -228,16 +216,13 @@ fn bench(c: &mut Criterion) {
         }),
     ];
     let mut runs = best_of_interleaved(4, &rows).into_iter();
-    let (scalar, lanes, threaded, tape, tape_wide, tape_mt, traced) = (
+    let (scalar, tape, tape_mt, traced) = (
         runs.next().expect("scalar row"),
-        runs.next().expect("lanes row"),
-        runs.next().expect("threaded row"),
         runs.next().expect("tape row"),
-        runs.next().expect("wide tape row"),
         runs.next().expect("threaded tape row"),
         runs.next().expect("traced row"),
     );
-    let (untraced_best, traced_best) = (lanes.seconds, traced.seconds);
+    let (untraced_best, traced_best) = (tape.seconds, traced.seconds);
     let trace_text = std::fs::read_to_string(&trace_path).expect("trace reads back");
     sfr_core::obs::check_trace(&trace_text).expect("trace validates");
 
@@ -295,7 +280,7 @@ fn bench(c: &mut Criterion) {
 
     // Bit-identity gate: a throughput number for wrong answers is
     // meaningless.
-    for run in [&lanes, &threaded, &tape, &tape_wide, &tape_mt, &traced] {
+    for run in [&tape, &tape_mt, &traced] {
         assert_eq!(run.grades.len(), scalar.grades.len());
         for (s, l) in scalar.grades.iter().zip(&run.grades) {
             assert_eq!(
@@ -318,9 +303,7 @@ fn bench(c: &mut Criterion) {
     };
     let (scalar_fps, scalar_cps) = metric(&scalar);
     let mut engines_json = String::new();
-    for run in [
-        &scalar, &lanes, &threaded, &tape, &tape_wide, &tape_mt, &traced,
-    ] {
+    for run in [&scalar, &tape, &tape_mt, &traced] {
         let (fps, cps) = metric(run);
         engines_json.push_str(&format!(
             "    {{\"name\": \"{}\", \"seconds\": {:.4}, \"faults_per_sec\": {:.2}, \
@@ -328,7 +311,7 @@ fn bench(c: &mut Criterion) {
             run.name, run.seconds, fps, run.mc_batches, cps
         ));
         eprintln!(
-            "  {:<9} {:>8.3} s  {:>8.2} faults/s  {:>12.0} lane-cycles/s",
+            "  {:<14} {:>8.3} s  {:>8.2} faults/s  {:>12.0} lane-cycles/s",
             run.name, run.seconds, fps, cps
         );
     }
@@ -374,19 +357,13 @@ fn bench(c: &mut Criterion) {
     }
     collapse_json.truncate(collapse_json.trim_end_matches(",\n").len());
 
-    let (lanes_fps, lanes_cps) = metric(&lanes);
-    let (threaded_fps, _) = metric(&threaded);
-    let (tape_fps, tape_cps) = metric(&tape);
-    let (tape_wide_fps, tape_wide_cps) = metric(&tape_wide);
-    let (tape_mt_fps, tape_mt_cps) = metric(&tape_mt);
+    let (tape_fps, _) = metric(&tape);
+    let (tape_mt_fps, _) = metric(&tape_mt);
     let trace_overhead_pct = (traced_best / untraced_best - 1.0) * 100.0;
     let json = format!(
         "{{\n  \"design\": \"diffeq\",\n  \"mode\": \"{}\",\n  \"sfr_faults\": {},\n  \
          \"threads\": {},\n  \"cycles_per_batch\": {},\n  \"engines\": [\n{}\n  ],\n  \
-         \"speedup_lanes_1t\": {:.2},\n  \"speedup_lanes_mt\": {:.2},\n  \
-         \"speedup_tape_1t\": {:.2},\n  \"speedup_tape_wide_1t\": {:.2},\n  \
-         \"speedup_tape_mt\": {:.2},\n  \"tape_vs_lanes_1t_cycles\": {:.2},\n  \
-         \"tape_wide_vs_lanes_1t_cycles\": {:.2},\n  \"tape_mt_vs_lanes_1t_cycles\": {:.2},\n  \
+         \"speedup_tape_1t\": {:.2},\n  \"speedup_tape_mt\": {:.2},\n  \
          \"trace_overhead_pct\": {:.2},\n  \"shard_trace_overhead_pct\": {:.2},\n  \
          \"baseline_cycles_per_sec\": {:.0},\n  \"collapse\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
@@ -394,14 +371,8 @@ fn bench(c: &mut Criterion) {
         threads,
         cycles_per_batch,
         engines_json,
-        lanes_fps / scalar_fps,
-        threaded_fps / scalar_fps,
         tape_fps / scalar_fps,
-        tape_wide_fps / scalar_fps,
         tape_mt_fps / scalar_fps,
-        tape_cps / lanes_cps,
-        tape_wide_cps / lanes_cps,
-        tape_mt_cps / lanes_cps,
         trace_overhead_pct,
         shard_trace_overhead_pct,
         scalar_cps,
@@ -419,17 +390,11 @@ fn bench(c: &mut Criterion) {
     };
     std::fs::write(&out, &json).expect("write BENCH_grade.json");
     eprintln!(
-        "speedup over scalar: {:.2}x (1 thread), {:.2}x ({} threads) -> {}",
-        lanes_fps / scalar_fps,
-        threaded_fps / scalar_fps,
+        "tape speedup over scalar: {:.2}x (1 thread), {:.2}x ({} threads) -> {}",
+        tape_fps / scalar_fps,
+        tape_mt_fps / scalar_fps,
         threads,
         out
-    );
-    eprintln!(
-        "tape lane-cycles vs lanes_1t: {:.2}x (tape_1t), {:.2}x (tape_wide_1t), {:.2}x (tape_mt)",
-        tape_cps / lanes_cps,
-        tape_wide_cps / lanes_cps,
-        tape_mt_cps / lanes_cps
     );
     eprintln!("tracing overhead: {trace_overhead_pct:+.2}% (target < 2%)");
     eprintln!("shard tracing overhead: {shard_trace_overhead_pct:+.2}% (target < 5%)");
@@ -442,18 +407,9 @@ fn bench(c: &mut Criterion) {
         g.bench_function("mc_batch_scalar", |b| {
             b.iter(|| measure_power_with_testset(&sys, Some(faults[0]), &ts, &gcfg))
         });
-        g.bench_function("mc_batch_63_lanes", |b| {
-            b.iter(|| {
-                measure_power_lanes_with_testset(&sys, &faults, &ts, &gcfg).expect("pack fits")
-            })
-        });
         let prog = TapeProgram::<u64>::compile(&sys.netlist, &faults).expect("pack fits");
         g.bench_function("mc_batch_tape_63_lanes", |b| {
             b.iter(|| measure_power_tape_watched(&sys, &prog, &ts, &gcfg))
-        });
-        let wprog = TapeProgram::<W256>::compile(&sys.netlist, &faults).expect("pack fits");
-        g.bench_function("mc_batch_tape_wide", |b| {
-            b.iter(|| measure_power_tape_watched(&sys, &wprog, &ts, &gcfg))
         });
         g.finish();
     }

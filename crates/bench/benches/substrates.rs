@@ -38,21 +38,6 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("diffeq_system_1000_quiet_cycles_eventdriven", |b| {
-        use sfr_core::benchmarks;
-        let _ = &benchmarks::diffeq; // engine comparison on the same netlist
-        b.iter(|| {
-            let mut sim = sfr_netlist_event(&sys);
-            let inputs = vec![Logic::One; sys.netlist.inputs().len()];
-            for _ in 0..1000 {
-                sim.set_inputs(&inputs);
-                sim.eval();
-                sim.clock();
-            }
-            sim.outputs()
-        })
-    });
-
     g.bench_function("power_accounting", |b| {
         let mut sim = CycleSim::new(&sys.netlist);
         sim.track_activity(true);
@@ -66,20 +51,6 @@ fn bench(c: &mut Criterion) {
     });
 
     g.finish();
-}
-
-fn sfr_netlist_event<'a>(sys: &'a sfr_core::System) -> sfr_core::EventSim<'a> {
-    let mut sim = sfr_core::EventSim::new(&sys.netlist);
-    let code = sys.fsm.reset_code();
-    for (k, &g) in sys.ctrl.state_gates.iter().enumerate() {
-        sim.set_state(g, Logic::from_bool(code >> k & 1 == 1));
-    }
-    for gates in &sys.elab.reg_gates {
-        for &g in gates {
-            sim.set_state(g, Logic::Zero);
-        }
-    }
-    sim
 }
 
 criterion_group!(benches, bench);

@@ -12,7 +12,7 @@ use sfr_core::{benchmarks, classify_system_with, System};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     let threads = threads_from_args();
-    let engine = EngineKind::for_threads(threads).build();
+    let engine = EngineKind::Tape(threads).build();
     let counters = Counters::new();
     let obs = ObsArgs::from_env()?;
     let sinks = obs.sinks(&counters);

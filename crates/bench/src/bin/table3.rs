@@ -7,21 +7,21 @@
 //! *percentage change* from fault-free is consistent, so any short test
 //! set can serve as the basis for power-based detection.
 //!
-//! All measurements are lane-packed: the Monte Carlo column comes from
-//! the 63-fault-per-pass grading sweep (lane 0 doubling as the
-//! fault-free baseline), and each test-set column measures the baseline
-//! plus every shown fault in one 64-lane pass — bit-identical to the
-//! scalar measurements the binary used to make, one at a time.
+//! All measurements are lane-packed on the compiled tape: the Monte
+//! Carlo column comes from the 63-fault-per-pass grading sweep (lane 0
+//! doubling as the fault-free baseline), and each test-set column
+//! measures the baseline plus every shown fault in one 64-lane pass —
+//! bit-identical to scalar measurements made one fault at a time.
 //!
 //! Run with `cargo run --release -p sfr-bench --bin table3`.
 
 #![allow(clippy::unwrap_used)]
 
 use sfr_bench::{paper_config, threads_from_args, ObsArgs};
-use sfr_core::exec::{Counters, EngineKind, Progress, Tee};
+use sfr_core::exec::{Counters, EngineKind, Progress, SimKernel, Tee};
 use sfr_core::{
-    benchmarks, classify_system_with, grade_faults_with, measure_power_lanes_with_testset,
-    EmittedSystem, PowerReport, StuckAt, System, TestSet,
+    benchmarks, classify_system_with, grade_faults_journaled_with_kernel,
+    measure_power_tape_watched, EmittedSystem, PowerReport, StuckAt, System, TapeProgram, TestSet,
 };
 
 fn show(
@@ -32,7 +32,7 @@ fn show(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     let sys = System::build(emitted, cfg.system)?;
-    let engine = EngineKind::for_threads(threads).build();
+    let engine = EngineKind::Tape(threads).build();
     let c = classify_system_with(&sys, &cfg.classify, engine.as_ref(), progress);
     let sfr: Vec<_> = c.sfr().map(|f| f.fault).collect();
     let trio = TestSet::paper_trio(sys.pattern_width())?;
@@ -43,7 +43,16 @@ fn show(
         "", "Monte Carlo", "Test set 1", "Test set 2", "Test set 3"
     );
     // One lane-packed sweep grades every SFR fault and the baseline.
-    let (base_mc, grades) = grade_faults_with(&sys, &sfr, &cfg.grade, threads, progress);
+    let report = grade_faults_journaled_with_kernel(
+        &sys,
+        &sfr,
+        &cfg.grade,
+        threads,
+        progress,
+        None,
+        SimKernel::Tape,
+    );
+    let (base_mc, grades) = (report.baseline, report.grades);
 
     // Representative faults spanning the power range (as the paper
     // does).
@@ -57,10 +66,11 @@ fn show(
 
     // One 64-lane pass per test set covers the fault-free baseline
     // (lane 0) and every shown fault.
+    let prog = TapeProgram::<u64>::compile(&sys.netlist, &picked)?;
     let per_set: Vec<Vec<PowerReport>> = trio
         .iter()
-        .map(|ts| measure_power_lanes_with_testset(&sys, &picked, ts, &cfg.grade))
-        .collect::<Result<_, _>>()?;
+        .map(|ts| measure_power_tape_watched(&sys, &prog, ts, &cfg.grade).0)
+        .collect();
     let base_ts: Vec<f64> = per_set.iter().map(|r| r[0].total_uw).collect();
     println!(
         "{:<12} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",

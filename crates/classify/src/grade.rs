@@ -6,31 +6,27 @@
 //! *flagged* when its percentage change from the fault-free baseline
 //! exceeds a tolerance band (the paper uses ±5%).
 //!
-//! Grading is **lane-packed**: up to [`MAX_PARALLEL_FAULTS`] faults plus
-//! the fault-free baseline (lane 0) share every simulation pass of one
-//! 64-lane [`ParallelFaultSim`], with per-lane switching activity
-//! accumulated bit-parallel ([`sfr_netlist::LaneActivity`]). Lane 0
-//! doubles as a baseline-activity cache: the separate fault-free Monte
-//! Carlo the scalar path runs per design comes for free with pack 0.
-//! Every lane is an exact dual-rail simulation, so lane-packed grades
-//! are bit-identical to the scalar reference path
-//! ([`grade_faults_scalar_with`]) — same means, percentages, and flags
-//! at any thread count.
+//! Grading is **lane-packed** on the compiled op tape: up to
+//! [`MAX_PARALLEL_FAULTS`] faults plus the fault-free baseline (lane 0)
+//! share every simulation pass of one [`TapeSim`], with per-lane
+//! switching activity accumulated bit-parallel
+//! ([`sfr_netlist::TapeActivity`]). Lane 0 doubles as a baseline-activity
+//! cache: the separate fault-free Monte Carlo the scalar path runs per
+//! design comes for free with pack 0. Every lane is an exact dual-rail
+//! simulation, so lane-packed grades are bit-identical to the scalar
+//! reference path ([`grade_faults_scalar_with`]) — same means,
+//! percentages, and flags at any thread count.
 
 use sfr_exec::{
-    par_map_indexed, par_map_indexed_caught, LaneGrade, NullProgress, Phase, PhaseTimer, Progress,
-    ProgressEvent, TraceRecord, WorkKind,
+    par_map_indexed_caught, LaneGrade, Phase, PhaseTimer, Progress, ProgressEvent, TraceRecord,
+    WorkKind,
 };
 use sfr_faultsim::{RunConfig, SimKernel, System};
 use sfr_journal::{decode_str, encode_str, CampaignJournal, RecordKind};
-use sfr_netlist::{
-    CycleSim, Logic, ParallelFaultSim, StuckAt, TapeProgram, TapeSim, TapeWord, TooManyFaultsError,
-    MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256,
-};
+use sfr_netlist::{CycleSim, Logic, StuckAt, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS};
 use sfr_power_model::{
-    power_from_activity_where, power_from_lane_activity_where, power_from_tape_activity_where,
-    run_monte_carlo, run_monte_carlo_lanes, run_monte_carlo_par, MonteCarloConfig,
-    MonteCarloResult, PowerConfig, PowerReport,
+    power_from_activity_where, power_from_tape_activity_where, run_monte_carlo,
+    run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult, PowerConfig, PowerReport,
 };
 use sfr_tpg::TestSet;
 
@@ -96,6 +92,14 @@ pub struct PowerGrade {
 /// switching activity is fully defined; power is accounted over the
 /// datapath only (every gate outside the controller's range), matching
 /// the paper's "power consumed by the datapath".
+///
+/// Run boundaries are the tester's: each run ends when the *fault-free*
+/// controller has held HOLD for the configured tail, so a faulty system
+/// is measured over exactly the fault-free schedule. A fault simulation
+/// therefore steps a fault-free companion simulator alongside. That
+/// matters for looping designs, where an SFR fault can change the
+/// controller's own sequencing (extra loop iterations, say) without
+/// ever changing a data output.
 pub fn measure_power_with_testset(
     sys: &System,
     fault: Option<StuckAt>,
@@ -106,23 +110,34 @@ pub fn measure_power_with_testset(
         Some(f) => CycleSim::with_fault(&sys.netlist, f),
         None => CycleSim::new(&sys.netlist),
     };
+    let mut fault_free = fault.map(|_| CycleSim::new(&sys.netlist));
     sim.track_activity(true);
     let hold = sys.meta.hold_state();
     let ceiling = cfg.run.run_ceiling();
     let mut idx = 0usize;
     while idx < ts.len() {
         sys.reset_sim(&mut sim, Logic::Zero);
+        if let Some(ff) = fault_free.as_mut() {
+            sys.reset_sim(ff, Logic::Zero);
+        }
         let mut len = 0usize;
         let mut in_hold_for = 0usize;
         while idx < ts.len() && len < ceiling {
-            sys.apply_pattern(&mut sim, ts.patterns()[idx]);
+            let pattern = ts.patterns()[idx];
             idx += 1;
             len += 1;
+            sys.apply_pattern(&mut sim, pattern);
             sim.eval();
-            // Follow the *fault-free* controller's own sequencing; the
-            // faulty controller sequences itself (SFR faults do not
-            // change sequencing, which classification guarantees).
-            let st = sys.decode_state(&sim);
+            let st = match fault_free.as_mut() {
+                Some(ff) => {
+                    sys.apply_pattern(ff, pattern);
+                    ff.eval();
+                    let st = sys.decode_state(ff);
+                    ff.clock();
+                    st
+                }
+                None => sys.decode_state(&sim),
+            };
             sim.clock();
             if st == Some(hold) {
                 in_hold_for += 1;
@@ -137,10 +152,11 @@ pub fn measure_power_with_testset(
     })
 }
 
-/// Lane-packed [`measure_power_with_testset`]: one 64-lane pass measures
-/// the fault-free baseline (lane 0) and up to [`MAX_PARALLEL_FAULTS`]
-/// faults at once, returning one [`PowerReport`] per lane
-/// (`reports[0]` fault-free, `reports[1 + i]` under `faults[i]`).
+/// Lane-packed [`measure_power_with_testset`] on a compiled tape: one
+/// pass measures the fault-free baseline (lane 0) and every fault baked
+/// into `prog` at once, returning one [`PowerReport`] per lane
+/// (`reports[0]` fault-free, `reports[1 + i]` under `prog.faults()[i]`)
+/// plus the watchdog's stall mask.
 ///
 /// Run boundaries are steered by decoding **lane 0** — the fault-free
 /// controller — which is exact for the baseline and equal to each fault
@@ -151,106 +167,21 @@ pub fn measure_power_with_testset(
 /// it; every report is bit-identical to a scalar measurement of that
 /// lane's circuit.
 ///
-/// # Errors
-///
-/// Returns [`TooManyFaultsError`] if more than [`MAX_PARALLEL_FAULTS`]
-/// faults are packed.
-pub fn measure_power_lanes_with_testset(
+/// Bit `i` of the stall mask is set when `prog.faults()[i]`'s lane was
+/// *not* in HOLD at the end of a run the fault-free lane completed
+/// normally — i.e. the fault stalled or diverted the controller's
+/// sequencing and would run away without the tester-imposed ceiling
+/// ([`RunConfig::run_ceiling`]). The criterion is relative to lane 0 on
+/// the same data, so runs the fault-free machine itself cannot finish
+/// (looping benchmarks hitting the loop guard) flag nobody. The
+/// watchdog is armed by [`RunConfig::cycle_budget`]; with the default
+/// budget of 0 the mask is always 0.
+pub fn measure_power_tape_watched(
     sys: &System,
-    faults: &[StuckAt],
+    prog: &TapeProgram<u64>,
     ts: &TestSet,
     cfg: &GradeConfig,
-) -> Result<Vec<PowerReport>, TooManyFaultsError> {
-    measure_power_lanes_watched(sys, faults, ts, cfg).map(|(reports, _)| reports)
-}
-
-/// [`measure_power_lanes_with_testset`] plus the watchdog's stall mask:
-/// bit `i` is set when `faults[i]`'s lane was *not* in HOLD at the end
-/// of a run the fault-free lane completed normally — i.e. the fault
-/// stalled or diverted the controller's sequencing and would run away
-/// without the tester-imposed ceiling ([`RunConfig::run_ceiling`]).
-///
-/// The criterion is relative to lane 0 on the same data, so runs the
-/// fault-free machine itself cannot finish (looping benchmarks hitting
-/// the loop guard) flag nobody: only genuine fault-induced divergence
-/// trips the watchdog.
-///
-/// The watchdog is armed by [`RunConfig::cycle_budget`]; with the
-/// default budget of 0 no stall accounting happens and the mask is
-/// always 0 — existing grading behaviour is untouched.
-pub fn measure_power_lanes_watched(
-    sys: &System,
-    faults: &[StuckAt],
-    ts: &TestSet,
-    cfg: &GradeConfig,
-) -> Result<(Vec<PowerReport>, u64), TooManyFaultsError> {
-    let mut sim = ParallelFaultSim::new(&sys.netlist, faults)?;
-    sim.track_activity(true);
-    let hold = sys.meta.hold_state();
-    let ceiling = cfg.run.run_ceiling();
-    let armed = cfg.run.cycle_budget != 0;
-    let mut idx = 0usize;
-    let mut stalled = 0u64;
-    while idx < ts.len() {
-        sys.reset_psim(&mut sim, Logic::Zero);
-        let mut len = 0usize;
-        let mut in_hold_for = 0usize;
-        while idx < ts.len() && len < ceiling {
-            sys.apply_pattern_parallel(&mut sim, ts.patterns()[idx]);
-            idx += 1;
-            len += 1;
-            sim.eval();
-            let st = sys.decode_state_lane(&sim, 0);
-            let ending = armed && st == Some(hold) && in_hold_for + 1 > cfg.run.hold_cycles;
-            if ending {
-                // Lane 0 completed this run; a fault lane still outside
-                // HOLD at the same instant has lost the sequence.
-                for (i, _) in faults.iter().enumerate() {
-                    if stalled & (1 << i) == 0 && sys.decode_state_lane(&sim, i + 1) != Some(hold) {
-                        stalled |= 1 << i;
-                    }
-                }
-            }
-            sim.clock();
-            if st == Some(hold) {
-                in_hold_for += 1;
-                if in_hold_for > cfg.run.hold_cycles {
-                    break;
-                }
-            }
-        }
-    }
-    let reports = power_from_lane_activity_where(
-        &sys.netlist,
-        sim.activity().expect("tracking enabled above"),
-        &cfg.power,
-        |g| !sys.is_controller_gate(g),
-    );
-    Ok((reports, stalled))
-}
-
-/// Tape-compiled [`measure_power_lanes_watched`]: the same measurement
-/// driven by a pre-compiled [`TapeProgram`] instead of the interpretive
-/// [`ParallelFaultSim`].
-///
-/// The program is compiled once per fault pack and shared by every
-/// Monte Carlo batch; this form builds a fresh [`TapeSim`] per call,
-/// while [`measure_power_tape_watched_with`] reuses a caller-owned one
-/// across batches. Run steering (lane 0),
-/// per-run resets, the HOLD exit and the stall watchdog replicate the
-/// interpretive loop operation-for-operation, and each lane's extracted
-/// activity feeds the identical per-lane power accounting — reports are
-/// bit-identical to the interpretive path on the same fault pack.
-///
-/// The stall mask is returned as little-endian `u64` words (bit `i % 64`
-/// of word `i / 64` covers `faults[i]`), because a wide program grades
-/// up to [`MAX_WIDE_FAULTS`] faults — more than one word can index.
-pub fn measure_power_tape_watched<W: TapeWord>(
-    sys: &System,
-    prog: &TapeProgram<W>,
-    ts: &TestSet,
-    cfg: &GradeConfig,
-) -> (Vec<PowerReport>, Vec<u64>) {
+) -> (Vec<PowerReport>, u64) {
     let mut sim = TapeSim::new(prog);
     measure_power_tape_watched_with(sys, &mut sim, ts, cfg)
 }
@@ -260,19 +191,19 @@ pub fn measure_power_tape_watched<W: TapeWord>(
 /// arrays, deviation scratch, activity counter matrix) instead of
 /// reallocating them per batch. Activity counters restart from zero on
 /// every call; reports are identical to the fresh-sim form.
-pub fn measure_power_tape_watched_with<W: TapeWord>(
+fn measure_power_tape_watched_with(
     sys: &System,
-    sim: &mut TapeSim<'_, W>,
+    sim: &mut TapeSim<'_, u64>,
     ts: &TestSet,
     cfg: &GradeConfig,
-) -> (Vec<PowerReport>, Vec<u64>) {
+) -> (Vec<PowerReport>, u64) {
     let n_faults = sim.faults().len();
     sim.track_activity(true);
     let hold = sys.meta.hold_state();
     let ceiling = cfg.run.run_ceiling();
     let armed = cfg.run.cycle_budget != 0;
     let mut idx = 0usize;
-    let mut stalled = vec![0u64; n_faults.div_ceil(64).max(1)];
+    let mut stalled = 0u64;
     while idx < ts.len() {
         sys.reset_tape(sim, Logic::Zero);
         let mut len = 0usize;
@@ -288,10 +219,9 @@ pub fn measure_power_tape_watched_with<W: TapeWord>(
                 // Lane 0 completed this run; a fault lane still outside
                 // HOLD at the same instant has lost the sequence.
                 for i in 0..n_faults {
-                    if !stall_bit(&stalled, i)
-                        && sys.decode_state_tape_lane(sim, i + 1) != Some(hold)
+                    if stalled >> i & 1 == 0 && sys.decode_state_tape_lane(sim, i + 1) != Some(hold)
                     {
-                        stalled[i / 64] |= 1 << (i % 64);
+                        stalled |= 1 << i;
                     }
                 }
             }
@@ -311,14 +241,9 @@ pub fn measure_power_tape_watched_with<W: TapeWord>(
     (reports, stalled)
 }
 
-/// Reads bit `i` of a multi-word stall mask.
-fn stall_bit(stalls: &[u64], i: usize) -> bool {
-    stalls.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
-}
-
 /// One Monte Carlo batch: fresh pseudorandom data keyed by the *batch
-/// index* (never by the executing thread), so serial and sharded
-/// estimations draw identical samples.
+/// index* (never by the executing thread), so every estimation draws
+/// identical samples.
 fn mc_batch(sys: &System, fault: Option<StuckAt>, cfg: &GradeConfig, batch: usize) -> PowerReport {
     let ts = batch_testset(sys, cfg, batch);
     measure_power_with_testset(sys, fault, &ts, cfg)
@@ -335,18 +260,6 @@ fn batch_testset(sys: &System, cfg: &GradeConfig, batch: usize) -> TestSet {
     .expect("the system's test patterns fit one 64-bit word")
 }
 
-/// Lane-packed [`mc_batch`]: one batch's reports for a whole fault pack
-/// (lane 0 fault-free first).
-fn mc_batch_lanes(
-    sys: &System,
-    faults: &[StuckAt],
-    cfg: &GradeConfig,
-    batch: usize,
-) -> Result<(Vec<PowerReport>, u64), TooManyFaultsError> {
-    let ts = batch_testset(sys, cfg, batch);
-    measure_power_lanes_watched(sys, faults, &ts, cfg)
-}
-
 /// Monte Carlo datapath power of an (optionally faulty) system.
 pub fn measure_power_monte_carlo(
     sys: &System,
@@ -356,81 +269,13 @@ pub fn measure_power_monte_carlo(
     run_monte_carlo(&cfg.mc, |batch| mc_batch(sys, fault, cfg, batch))
 }
 
-/// Monte Carlo datapath power with batches sharded across `threads`
-/// workers — byte-identical to [`measure_power_monte_carlo`] (see
-/// [`run_monte_carlo_par`]).
-pub fn measure_power_monte_carlo_par(
-    sys: &System,
-    fault: Option<StuckAt>,
-    cfg: &GradeConfig,
-    threads: usize,
-) -> MonteCarloResult {
-    run_monte_carlo_par(&cfg.mc, threads, |batch| mc_batch(sys, fault, cfg, batch))
-}
-
-/// Grades a set of SFR faults against the fault-free baseline.
-///
-/// Returns the baseline measurement and one [`PowerGrade`] per fault, in
-/// input order. Batches are *paired*: fault `f`'s batch `i` uses the
-/// same pseudorandom data as the baseline's batch `i`, which removes
-/// test-set variance from the percentage change (the quantity Table 3
-/// shows to be stable across test sets).
-pub fn grade_faults(
-    sys: &System,
-    faults: &[StuckAt],
-    cfg: &GradeConfig,
-) -> (MonteCarloResult, Vec<PowerGrade>) {
-    grade_faults_with(sys, faults, cfg, 1, &NullProgress)
-}
-
-/// [`grade_faults`] sharded across `threads` workers, reporting one
-/// [`ProgressEvent::MonteCarlo`] per estimation (faults + baseline), one
-/// [`ProgressEvent::GradePack`] per lane pack, and one
-/// [`ProgressEvent::FaultGraded`] per fault.
-///
-/// Faults are packed [`MAX_PARALLEL_FAULTS`] to a 64-lane simulator
-/// (lane 0 fault-free) and packs shard across `threads` workers, so a
-/// sweep costs `O(faults / 63)` simulation passes per thread instead of
-/// `O(faults)`. Pack 0's lane 0 is the baseline-activity cache: it *is*
-/// the fault-free Monte Carlo estimation, so no separate baseline sweep
-/// runs. Each lane's convergence is the serial stopping rule replayed on
-/// that lane's own sample prefix ([`run_monte_carlo_lanes`]), and every
-/// pack is a pure function of its fault slice — grades are bit-identical
-/// to [`grade_faults_scalar_with`] and to themselves at any thread
-/// count.
-pub fn grade_faults_with(
-    sys: &System,
-    faults: &[StuckAt],
-    cfg: &GradeConfig,
-    threads: usize,
-    progress: &dyn Progress,
-) -> (MonteCarloResult, Vec<PowerGrade>) {
-    let report = grade_faults_journaled(sys, faults, cfg, threads, progress, None);
-    (report.baseline, report.grades)
-}
-
-/// [`grade_faults_with`] on an explicit simulation kernel (see
-/// [`grade_faults_journaled_with_kernel`] for the kernel contract).
-pub fn grade_faults_with_kernel(
-    sys: &System,
-    faults: &[StuckAt],
-    cfg: &GradeConfig,
-    threads: usize,
-    progress: &dyn Progress,
-    kernel: SimKernel,
-) -> (MonteCarloResult, Vec<PowerGrade>) {
-    let report =
-        grade_faults_journaled_with_kernel(sys, faults, cfg, threads, progress, None, kernel);
-    (report.baseline, report.grades)
-}
-
 /// One resilience incident observed while grading.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GradeIncident {
     /// A whole lane pack panicked twice and was quarantined: its faults
     /// carry no grade, the rest of the study is unaffected.
     QuarantinedPack {
-        /// Pack index (chunks of [`MAX_PARALLEL_FAULTS`]).
+        /// Pack index (chunks of [`MAX_PARALLEL_FAULTS`] faults).
         pack: usize,
         /// The faults that were in the pack.
         faults: Vec<StuckAt>,
@@ -463,9 +308,8 @@ pub struct GradeReport {
 enum PackOutcome {
     Computed {
         results: Vec<MonteCarloResult>,
-        /// Watchdog stall mask in little-endian `u64` words (one word
-        /// for interpretive/tape packs, four for tape-wide packs).
-        stalls: Vec<u64>,
+        /// Watchdog stall mask (bit `i` covers the pack's fault `i`).
+        stalls: u64,
         restored: bool,
         /// Simulator cycles the pack's Monte Carlo loop evaluated
         /// (0 when restored from a journal — nothing was simulated).
@@ -481,30 +325,9 @@ enum PackOutcome {
 /// Journal payload tags for grade packs.
 const PACK_OK: u64 = 0;
 const PACK_QUARANTINED: u64 = 1;
-/// A pack graded by the wide tape kernel (more than
-/// [`MAX_PARALLEL_FAULTS`] faults): the stall mask spans several words,
-/// so the payload carries an explicit stall-word count. The tag is
-/// distinct from [`PACK_OK`] so a journal written at one pack width can
-/// never be misread as a pack of the other width — a resume that
-/// switches kernel family simply recomputes.
-const PACK_OK_WIDE: u64 = 2;
 
-fn encode_pack(results: &[MonteCarloResult], stalls: &[u64], wide: bool) -> Vec<u64> {
-    let mut words = if wide {
-        let mut w = vec![PACK_OK_WIDE, stalls.len() as u64];
-        w.extend_from_slice(stalls);
-        w.push(results.len() as u64);
-        w
-    } else {
-        // The narrow layout is byte-compatible with every journal ever
-        // written by the interpretive path, so interpretive and tape
-        // (u64) runs restore each other's packs verbatim.
-        vec![
-            PACK_OK,
-            stalls.first().copied().unwrap_or(0),
-            results.len() as u64,
-        ]
-    };
+fn encode_pack(results: &[MonteCarloResult], stalls: u64) -> Vec<u64> {
+    let mut words = vec![PACK_OK, stalls, results.len() as u64];
     for r in results {
         words.push(r.mean_uw.to_bits());
         words.push(r.half_width_uw.to_bits());
@@ -520,53 +343,32 @@ fn encode_quarantine(message: &str) -> Vec<u64> {
     words
 }
 
-/// Decodes the per-lane `(mean, half-width, batches, converged)` tail of
-/// a pack payload.
-fn decode_lane_words(words: &[u64]) -> Vec<MonteCarloResult> {
-    words
-        .chunks(4)
-        .map(|c| MonteCarloResult {
-            mean_uw: f64::from_bits(c[0]),
-            half_width_uw: f64::from_bits(c[1]),
-            batches: c[2] as usize,
-            converged: c[3] != 0,
-        })
-        .collect()
-}
-
 /// Decodes a journaled pack payload; `None` means the payload is not a
-/// valid record for a pack with `lanes` lanes at the requested width
-/// (the pack is recomputed). `wide` selects which OK tag is acceptable:
-/// restoring a narrow record into a wide run (or vice versa) would pair
-/// the results with the wrong fault slice, so cross-width records are
-/// rejected by tag before any shape check.
-fn decode_pack(words: &[u64], lanes: usize, wide: bool) -> Option<PackOutcome> {
-    let restored = |results, stalls| {
-        Some(PackOutcome::Computed {
-            results,
-            stalls,
-            restored: true,
-            cycles: 0,
-            elapsed: std::time::Duration::ZERO,
-        })
-    };
+/// valid record for a pack with `lanes` lanes (the pack is recomputed).
+fn decode_pack(words: &[u64], lanes: usize) -> Option<PackOutcome> {
     match *words.first()? {
-        PACK_OK if !wide => {
-            let stalls = vec![*words.get(1)?];
+        PACK_OK => {
+            let stalls = *words.get(1)?;
             let n = usize::try_from(*words.get(2)?).ok()?;
             if n != lanes || words.len() != 3 + 4 * n {
                 return None;
             }
-            restored(decode_lane_words(&words[3..]), stalls)
-        }
-        PACK_OK_WIDE if wide => {
-            let n_stall = usize::try_from(*words.get(1)?).ok()?;
-            let stalls = words.get(2..2 + n_stall)?.to_vec();
-            let n = usize::try_from(*words.get(2 + n_stall)?).ok()?;
-            if n != lanes || words.len() != 3 + n_stall + 4 * n {
-                return None;
-            }
-            restored(decode_lane_words(&words[3 + n_stall..]), stalls)
+            let results = words[3..]
+                .chunks(4)
+                .map(|c| MonteCarloResult {
+                    mean_uw: f64::from_bits(c[0]),
+                    half_width_uw: f64::from_bits(c[1]),
+                    batches: c[2] as usize,
+                    converged: c[3] != 0,
+                })
+                .collect();
+            Some(PackOutcome::Computed {
+                results,
+                stalls,
+                restored: true,
+                cycles: 0,
+                elapsed: std::time::Duration::ZERO,
+            })
         }
         PACK_QUARANTINED => {
             let (message, _) = decode_str(&words[1..])?;
@@ -576,12 +378,150 @@ fn decode_pack(words: &[u64], lanes: usize, wide: bool) -> Option<PackOutcome> {
     }
 }
 
-/// The crash-safe, fault-isolated grading engine behind
-/// [`grade_faults_with`]: lane-packed Monte Carlo grading with
-/// checkpoint journaling, panic quarantine, and watchdog reporting.
+/// Tape-kernel shape counters the always-on self-profiler captures per
+/// computed pack: program size, levelized depth, baked-in force ops,
+/// and the delta sweep's dirty-column count from the final batch. Pure
+/// diagnostics — never journaled, never fingerprinted.
+#[derive(Debug, Default, Clone, Copy)]
+struct PackProf {
+    ops: usize,
+    levels: usize,
+    force_ops: usize,
+    lanes: usize,
+    dirty_nets: usize,
+    nets: usize,
+}
+
+/// Lane capacity of one grade pack under `kernel` — the number of
+/// faults that share a simulation pass with the fault-free baseline on
+/// lane 0. This is the unit of work a distributed campaign hands out:
+/// pack `p` covers `faults[p*cap .. (p+1)*cap]`.
+pub fn grade_pack_capacity(kernel: SimKernel) -> usize {
+    match kernel {
+        SimKernel::Tape => MAX_PARALLEL_FAULTS,
+    }
+}
+
+/// Number of grade packs `n_faults` faults occupy under `kernel`.
+/// Pack 0 always exists — with no faults to grade it still carries the
+/// fault-free baseline on lane 0.
+pub fn grade_pack_count(n_faults: usize, kernel: SimKernel) -> usize {
+    n_faults.div_ceil(grade_pack_capacity(kernel)).max(1)
+}
+
+/// The fault slice of pack `pack` under `kernel` (empty for the
+/// baseline-only pack 0 of an empty fault universe, and for any pack
+/// index past the end).
+pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &[StuckAt] {
+    let cap = grade_pack_capacity(kernel);
+    let lo = pack.saturating_mul(cap).min(faults.len());
+    let hi = pack.saturating_add(1).saturating_mul(cap).min(faults.len());
+    &faults[lo..hi]
+}
+
+/// One pack's full Monte Carlo estimation: per-lane results (lane 0
+/// fault-free first), the accumulated watchdog stall mask, the
+/// simulated cycle count, and the self-profiler's tape shape counters.
+/// The first three are a pure function of `(sys, pack, cfg)` — every
+/// caller (local grading, a remote shard worker) produces bit-identical
+/// words for the same pack; the profile is diagnostic only and never
+/// enters a payload or journal.
 ///
-/// Per pack (a chunk of [`MAX_PARALLEL_FAULTS`] faults + the baseline
-/// lane):
+/// The pack's [`TapeProgram`] is compiled once and one [`TapeSim`] is
+/// reused by every batch, so compile and allocation costs are paid once
+/// per pack.
+fn run_pack(
+    sys: &System,
+    pack: &[StuckAt],
+    cfg: &GradeConfig,
+) -> (Vec<MonteCarloResult>, u64, u64, PackProf) {
+    let prog =
+        TapeProgram::<u64>::compile(&sys.netlist, pack).expect("packs never exceed the lane limit");
+    let mut sim = TapeSim::new(&prog);
+    let mut stalls = 0u64;
+    let mut cycles = 0u64;
+    let results = run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
+        let ts = batch_testset(sys, cfg, batch);
+        let (reports, batch_stalls) = measure_power_tape_watched_with(sys, &mut sim, &ts, cfg);
+        stalls |= batch_stalls;
+        // All lanes share one schedule; lane 0's cycle count is the
+        // pack's per-batch simulation cost.
+        cycles += reports[0].cycles;
+        reports
+    });
+    let prof = PackProf {
+        ops: prog.len(),
+        levels: prog.level_count(),
+        force_ops: prog.force_op_count(),
+        lanes: prog.lanes(),
+        dirty_nets: sim.activity().map_or(0, |a| a.dirty_net_columns()),
+        nets: prog.net_count(),
+    };
+    (results, stalls, cycles, prof)
+}
+
+/// Computes pack `pack` of `faults` exactly as
+/// [`grade_faults_journaled_with_kernel`] would and returns the journal
+/// payload words — the byte-exact [`RecordKind::GradePack`] record a
+/// shard coordinator merges via [`CampaignJournal::record`]. Panics in
+/// the simulation are retried once and then normalized into a
+/// quarantine payload, mirroring the local path, so a remote worker
+/// reports a poisoned pack instead of crashing the campaign.
+pub fn compute_pack_payload(
+    sys: &System,
+    faults: &[StuckAt],
+    pack: usize,
+    cfg: &GradeConfig,
+    kernel: SimKernel,
+) -> Vec<u64> {
+    let slice = grade_pack_slice(faults, pack, kernel);
+    let outcome = par_map_indexed_caught(1, 1, |_| run_pack(sys, slice, cfg))
+        .into_iter()
+        .next()
+        .expect("one task was submitted");
+    match outcome {
+        Ok((results, stalls, _cycles, _prof)) => encode_pack(&results, stalls),
+        Err(panic) => encode_quarantine(&panic.message),
+    }
+}
+
+/// Coordinator-side shape check for a pack payload received over the
+/// wire: `true` iff `words` decode as a computed or quarantined record
+/// for pack `pack` of `faults` under `kernel`. Recording an arbitrary
+/// payload would poison the journal with an undecodable (or worse,
+/// wrong-shaped-but-decodable) record, so garbage from a confused
+/// worker is rejected before it reaches the merge path.
+pub fn validate_pack_payload(
+    words: &[u64],
+    faults: &[StuckAt],
+    pack: usize,
+    kernel: SimKernel,
+) -> bool {
+    let slice = grade_pack_slice(faults, pack, kernel);
+    decode_pack(words, slice.len() + 1).is_some()
+}
+
+/// The grading entry point: lane-packed Monte Carlo grading on the
+/// compiled tape, sharded across `threads` workers, with checkpoint
+/// journaling, panic quarantine, and watchdog reporting. Returns the
+/// baseline, one [`PowerGrade`] per fault in input order, and the
+/// incident list. Reports one [`ProgressEvent::MonteCarlo`] per
+/// estimation (faults + baseline), one [`ProgressEvent::GradePack`] per
+/// computed pack, and one [`ProgressEvent::FaultGraded`] per fault.
+///
+/// Batches are *paired*: fault `f`'s batch `i` uses the same
+/// pseudorandom data as the baseline's batch `i`, which removes
+/// test-set variance from the percentage change (the quantity Table 3
+/// shows to be stable across test sets). `kernel` selects the pack
+/// width ([`grade_pack_capacity`]): pack `p` covers
+/// `faults[p*cap .. (p+1)*cap]` plus the baseline lane, and pack 0's
+/// lane 0 *is* the fault-free Monte Carlo estimation. Each lane's
+/// convergence is the serial stopping rule replayed on that lane's own
+/// sample prefix ([`run_monte_carlo_lanes`]), and every pack is a pure
+/// function of its fault slice — grades are bit-identical to
+/// [`grade_faults_scalar_with`] and to themselves at any thread count.
+///
+/// Per pack:
 ///
 /// * **journal hit** — the pack's estimations (or its quarantine
 ///   verdict) are restored verbatim from `journal` and the simulation
@@ -605,207 +545,6 @@ fn decode_pack(words: &[u64], lanes: usize, wide: bool) -> Option<PackOutcome> {
 /// 0 — quarantines, a baseline-only rescue estimation runs (itself
 /// retried once); if that also panics the study cannot produce any
 /// percentage change and the function panics with the payload message.
-pub fn grade_faults_journaled(
-    sys: &System,
-    faults: &[StuckAt],
-    cfg: &GradeConfig,
-    threads: usize,
-    progress: &dyn Progress,
-    journal: Option<&CampaignJournal>,
-) -> GradeReport {
-    grade_faults_journaled_with_kernel(
-        sys,
-        faults,
-        cfg,
-        threads,
-        progress,
-        journal,
-        SimKernel::Interpretive,
-    )
-}
-
-/// Tape-kernel shape counters the always-on self-profiler captures per
-/// computed pack: program size, levelized depth, baked-in force ops,
-/// and the delta sweep's dirty-column count from the final batch. All
-/// zeros under the interpretive kernel, which compiles no tape. Pure
-/// diagnostics — never journaled, never fingerprinted.
-#[derive(Debug, Default, Clone, Copy)]
-struct PackProf {
-    ops: usize,
-    levels: usize,
-    force_ops: usize,
-    lanes: usize,
-    dirty_nets: usize,
-    nets: usize,
-}
-
-/// One pack's Monte Carlo estimation on a tape kernel: the pack's
-/// [`TapeProgram`] is compiled once and one [`TapeSim`] is reused by
-/// every batch — compile and allocation costs are paid once per pack
-/// while every batch runs on the flat tape.
-fn run_pack_tape<W: TapeWord>(
-    sys: &System,
-    pack: &[StuckAt],
-    cfg: &GradeConfig,
-    stalls: &mut [u64],
-    cycles: &mut u64,
-    prof: &mut PackProf,
-) -> Vec<MonteCarloResult> {
-    let prog =
-        TapeProgram::<W>::compile(&sys.netlist, pack).expect("packs never exceed the lane limit");
-    let mut sim = TapeSim::new(&prog);
-    let results = run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
-        let ts = batch_testset(sys, cfg, batch);
-        let (reports, batch_stalls) = measure_power_tape_watched_with(sys, &mut sim, &ts, cfg);
-        for (acc, w) in stalls.iter_mut().zip(&batch_stalls) {
-            *acc |= *w;
-        }
-        *cycles += reports[0].cycles;
-        reports
-    });
-    *prof = PackProf {
-        ops: prog.len(),
-        levels: prog.level_count(),
-        force_ops: prog.force_op_count(),
-        lanes: prog.lanes(),
-        dirty_nets: sim.activity().map_or(0, |a| a.dirty_net_columns()),
-        nets: prog.net_count(),
-    };
-    results
-}
-
-/// Lane capacity of one grade pack under `kernel` — the number of
-/// faults that share a simulation pass with the fault-free baseline on
-/// lane 0. This is the unit of work a distributed campaign hands out:
-/// pack `p` covers `faults[p*cap .. (p+1)*cap]`.
-pub fn grade_pack_capacity(kernel: SimKernel) -> usize {
-    match kernel {
-        SimKernel::Interpretive | SimKernel::Tape => MAX_PARALLEL_FAULTS,
-        SimKernel::TapeWide => MAX_WIDE_FAULTS,
-    }
-}
-
-/// Number of grade packs `n_faults` faults occupy under `kernel`.
-/// Pack 0 always exists — with no faults to grade it still carries the
-/// fault-free baseline on lane 0.
-pub fn grade_pack_count(n_faults: usize, kernel: SimKernel) -> usize {
-    n_faults.div_ceil(grade_pack_capacity(kernel)).max(1)
-}
-
-/// The fault slice of pack `pack` under `kernel` (empty for the
-/// baseline-only pack 0 of an empty fault universe, and for any pack
-/// index past the end).
-pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &[StuckAt] {
-    let cap = grade_pack_capacity(kernel);
-    let lo = pack.saturating_mul(cap).min(faults.len());
-    let hi = pack.saturating_add(1).saturating_mul(cap).min(faults.len());
-    &faults[lo..hi]
-}
-
-/// One pack's full Monte Carlo estimation on `kernel`: per-lane results
-/// (lane 0 fault-free first), the accumulated watchdog stall mask, the
-/// simulated cycle count, and the self-profiler's tape shape counters.
-/// The first three are a pure function of `(sys, pack, cfg, kernel)` —
-/// every caller (local grading, a remote shard worker) produces
-/// bit-identical words for the same pack; the profile is diagnostic
-/// only and never enters a payload or journal.
-fn run_pack(
-    sys: &System,
-    pack: &[StuckAt],
-    cfg: &GradeConfig,
-    kernel: SimKernel,
-) -> (Vec<MonteCarloResult>, Vec<u64>, u64, PackProf) {
-    let mut stalls = vec![0u64; pack.len().div_ceil(64).max(1)];
-    let mut cycles = 0u64;
-    let mut prof = PackProf {
-        lanes: pack.len() + 1,
-        ..PackProf::default()
-    };
-    let results = match kernel {
-        SimKernel::Interpretive => run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
-            let (reports, batch_stalls) =
-                mc_batch_lanes(sys, pack, cfg, batch).expect("packs never exceed the lane limit");
-            stalls[0] |= batch_stalls;
-            // All lanes share one schedule; lane 0's cycle count is
-            // the pack's per-batch simulation cost.
-            cycles += reports[0].cycles;
-            reports
-        }),
-        SimKernel::Tape => {
-            run_pack_tape::<u64>(sys, pack, cfg, &mut stalls, &mut cycles, &mut prof)
-        }
-        SimKernel::TapeWide => {
-            run_pack_tape::<W256>(sys, pack, cfg, &mut stalls, &mut cycles, &mut prof)
-        }
-    };
-    (results, stalls, cycles, prof)
-}
-
-/// Computes pack `pack` of `faults` exactly as
-/// [`grade_faults_journaled_with_kernel`] would and returns the journal
-/// payload words — the byte-exact [`RecordKind::GradePack`] record a
-/// shard coordinator merges via [`CampaignJournal::record`]. Panics in
-/// the simulation are retried once and then normalized into a
-/// quarantine payload, mirroring the local path, so a remote worker
-/// reports a poisoned pack instead of crashing the campaign.
-pub fn compute_pack_payload(
-    sys: &System,
-    faults: &[StuckAt],
-    pack: usize,
-    cfg: &GradeConfig,
-    kernel: SimKernel,
-) -> Vec<u64> {
-    let slice = grade_pack_slice(faults, pack, kernel);
-    let wide = grade_pack_capacity(kernel) > MAX_PARALLEL_FAULTS;
-    let outcome = par_map_indexed_caught(1, 1, |_| run_pack(sys, slice, cfg, kernel))
-        .into_iter()
-        .next()
-        .expect("one task was submitted");
-    match outcome {
-        Ok((results, stalls, _cycles, _prof)) => encode_pack(&results, &stalls, wide),
-        Err(panic) => encode_quarantine(&panic.message),
-    }
-}
-
-/// Coordinator-side shape check for a pack payload received over the
-/// wire: `true` iff `words` decode as a computed or quarantined record
-/// for pack `pack` of `faults` under `kernel`. Recording an arbitrary
-/// payload would poison the journal with an undecodable (or worse,
-/// wrong-shaped-but-decodable) record, so garbage from a confused
-/// worker is rejected before it reaches the merge path.
-pub fn validate_pack_payload(
-    words: &[u64],
-    faults: &[StuckAt],
-    pack: usize,
-    kernel: SimKernel,
-) -> bool {
-    let slice = grade_pack_slice(faults, pack, kernel);
-    let wide = grade_pack_capacity(kernel) > MAX_PARALLEL_FAULTS;
-    decode_pack(words, slice.len() + 1, wide).is_some()
-}
-
-/// [`grade_faults_journaled`] with an explicit simulation kernel.
-///
-/// The kernel selects both the per-batch simulator and the pack width:
-///
-/// * [`SimKernel::Interpretive`] — the dispatching
-///   [`ParallelFaultSim`], packs of [`MAX_PARALLEL_FAULTS`];
-/// * [`SimKernel::Tape`] — the compiled 64-bit op tape, same pack
-///   width. Pack boundaries, sample streams and per-lane activity are
-///   identical to the interpretive path, so grades, progress streams
-///   and journal records are all byte-identical to it;
-/// * [`SimKernel::TapeWide`] — the 256-bit op tape, packs of
-///   [`MAX_WIDE_FAULTS`]. Each lane's Monte Carlo estimation is still
-///   the serial stopping rule replayed on that lane's own sample
-///   prefix, so every grade is byte-identical to the other kernels —
-///   only pack-granular accounting (pack counts, per-pack journal
-///   records and trace records) reflects the wider packing.
-///
-/// Journal compatibility follows the same split: interpretive and tape
-/// runs restore each other's [`PACK_OK`] records verbatim, while wide
-/// records use the distinct [`PACK_OK_WIDE`] tag so a resume that
-/// switches pack width recomputes instead of pairing cached lanes with
-/// the wrong faults.
 #[allow(clippy::too_many_arguments)]
 pub fn grade_faults_journaled_with_kernel(
     sys: &System,
@@ -818,7 +557,6 @@ pub fn grade_faults_journaled_with_kernel(
 ) -> GradeReport {
     let _timer = PhaseTimer::start(progress, Phase::Grade);
     let capacity = grade_pack_capacity(kernel);
-    let wide = capacity > MAX_PARALLEL_FAULTS;
     // Pack 0 always exists — with no faults to grade it still carries
     // the baseline on lane 0.
     let packs: Vec<&[StuckAt]> = if faults.is_empty() {
@@ -839,7 +577,7 @@ pub fn grade_faults_journaled_with_kernel(
         let pack = packs[p];
         if let Some(j) = journal {
             if let Some(words) = j.get(RecordKind::GradePack, p as u64) {
-                if let Some(outcome) = decode_pack(&words, pack.len() + 1, wide) {
+                if let Some(outcome) = decode_pack(&words, pack.len() + 1) {
                     return outcome;
                 }
                 // An undecodable payload (e.g. written by an older
@@ -850,7 +588,7 @@ pub fn grade_faults_journaled_with_kernel(
         // Cycle and wall-time accounting stays worker-local and is
         // flushed once per pack — the hot lane loop never observes it.
         let started = std::time::Instant::now();
-        let (results, stalls, cycles, prof) = run_pack(sys, pack, cfg, kernel);
+        let (results, stalls, cycles, prof) = run_pack(sys, pack, cfg);
         if let Ok(mut table) = profiles.lock() {
             table[p] = prof;
         }
@@ -858,7 +596,7 @@ pub fn grade_faults_journaled_with_kernel(
             j.record(
                 RecordKind::GradePack,
                 p as u64,
-                &encode_pack(&results, &stalls, wide),
+                &encode_pack(&results, stalls),
             );
         }
         PackOutcome::Computed {
@@ -949,7 +687,7 @@ pub fn grade_faults_journaled_with_kernel(
                     let stalled = packs[p]
                         .iter()
                         .enumerate()
-                        .filter(|(i, _)| stall_bit(stalls, *i))
+                        .filter(|(i, _)| stalls >> i & 1 == 1)
                         .map(|(_, f)| f.to_string())
                         .collect();
                     progress.record(&TraceRecord::PackGraded {
@@ -983,13 +721,7 @@ pub fn grade_faults_journaled_with_kernel(
     let baseline = match &outcomes[0] {
         PackOutcome::Computed { results, .. } => results[0],
         PackOutcome::Quarantined { message, .. } => {
-            let rescue = par_map_indexed_caught(1, 1, |_| {
-                run_monte_carlo_lanes(&cfg.mc, 1, |batch| {
-                    let (reports, _) = mc_batch_lanes(sys, &[], cfg, batch)
-                        .expect("the empty pack is always in range");
-                    reports
-                })[0]
-            });
+            let rescue = par_map_indexed_caught(1, 1, |_| run_pack(sys, &[], cfg).0[0]);
             match rescue.into_iter().next() {
                 Some(Ok(mc)) => {
                     progress.event(ProgressEvent::MonteCarlo {
@@ -1024,7 +756,7 @@ pub fn grade_faults_journaled_with_kernel(
                         pct_change: pct,
                         flagged,
                     });
-                    if stall_bit(stalls, i) {
+                    if stalls >> i & 1 == 1 {
                         progress.event(ProgressEvent::BudgetExhausted);
                         if tracing {
                             progress.record(&TraceRecord::BudgetExhausted {
@@ -1053,52 +785,52 @@ pub fn grade_faults_journaled_with_kernel(
 }
 
 /// The scalar reference grading path: one [`CycleSim`] pass per fault
-/// per batch, exactly as the lane-packed [`grade_faults_with`] but
-/// without fault packing.
+/// per batch, exactly as the lane-packed
+/// [`grade_faults_journaled_with_kernel`] but without fault packing.
 ///
 /// Kept as the ground truth the lane-packed path is regression-tested
 /// against (and as the baseline the `grade_throughput` bench measures
-/// speedup over). The baseline estimation shards its *batches*; the
-/// per-fault estimations shard across *faults*, each fault's Monte Carlo
-/// loop running serially so its sample sequence — and hence every mean,
-/// percentage, and flag — is byte-identical to the serial path at any
-/// thread count.
+/// speedup over). Every estimation runs the serial Monte Carlo loop, so
+/// every mean, percentage, and flag is what the lane-packed path must
+/// reproduce bit for bit.
 pub fn grade_faults_scalar_with(
     sys: &System,
     faults: &[StuckAt],
     cfg: &GradeConfig,
-    threads: usize,
     progress: &dyn Progress,
 ) -> (MonteCarloResult, Vec<PowerGrade>) {
     let _timer = PhaseTimer::start(progress, Phase::Grade);
-    let baseline = measure_power_monte_carlo_par(sys, None, cfg, threads);
+    let baseline = measure_power_monte_carlo(sys, None, cfg);
     progress.event(ProgressEvent::MonteCarlo {
         batches: baseline.batches,
         converged: baseline.converged,
     });
-    let grades = par_map_indexed(threads, faults.len(), |i| {
-        let fault = faults[i];
-        let mc = measure_power_monte_carlo(sys, Some(fault), cfg);
-        progress.event(ProgressEvent::MonteCarlo {
-            batches: mc.batches,
-            converged: mc.converged,
-        });
-        let pct = 100.0 * (mc.mean_uw - baseline.mean_uw) / baseline.mean_uw;
-        let flagged = pct.abs() > cfg.threshold_pct;
-        progress.event(ProgressEvent::FaultGraded { flagged });
-        PowerGrade {
-            fault,
-            mean_uw: mc.mean_uw,
-            pct_change: pct,
-            flagged,
-        }
-    });
+    let grades = faults
+        .iter()
+        .map(|&fault| {
+            let mc = measure_power_monte_carlo(sys, Some(fault), cfg);
+            progress.event(ProgressEvent::MonteCarlo {
+                batches: mc.batches,
+                converged: mc.converged,
+            });
+            let pct = 100.0 * (mc.mean_uw - baseline.mean_uw) / baseline.mean_uw;
+            let flagged = pct.abs() > cfg.threshold_pct;
+            progress.event(ProgressEvent::FaultGraded { flagged });
+            PowerGrade {
+                fault,
+                mean_uw: mc.mean_uw,
+                pct_change: pct,
+                flagged,
+            }
+        })
+        .collect();
     (baseline, grades)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfr_exec::NullProgress;
     use sfr_faultsim::fixtures::toy_system;
 
     fn quick_cfg() -> GradeConfig {
@@ -1111,6 +843,38 @@ mod tests {
             patterns_per_batch: 60,
             ..Default::default()
         }
+    }
+
+    /// Lane-packed grading without a journal.
+    fn grade(
+        sys: &System,
+        faults: &[StuckAt],
+        cfg: &GradeConfig,
+        threads: usize,
+        progress: &dyn Progress,
+    ) -> (MonteCarloResult, Vec<PowerGrade>) {
+        let report = grade_faults_journaled_with_kernel(
+            sys,
+            faults,
+            cfg,
+            threads,
+            progress,
+            None,
+            SimKernel::Tape,
+        );
+        (report.baseline, report.grades)
+    }
+
+    fn toy_sfr(take: usize) -> (System, Vec<StuckAt>) {
+        let sys = toy_system();
+        let ccfg = crate::ClassifyConfig {
+            test_patterns: 200,
+            ..Default::default()
+        };
+        let c = crate::classify_system(&sys, &ccfg);
+        let faults: Vec<StuckAt> = c.sfr().map(|f| f.fault).take(take).collect();
+        assert!(!faults.is_empty(), "toy system exposes SFR faults");
+        (sys, faults)
     }
 
     #[test]
@@ -1155,31 +919,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_grading_is_byte_identical_to_serial() {
-        let sys = toy_system();
-        let cfg = quick_cfg();
-        let faults: Vec<StuckAt> = sys.controller_faults().into_iter().take(5).collect();
-        let (base_s, grades_s) = grade_faults(&sys, &faults, &cfg);
-        for threads in [2, 4, 8] {
-            let (base_t, grades_t) = grade_faults_with(&sys, &faults, &cfg, threads, &NullProgress);
-            assert_eq!(base_s, base_t, "baseline, threads = {threads}");
-            assert_eq!(grades_s.len(), grades_t.len());
-            for (s, t) in grades_s.iter().zip(&grades_t) {
-                assert_eq!(s.fault, t.fault);
-                assert_eq!(s.mean_uw, t.mean_uw, "threads = {threads}");
-                assert_eq!(s.pct_change, t.pct_change, "threads = {threads}");
-                assert_eq!(s.flagged, t.flagged);
-            }
-        }
-    }
-
-    #[test]
     fn grading_reports_progress_events() {
         let sys = toy_system();
         let cfg = quick_cfg();
         let faults: Vec<StuckAt> = sys.controller_faults().into_iter().take(3).collect();
         let counters = sfr_exec::Counters::new();
-        let _ = grade_faults_with(&sys, &faults, &cfg, 2, &counters);
+        let _ = grade(&sys, &faults, &cfg, 2, &counters);
         let snap = counters.snapshot();
         assert_eq!(snap.faults_graded, 3);
         // Baseline + one estimation per fault.
@@ -1194,18 +939,11 @@ mod tests {
     fn lane_packed_grading_matches_scalar_reference() {
         // The bit-identity contract on genuine SFR faults (the only
         // faults the grading phase ever sees in the paper flow).
-        let sys = toy_system();
+        let (sys, faults) = toy_sfr(usize::MAX);
         let cfg = quick_cfg();
-        let ccfg = crate::ClassifyConfig {
-            test_patterns: 200,
-            ..Default::default()
-        };
-        let c = crate::classify_system(&sys, &ccfg);
-        let faults: Vec<StuckAt> = c.sfr().map(|f| f.fault).collect();
-        assert!(!faults.is_empty(), "toy system exposes SFR faults");
-        let (base_s, grades_s) = grade_faults_scalar_with(&sys, &faults, &cfg, 1, &NullProgress);
+        let (base_s, grades_s) = grade_faults_scalar_with(&sys, &faults, &cfg, &NullProgress);
         for threads in [1, 2, 8] {
-            let (base_l, grades_l) = grade_faults_with(&sys, &faults, &cfg, threads, &NullProgress);
+            let (base_l, grades_l) = grade(&sys, &faults, &cfg, threads, &NullProgress);
             assert_eq!(base_s, base_l, "baseline, threads = {threads}");
             assert_eq!(grades_s.len(), grades_l.len());
             for (s, l) in grades_s.iter().zip(&grades_l) {
@@ -1218,83 +956,35 @@ mod tests {
     }
 
     #[test]
-    fn lane_testset_measurement_matches_scalar() {
-        let sys = toy_system();
-        let cfg = quick_cfg();
+    fn tape_testset_measurement_matches_scalar() {
+        let (sys, faults) = toy_sfr(10);
         let ts = TestSet::pseudorandom(sys.pattern_width(), 120, 0x5EED).unwrap();
-        let ccfg = crate::ClassifyConfig {
-            test_patterns: 200,
-            ..Default::default()
-        };
-        let c = crate::classify_system(&sys, &ccfg);
-        let faults: Vec<StuckAt> = c.sfr().map(|f| f.fault).take(10).collect();
-        let reports = measure_power_lanes_with_testset(&sys, &faults, &ts, &cfg).unwrap();
-        assert_eq!(reports.len(), faults.len() + 1);
-        assert_eq!(
-            reports[0],
-            measure_power_with_testset(&sys, None, &ts, &cfg),
-            "lane 0 = fault-free"
-        );
-        for (i, &f) in faults.iter().enumerate() {
-            assert_eq!(
-                reports[i + 1],
-                measure_power_with_testset(&sys, Some(f), &ts, &cfg),
-                "fault {f}"
-            );
-        }
-    }
-
-    #[test]
-    fn tape_kernels_grade_byte_identically_to_interpretive() {
-        let sys = toy_system();
-        let cfg = quick_cfg();
-        let ccfg = crate::ClassifyConfig {
-            test_patterns: 200,
-            ..Default::default()
-        };
-        let c = crate::classify_system(&sys, &ccfg);
-        let faults: Vec<StuckAt> = c.sfr().map(|f| f.fault).collect();
-        assert!(!faults.is_empty(), "toy system exposes SFR faults");
-        let (base_i, grades_i) = grade_faults(&sys, &faults, &cfg);
-        for kernel in [SimKernel::Tape, SimKernel::TapeWide] {
-            for threads in [1, 2, 8] {
-                let (base_t, grades_t) =
-                    grade_faults_with_kernel(&sys, &faults, &cfg, threads, &NullProgress, kernel);
-                assert_eq!(base_i, base_t, "baseline, {kernel:?}, threads = {threads}");
-                assert_eq!(grades_i.len(), grades_t.len());
-                for (i, t) in grades_i.iter().zip(&grades_t) {
-                    assert_eq!(i.fault, t.fault);
-                    assert_eq!(i.mean_uw, t.mean_uw, "{kernel:?}, threads = {threads}");
-                    assert_eq!(
-                        i.pct_change, t.pct_change,
-                        "{kernel:?}, threads = {threads}"
-                    );
-                    assert_eq!(i.flagged, t.flagged);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tape_testset_measurement_matches_interpretive() {
-        let sys = toy_system();
-        let mut cfg = quick_cfg();
-        cfg.run.cycle_budget = 64; // arm the watchdog on both paths
-        let ts = TestSet::pseudorandom(sys.pattern_width(), 120, 0x5EED).unwrap();
-        let faults: Vec<StuckAt> = sys.controller_faults().into_iter().take(10).collect();
-        let (want, want_stalls) = measure_power_lanes_watched(&sys, &faults, &ts, &cfg).unwrap();
         let prog = TapeProgram::<u64>::compile(&sys.netlist, &faults).unwrap();
-        let (got, got_stalls) = measure_power_tape_watched(&sys, &prog, &ts, &cfg);
-        assert_eq!(want, got, "tape reports = interpretive reports");
-        assert_eq!(vec![want_stalls], got_stalls, "same watchdog verdicts");
-        let wprog = TapeProgram::<W256>::compile(&sys.netlist, &faults).unwrap();
-        let (wgot, wstalls) = measure_power_tape_watched(&sys, &wprog, &ts, &cfg);
-        assert_eq!(want, wgot, "wide tape reports = interpretive reports");
-        assert_eq!(vec![want_stalls], wstalls);
+        let mut armed = quick_cfg();
+        armed.run.cycle_budget = 64;
+        for cfg in [quick_cfg(), armed] {
+            let (reports, stalls) = measure_power_tape_watched(&sys, &prog, &ts, &cfg);
+            assert_eq!(reports.len(), faults.len() + 1);
+            assert_eq!(
+                reports[0],
+                measure_power_with_testset(&sys, None, &ts, &cfg),
+                "lane 0 = fault-free"
+            );
+            for (i, &f) in faults.iter().enumerate() {
+                assert_eq!(
+                    reports[i + 1],
+                    measure_power_with_testset(&sys, Some(f), &ts, &cfg),
+                    "fault {f}"
+                );
+            }
+            // SFR faults keep the controller's sequence, so the
+            // watchdog never fires on them, armed or not.
+            assert_eq!(stalls, 0);
+        }
     }
 
     #[test]
-    fn wide_pack_payload_roundtrips_and_rejects_cross_width() {
+    fn pack_payload_roundtrips_and_rejects_bad_shapes() {
         let results = vec![
             MonteCarloResult {
                 mean_uw: 123.456,
@@ -1309,36 +999,37 @@ mod tests {
                 converged: false,
             },
         ];
-        let stalls = vec![0b10, 0, 0, 1 << 63];
-        let words = encode_pack(&results, &stalls, true);
-        match decode_pack(&words, results.len(), true) {
+        let words = encode_pack(&results, 0b10);
+        match decode_pack(&words, results.len()) {
             Some(PackOutcome::Computed {
                 results: r,
-                stalls: s,
+                stalls,
                 restored,
                 ..
             }) => {
                 assert_eq!(r.len(), 2);
                 assert_eq!(r[0].mean_uw, results[0].mean_uw);
                 assert_eq!(r[1].batches, 9);
-                assert_eq!(s, stalls);
+                assert_eq!(stalls, 0b10);
                 assert!(restored);
             }
-            _ => panic!("wide payload must roundtrip"),
+            _ => panic!("payload must roundtrip"),
         }
-        // A wide record never restores into a narrow run, and vice
-        // versa — the tag check forces recomputation.
-        assert!(decode_pack(&words, results.len(), false).is_none());
-        let narrow = encode_pack(&results, &stalls[..1], false);
-        assert!(decode_pack(&narrow, results.len(), true).is_none());
-        assert!(decode_pack(&narrow, results.len(), false).is_some());
+        // A record for another lane count, a truncated record, and a
+        // record under an unknown tag all force recomputation.
+        assert!(decode_pack(&words, results.len() + 1).is_none());
+        assert!(decode_pack(&words[..words.len() - 1], results.len()).is_none());
+        let mut retagged = words.clone();
+        retagged[0] = 2;
+        assert!(decode_pack(&retagged, results.len()).is_none());
+        assert!(decode_pack(&[], results.len()).is_none());
     }
 
     #[test]
     fn empty_fault_list_still_yields_baseline() {
         let sys = toy_system();
         let cfg = quick_cfg();
-        let (base, grades) = grade_faults(&sys, &[], &cfg);
+        let (base, grades) = grade(&sys, &[], &cfg, 1, &NullProgress);
         assert!(base.mean_uw > 0.0);
         assert!(grades.is_empty());
         let scalar = measure_power_monte_carlo(&sys, None, &cfg);
@@ -1353,7 +1044,7 @@ mod tests {
         let net = sys.ctrl.output_nets[ld.0];
         let gate = sys.netlist.driver(net).unwrap();
         let fault = StuckAt::output(gate, true);
-        let (base, grades) = grade_faults(&sys, &[fault], &cfg);
+        let (base, grades) = grade(&sys, &[fault], &cfg, 1, &NullProgress);
         assert!(base.mean_uw > 0.0);
         assert_eq!(grades.len(), 1);
         let g = &grades[0];

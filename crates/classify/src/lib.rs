@@ -20,8 +20,9 @@
 //! * the Section 3 structural [rule engine](judge_by_rules) over
 //!   [control line effects](ControlLineEffect) (active/inactive selects,
 //!   skipped/extra loads, lifespan disruption);
-//! * power [grading](grade_faults) of SFR faults by Monte Carlo
-//!   simulation with a tolerance-band detector (the paper's ±5%).
+//! * power [grading](grade_faults_journaled_with_kernel) of SFR faults
+//!   by Monte Carlo simulation with a tolerance-band detector (the
+//!   paper's ±5%).
 //!
 //! # Example
 //!
@@ -64,12 +65,10 @@ mod rules;
 mod table;
 
 pub use grade::{
-    compute_pack_payload, grade_faults, grade_faults_journaled, grade_faults_journaled_with_kernel,
-    grade_faults_scalar_with, grade_faults_with, grade_faults_with_kernel, grade_pack_capacity,
-    grade_pack_count, grade_pack_slice, measure_power_lanes_watched,
-    measure_power_lanes_with_testset, measure_power_monte_carlo, measure_power_monte_carlo_par,
-    measure_power_tape_watched, measure_power_tape_watched_with, measure_power_with_testset,
-    validate_pack_payload, GradeConfig, GradeIncident, GradeReport, PowerGrade,
+    compute_pack_payload, grade_faults_journaled_with_kernel, grade_faults_scalar_with,
+    grade_pack_capacity, grade_pack_count, grade_pack_slice, measure_power_monte_carlo,
+    measure_power_tape_watched, measure_power_with_testset, validate_pack_payload, GradeConfig,
+    GradeIncident, GradeReport, PowerGrade,
 };
 pub use oracle::{judge, Mismatch, Verdict};
 pub use pipeline::{

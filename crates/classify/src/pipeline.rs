@@ -20,8 +20,8 @@ use crate::rules::{judge_by_rules, RuleVerdict};
 use crate::table::{analyze_controller_fault, ControlLineEffect};
 use sfr_exec::{NullProgress, Phase, PhaseTimer, Progress, ProgressEvent, TraceRecord};
 use sfr_faultsim::{
-    golden_trace, run_campaign_quarantined, Detection, Engine, LaneEngine, QuarantinedChunk,
-    RunConfig, SerialEngine, System,
+    golden_trace, run_campaign_quarantined, Detection, Engine, QuarantinedChunk, RunConfig,
+    SerialEngine, System, TapeEngine,
 };
 use sfr_journal::CampaignJournal;
 use sfr_netlist::{FaultClasses, StuckAt};
@@ -90,7 +90,9 @@ pub struct ClassifyConfig {
     pub test_patterns: usize,
     /// Run shaping.
     pub run: RunConfig,
-    /// Use the bit-parallel engine (identical results, faster).
+    /// Fault-simulation engine for [`classify_system`]: the compiled
+    /// tape when true, the scalar reference when false (identical
+    /// results; the tape is much faster).
     pub parallel: bool,
     /// Run the static-analysis pre-pass: faults whose class is provable
     /// without simulation (statically CFR, or table-CFR/SFR with an
@@ -159,12 +161,11 @@ impl Classification {
 /// observer. See [`classify_system_with`] for the engine- and
 /// progress-aware entry point.
 pub fn classify_system(sys: &System, cfg: &ClassifyConfig) -> Classification {
-    let engine: &dyn Engine = if cfg.parallel {
-        &LaneEngine
+    if cfg.parallel {
+        classify_system_with(sys, cfg, &TapeEngine::new(1), &NullProgress)
     } else {
-        &SerialEngine
-    };
-    classify_system_with(sys, cfg, engine, &NullProgress)
+        classify_system_with(sys, cfg, &SerialEngine, &NullProgress)
+    }
 }
 
 /// Runs the full methodology on an explicit fault-simulation [`Engine`],
@@ -591,15 +592,15 @@ mod tests {
     }
 
     #[test]
-    fn threaded_classification_matches_lane_exactly() {
+    fn threaded_classification_matches_single_thread_exactly() {
         let sys = toy_system();
         let cfg = quick_cfg();
-        let lane = classify_system(&sys, &cfg);
+        let one = classify_system(&sys, &cfg);
         for threads in [2, 8] {
-            let engine = sfr_faultsim::ThreadedEngine::new(threads);
+            let engine = TapeEngine::new(threads);
             let threaded = classify_system_with(&sys, &cfg, &engine, &sfr_exec::NullProgress);
-            assert_eq!(lane.faults.len(), threaded.faults.len());
-            for (a, b) in lane.faults.iter().zip(&threaded.faults) {
+            assert_eq!(one.faults.len(), threaded.faults.len());
+            for (a, b) in one.faults.iter().zip(&threaded.faults) {
                 assert_eq!(a.fault, b.fault);
                 assert_eq!(a.class, b.class, "threads = {threads}, fault {}", a.fault);
                 assert_eq!(a.effects, b.effects);
@@ -630,7 +631,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.static_prune = true;
         let counters = sfr_exec::Counters::new();
-        let c = classify_system_with(&sys, &cfg, &LaneEngine, &counters);
+        let c = classify_system_with(&sys, &cfg, &TapeEngine::new(1), &counters);
         let snap = counters.snapshot();
         assert!(snap.faults_pruned > 0, "toy system has SFR faults to prune");
         assert!(snap.faults_pruned >= c.cfr_count() + c.sfr_count());
@@ -652,7 +653,7 @@ mod tests {
                 let (plain, _) = classify_system_collapsed(
                     &sys,
                     &cfg,
-                    &LaneEngine,
+                    &TapeEngine::new(1),
                     &sfr_exec::NullProgress,
                     None,
                     false,
@@ -660,7 +661,7 @@ mod tests {
                 let (collapsed, _) = classify_system_collapsed(
                     &sys,
                     &cfg,
-                    &LaneEngine,
+                    &TapeEngine::new(1),
                     &sfr_exec::NullProgress,
                     None,
                     true,
@@ -677,8 +678,14 @@ mod tests {
     fn collapsed_campaign_simulates_only_representatives() {
         let sys = toy_system();
         let counters = sfr_exec::Counters::new();
-        let (c, _) =
-            classify_system_collapsed(&sys, &quick_cfg(), &LaneEngine, &counters, None, true);
+        let (c, _) = classify_system_collapsed(
+            &sys,
+            &quick_cfg(),
+            &TapeEngine::new(1),
+            &counters,
+            None,
+            true,
+        );
         let snap = counters.snapshot();
         assert_eq!(c.total(), sys.controller_faults().len());
         assert_eq!(

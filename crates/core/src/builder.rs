@@ -44,11 +44,10 @@ enum Source {
 
 /// Chainable configuration for one study.
 ///
-/// Replaces the free functions `run_study` / `run_paper_studies`: every
-/// knob of the flow — benchmark, datapath width, controller encoding,
-/// don't-care fill, test set, worker threads, detection threshold — is
-/// a setter, and [`build`](Self::build) validates the combination
-/// before any simulation starts.
+/// Every knob of the flow — benchmark, datapath width, controller
+/// encoding, don't-care fill, test set, worker threads, detection
+/// threshold — is a setter, and [`build`](Self::build) validates the
+/// combination before any simulation starts.
 #[derive(Debug, Clone)]
 pub struct StudyBuilder {
     source: Source,
@@ -205,16 +204,14 @@ impl StudyBuilder {
     }
 
     /// Replaces the whole [`StudyConfig`] (system, classify, grade) in
-    /// one call — the migration path from the deprecated free
-    /// functions.
+    /// one call.
     pub fn config(mut self, cfg: StudyConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    /// Overrides the fault-simulation engine (default: chosen from the
-    /// thread count — the 63-lane engine at 1 thread, the threaded
-    /// engine above).
+    /// Overrides the fault-simulation engine (default: the tape engine
+    /// on the study's thread count).
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
         self
@@ -371,9 +368,7 @@ impl StudyBuilder {
             ),
             (None, None) => None,
         };
-        let engine = self
-            .engine
-            .unwrap_or_else(|| EngineKind::for_threads(self.threads));
+        let engine = self.engine.unwrap_or(EngineKind::Tape(self.threads));
         Ok(PreparedStudy {
             name,
             system,
@@ -765,8 +760,7 @@ fn assemble_manifest(
     }
 }
 
-/// Runs the builder flow over all three paper benchmarks at 4 bits —
-/// the replacement for the deprecated `run_paper_studies`.
+/// Runs the builder flow over all three paper benchmarks at 4 bits.
 ///
 /// # Errors
 ///

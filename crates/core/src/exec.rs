@@ -4,10 +4,9 @@
 //! Everything a caller needs to parallelize a study or observe one in
 //! flight lives here:
 //!
-//! * [`Engine`] / [`EngineKind`] — selectable fault-simulation engines
-//!   ([`SerialEngine`], [`LaneEngine`], [`ThreadedEngine`], and the
-//!   compiled-tape [`TapeEngine`] / [`TapeWideEngine`]), all
-//!   verdict-identical;
+//! * [`Engine`] / [`EngineKind`] — the fault-simulation engines: the
+//!   compiled-tape [`TapeEngine`] (the default) and the scalar reference
+//!   [`SerialEngine`], verdict-identical;
 //! * [`Progress`] / [`ProgressEvent`] / [`Counters`] — the campaign
 //!   observer hook (phase wall times, faults simulated and dropped,
 //!   Monte Carlo convergence);
@@ -22,6 +21,6 @@ pub use sfr_exec::{
     ProgressEvent, TaskPanic, Tee, TraceRecord, WorkKind,
 };
 pub use sfr_faultsim::{
-    run_campaign, run_campaign_quarantined, Engine, EngineKind, LaneEngine, QuarantinedChunk,
-    SerialEngine, SimKernel, TapeEngine, TapeWideEngine, ThreadedEngine,
+    run_campaign, run_campaign_quarantined, Engine, EngineKind, QuarantinedChunk, SerialEngine,
+    SimKernel, TapeEngine,
 };

@@ -1,13 +1,11 @@
 //! The end-to-end study flow: synthesize → classify → grade.
 
-use crate::error::StudyError;
 use sfr_classify::{
     classify_system_collapsed, collapse_grading_set, grade_faults_journaled_with_kernel,
     Classification, ClassifyConfig, GradeConfig, GradeIncident, PowerGrade,
 };
-use sfr_exec::{NullProgress, Phase, PhaseTimer, Progress};
-use sfr_faultsim::{Engine, LaneEngine, SerialEngine, System, SystemConfig};
-use sfr_hls::EmittedSystem;
+use sfr_exec::Progress;
+use sfr_faultsim::{Engine, System, SystemConfig};
 use sfr_journal::CampaignJournal;
 use sfr_netlist::StuckAt;
 use sfr_power_model::MonteCarloResult;
@@ -160,9 +158,9 @@ impl Study {
     }
 }
 
-/// The shared execution path behind [`crate::StudyBuilder`] and the
-/// deprecated free functions: classify on `engine`, grade on `threads`
-/// workers, report everything to `progress`.
+/// The execution path behind [`crate::StudyBuilder`]: classify on
+/// `engine`, grade on `threads` workers, report everything to
+/// `progress`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_study(
     name: String,
@@ -189,8 +187,7 @@ pub(crate) fn execute_study(
         (sfr.clone(), None)
     };
 
-    // Grading runs on the same kernel family the engine classifies
-    // with, so `--engine tape`/`tape-wide` accelerates both phases.
+    // Grading runs on the kernel the engine names.
     let report = grade_faults_journaled_with_kernel(
         &system,
         &to_grade,
@@ -281,66 +278,11 @@ pub(crate) fn execute_study(
     }
 }
 
-/// Builds the system for `emitted` and runs the full study serially —
-/// the engine chosen from `cfg.classify.parallel`, exactly as before
-/// the builder API existed.
-pub(crate) fn run_study_impl(
-    name: String,
-    emitted: &EmittedSystem,
-    cfg: &StudyConfig,
-    progress: &dyn Progress,
-) -> Result<Study, StudyError> {
-    let timer = PhaseTimer::start(progress, Phase::Build);
-    let system = System::build(emitted, cfg.system)?;
-    timer.finish();
-    let engine: &dyn Engine = if cfg.classify.parallel {
-        &LaneEngine
-    } else {
-        &SerialEngine
-    };
-    Ok(execute_study(
-        name, system, cfg, engine, 1, progress, None, false,
-    ))
-}
-
-/// Runs the full methodology over one emitted benchmark.
-///
-/// # Errors
-///
-/// Propagates netlist construction errors (which indicate an internal
-/// inconsistency rather than user error).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `StudyBuilder::from_emitted(name, emitted).config(cfg).build()?.run()`"
-)]
-pub fn run_study(
-    name: impl Into<String>,
-    emitted: &EmittedSystem,
-    cfg: &StudyConfig,
-) -> Result<Study, StudyError> {
-    run_study_impl(name.into(), emitted, cfg, &NullProgress)
-}
-
-/// Runs the study over all three paper benchmarks at 4 bits.
-///
-/// # Errors
-///
-/// Propagates construction errors from any benchmark.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `paper_studies(cfg, threads)` or `StudyBuilder::new(benchmark)`"
-)]
-pub fn run_paper_studies(cfg: &StudyConfig) -> Result<Vec<Study>, StudyError> {
-    let mut studies = Vec::new();
-    for (name, emitted) in sfr_benchmarks::all_benchmarks(4)? {
-        studies.push(run_study_impl(name.into(), &emitted, cfg, &NullProgress)?);
-    }
-    Ok(studies)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfr_exec::NullProgress;
+    use sfr_faultsim::TapeEngine;
     use sfr_power_model::MonteCarloConfig;
 
     /// A configuration small enough for unit tests.
@@ -363,11 +305,26 @@ mod tests {
         }
     }
 
+    fn poly_study() -> Study {
+        let emitted = sfr_benchmarks::poly(4).expect("builds");
+        let cfg = quick();
+        let system = System::build(&emitted, cfg.system).expect("system builds");
+        let engine = TapeEngine::new(1);
+        execute_study(
+            "poly".into(),
+            system,
+            &cfg,
+            &engine,
+            1,
+            &NullProgress,
+            None,
+            false,
+        )
+    }
+
     #[test]
     fn study_runs_on_poly() {
-        let emitted = sfr_benchmarks::poly(4).expect("builds");
-        let study =
-            run_study_impl("poly".into(), &emitted, &quick(), &NullProgress).expect("study runs");
+        let study = poly_study();
         assert_eq!(
             study.grades.len(),
             study.classification.sfr_count(),
@@ -378,18 +335,8 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let emitted = sfr_benchmarks::poly(4).expect("builds");
-        let study = run_study("poly", &emitted, &quick()).expect("shim runs");
-        assert_eq!(study.sfr_faults().len(), study.grades.len());
-    }
-
-    #[test]
     fn sfr_faults_is_a_stable_slice() {
-        let emitted = sfr_benchmarks::poly(4).expect("builds");
-        let study =
-            run_study_impl("poly".into(), &emitted, &quick(), &NullProgress).expect("study runs");
+        let study = poly_study();
         let from_classification: Vec<StuckAt> =
             study.classification.sfr().map(|f| f.fault).collect();
         assert_eq!(study.sfr_faults(), from_classification.as_slice());

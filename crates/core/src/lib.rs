@@ -78,8 +78,6 @@ mod worstcase;
 pub use breakdown::{measure_breakdown, ComponentPower, PowerBreakdown};
 pub use builder::{check_pattern_width, paper_studies, PreparedStudy, StudyBuilder};
 pub use error::StudyError;
-#[allow(deprecated)]
-pub use flow::{run_paper_studies, run_study};
 pub use flow::{Incident, Study, StudyConfig};
 pub use report::{
     describe_effect, render_classification_csv, render_incidents, render_table1, render_table2,
@@ -93,17 +91,15 @@ pub use sfr_benchmarks as benchmarks;
 pub use sfr_classify::{
     analyze_controller_fault, classify_system, classify_system_collapsed,
     classify_system_journaled, classify_system_with, collapse_grading_set, compute_pack_payload,
-    grade_faults, grade_faults_journaled, grade_faults_journaled_with_kernel,
-    grade_faults_scalar_with, grade_faults_with, grade_faults_with_kernel, grade_pack_capacity,
-    grade_pack_count, grade_pack_slice, judge, judge_by_rules, measure_power_lanes_watched,
-    measure_power_lanes_with_testset, measure_power_monte_carlo, measure_power_monte_carlo_par,
-    measure_power_tape_watched, measure_power_tape_watched_with, measure_power_with_testset,
-    static_rule_label, validate_pack_payload, Classification, ClassifiedFault, ClassifyConfig,
-    ControlLineEffect, ControllerBehavior, EffectClass, FaultClass, GradeConfig, GradeIncident,
-    GradeReport, Mismatch, PowerGrade, RuleVerdict, SfiReason, Verdict,
+    grade_faults_journaled_with_kernel, grade_faults_scalar_with, grade_pack_capacity,
+    grade_pack_count, grade_pack_slice, judge, judge_by_rules, measure_power_monte_carlo,
+    measure_power_tape_watched, measure_power_with_testset, static_rule_label,
+    validate_pack_payload, Classification, ClassifiedFault, ClassifyConfig, ControlLineEffect,
+    ControllerBehavior, EffectClass, FaultClass, GradeConfig, GradeIncident, GradeReport, Mismatch,
+    PowerGrade, RuleVerdict, SfiReason, Verdict,
 };
 pub use sfr_faultsim::{
-    golden_trace, run_parallel, run_serial, CampaignOutcome, Detection, GoldenTrace, RunConfig,
+    golden_trace, run_serial, run_tape_counted, CampaignOutcome, Detection, GoldenTrace, RunConfig,
     RunSpec, System, SystemConfig,
 };
 pub use sfr_fsm::{EncodedFsm, Encoding, FillPolicy, FsmSpec, FsmSpecBuilder, StateId, Tri};
@@ -122,17 +118,15 @@ pub use sfr_logic::{minimize, Cover, Cube, SopMapper};
 pub use sfr_netlist::{
     critical_path, logic_to_u64, parse_verilog, parse_verilog_spanned, u64_to_logic,
     write_cell_library, write_verilog, Activity, ActivityMismatch, Atpg, CellKind, CycleSim,
-    EventSim, FaultClasses, FaultSite, GateId, LaneActivity, LaneCounts, Logic, NetId, Netlist,
-    NetlistBuilder, NetlistError, NetlistStats, ParallelFaultSim, ParseError, Pat, PatVec,
-    SourceSpans, StuckAt, TapeActivity, TapeProgram, TapeSim, TapeWord, TestOutcome, VcdRecorder,
-    MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256,
+    FaultClasses, FaultSite, GateId, LaneCounts, Logic, NetId, Netlist, NetlistBuilder,
+    NetlistError, NetlistStats, ParseError, Pat, SourceSpans, StuckAt, TapeActivity, TapeProgram,
+    TapeSim, TapeWord, TestOutcome, TooManyFaultsError, VcdRecorder, MAX_PARALLEL_FAULTS,
 };
 pub use sfr_obs as obs;
 pub use sfr_power_model::{
     power_from_activity, power_from_activity_parts, power_from_activity_where,
-    power_from_lane_activity_where, power_from_tape_activity_where, run_monte_carlo,
-    run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult, PowerConfig, PowerPopulation,
-    PowerReport, VariationModel,
+    power_from_tape_activity_where, run_monte_carlo, run_monte_carlo_lanes, MonteCarloConfig,
+    MonteCarloResult, PowerConfig, PowerPopulation, PowerReport, VariationModel,
 };
 pub use sfr_rtl::{
     elaborate_into, ConcreteDomain, CtrlId, CtrlKind, DataSrc, Datapath, DatapathBuilder,

@@ -9,7 +9,7 @@
 //! test plan needs.
 
 use crate::flow::Study;
-use sfr_faultsim::{golden_trace, run_parallel, Detection, RunConfig};
+use sfr_faultsim::{golden_trace, run_tape_counted, Detection, RunConfig};
 use sfr_netlist::Logic;
 use sfr_tpg::TestSet;
 use std::fmt::Write as _;
@@ -119,7 +119,7 @@ pub fn generate_test_program(study: &Study, cfg: &TestProgramConfig) -> TestProg
 
     // Functional coverage over the whole controller fault universe.
     let faults = sys.controller_faults();
-    let outcomes = run_parallel(sys, &golden, &faults);
+    let (outcomes, _cycles) = run_tape_counted(sys, &golden, &faults);
     // Definite detections plus "potentially detected" outcomes, which
     // the paper's step 2 resolves to detected (a real register holds
     // *some* boot value, and a long session will expose the mismatch).

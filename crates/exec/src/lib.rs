@@ -347,8 +347,7 @@ pub enum ProgressEvent {
     /// still-valid lease.
     ShardPackMerged,
     /// The always-on self-profiler finished accounting one computed
-    /// grade pack: wall time plus tape-kernel shape counters. Zeros for
-    /// the interpretive engine, which has no compiled tape.
+    /// grade pack: wall time plus tape-kernel shape counters.
     PackProfile {
         /// Wall time the pack spent simulating, µs (saturated).
         us: u64,

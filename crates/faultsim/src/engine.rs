@@ -1,22 +1,16 @@
-//! Selectable fault-simulation engines behind one trait.
+//! The fault-simulation engines behind one trait.
 //!
-//! The interpretive engines — [`SerialEngine`] (one fault at a time),
-//! [`LaneEngine`] (63 faults per machine word), [`ThreadedEngine`]
-//! (63-fault batches sharded across scoped worker threads) — produce
-//! identical verdict vectors for the same inputs. The threaded engine
-//! is outcome-identical to the lane engine *by construction*: batch
-//! boundaries are fixed at [`MAX_PARALLEL_FAULTS`] regardless of thread
-//! count, each batch is an independent simulation, and the executor
-//! reassembles batch results in fault order.
-//!
-//! The compiled engines — [`TapeEngine`] (63 faults per `u64` word on
-//! the levelized op tape) and [`TapeWideEngine`] (255 faults per
-//! 256-bit word) — swap the inner evaluator for
-//! [`sfr_netlist::TapeSim`] while keeping the same verdicts per fault;
-//! the `u64` tape additionally keeps the interpretive engines' batch
-//! boundaries, so its event and trace streams are byte-identical too.
+//! [`TapeEngine`] is the production engine: 63-fault batches on the
+//! compiled op tape ([`sfr_netlist::TapeSim`]), sharded across scoped
+//! worker threads. Batch boundaries are fixed at [`MAX_PARALLEL_FAULTS`]
+//! regardless of thread count, each batch is an independent simulation,
+//! and the executor reassembles batch results in fault order, so
+//! verdicts, cycle counts, event streams and trace records are
+//! byte-identical at any thread count. [`SerialEngine`] is the scalar
+//! reference: one [`sfr_netlist::CycleSim`] run per fault, with the same
+//! verdict for every fault.
 
-use crate::campaign::{run_parallel, run_serial, run_tape_counted, CampaignOutcome, Detection};
+use crate::campaign::{run_serial, run_tape_counted, CampaignOutcome, Detection};
 use crate::golden::GoldenTrace;
 use crate::system::System;
 use sfr_exec::{
@@ -24,22 +18,16 @@ use sfr_exec::{
     TraceRecord, WorkKind,
 };
 use sfr_journal::{decode_str, encode_str, CampaignJournal, RecordKind};
-use sfr_netlist::{StuckAt, MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256};
+use sfr_netlist::{StuckAt, MAX_PARALLEL_FAULTS};
 
-/// The inner evaluation kernel an engine (and the grading stage that
-/// follows it) runs on. Downstream phases that simulate on their own —
-/// Monte Carlo power grading, notably — read this off the campaign
-/// engine so one `--engine` selection drives the whole pipeline.
+/// The inner evaluation kernel that power grading runs on. Downstream
+/// phases that simulate on their own — Monte Carlo power grading,
+/// notably — read this off the campaign engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
-    /// The graph-walking [`sfr_netlist::ParallelFaultSim`] (63 faults
-    /// per word) — the equivalence reference.
-    #[default]
-    Interpretive,
     /// The compiled op tape over `u64` words (63 faults per pack).
+    #[default]
     Tape,
-    /// The compiled op tape over 256-bit words (255 faults per pack).
-    TapeWide,
 }
 
 /// A fault-simulation engine: turns a fault list into a verdict per
@@ -49,7 +37,7 @@ pub enum SimKernel {
 /// verdict (see the equivalence tests); they differ only in wall-clock
 /// time.
 pub trait Engine: Sync {
-    /// A short identifier for reports (`"serial"`, `"lane"`, …).
+    /// A short identifier for reports (`"serial"`, `"tape"`).
     fn name(&self) -> &'static str;
 
     /// Runs the campaign.
@@ -69,28 +57,21 @@ pub trait Engine: Sync {
     }
 
     /// The worker count this engine represents — downstream per-fault
-    /// stages (controller-table analysis, the symbolic oracle) shard to
-    /// the same width. 1 for the single-threaded engines.
+    /// stages (controller-table analysis, the symbolic oracle, power
+    /// grading) shard to the same width. 1 for the serial engine.
     fn threads(&self) -> usize {
         1
-    }
-
-    /// Faults per independent simulation batch. Campaign chunking
-    /// (including the quarantine/journal layer) follows this, so an
-    /// engine with wider words gets proportionally fewer, larger
-    /// chunks.
-    fn chunk_capacity(&self) -> usize {
-        MAX_PARALLEL_FAULTS
     }
 
     /// The inner evaluation kernel, for downstream phases that simulate
     /// on their own (Monte Carlo power grading).
     fn kernel(&self) -> SimKernel {
-        SimKernel::Interpretive
+        SimKernel::Tape
     }
 }
 
-/// One fault at a time — the reference engine.
+/// One fault at a time on the scalar [`sfr_netlist::CycleSim`] — the
+/// reference engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialEngine;
 
@@ -113,99 +94,8 @@ impl Engine for SerialEngine {
     }
 }
 
-/// 63 faults per machine word, single-threaded.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaneEngine;
-
-impl Engine for LaneEngine {
-    fn name(&self) -> &'static str {
-        "lane"
-    }
-
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
-        run_parallel(sys, golden, faults)
-    }
-
-    fn run_counted(
-        &self,
-        sys: &System,
-        golden: &GoldenTrace,
-        faults: &[StuckAt],
-    ) -> (Vec<CampaignOutcome>, u64) {
-        crate::campaign::run_parallel_counted(sys, golden, faults)
-    }
-}
-
-/// 63-fault batches sharded across scoped worker threads.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedEngine {
-    threads: usize,
-}
-
-impl ThreadedEngine {
-    /// An engine using `threads` workers (0 means the machine's
-    /// available parallelism).
-    pub fn new(threads: usize) -> Self {
-        ThreadedEngine {
-            threads: if threads == 0 {
-                sfr_exec::default_threads()
-            } else {
-                threads
-            },
-        }
-    }
-}
-
-impl Engine for ThreadedEngine {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
-        // Batch boundaries match the lane engine exactly; each batch is
-        // an independent `run_parallel` call, so per-batch behaviour
-        // (lane assignment, fault dropping) is untouched by sharding.
-        let batches: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
-        par_map_indexed(self.threads, batches.len(), |i| {
-            run_parallel(sys, golden, batches[i])
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    fn run_counted(
-        &self,
-        sys: &System,
-        golden: &GoldenTrace,
-        faults: &[StuckAt],
-    ) -> (Vec<CampaignOutcome>, u64) {
-        let batches: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
-        let per_batch = par_map_indexed(self.threads, batches.len(), |i| {
-            crate::campaign::run_parallel_counted(sys, golden, batches[i])
-        });
-        let mut outcomes = Vec::with_capacity(faults.len());
-        let mut cycles = 0u64;
-        for (batch_outcomes, batch_cycles) in per_batch {
-            outcomes.extend(batch_outcomes);
-            cycles += batch_cycles;
-        }
-        (outcomes, cycles)
-    }
-}
-
 /// Compiled op-tape kernel: 63 faults per `u64` word, batches sharded
 /// across scoped worker threads (1 = run inline).
-///
-/// Batch boundaries match the interpretive engines exactly, and every
-/// lane computes the same dual-rail values, so verdicts, cycle counts,
-/// event streams, and trace records are all byte-identical to
-/// [`LaneEngine`] / [`ThreadedEngine`] at any thread count — only the
-/// inner evaluator (and the wall clock) changes.
 #[derive(Debug, Clone, Copy)]
 pub struct TapeEngine {
     threads: usize,
@@ -234,10 +124,6 @@ impl Engine for TapeEngine {
         self.threads
     }
 
-    fn kernel(&self) -> SimKernel {
-        SimKernel::Tape
-    }
-
     fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
         self.run_counted(sys, golden, faults).0
     }
@@ -250,73 +136,7 @@ impl Engine for TapeEngine {
     ) -> (Vec<CampaignOutcome>, u64) {
         let batches: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
         let per_batch = par_map_indexed(self.threads, batches.len(), |i| {
-            run_tape_counted::<u64>(sys, golden, batches[i])
-        });
-        let mut outcomes = Vec::with_capacity(faults.len());
-        let mut cycles = 0u64;
-        for (batch_outcomes, batch_cycles) in per_batch {
-            outcomes.extend(batch_outcomes);
-            cycles += batch_cycles;
-        }
-        (outcomes, cycles)
-    }
-}
-
-/// Compiled op-tape kernel over 256-bit words: 255 faults per pack.
-///
-/// Per-fault verdicts are identical to every other engine, but packs
-/// are four times wider, so chunk-granular artifacts (journal records,
-/// per-chunk trace records, cycle totals under fault dropping) regroup
-/// accordingly — see [`Engine::chunk_capacity`].
-#[derive(Debug, Clone, Copy)]
-pub struct TapeWideEngine {
-    threads: usize,
-}
-
-impl TapeWideEngine {
-    /// An engine using `threads` workers (0 means the machine's
-    /// available parallelism).
-    pub fn new(threads: usize) -> Self {
-        TapeWideEngine {
-            threads: if threads == 0 {
-                sfr_exec::default_threads()
-            } else {
-                threads
-            },
-        }
-    }
-}
-
-impl Engine for TapeWideEngine {
-    fn name(&self) -> &'static str {
-        "tape-wide"
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn chunk_capacity(&self) -> usize {
-        MAX_WIDE_FAULTS
-    }
-
-    fn kernel(&self) -> SimKernel {
-        SimKernel::TapeWide
-    }
-
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
-        self.run_counted(sys, golden, faults).0
-    }
-
-    fn run_counted(
-        &self,
-        sys: &System,
-        golden: &GoldenTrace,
-        faults: &[StuckAt],
-    ) -> (Vec<CampaignOutcome>, u64) {
-        let batches: Vec<&[StuckAt]> = faults.chunks(MAX_WIDE_FAULTS).collect();
-        let per_batch = par_map_indexed(self.threads, batches.len(), |i| {
-            run_tape_counted::<W256>(sys, golden, batches[i])
+            run_tape_counted(sys, golden, batches[i])
         });
         let mut outcomes = Vec::with_capacity(faults.len());
         let mut cycles = 0u64;
@@ -330,19 +150,19 @@ impl Engine for TapeWideEngine {
 
 /// Which engine to run — the serializable selector the study API and
 /// the CLI expose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// [`SerialEngine`].
+    /// [`SerialEngine`], the scalar reference.
     Serial,
-    /// [`LaneEngine`] (the single-threaded default).
-    #[default]
-    Lane,
-    /// [`ThreadedEngine`] with the given worker count (0 = all cores).
-    Threaded(usize),
     /// [`TapeEngine`] with the given worker count (0 = all cores).
     Tape(usize),
-    /// [`TapeWideEngine`] with the given worker count (0 = all cores).
-    TapeWide(usize),
+}
+
+impl Default for EngineKind {
+    /// The tape engine on one thread.
+    fn default() -> Self {
+        EngineKind::Tape(1)
+    }
 }
 
 impl EngineKind {
@@ -350,33 +170,16 @@ impl EngineKind {
     pub fn build(self) -> Box<dyn Engine> {
         match self {
             EngineKind::Serial => Box::new(SerialEngine),
-            EngineKind::Lane => Box::new(LaneEngine),
-            EngineKind::Threaded(n) => Box::new(ThreadedEngine::new(n)),
             EngineKind::Tape(n) => Box::new(TapeEngine::new(n)),
-            EngineKind::TapeWide(n) => Box::new(TapeWideEngine::new(n)),
         }
     }
 
-    /// The selector for a worker count: 0 or 1 workers degenerate to
-    /// the lane engine (same outcomes, no thread overhead).
-    pub fn for_threads(threads: usize) -> Self {
-        if threads == 1 {
-            EngineKind::Lane
-        } else {
-            EngineKind::Threaded(threads)
-        }
-    }
-
-    /// Parses a CLI selector (`serial`, `lane`, `threaded`, `tape`,
-    /// `tape-wide`), binding thread-scalable engines to `threads`.
-    /// Returns `None` for an unknown name.
+    /// Parses a CLI selector (`serial` or `tape`), binding the tape
+    /// engine to `threads`. Returns `None` for an unknown name.
     pub fn parse(name: &str, threads: usize) -> Option<EngineKind> {
         Some(match name {
             "serial" => EngineKind::Serial,
-            "lane" => EngineKind::Lane,
-            "threaded" => EngineKind::Threaded(threads),
             "tape" => EngineKind::Tape(threads),
-            "tape-wide" => EngineKind::TapeWide(threads),
             _ => return None,
         })
     }
@@ -405,7 +208,7 @@ pub fn run_campaign(
 /// its faults carry no verdicts, the rest of the campaign is intact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedChunk {
-    /// Chunk index (chunks of the engine's [`Engine::chunk_capacity`]).
+    /// Chunk index (chunks of [`MAX_PARALLEL_FAULTS`] faults).
     pub chunk: usize,
     /// The faults that were in the chunk.
     pub faults: Vec<StuckAt>,
@@ -459,12 +262,12 @@ fn decode_outcomes(words: &[u64], faults: &[StuckAt]) -> Option<Vec<CampaignOutc
 }
 
 /// Crash-safe, fault-isolated [`run_campaign`]: the fault list is cut
-/// into [`Engine::chunk_capacity`]-sized chunks (the same boundaries
-/// the engine already batches on, so verdicts are unchanged), each
+/// into [`MAX_PARALLEL_FAULTS`]-sized chunks (the same boundaries the
+/// tape engine already batches on, so verdicts are unchanged), each
 /// chunk runs under panic quarantine, and completed chunks are
-/// checkpointed to `journal`. A journal written under one chunk
-/// capacity is shape-checked per record, so resuming with an engine of
-/// a different width recomputes rather than misattributes.
+/// checkpointed to `journal`. Journaled records are shape-checked
+/// against their chunk, so an undecodable or mismatched record
+/// recomputes rather than misattributes.
 ///
 /// Returns the outcomes of every surviving chunk in fault order plus
 /// one [`QuarantinedChunk`] per chunk that panicked twice. Chunks found
@@ -489,7 +292,7 @@ pub fn run_campaign_quarantined(
         Restored(Vec<CampaignOutcome>),
         ReplayedQuarantine(String),
     }
-    let chunks: Vec<&[StuckAt]> = faults.chunks(engine.chunk_capacity()).collect();
+    let chunks: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
     progress.event(ProgressEvent::WorkPlanned {
         phase: Phase::FaultSim,
         items: chunks.len(),
@@ -643,71 +446,46 @@ mod tests {
     }
 
     #[test]
-    fn all_three_engines_agree() {
+    fn serial_and_tape_engines_agree() {
         let (sys, golden, faults) = setup();
         let reference = SerialEngine.run(&sys, &golden, &faults);
-        for kind in [
-            EngineKind::Lane,
-            EngineKind::Threaded(2),
-            EngineKind::Threaded(8),
-            EngineKind::Tape(1),
-            EngineKind::Tape(2),
-            EngineKind::TapeWide(1),
-            EngineKind::TapeWide(2),
-        ] {
-            let got = kind.build().run(&sys, &golden, &faults);
-            assert_eq!(got, reference, "{kind:?} disagrees with serial");
+        for threads in [1, 2, 8] {
+            let got = EngineKind::Tape(threads)
+                .build()
+                .run(&sys, &golden, &faults);
+            assert_eq!(
+                got, reference,
+                "tape on {threads} threads disagrees with serial"
+            );
         }
     }
 
     #[test]
-    fn tape_is_byte_identical_to_lane_including_cycles() {
+    fn tape_is_byte_identical_at_any_thread_count_including_cycles() {
         let (sys, golden, faults) = setup();
-        let (lane, lane_cycles) = LaneEngine.run_counted(&sys, &golden, &faults);
-        for threads in [1, 2, 8] {
-            let (tape, tape_cycles) = TapeEngine::new(threads).run_counted(&sys, &golden, &faults);
-            assert_eq!(tape, lane, "threads = {threads}");
-            assert_eq!(tape_cycles, lane_cycles, "threads = {threads}");
+        let (one, one_cycles) = TapeEngine::new(1).run_counted(&sys, &golden, &faults);
+        for threads in [2, 3, 8] {
+            let (tape, cycles) = TapeEngine::new(threads).run_counted(&sys, &golden, &faults);
+            assert_eq!(tape, one, "threads = {threads}");
+            assert_eq!(cycles, one_cycles, "threads = {threads}");
         }
     }
 
     #[test]
     fn engine_kind_parses_cli_names() {
         assert_eq!(EngineKind::parse("serial", 4), Some(EngineKind::Serial));
-        assert_eq!(EngineKind::parse("lane", 4), Some(EngineKind::Lane));
-        assert_eq!(
-            EngineKind::parse("threaded", 4),
-            Some(EngineKind::Threaded(4))
-        );
         assert_eq!(EngineKind::parse("tape", 4), Some(EngineKind::Tape(4)));
-        assert_eq!(
-            EngineKind::parse("tape-wide", 4),
-            Some(EngineKind::TapeWide(4))
-        );
-        assert_eq!(EngineKind::parse("warp", 4), None);
-    }
-
-    #[test]
-    fn threaded_is_byte_identical_to_lane_at_any_thread_count() {
-        let (sys, golden, faults) = setup();
-        let lane = LaneEngine.run(&sys, &golden, &faults);
-        for threads in [1, 2, 3, 8] {
-            let threaded = ThreadedEngine::new(threads).run(&sys, &golden, &faults);
-            assert_eq!(threaded, lane, "threads = {threads}");
+        for retired in ["lane", "threaded", "tape-wide", "warp"] {
+            assert_eq!(EngineKind::parse(retired, 4), None, "{retired}");
         }
-    }
-
-    #[test]
-    fn for_threads_degenerates_to_lane_at_one() {
-        assert_eq!(EngineKind::for_threads(1), EngineKind::Lane);
-        assert_eq!(EngineKind::for_threads(4), EngineKind::Threaded(4));
+        assert_eq!(EngineKind::default(), EngineKind::Tape(1));
     }
 
     #[test]
     fn campaign_reports_one_event_per_fault() {
         let (sys, golden, faults) = setup();
         let counters = sfr_exec::Counters::new();
-        let outcomes = run_campaign(&LaneEngine, &sys, &golden, &faults, &counters);
+        let outcomes = run_campaign(&TapeEngine::new(1), &sys, &golden, &faults, &counters);
         let snap = counters.snapshot();
         assert_eq!(snap.faults_simulated, faults.len());
         let detected = outcomes

@@ -4,16 +4,16 @@
 //! synthesized FSM controller and an elaborated datapath, observable
 //! only at the datapath's data outputs ([`System`]) — and runs stuck-at
 //! fault campaigns over the controller's fault universe against a
-//! fault-free [`GoldenTrace`]. Both a serial engine ([`run_serial`]) and
-//! an exact 63-fault-per-word parallel engine ([`run_parallel`]) are
-//! provided; the "potentially detected" three-valued verdict of the
-//! paper's GENTEST simulator is reproduced faithfully (see
-//! [`Detection::Potential`]).
+//! fault-free [`GoldenTrace`]. Both the scalar reference
+//! ([`run_serial`]) and the exact 63-fault-per-word compiled tape
+//! ([`run_tape_counted`]) are provided; the "potentially detected"
+//! three-valued verdict of the paper's GENTEST simulator is reproduced
+//! faithfully (see [`Detection::Potential`]).
 //!
 //! # Example
 //!
 //! ```
-//! use sfr_faultsim::{golden_trace, run_parallel, RunConfig, System, SystemConfig};
+//! use sfr_faultsim::{golden_trace, run_tape_counted, RunConfig, System, SystemConfig};
 //! use sfr_hls::{emit, BindingBuilder, DesignBuilder, Rhs};
 //! use sfr_rtl::FuOp;
 //! use sfr_tpg::TestSet;
@@ -36,7 +36,7 @@
 //! let sys = System::build(&emitted, SystemConfig::default())?;
 //! let ts = TestSet::pseudorandom(sys.pattern_width(), 100, 0xACE1)?;
 //! let golden = golden_trace(&sys, &ts, &RunConfig::default());
-//! let outcomes = run_parallel(&sys, &golden, &sys.controller_faults());
+//! let (outcomes, _cycles) = run_tape_counted(&sys, &golden, &sys.controller_faults());
 //! let detected = outcomes.iter().filter(|o| o.detection.is_detected()).count();
 //! assert!(detected > 0);
 //! # Ok(())
@@ -53,10 +53,10 @@ pub mod fixtures;
 mod golden;
 mod system;
 
-pub use campaign::{run_parallel, run_serial, run_tape_counted, CampaignOutcome, Detection};
+pub use campaign::{run_serial, run_tape_counted, CampaignOutcome, Detection};
 pub use engine::{
-    run_campaign, run_campaign_quarantined, run_with, Engine, EngineKind, LaneEngine,
-    QuarantinedChunk, SerialEngine, SimKernel, TapeEngine, TapeWideEngine, ThreadedEngine,
+    run_campaign, run_campaign_quarantined, run_with, Engine, EngineKind, QuarantinedChunk,
+    SerialEngine, SimKernel, TapeEngine,
 };
 pub use golden::{
     golden_trace, symbolic_step, GoldenTrace, RunConfig, RunSpec, SymbolicGolden, SymbolicPath,

@@ -13,8 +13,8 @@ use crate::golden::SymbolicGolden;
 use sfr_fsm::{synthesize_into, EncodedFsm, Encoding, FillPolicy, StateId, SynthesizedController};
 use sfr_hls::{DesignMeta, EmittedSystem};
 use sfr_netlist::{
-    CellKind, CycleSim, GateId, Logic, NetId, Netlist, NetlistBuilder, NetlistError,
-    ParallelFaultSim, Pat, StuckAt, TapeSim, TapeWord,
+    CellKind, CycleSim, GateId, Logic, NetId, Netlist, NetlistBuilder, NetlistError, Pat, StuckAt,
+    TapeSim,
 };
 use sfr_rtl::{elaborate_into, Datapath, ElabNets};
 use std::sync::OnceLock;
@@ -218,7 +218,7 @@ impl System {
         }
     }
 
-    /// Resets all lanes of a parallel fault simulator the same way.
+    /// Resets all lanes of a compiled tape simulator the same way.
     ///
     /// Mirrors [`System::reset_sim`] field for field: only sequential
     /// *state* is overwritten (per gate, all lanes), never the
@@ -227,24 +227,7 @@ impl System {
     /// settled cycle of one run and the first of the next is counted.
     /// That keeps lane-packed power accounting bit-identical to the
     /// scalar measurement loop across run boundaries.
-    pub fn reset_psim(&self, sim: &mut ParallelFaultSim<'_>, datapath_init: Logic) {
-        let code = self.fsm.reset_code();
-        for (k, &g) in self.ctrl.state_gates.iter().enumerate() {
-            sim_set_state_all_lanes(sim, g, Logic::from_bool(code >> k & 1 == 1));
-        }
-        for gates in &self.elab.reg_gates {
-            for &g in gates {
-                sim_set_state_all_lanes(sim, g, datapath_init);
-            }
-        }
-    }
-
-    /// Resets all lanes of a compiled tape simulator the same way.
-    ///
-    /// Mirrors [`System::reset_psim`] field for field, so a tape pack's
-    /// per-lane state after reset is bit-identical to the interpretive
-    /// engine's.
-    pub fn reset_tape<W: TapeWord>(&self, sim: &mut TapeSim<'_, W>, datapath_init: Logic) {
+    pub fn reset_tape(&self, sim: &mut TapeSim<'_, u64>, datapath_init: Logic) {
         let code = self.fsm.reset_code();
         for (k, &g) in self.ctrl.state_gates.iter().enumerate() {
             sim.set_gate_state(g, Pat::splat(Logic::from_bool(code >> k & 1 == 1)));
@@ -270,32 +253,13 @@ impl System {
         self.fsm.decode(code)
     }
 
-    /// Decodes the controller state carried by one lane of a parallel
-    /// fault simulator, if it matches a known state code.
+    /// Decodes the controller state carried by one lane of a compiled
+    /// tape simulator, if it matches a known state code.
     ///
     /// Lane 0 is the fault-free controller; the grading loop uses it to
     /// steer run boundaries for a whole fault pack, which is sound
     /// because SFR faults never alter the controller's state sequence.
-    pub fn decode_state_lane(&self, sim: &ParallelFaultSim<'_>, lane: usize) -> Option<StateId> {
-        let mut code = 0u32;
-        for (k, &g) in self.ctrl.state_gates.iter().enumerate() {
-            match sim.gate_state(g).lane(lane) {
-                Logic::One => code |= 1 << k,
-                Logic::Zero => {}
-                Logic::X => return None,
-            }
-        }
-        self.fsm.decode(code)
-    }
-
-    /// Decodes the controller state carried by one lane of a compiled
-    /// tape simulator, if it matches a known state code (the tape
-    /// analogue of [`System::decode_state_lane`]).
-    pub fn decode_state_tape_lane<W: TapeWord>(
-        &self,
-        sim: &TapeSim<'_, W>,
-        lane: usize,
-    ) -> Option<StateId> {
+    pub fn decode_state_tape_lane(&self, sim: &TapeSim<'_, u64>, lane: usize) -> Option<StateId> {
         let mut code = 0u32;
         for (k, &g) in self.ctrl.state_gates.iter().enumerate() {
             match sim.gate_state(g).lane(lane) {
@@ -319,20 +283,9 @@ impl System {
         }
     }
 
-    /// Applies one pattern word to every lane of a parallel simulator.
-    pub fn apply_pattern_parallel(&self, sim: &mut ParallelFaultSim<'_>, pattern: u64) {
-        let w = self.datapath.width();
-        for (p, port) in self.data_inputs.iter().enumerate() {
-            for (i, &net) in port.iter().enumerate() {
-                let bit = pattern >> (p * w + i) & 1 == 1;
-                sim.set_input(net, Logic::from_bool(bit));
-            }
-        }
-    }
-
     /// Applies one pattern word to every lane of a compiled tape
     /// simulator.
-    pub fn apply_pattern_tape<W: TapeWord>(&self, sim: &mut TapeSim<'_, W>, pattern: u64) {
+    pub fn apply_pattern_tape(&self, sim: &mut TapeSim<'_, u64>, pattern: u64) {
         let w = self.datapath.width();
         for (p, port) in self.data_inputs.iter().enumerate() {
             for (i, &net) in port.iter().enumerate() {
@@ -362,11 +315,6 @@ impl System {
     pub fn nominal_run_cycles(&self, hold_cycles: usize) -> usize {
         self.meta.n_steps + 2 + hold_cycles
     }
-}
-
-/// Sets a sequential gate's state across all lanes of a parallel sim.
-fn sim_set_state_all_lanes(sim: &mut ParallelFaultSim<'_>, gate: GateId, v: Logic) {
-    sim.set_gate_state(gate, sfr_netlist::PatVec::splat(v));
 }
 
 #[cfg(test)]
@@ -429,25 +377,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn psim_reset_and_lane_decode_mirror_scalar() {
+    fn tape_reset_and_lane_decode_mirror_scalar() {
         let sys = toy_system();
         let mut sim = CycleSim::new(&sys.netlist);
-        let mut psim = ParallelFaultSim::new(&sys.netlist, &[]).unwrap();
+        let prog = sfr_netlist::TapeProgram::<u64>::compile(&sys.netlist, &[]).unwrap();
+        let mut tape = TapeSim::new(&prog);
         sys.reset_sim(&mut sim, Logic::Zero);
-        sys.reset_psim(&mut psim, Logic::Zero);
+        sys.reset_tape(&mut tape, Logic::Zero);
         // The per-gate reset paths must cover every sequential gate the
-        // same way in both engines.
+        // same way in both simulators.
         for &g in sys.netlist.sequential_gates() {
-            assert_eq!(psim.gate_state(g).lane(0), sim.state(g), "gate {g:?}");
+            assert_eq!(tape.gate_state(g).lane(0), sim.state(g), "gate {g:?}");
         }
         for _ in 0..5 {
             sys.apply_pattern(&mut sim, 9);
-            sys.apply_pattern_parallel(&mut psim, 9);
+            sys.apply_pattern_tape(&mut tape, 9);
             sim.eval();
-            psim.eval();
-            assert_eq!(sys.decode_state_lane(&psim, 0), sys.decode_state(&sim));
+            tape.eval();
+            assert_eq!(sys.decode_state_tape_lane(&tape, 0), sys.decode_state(&sim));
             sim.clock();
-            psim.clock();
+            tape.clock();
         }
     }
 

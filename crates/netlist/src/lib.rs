@@ -11,10 +11,11 @@
 //! * the [single stuck-at fault model](StuckAt) with classic equivalence
 //!   collapsing;
 //! * a three-valued [cycle simulator](CycleSim) with fault injection and
-//!   switching-[`Activity`] accounting for toggle-count power estimation;
-//! * a 64-lane [parallel fault simulator](ParallelFaultSim) (lane 0
-//!   fault-free, one fault per further lane) that is exact for sequential
-//!   circuits.
+//!   switching-[`Activity`] accounting for toggle-count power estimation
+//!   — the scalar reference;
+//! * a compiled 64-lane [op-tape simulator](TapeSim) (lane 0 fault-free,
+//!   one fault per further lane) that is exact for sequential circuits
+//!   and bit-identical, lane for lane, to the scalar reference.
 //!
 //! # Example
 //!
@@ -57,11 +58,9 @@
 mod atpg;
 mod cell;
 mod collapse;
-mod esim;
 mod fault;
 mod graph;
 mod logic;
-mod psim;
 mod sim;
 mod stats;
 mod tape;
@@ -71,18 +70,17 @@ mod verilog;
 pub use atpg::{Atpg, TestOutcome};
 pub use cell::{CellKind, ALL_CELL_KINDS};
 pub use collapse::FaultClasses;
-pub use esim::EventSim;
 pub use fault::{FaultSite, StuckAt};
 pub use graph::{
     Gate, GateId, Net, NetId, Netlist, NetlistBuilder, NetlistError, WIRE_CAP_BASE_FF,
     WIRE_CAP_PER_FANOUT_FF,
 };
 pub use logic::{logic_to_u64, u64_to_logic, Logic};
-pub use psim::{LaneActivity, ParallelFaultSim, PatVec, TooManyFaultsError, MAX_PARALLEL_FAULTS};
 pub use sim::{Activity, ActivityMismatch, CycleSim};
 pub use stats::{critical_path, NetlistStats};
 pub use tape::{
-    LaneCounts, Pat, TapeActivity, TapeProgram, TapeSim, TapeWord, MAX_WIDE_FAULTS, W256,
+    LaneCounts, Pat, TapeActivity, TapeProgram, TapeSim, TapeWord, TooManyFaultsError,
+    MAX_PARALLEL_FAULTS,
 };
 pub use vcd::VcdRecorder;
 pub use verilog::{

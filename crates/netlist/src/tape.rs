@@ -1,47 +1,56 @@
-//! Compiled levelized op-tape simulation kernel.
+//! Compiled levelized op-tape simulation kernel — the production
+//! fault and power simulator.
 //!
-//! The interpretive [`crate::ParallelFaultSim`] walks the netlist graph
-//! every cycle: per gate it re-reads the `CellKind`, re-scans the force
-//! lists for injected faults, and gathers operands through a scratch
-//! vector. This module compiles that walk away, in the style of the
-//! Berkeley Emulation Engine's statically scheduled gate streams: a
-//! netlist (plus one pack of stuck-at faults) is *levelized once* —
-//! reusing the topological order [`crate::Netlist::finish`] already
-//! computed — and emitted as a flat [`TapeOp`] instruction tape over
-//! contiguous value slots. Fault injection is baked in at compile time
-//! as dedicated force ops with per-lane masks, so the evaluator is a
-//! tight match-free-of-surprises loop: no `CellKind` dispatch, no force
-//! scans, no per-cycle allocation.
+//! In the style of the Berkeley Emulation Engine's statically scheduled
+//! gate streams, a netlist (plus one pack of stuck-at faults) is
+//! *levelized once* — reusing the topological order
+//! [`crate::Netlist::finish`] already computed — and emitted as a flat
+//! [`TapeOp`] instruction tape over contiguous value slots. Fault
+//! injection is baked in at compile time as dedicated force ops with
+//! per-lane masks, so the evaluator is a tight loop: no `CellKind`
+//! dispatch, no force scans, no per-cycle allocation.
 //!
-//! On top of the tape, the kernel is generic over the lane word
-//! ([`TapeWord`]): `u64` gives the classic 63-faults-plus-baseline
-//! pack, and [`W256`] — four `u64`s operated element-wise, which the
-//! compiler auto-vectorizes to 256-bit SIMD on targets that have it —
-//! grades 255 faults plus the lane-0 baseline in one Monte Carlo pass.
-//!
-//! Every lane is an exact dual-rail three-valued simulation with the
-//! same semantics as [`crate::CycleSim`] / [`crate::ParallelFaultSim`]:
-//! values, detection masks, and per-lane switching activity are
-//! bit-identical to the interpretive engines for the same circuit,
-//! faults, and stimulus (property-tested in `tests/proptests.rs`).
+//! Lanes are the bits of a [`TapeWord`]; `u64` gives the classic
+//! 63-faults-plus-baseline pack. Every lane is an exact dual-rail
+//! three-valued simulation with the same semantics as the scalar
+//! reference [`crate::CycleSim`]: values, detection masks, and per-lane
+//! switching activity are bit-identical to a `CycleSim` run of that
+//! lane's circuit for the same stimulus (property-tested in
+//! `tests/proptests.rs`).
 
 use crate::fault::{FaultSite, StuckAt};
 use crate::graph::{GateId, NetId, Netlist};
 use crate::logic::Logic;
-use crate::psim::TooManyFaultsError;
 use crate::sim::Activity;
 
-/// Maximum faults in one wide ([`W256`]) tape pack (lane 0 is the
-/// fault-free reference).
-pub const MAX_WIDE_FAULTS: usize = 255;
+/// Maximum number of faults in one tape pack (lane 0 is the fault-free
+/// reference).
+pub const MAX_PARALLEL_FAULTS: usize = 63;
+
+/// Error returned when a pack holds more faults than the lane word has
+/// fault lanes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TooManyFaultsError {
+    /// Number of faults requested.
+    pub requested: usize,
+}
+
+impl std::fmt::Display for TooManyFaultsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} faults requested, at most {MAX_PARALLEL_FAULTS} fit in one parallel batch",
+            self.requested
+        )
+    }
+}
+
+impl std::error::Error for TooManyFaultsError {}
 
 /// A machine word carrying one simulation lane per bit.
 ///
-/// Implemented by `u64` (64 lanes) and [`W256`] (256 lanes). All ops
-/// are pure bitwise combinators, so a wide implementation is free to be
-/// a fixed array of `u64`s operated element-wise — the autovectorizer
-/// turns those loops into SIMD on targets that have the registers,
-/// without any unstable `std::simd` dependency.
+/// Implemented by `u64` (64 lanes). All ops are pure bitwise
+/// combinators.
 pub trait TapeWord:
     Copy + Clone + PartialEq + Eq + std::fmt::Debug + Default + Send + Sync + 'static
 {
@@ -152,105 +161,8 @@ impl TapeWord for u64 {
     }
 }
 
-/// A 256-lane word: four `u64`s operated element-wise. The fixed-length
-/// loops below compile to straight-line code the autovectorizer folds
-/// into 256-bit SIMD where available; on narrower targets they stay
-/// four scalar ops, still one instruction stream with no branches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct W256(pub [u64; 4]);
-
-impl TapeWord for W256 {
-    const LANES: usize = 256;
-    const ZERO: W256 = W256([0; 4]);
-    const ONES: W256 = W256([!0; 4]);
-
-    #[inline]
-    fn and(self, o: W256) -> W256 {
-        let mut r = [0u64; 4];
-        for (i, w) in r.iter_mut().enumerate() {
-            *w = self.0[i] & o.0[i];
-        }
-        W256(r)
-    }
-    #[inline]
-    fn or(self, o: W256) -> W256 {
-        let mut r = [0u64; 4];
-        for (i, w) in r.iter_mut().enumerate() {
-            *w = self.0[i] | o.0[i];
-        }
-        W256(r)
-    }
-    #[inline]
-    fn xor(self, o: W256) -> W256 {
-        let mut r = [0u64; 4];
-        for (i, w) in r.iter_mut().enumerate() {
-            *w = self.0[i] ^ o.0[i];
-        }
-        W256(r)
-    }
-    #[inline]
-    fn not(self) -> W256 {
-        let mut r = [0u64; 4];
-        for (i, w) in r.iter_mut().enumerate() {
-            *w = !self.0[i];
-        }
-        W256(r)
-    }
-    #[inline]
-    fn is_zero(self) -> bool {
-        self.0 == [0; 4]
-    }
-    #[inline]
-    fn bit(self, lane: usize) -> bool {
-        debug_assert!(lane < 256, "lane {lane} out of range");
-        self.0[lane / 64] >> (lane % 64) & 1 == 1
-    }
-    #[inline]
-    fn mask(lane: usize) -> W256 {
-        debug_assert!(lane < 256, "lane {lane} out of range");
-        let mut r = [0u64; 4];
-        r[lane / 64] = 1u64 << (lane % 64);
-        W256(r)
-    }
-    #[inline]
-    fn low_mask(n: usize) -> W256 {
-        let mut r = [0u64; 4];
-        for (i, w) in r.iter_mut().enumerate() {
-            let lo = i * 64;
-            if n >= lo + 64 {
-                *w = !0;
-            } else if n > lo {
-                *w = (1u64 << (n - lo)) - 1;
-            }
-        }
-        W256(r)
-    }
-    const LIMBS: usize = 4;
-    #[inline]
-    fn limb(self, i: usize) -> u64 {
-        self.0[i]
-    }
-    #[inline]
-    fn lane0_splat(self) -> W256 {
-        let m = (self.0[0] & 1).wrapping_neg();
-        W256([m; 4])
-    }
-    #[inline]
-    fn any01(self) -> u64 {
-        let r = self.0[0] | self.0[1] | self.0[2] | self.0[3];
-        (r | r.wrapping_neg()) >> 63
-    }
-    #[inline]
-    fn nonzero_splat(self) -> W256 {
-        let r = self.0[0] | self.0[1] | self.0[2] | self.0[3];
-        let m = ((r | r.wrapping_neg()) >> 63).wrapping_neg();
-        W256([m; 4])
-    }
-}
-
-/// A dual-rail logic word over `W::LANES` lanes — the generic analogue
-/// of [`crate::PatVec`]. Invariant: `lo & hi == 0`; a lane with neither
-/// bit set is `X`.
+/// A dual-rail logic word over `W::LANES` lanes. Invariant:
+/// `lo & hi == 0`; a lane with neither bit set is `X`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Pat<W> {
     /// Lanes that are definitely 0.
@@ -495,7 +407,7 @@ enum SeqOp {
 /// emitted in dependency order, sequential state lives in dedicated
 /// slots presented to output nets at the head of the tape, and every
 /// fault in the pack becomes a [`TapeOp::Force`] patched into the
-/// exact spot the interpretive simulator would have applied it (input
+/// exact spot the scalar [`crate::CycleSim`] applies it (input
 /// pins before the consuming gate, outputs after the driving gate,
 /// primary-input stems at the head). Compiling is one linear pass —
 /// trivially cheap next to the thousands of cycles a pack simulates.
@@ -539,9 +451,8 @@ impl<W: TapeWord> TapeProgram<W> {
         let n_gates = nl.gate_count();
         let mut masks = Vec::with_capacity(faults.len());
         let mut vals = Vec::with_capacity(faults.len());
-        // Force sites in fault-enumeration order — the same order the
-        // interpretive simulator scans its force lists, so chained
-        // forces on one site resolve identically.
+        // Force sites in fault-enumeration order, so chained forces on
+        // one site resolve deterministically.
         let mut pin_forces: Vec<(GateId, usize, u32)> = Vec::new();
         let mut out_forces: Vec<(GateId, u32)> = Vec::new();
         let mut pi_forces: Vec<(NetId, u32)> = Vec::new();
@@ -755,8 +666,7 @@ impl<W: TapeWord> TapeProgram<W> {
     }
 }
 
-/// Per-lane switching-activity counters for a [`TapeSim`] — the
-/// wide-word generalization of [`crate::LaneActivity`].
+/// Per-lane switching-activity counters for a [`TapeSim`].
 ///
 /// Counters are kept as *deltas against lane 0*: a fault lane toggles
 /// exactly like the fault-free lane on almost every net in almost every
@@ -1028,7 +938,7 @@ impl<W: TapeWord> TapeActivity<W> {
 /// The tape evaluator: runs a [`TapeProgram`] cycle by cycle with zero
 /// per-cycle allocation.
 ///
-/// The call discipline mirrors [`crate::ParallelFaultSim`]: set inputs,
+/// The call discipline mirrors [`crate::CycleSim`]: set inputs,
 /// [`eval`](Self::eval), read values/masks, [`clock`](Self::clock).
 #[derive(Debug, Clone)]
 pub struct TapeSim<'p, W: TapeWord> {
@@ -1286,8 +1196,7 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
 
     /// Advances sequential state one clock edge in all lanes, recording
     /// activity when tracking is enabled. Per cycle and per lane the
-    /// accounting matches [`crate::ParallelFaultSim::clock`] (and hence
-    /// the scalar [`crate::CycleSim`]) exactly.
+    /// accounting matches the scalar [`crate::CycleSim::clock`] exactly.
     pub fn clock(&mut self) {
         let live = self.live_lanes_mask();
         let mut act = self.activity.take();
@@ -1463,55 +1372,46 @@ mod tests {
     use crate::cell::CellKind;
     use crate::graph::NetlistBuilder;
     use crate::logic::Logic::{One, Zero, X};
-    use crate::psim::ParallelFaultSim;
     use crate::sim::CycleSim;
 
     #[test]
-    fn w256_masks_and_bits() {
-        for lane in [0usize, 1, 63, 64, 127, 128, 255] {
-            let m = W256::mask(lane);
+    fn lane_masks_and_bits() {
+        for lane in [0usize, 1, 17, 63] {
+            let m = <u64 as TapeWord>::mask(lane);
             assert!(m.bit(lane));
-            assert_eq!(m.and(m.not()), W256::ZERO);
+            assert_eq!(m.and(m.not()), 0);
         }
-        assert_eq!(W256::low_mask(0), W256::ZERO);
-        assert_eq!(W256::low_mask(256), W256::ONES);
-        let m = W256::low_mask(100);
-        assert!(m.bit(99) && !m.bit(100));
+        assert_eq!(<u64 as TapeWord>::low_mask(0), 0);
         assert_eq!(<u64 as TapeWord>::low_mask(64), !0);
         assert_eq!(<u64 as TapeWord>::low_mask(3), 0b111);
     }
 
     #[test]
-    fn pat_ops_match_scalar_logic_in_both_widths() {
-        fn check<W: TapeWord>(lane: usize) {
-            let vals = [Zero, One, X];
-            for &a in &vals {
-                for &b in &vals {
-                    let va = Pat::<W>::all_x().with_lane(lane, a);
-                    let vb = Pat::<W>::all_x().with_lane(lane, b);
-                    assert_eq!(va.and(vb).lane(lane), a & b, "and {a} {b}");
-                    assert_eq!(va.or(vb).lane(lane), a | b, "or {a} {b}");
-                    assert_eq!(va.xor(vb).lane(lane), a ^ b, "xor {a} {b}");
-                    assert_eq!(va.not().lane(lane), !a, "not {a}");
-                    for &s in &vals {
-                        let vs = Pat::<W>::splat(s);
-                        let expect = CellKind::Mux2.eval(&[a, b, s]);
-                        assert_eq!(
-                            Pat::mux(Pat::splat(a), Pat::splat(b), vs).lane(lane),
-                            expect,
-                            "mux {a} {b} {s}"
-                        );
-                    }
+    fn pat_ops_match_scalar_logic() {
+        let lane = 17;
+        let vals = [Zero, One, X];
+        for &a in &vals {
+            for &b in &vals {
+                let va = Pat::<u64>::all_x().with_lane(lane, a);
+                let vb = Pat::<u64>::all_x().with_lane(lane, b);
+                assert_eq!(va.and(vb).lane(lane), a & b, "and {a} {b}");
+                assert_eq!(va.or(vb).lane(lane), a | b, "or {a} {b}");
+                assert_eq!(va.xor(vb).lane(lane), a ^ b, "xor {a} {b}");
+                assert_eq!(va.not().lane(lane), !a, "not {a}");
+                for &s in &vals {
+                    let vs = Pat::<u64>::splat(s);
+                    let expect = CellKind::Mux2.eval(&[a, b, s]);
+                    assert_eq!(
+                        Pat::mux(Pat::splat(a), Pat::splat(b), vs).lane(lane),
+                        expect,
+                        "mux {a} {b} {s}"
+                    );
                 }
             }
         }
-        check::<u64>(17);
-        check::<W256>(17);
-        check::<W256>(200);
     }
 
-    /// Small sequential circuit: enabled register + inverter cloud —
-    /// the same shape psim's unit tests use.
+    /// Small sequential circuit: enabled register + inverter cloud.
     fn build() -> Netlist {
         let mut b = NetlistBuilder::new("seq");
         let d = b.input("d");
@@ -1526,64 +1426,18 @@ mod tests {
     }
 
     #[test]
-    fn tape_agrees_with_interpretive_parallel_sim() {
+    fn tape_lanes_agree_with_scalar_simulation() {
         let nl = build();
-        let faults = StuckAt::enumerate_collapsed(&nl);
-        let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
-        let mut tape = TapeSim::new(&prog);
-        let mut psim = ParallelFaultSim::new(&nl, &faults).expect("fits");
-        tape.reset_state(Zero);
-        psim.reset_state(Zero);
-        tape.track_activity(true);
-        psim.track_activity(true);
-        let stim = [
-            [One, Zero],
-            [One, One],
-            [Zero, One],
-            [X, One],
-            [One, X],
-            [Zero, Zero],
-        ];
-        for inputs in stim {
-            tape.set_inputs(&inputs);
-            psim.set_inputs(&inputs);
-            tape.eval();
-            psim.eval();
-            for net in nl.net_ids() {
-                let t = tape.value(net);
-                let p = psim.value(net);
-                assert_eq!((t.lo, t.hi), (p.lo, p.hi), "net {}", nl.net(net).name());
-            }
-            assert_eq!(tape.detected_mask(), psim.detected_mask());
-            assert_eq!(
-                tape.potentially_detected_mask(),
-                psim.potentially_detected_mask()
-            );
-            tape.clock();
-            psim.clock();
-        }
-        for lane in 0..tape.lanes() {
-            let t = tape.lane_activity(lane);
-            let p = psim.lane_activity(lane);
-            assert_eq!(t.net_toggles, p.net_toggles, "lane {lane}");
-            assert_eq!(t.clock_events, p.clock_events, "lane {lane}");
-            assert_eq!(t.cycles, p.cycles, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn wide_tape_lanes_agree_with_scalar_simulation() {
-        let nl = build();
-        // Pack the collapsed fault list several times over to exercise
-        // lanes past bit 63.
+        // Pack the collapsed fault list several times over to fill
+        // lanes up to bit 63.
         let base = StuckAt::enumerate_collapsed(&nl);
         let faults: Vec<StuckAt> = base
             .iter()
             .cycle()
-            .take(base.len().clamp(80, MAX_WIDE_FAULTS))
+            .take(MAX_PARALLEL_FAULTS)
             .copied()
             .collect();
-        let prog = TapeProgram::<W256>::compile(&nl, &faults).expect("fits");
+        let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
         let mut tape = TapeSim::new(&prog);
         tape.track_activity(true);
         tape.reset_state(Zero);
@@ -1599,15 +1453,35 @@ mod tests {
         for inputs in stim {
             tape.set_inputs(&inputs);
             tape.eval();
-            for (lane, s) in scalars.iter_mut().enumerate() {
+            for s in scalars.iter_mut() {
                 s.set_inputs(&inputs);
                 s.eval();
+            }
+            let golden = scalars[0].outputs();
+            for (lane, s) in scalars.iter_mut().enumerate() {
                 for net in nl.net_ids() {
                     assert_eq!(
                         tape.value(net).lane(lane),
                         s.value(net),
                         "lane {lane} net {}",
                         nl.net(net).name()
+                    );
+                }
+                if lane > 0 {
+                    let out = s.outputs();
+                    let det = out
+                        .iter()
+                        .zip(&golden)
+                        .any(|(g, w)| g.definitely_differs(*w));
+                    let pot = out
+                        .iter()
+                        .zip(&golden)
+                        .any(|(g, w)| w.is_known() && !g.is_known());
+                    assert_eq!(tape.detected_mask().bit(lane), det, "lane {lane}");
+                    assert_eq!(
+                        tape.potentially_detected_mask().bit(lane),
+                        pot,
+                        "lane {lane}"
                     );
                 }
                 s.clock();
@@ -1627,12 +1501,11 @@ mod tests {
     fn compile_rejects_oversized_packs() {
         let nl = build();
         let f = StuckAt::enumerate_collapsed(&nl)[0];
-        let too_many = vec![f; 64];
-        assert!(TapeProgram::<u64>::compile(&nl, &too_many).is_err());
-        let too_many_wide = vec![f; 256];
-        assert!(TapeProgram::<W256>::compile(&nl, &too_many_wide).is_err());
-        let fits = vec![f; 255];
-        assert!(TapeProgram::<W256>::compile(&nl, &fits).is_ok());
+        let too_many = vec![f; MAX_PARALLEL_FAULTS + 1];
+        let err = TapeProgram::<u64>::compile(&nl, &too_many).unwrap_err();
+        assert_eq!(err.requested, 64);
+        assert!(err.to_string().contains("at most 63"));
+        assert!(TapeProgram::<u64>::compile(&nl, &too_many[1..]).is_ok());
     }
 
     #[test]

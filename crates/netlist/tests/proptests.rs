@@ -3,7 +3,9 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use sfr_netlist::{CellKind, CycleSim, Logic, Netlist, NetlistBuilder, ParallelFaultSim, StuckAt};
+use sfr_netlist::{
+    CellKind, CycleSim, Logic, Netlist, NetlistBuilder, StuckAt, TapeProgram, TapeSim, TapeWord,
+};
 
 /// A fixed small sequential circuit with reconvergent fanout and a
 /// gated register — rich enough to exercise every simulator path.
@@ -27,45 +29,18 @@ fn logic_of(bits: u8, i: usize) -> Logic {
     Logic::from_bool(bits >> i & 1 == 1)
 }
 
+/// Input `i` of a three-input stimulus word in base 3 (0, 1, or X), so
+/// random stimulus covers unknown inputs too.
+fn trit_of(word: u8, i: usize) -> Logic {
+    match word / 3u8.pow(i as u32) % 3 {
+        0 => Logic::Zero,
+        1 => Logic::One,
+        _ => Logic::X,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every lane of the parallel fault simulator reproduces the serial
-    /// simulator with that fault injected, over arbitrary stimulus.
-    #[test]
-    fn parallel_lanes_equal_serial_runs(stimulus in proptest::collection::vec(0u8..8, 1..30)) {
-        let nl = circuit();
-        let faults = StuckAt::enumerate_collapsed(&nl);
-        let batch: Vec<StuckAt> = faults.into_iter().take(63).collect();
-        let mut psim = ParallelFaultSim::new(&nl, &batch).expect("fits");
-        psim.reset_state(Logic::Zero);
-        let mut serials: Vec<CycleSim> = batch
-            .iter()
-            .map(|&f| {
-                let mut s = CycleSim::with_fault(&nl, f);
-                s.reset_state(Logic::Zero);
-                s
-            })
-            .collect();
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            psim.set_inputs(&inputs);
-            psim.eval();
-            for (i, s) in serials.iter_mut().enumerate() {
-                s.set_inputs(&inputs);
-                s.eval();
-                for net in nl.net_ids() {
-                    prop_assert_eq!(
-                        psim.value(net).lane(i + 1),
-                        s.value(net),
-                        "fault {} net {}", batch[i], nl.net(net).name()
-                    );
-                }
-                s.clock();
-            }
-            psim.clock();
-        }
-    }
 
     /// Injecting a stuck-at fault and driving the node to the stuck
     /// value yields exactly the fault-free circuit (fault masking).
@@ -216,33 +191,29 @@ fn random_seq(seed: u64) -> Netlist {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Per-lane toggle and clock-event counts extracted from the parallel
-    /// simulator's bit-plane counters are bit-identical to what a scalar
-    /// `CycleSim` records for the same circuit, fault, and stimulus —
-    /// over random netlists, random fault packings, and random stimulus.
+    /// Every lane of the compiled tape reproduces a scalar `CycleSim`
+    /// run of that lane's circuit — every net value every cycle, the
+    /// detected and potentially-detected masks, and the extracted
+    /// per-lane toggle and clock-event counts — over random netlists,
+    /// random fault packings, and random stimulus including `X` inputs.
     #[test]
-    fn lane_activity_equals_scalar_activity(
+    fn tape_lanes_equal_scalar_runs(
         seed in 1u64..3000,
         rot in any::<u64>(),
-        stimulus in proptest::collection::vec(0u8..8, 1..24),
+        stimulus in proptest::collection::vec(0u8..27, 1..24),
     ) {
         let nl = random_seq(seed);
         let all = StuckAt::enumerate_collapsed(&nl);
-        // A random packing: rotate the collapsed fault list and take up
-        // to a full 63-fault batch.
+        // A random packing: rotate the collapsed fault list and fill a
+        // whole 63-fault pack, repeating faults if the list is shorter.
         let start = (rot as usize) % all.len();
-        let batch: Vec<StuckAt> = all
-            .iter()
-            .cycle()
-            .skip(start)
-            .take(all.len().min(63))
-            .copied()
-            .collect();
-        let mut psim = ParallelFaultSim::new(&nl, &batch).expect("fits");
-        psim.track_activity(true);
-        psim.reset_state(Logic::Zero);
+        let batch: Vec<StuckAt> = all.iter().cycle().skip(start).take(63).copied().collect();
+        let prog = TapeProgram::<u64>::compile(&nl, &batch).expect("fits");
+        let mut tape = TapeSim::new(&prog);
+        tape.track_activity(true);
+        tape.reset_state(Logic::Zero);
         let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
             .chain(batch.iter().map(|&f| CycleSim::with_fault(&nl, f)))
             .map(|mut s| {
@@ -251,17 +222,41 @@ proptest! {
                 s
             })
             .collect();
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            psim.set_inputs(&inputs);
-            psim.eval();
-            psim.clock();
+        for &word in &stimulus {
+            let inputs = [trit_of(word, 0), trit_of(word, 1), trit_of(word, 2)];
+            tape.set_inputs(&inputs);
+            tape.eval();
             for s in scalars.iter_mut() {
-                s.step(&inputs);
+                s.set_inputs(&inputs);
+                s.eval();
+            }
+            let golden = scalars[0].outputs();
+            let (detected, potential) = (tape.detected_mask(), tape.potentially_detected_mask());
+            prop_assert!(!detected.bit(0) && !potential.bit(0), "lane 0 is the reference");
+            for (lane, s) in scalars.iter().enumerate() {
+                for net in nl.net_ids() {
+                    prop_assert_eq!(
+                        tape.value(net).lane(lane),
+                        s.value(net),
+                        "net {} lane {}", nl.net(net).name(), lane
+                    );
+                }
+                if lane == 0 {
+                    continue;
+                }
+                let out = s.outputs();
+                let det = out.iter().zip(&golden).any(|(g, w)| g.definitely_differs(*w));
+                let pot = out.iter().zip(&golden).any(|(g, w)| w.is_known() && !g.is_known());
+                prop_assert_eq!(detected.bit(lane), det, "detected, lane {}", lane);
+                prop_assert_eq!(potential.bit(lane), pot, "potential, lane {}", lane);
+            }
+            tape.clock();
+            for s in scalars.iter_mut() {
+                s.clock();
             }
         }
         for (lane, s) in scalars.iter().enumerate() {
-            let got = psim.lane_activity(lane);
+            let got = tape.lane_activity(lane);
             let want = s.activity();
             prop_assert_eq!(got.cycles, want.cycles, "lane {}", lane);
             prop_assert_eq!(&got.net_toggles, &want.net_toggles, "lane {}", lane);
@@ -329,185 +324,6 @@ proptest! {
             };
             let brute = (0..16u64).any(|m| atpg.check_test(fault, &u64_to_logic(m, 4)));
             prop_assert_eq!(verdict, brute, "disagreement on {} (seed {})", fault, seed);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The event-driven engine agrees with the reference simulator on
-    /// every net, every cycle, for arbitrary stimulus and any fault.
-    #[test]
-    fn event_sim_equals_reference(
-        stimulus in proptest::collection::vec(0u8..8, 1..24),
-        fault_pick in proptest::option::of(0usize..64),
-    ) {
-        use sfr_netlist::EventSim;
-        let nl = circuit();
-        let faults = StuckAt::enumerate_collapsed(&nl);
-        let fault = fault_pick.map(|i| faults[i % faults.len()]);
-        let mut reference = match fault {
-            Some(f) => CycleSim::with_fault(&nl, f),
-            None => CycleSim::new(&nl),
-        };
-        let mut event = match fault {
-            Some(f) => EventSim::with_fault(&nl, f),
-            None => EventSim::new(&nl),
-        };
-        reference.reset_state(Logic::Zero);
-        event.reset_state(Logic::Zero);
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            reference.set_inputs(&inputs);
-            reference.eval();
-            event.set_inputs(&inputs);
-            event.eval();
-            for net in nl.net_ids() {
-                prop_assert_eq!(
-                    reference.value(net),
-                    event.value(net),
-                    "net {} fault {:?}", nl.net(net).name(), fault
-                );
-            }
-            reference.clock();
-            event.clock();
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The compiled op tape reproduces the interpretive parallel
-    /// simulator bit-for-bit — every net value on every lane every
-    /// cycle, the detection masks, and each lane's extracted activity —
-    /// over random netlists, random fault packings, and random
-    /// stimulus.
-    #[test]
-    fn tape_values_and_activity_equal_parallel_sim(
-        seed in 1u64..3000,
-        rot in any::<u64>(),
-        stimulus in proptest::collection::vec(0u8..8, 1..24),
-    ) {
-        use sfr_netlist::{TapeProgram, TapeSim};
-        let nl = random_seq(seed);
-        let all = StuckAt::enumerate_collapsed(&nl);
-        let start = (rot as usize) % all.len();
-        let batch: Vec<StuckAt> = all
-            .iter()
-            .cycle()
-            .skip(start)
-            .take(all.len().min(63))
-            .copied()
-            .collect();
-        let prog = TapeProgram::<u64>::compile(&nl, &batch).expect("fits");
-        let mut tape = TapeSim::new(&prog);
-        tape.track_activity(true);
-        tape.reset_state(Logic::Zero);
-        let mut psim = ParallelFaultSim::new(&nl, &batch).expect("fits");
-        psim.track_activity(true);
-        psim.reset_state(Logic::Zero);
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            tape.set_inputs(&inputs);
-            tape.eval();
-            psim.set_inputs(&inputs);
-            psim.eval();
-            for net in nl.net_ids() {
-                for lane in 0..=batch.len() {
-                    prop_assert_eq!(
-                        tape.value(net).lane(lane),
-                        psim.value(net).lane(lane),
-                        "net {} lane {}", nl.net(net).name(), lane
-                    );
-                }
-            }
-            prop_assert_eq!(tape.detected_mask(), psim.detected_mask());
-            prop_assert_eq!(
-                tape.potentially_detected_mask(),
-                psim.potentially_detected_mask()
-            );
-            tape.clock();
-            psim.clock();
-        }
-        for lane in 0..=batch.len() {
-            let got = tape.lane_activity(lane);
-            let want = psim.lane_activity(lane);
-            prop_assert_eq!(got.cycles, want.cycles, "lane {}", lane);
-            prop_assert_eq!(&got.net_toggles, &want.net_toggles, "lane {}", lane);
-            prop_assert_eq!(&got.clock_events, &want.clock_events, "lane {}", lane);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// A wide (256-bit) tape packing more faults than one 64-lane word
-    /// can hold agrees with the interpretive simulator run chunk by
-    /// chunk: wide lane `1 + chunk_start + i` matches the chunk's lane
-    /// `1 + i`, and the shared lane 0 matches everywhere.
-    #[test]
-    fn wide_tape_lanes_equal_narrow_parallel_chunks(
-        seed in 1u64..3000,
-        stimulus in proptest::collection::vec(0u8..8, 1..12),
-    ) {
-        use sfr_netlist::{TapeProgram, TapeSim, W256};
-        let nl = random_seq(seed);
-        let all = StuckAt::enumerate_collapsed(&nl);
-        // Cycle the fault list to fill well past one 64-lane word.
-        let batch: Vec<StuckAt> = all.iter().cycle().take(100).copied().collect();
-        let prog = TapeProgram::<W256>::compile(&nl, &batch).expect("fits");
-        let mut wide = TapeSim::new(&prog);
-        wide.track_activity(true);
-        wide.reset_state(Logic::Zero);
-        let mut chunks: Vec<(usize, ParallelFaultSim)> = batch
-            .chunks(63)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let mut p = ParallelFaultSim::new(&nl, chunk).expect("fits");
-                p.track_activity(true);
-                p.reset_state(Logic::Zero);
-                (c * 63, p)
-            })
-            .collect();
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            wide.set_inputs(&inputs);
-            wide.eval();
-            for (start, p) in chunks.iter_mut() {
-                p.set_inputs(&inputs);
-                p.eval();
-                for net in nl.net_ids() {
-                    let v = p.value(net);
-                    prop_assert_eq!(
-                        wide.value(net).lane(0),
-                        v.lane(0),
-                        "baseline, net {}", nl.net(net).name()
-                    );
-                    for i in 0..p.faults().len() {
-                        prop_assert_eq!(
-                            wide.value(net).lane(1 + *start + i),
-                            v.lane(1 + i),
-                            "net {} chunk lane {}", nl.net(net).name(), i
-                        );
-                    }
-                }
-            }
-            wide.clock();
-            for (_, p) in chunks.iter_mut() {
-                p.clock();
-            }
-        }
-        for (start, p) in &chunks {
-            for i in 0..p.faults().len() {
-                let got = wide.lane_activity(1 + start + i);
-                let want = p.lane_activity(1 + i);
-                prop_assert_eq!(got.cycles, want.cycles);
-                prop_assert_eq!(&got.net_toggles, &want.net_toggles);
-                prop_assert_eq!(&got.clock_events, &want.clock_events);
-            }
         }
     }
 }

@@ -719,7 +719,7 @@ mod tests {
             campaign_fingerprint: 1,
             fault_universe: 10,
             config: vec![("seed".into(), "7".into())],
-            engine: "lane".into(),
+            engine: "tape".into(),
             threads: 1,
             tallies: crate::manifest::Tallies::default(),
             phases: vec![],

@@ -65,15 +65,16 @@ pub struct ProfileSection {
     pub pack_max_us: u64,
     /// Monte Carlo batches simulated across the whole run.
     pub mc_batches: usize,
-    /// Compiled tape ops per pack (0 on the interpretive engine).
+    /// Compiled tape ops of the last computed pack (0 when no pack was
+    /// computed).
     pub tape_ops: usize,
-    /// Tape levelization depth (0 on the interpretive engine).
+    /// Tape levelization depth (0 when no pack was computed).
     pub tape_levels: usize,
-    /// Fault-injection force ops per pack (0 on the interpretive
-    /// engine).
+    /// Fault-injection force ops of the last computed pack (0 when no
+    /// pack was computed).
     pub tape_force_ops: usize,
     /// Delta-sweep dirty net-column share of the final Monte Carlo
-    /// batch, percent (0 on the interpretive engine).
+    /// batch, percent (0 when no pack was computed).
     pub tape_sparsity_pct: f64,
 }
 
@@ -95,7 +96,7 @@ pub struct RunManifest {
     /// Key configuration facts (`seed`, `patterns`, `mc_tolerance`,
     /// …) as rendered strings, for humans diffing two manifests.
     pub config: Vec<(String, String)>,
-    /// Engine label (`"lane"`).
+    /// Engine label (`"tape"` or `"serial"`).
     pub engine: String,
     /// Worker thread count.
     pub threads: usize,
@@ -317,7 +318,7 @@ mod tests {
                 ("test_seed".into(), "7".into()),
                 ("grade_seed".into(), "11".into()),
             ],
-            engine: "lane".into(),
+            engine: "tape".into(),
             threads: 2,
             tallies: Tallies {
                 total: 844,

@@ -7,9 +7,7 @@
 //! *guaranteed* power increases: an extra load un-gates a register's clock
 //! for a cycle, spending clock energy even when the data does not change.
 
-use sfr_netlist::{
-    Activity, ActivityMismatch, LaneActivity, LaneCounts, Netlist, TapeActivity, TapeWord,
-};
+use sfr_netlist::{Activity, ActivityMismatch, LaneCounts, Netlist, TapeActivity, TapeWord};
 
 /// Electrical operating point for power estimation.
 ///
@@ -124,27 +122,6 @@ pub fn power_from_activity_where(
         clock_uw,
         cycles: act.cycles,
     }
-}
-
-/// Converts bit-parallel per-lane [`LaneActivity`] into one
-/// [`PowerReport`] per simulation lane, restricted to the sub-circuit
-/// whose driver gates satisfy `include` (same accounting as
-/// [`power_from_activity_where`]).
-///
-/// Lane 0 of a [`sfr_netlist::ParallelFaultSim`] is the fault-free
-/// circuit, so `reports[0]` is the baseline and `reports[1 + i]` is the
-/// power under fault `i` — each bit-identical to what a scalar
-/// simulation of that lane would have produced, because every lane's
-/// extracted [`Activity`] is exact.
-pub fn power_from_lane_activity_where(
-    nl: &Netlist,
-    act: &LaneActivity,
-    cfg: &PowerConfig,
-    include: impl Fn(sfr_netlist::GateId) -> bool,
-) -> Vec<PowerReport> {
-    (0..act.lanes())
-        .map(|lane| power_from_activity_where(nl, &act.lane(lane), cfg, &include))
-        .collect()
 }
 
 /// Converts a compiled-tape kernel's per-lane [`TapeActivity`] into one
@@ -358,18 +335,20 @@ mod tests {
     }
 
     #[test]
-    fn lane_power_matches_scalar_power() {
-        use sfr_netlist::{ParallelFaultSim, StuckAt};
+    fn tape_lane_power_matches_scalar_power() {
+        use sfr_netlist::{StuckAt, TapeProgram, TapeSim};
         let nl = toggler();
         let cfg = PowerConfig::default();
         let faults = StuckAt::enumerate_collapsed(&nl);
-        let mut psim = ParallelFaultSim::new(&nl, &faults).unwrap();
-        psim.track_activity(true);
-        psim.reset_state(Logic::Zero);
+        let prog = TapeProgram::<u64>::compile(&nl, &faults).unwrap();
+        let mut tape = TapeSim::new(&prog);
+        tape.track_activity(true);
+        tape.reset_state(Logic::Zero);
         let stim = [
             [Logic::One, Logic::One],
             [Logic::Zero, Logic::Zero],
             [Logic::One, Logic::Zero],
+            [Logic::X, Logic::One],
             [Logic::Zero, Logic::One],
         ];
         let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
@@ -381,15 +360,15 @@ mod tests {
             })
             .collect();
         for inputs in stim {
-            psim.set_inputs(&inputs);
-            psim.eval();
-            psim.clock();
+            tape.set_inputs(&inputs);
+            tape.eval();
+            tape.clock();
             for s in scalars.iter_mut() {
                 s.step(&inputs);
             }
         }
         let reports =
-            power_from_lane_activity_where(&nl, psim.activity().expect("tracking"), &cfg, |_| true);
+            power_from_tape_activity_where(&nl, tape.activity().expect("tracking"), &cfg, |_| true);
         assert_eq!(reports.len(), faults.len() + 1);
         for (lane, s) in scalars.iter().enumerate() {
             let want = power_from_activity(&nl, s.activity(), &cfg);

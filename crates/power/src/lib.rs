@@ -54,9 +54,7 @@ mod variation;
 
 pub use energy::{
     power_from_activity, power_from_activity_parts, power_from_activity_where,
-    power_from_lane_activity_where, power_from_tape_activity_where, PowerConfig, PowerReport,
+    power_from_tape_activity_where, PowerConfig, PowerReport,
 };
-pub use montecarlo::{
-    run_monte_carlo, run_monte_carlo_lanes, run_monte_carlo_par, MonteCarloConfig, MonteCarloResult,
-};
+pub use montecarlo::{run_monte_carlo, run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult};
 pub use variation::{PowerPopulation, VariationModel};

@@ -8,7 +8,6 @@
 //! relative tolerance.
 
 use crate::energy::PowerReport;
-use sfr_exec::par_map_indexed;
 
 /// Convergence settings for [`run_monte_carlo`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,70 +107,9 @@ fn prefix_stats(samples: &[f64]) -> (f64, f64, f64) {
     (mean, half, rel)
 }
 
-/// Parallel [`run_monte_carlo`]: byte-identical result, batches
-/// evaluated on up to `threads` worker threads.
-///
-/// `batch(i)` must be a pure function of the batch index `i` (in
-/// practice: seed the batch's RNG from `i`, never from shared state).
-/// Batches are evaluated speculatively in waves; after each wave the
-/// serial stopping rule is replayed over sample *prefixes* in index
-/// order, and the result is truncated to exactly the prefix the serial
-/// loop would have stopped at. Speculated batches beyond that point are
-/// discarded, so means, half-widths, and batch counts match
-/// [`run_monte_carlo`] bit for bit at any thread count.
-///
-/// # Panics
-///
-/// Panics if `cfg.min_batches < 2` or `max_batches < min_batches`.
-pub fn run_monte_carlo_par<F>(cfg: &MonteCarloConfig, threads: usize, batch: F) -> MonteCarloResult
-where
-    F: Fn(usize) -> PowerReport + Sync,
-{
-    assert!(cfg.min_batches >= 2, "need at least 2 batches for a CI");
-    assert!(cfg.max_batches >= cfg.min_batches);
-    if threads <= 1 {
-        return run_monte_carlo(cfg, batch);
-    }
-    let mut samples: Vec<f64> = Vec::new();
-    loop {
-        // The serial loop always reaches `min_batches`; past that,
-        // speculate one batch per worker (capped at the ceiling).
-        let target = if samples.len() < cfg.min_batches {
-            cfg.min_batches
-        } else {
-            (samples.len() + threads).min(cfg.max_batches)
-        };
-        let start = samples.len();
-        samples.extend(par_map_indexed(threads, target - start, |j| {
-            batch(start + j).total_uw
-        }));
-        // Replay the serial stopping rule over the new prefixes.
-        for n in start.max(cfg.min_batches)..=samples.len() {
-            let (mean, half, rel) = prefix_stats(&samples[..n]);
-            if rel <= cfg.rel_tolerance {
-                return MonteCarloResult {
-                    mean_uw: mean,
-                    half_width_uw: half,
-                    batches: n,
-                    converged: true,
-                };
-            }
-            if n >= cfg.max_batches {
-                return MonteCarloResult {
-                    mean_uw: mean,
-                    half_width_uw: half,
-                    batches: n,
-                    converged: false,
-                };
-            }
-        }
-    }
-}
-
 /// Runs one Monte Carlo estimation per simulation lane off a shared
 /// batch stream: `batch(i)` must simulate batch `i` once for **all**
-/// `lanes` lanes (e.g. one 63-fault [`sfr_netlist::ParallelFaultSim`]
-/// pass) and return one [`PowerReport`] per lane.
+/// `lanes` lanes (e.g. one 63-fault [`sfr_netlist::TapeSim`] pass) and return one [`PowerReport`] per lane.
 ///
 /// Each lane's stopping rule is the serial [`run_monte_carlo`] rule
 /// replayed over that lane's own sample prefix, so lane `l`'s
@@ -288,48 +226,6 @@ mod tests {
         });
         assert!(!r.converged);
         assert_eq!(r.batches, 5);
-    }
-
-    /// A deterministic pure-function-of-index batch: pseudo-noise
-    /// around `center`.
-    fn hashed_batch(center: f64) -> impl Fn(usize) -> PowerReport + Sync {
-        move |i: usize| {
-            let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            report(center + (z % 21) as f64 - 10.0)
-        }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        for tol in [0.05, 0.01, 0.004] {
-            let cfg = MonteCarloConfig {
-                rel_tolerance: tol,
-                min_batches: 4,
-                max_batches: 5000,
-            };
-            let serial = run_monte_carlo(&cfg, hashed_batch(100.0));
-            for threads in [1, 2, 3, 8] {
-                let par = run_monte_carlo_par(&cfg, threads, hashed_batch(100.0));
-                assert_eq!(serial, par, "tol {tol}, threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_capped_case_matches_serial() {
-        let cfg = MonteCarloConfig {
-            rel_tolerance: 1e-12,
-            min_batches: 2,
-            max_batches: 7,
-        };
-        let serial = run_monte_carlo(&cfg, hashed_batch(50.0));
-        assert!(!serial.converged);
-        for threads in [2, 5] {
-            let par = run_monte_carlo_par(&cfg, threads, hashed_batch(50.0));
-            assert_eq!(serial, par, "threads {threads}");
-        }
     }
 
     /// Deterministic per-lane pseudo-noise: value of lane `l`, batch `i`.

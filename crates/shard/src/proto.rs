@@ -36,8 +36,8 @@ use std::io::{self, Read, Write};
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Upper bound on a frame's word count. The largest legitimate frame is
-/// a wide pack result (a few thousand words); anything near this bound
-/// is garbage and is rejected before allocation.
+/// a pack result or the spec text (hundreds of words); anything near
+/// this bound is garbage and is rejected before allocation.
 pub const MAX_FRAME_WORDS: usize = 1 << 20;
 
 const TAG_HELLO: u8 = 1;

@@ -50,7 +50,7 @@ pub struct ShardSpec {
     pub grade_seed: u32,
     /// Watchdog cycle-budget factor, if armed.
     pub cycle_budget: Option<usize>,
-    /// The simulation engine (selects the pack-width kernel).
+    /// The fault-simulation engine.
     pub engine: EngineKind,
     /// Lease timeout the coordinator will enforce, in milliseconds —
     /// workers heartbeat at a third of this.
@@ -60,10 +60,7 @@ pub struct ShardSpec {
 fn engine_parts(engine: EngineKind) -> (&'static str, usize) {
     match engine {
         EngineKind::Serial => ("serial", 1),
-        EngineKind::Lane => ("lane", 1),
-        EngineKind::Threaded(n) => ("threaded", n),
         EngineKind::Tape(n) => ("tape", n),
-        EngineKind::TapeWide(n) => ("tape-wide", n),
     }
 }
 
@@ -251,7 +248,7 @@ mod tests {
         spec.collapse = true;
         spec.threshold_pct = 2.5;
         spec.cycle_budget = Some(12);
-        spec.engine = EngineKind::TapeWide(4);
+        spec.engine = EngineKind::Tape(4);
         spec.lease_ms = 750;
         let text = spec.to_text();
         let back = ShardSpec::parse(&text).expect("parse");
@@ -262,12 +259,22 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(ShardSpec::parse("").is_err());
         assert!(ShardSpec::parse("bench poly").is_err());
-        assert!(ShardSpec::parse("bench=poly\nwidth=4\nmystery=1\nengine=lane\n").is_err());
+        assert!(ShardSpec::parse("bench=poly\nwidth=4\nengine=tape\n").is_ok());
+        assert!(ShardSpec::parse("bench=poly\nwidth=4\nmystery=1\nengine=tape\n").is_err());
         assert!(
-            ShardSpec::parse("bench=poly\nwidth=4\nwidth=4\nengine=lane\n").is_err(),
+            ShardSpec::parse("bench=poly\nwidth=4\nwidth=4\nengine=tape\n").is_err(),
             "duplicate field"
         );
         assert!(ShardSpec::parse("bench=poly\nwidth=4\nengine=warp\n").is_err());
+        for retired in ["lane", "threaded", "tape-wide"] {
+            let text = format!("bench=poly\nwidth=4\nengine={retired}\n");
+            assert!(ShardSpec::parse(&text).is_err(), "{retired}");
+        }
+    }
+
+    #[test]
+    fn default_spec_runs_the_tape_engine() {
+        assert_eq!(ShardSpec::new("poly", 4).engine, EngineKind::Tape(1));
     }
 
     #[test]

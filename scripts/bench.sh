@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Grading-throughput benchmark: times the scalar reference against the
-# 63-lane and threaded lane-packed engines on the diffeq SFR faults,
-# measures the overhead of an attached JSONL trace sink, and writes the
-# numbers to BENCH_grade.json at the repository root.
+# lane-packed compiled tape (one thread and two) on the diffeq SFR
+# faults, measures the overhead of an attached JSONL trace sink, and
+# writes the numbers to BENCH_grade.json at the repository root.
 #
 # Usage:
 #   scripts/bench.sh            # full run (all SFR faults, criterion probes)

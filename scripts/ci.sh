@@ -26,6 +26,9 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+echo "== cargo test (workspace) =="
+cargo test --workspace -q
+
 echo "== sfr lint (all benchmarks must be error-free) =="
 SFR=target/release/sfr
 for bench in diffeq facet poly fir; do
@@ -52,6 +55,17 @@ for args in "grade diffeq --width 13" "classify poly --width 13" "grade fir --wi
     fi
 done
 
+echo "== retired engines are refused with exit code 1 =="
+for engine in lane threaded tape-wide; do
+    rc=0
+    "$SFR" grade poly --engine "$engine" > /dev/null 2> /tmp/sfr-engine.err || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -q "serial|tape" /tmp/sfr-engine.err; then
+        echo "   ERROR: sfr grade poly --engine $engine exited $rc: $(cat /tmp/sfr-engine.err)"
+        exit 1
+    fi
+done
+rm -f /tmp/sfr-engine.err
+
 echo "== static prune equivalence (diffeq, threads 1/2/8) =="
 PRUNE_DIR="$(mktemp -d)"
 "$SFR" grade diffeq --patterns 600 > "$PRUNE_DIR/plain.out" 2>/dev/null
@@ -64,30 +78,26 @@ done
 rm -rf "$PRUNE_DIR"
 echo "   pruned grade tables are byte-identical at 1/2/8 threads"
 
-echo "== tape kernel equivalence (diffeq, --engine tape / tape-wide) =="
+echo "== scalar reference equivalence (--engine serial vs default tape, threads 1/2/8) =="
 TAPE_DIR="$(mktemp -d)"
 # The manifest fingerprint covers only deterministic fields, so it must
 # match across engines, as must the grade table on stdout.
 manifest_fp() { sed -n 's/.*"fingerprint": "\(0x[0-9a-f]*\)".*/\1/p' "$1"; }
-"$SFR" grade diffeq --patterns 600 \
-    --manifest-out "$TAPE_DIR/lane-manifest.json" --quiet \
-    > "$TAPE_DIR/lane.out" 2>/dev/null
-for t in 1 2 8; do
-    "$SFR" grade diffeq --patterns 600 --engine tape --threads "$t" \
-        --manifest-out "$TAPE_DIR/tape-$t-manifest.json" --quiet \
-        > "$TAPE_DIR/tape-$t.out" 2>/dev/null
-    diff "$TAPE_DIR/lane.out" "$TAPE_DIR/tape-$t.out"
-    [ "$(manifest_fp "$TAPE_DIR/lane-manifest.json")" = \
-      "$(manifest_fp "$TAPE_DIR/tape-$t-manifest.json")" ]
+for bench in diffeq facet poly fir; do
+    "$SFR" grade "$bench" --patterns 600 --engine serial \
+        --manifest-out "$TAPE_DIR/$bench-serial-manifest.json" --quiet \
+        > "$TAPE_DIR/$bench-serial.out" 2>/dev/null
+    for t in 1 2 8; do
+        "$SFR" grade "$bench" --patterns 600 --threads "$t" \
+            --manifest-out "$TAPE_DIR/$bench-tape-$t-manifest.json" --quiet \
+            > "$TAPE_DIR/$bench-tape-$t.out" 2>/dev/null
+        diff "$TAPE_DIR/$bench-serial.out" "$TAPE_DIR/$bench-tape-$t.out"
+        [ "$(manifest_fp "$TAPE_DIR/$bench-serial-manifest.json")" = \
+          "$(manifest_fp "$TAPE_DIR/$bench-tape-$t-manifest.json")" ]
+    done
+    echo "   $bench: tape grade tables and manifest fingerprints match serial at 1/2/8 threads"
 done
-"$SFR" grade diffeq --patterns 600 --engine tape-wide --threads 2 \
-    --manifest-out "$TAPE_DIR/tape-wide-manifest.json" --quiet \
-    > "$TAPE_DIR/tape-wide.out" 2>/dev/null
-diff "$TAPE_DIR/lane.out" "$TAPE_DIR/tape-wide.out"
-[ "$(manifest_fp "$TAPE_DIR/lane-manifest.json")" = \
-  "$(manifest_fp "$TAPE_DIR/tape-wide-manifest.json")" ]
 rm -rf "$TAPE_DIR"
-echo "   tape grade tables and manifest fingerprints match interpretive at 1/2/8 threads (and tape-wide)"
 
 echo "== observability equivalence (diffeq: trace + metrics + manifest) =="
 OBS_DIR="$(mktemp -d)"
@@ -112,8 +122,8 @@ rm -rf "$OBS_DIR"
 echo "== kill-and-resume smoke (SIGKILL mid-campaign, resume, diff) =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-# Width 12 gives the campaign a second-plus of wall time — a wide
-# window for the kill to land mid-flight.
+# Width 12 gives the campaign a few hundred milliseconds of wall time;
+# the fuses below shorten until the kill lands mid-flight.
 GRADE_ARGS=(grade diffeq --width 12 --patterns 1200)
 # The uninterrupted reference.
 "$SFR" "${GRADE_ARGS[@]}" > "$SMOKE_DIR/reference.out"
@@ -248,14 +258,11 @@ for bench in diffeq facet poly fir; do
     [ "$pct" -ge 20 ]
     echo "   $bench: collapsed tables and fingerprints match at 1/2/8 threads; analyze reduction ${pct}%"
 done
-# Collapsing composes with the compiled engines.
-"$SFR" grade poly --patterns 240 --collapse --engine tape --threads 2 --quiet \
-    > "$COLLAPSE_DIR/poly-tape.out" 2>/dev/null
-diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-tape.out"
-"$SFR" grade poly --patterns 240 --collapse --engine tape-wide --threads 2 --quiet \
-    > "$COLLAPSE_DIR/poly-tape-wide.out" 2>/dev/null
-diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-tape-wide.out"
-echo "   poly: collapsed tape/tape-wide grade tables match the interpretive reference"
+# Collapsing composes with the scalar reference engine too.
+"$SFR" grade poly --patterns 240 --collapse --engine serial --quiet \
+    > "$COLLAPSE_DIR/poly-serial.out" 2>/dev/null
+diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-serial.out"
+echo "   poly: collapsed serial grade table matches the tape reference"
 rm -rf "$COLLAPSE_DIR"
 
 echo "== whole-study benchmark smoke (perfbench --smoke) =="

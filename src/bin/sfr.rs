@@ -31,12 +31,11 @@
 //! dropped, Monte Carlo convergence, wall time per phase — is printed
 //! to stderr.
 //!
-//! `--engine NAME` picks the simulation kernel: `serial`, `lane`,
-//! `threaded` (the interpretive simulators), `tape` (the compiled
-//! levelized op-tape kernel, byte-identical output to the interpretive
-//! engines), or `tape-wide` (the 256-bit tape packing 255 faults per
-//! pass; identical tables, pack-granular trace records differ). The
-//! default is chosen from `--threads` as before.
+//! `--engine NAME` picks the fault-simulation engine: `tape` (the
+//! default: the compiled levelized op-tape kernel, 63 faults per pass,
+//! sharded across `--threads`) or `serial` (the scalar reference, one
+//! fault at a time). Both print byte-identical output; power grading
+//! always runs on the tape.
 //!
 //! `grade` supports crash-safe campaigns: `--checkpoint FILE` records
 //! every completed work pack to an fsynced journal, `--resume FILE`
@@ -156,7 +155,7 @@ fn usage() -> ExitCode {
          observability (classify/grade/testprogram): [--trace-out FILE] [--metrics-out FILE]\n                  \
          [--manifest-out FILE] [--force] [--quiet]\n\
          benchmarks: diffeq | facet | poly | fir\n\
-         engines: serial | lane | threaded | tape | tape-wide (default from --threads)"
+         engines: tape (default) | serial"
     );
     ExitCode::FAILURE
 }
@@ -336,10 +335,9 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         threads
     };
     let engine = match args.flag("--engine") {
-        Some(name) => EngineKind::parse(&name, eff_threads).ok_or_else(|| {
-            format!("unknown engine `{name}` (serial|lane|threaded|tape|tape-wide)")
-        })?,
-        None => EngineKind::for_threads(eff_threads),
+        Some(name) => EngineKind::parse(&name, eff_threads)
+            .ok_or_else(|| format!("unknown engine `{name}` (serial|tape)"))?,
+        None => EngineKind::Tape(eff_threads),
     };
     let static_prune = args.switch("--static-prune");
     let collapse = args.switch("--collapse");

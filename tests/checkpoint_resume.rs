@@ -116,3 +116,60 @@ fn resume_requires_an_existing_journal() {
         "--resume with no journal on disk is a user error, not a fresh start"
     );
 }
+
+/// Runs the `sfr` binary and returns its stdout, asserting success.
+fn sfr(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sfr"))
+        .args(args)
+        .output()
+        .expect("sfr runs");
+    assert!(
+        out.status.success(),
+        "sfr {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// `tests/fixtures/poly-240.journal` was written by
+/// `sfr grade poly --patterns 240 --checkpoint …` on an earlier release,
+/// whose default engine was the interpretive lane simulator. Journals
+/// are kernel-independent, so the default engine must restore every
+/// fault-simulation chunk and the grade pack from it, recompute
+/// nothing, and print exactly what a fresh run prints.
+#[test]
+fn journal_from_an_earlier_release_resumes_without_recomputation() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/poly-240.journal"
+    );
+    let journal = scratch("fixture.journal");
+    let manifest = scratch("fixture-manifest.json");
+    std::fs::copy(fixture, &journal).expect("fixture copies");
+    let _ = std::fs::remove_file(&manifest);
+
+    let fresh = sfr(&["grade", "poly", "--patterns", "240"]);
+    let resumed = sfr(&[
+        "grade",
+        "poly",
+        "--patterns",
+        "240",
+        "--resume",
+        journal.to_str().expect("utf-8 temp path"),
+        "--manifest-out",
+        manifest.to_str().expect("utf-8 temp path"),
+    ]);
+    assert_eq!(resumed, fresh, "a resumed run prints the fresh run's table");
+
+    let text = std::fs::read_to_string(&manifest).expect("manifest written");
+    let v = sfr_power::obs::json::parse(&text).expect("manifest parses");
+    let profile = v.get("profile").expect("profile section");
+    let num = |key: &str| profile.get(key).unwrap().as_num().unwrap();
+    // 181 faults make three fault-simulation chunks; 38 SFR faults make
+    // one grade pack. All four come from the journal.
+    assert_eq!(num("packs_restored"), 4.0);
+    assert_eq!(num("packs_computed"), 0.0);
+    assert_eq!(num("mc_batches"), 0.0, "no Monte Carlo batch ran");
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&manifest);
+}

@@ -2,7 +2,7 @@
 //! collapsed campaign simulates one representative per equivalence
 //! class, yet its classification, baseline, grade table, and incident
 //! list are byte-identical to the uncollapsed run's — at every thread
-//! count, on every benchmark, under every grading engine. The
+//! count, on every benchmark. The
 //! equivalence rule itself is checked by property: on random netlists,
 //! every class member's detection behaviour and power-relevant
 //! activity equal its representative's.
@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use sfr_power::exec::{Counters, EngineKind};
+use sfr_power::exec::Counters;
 use sfr_power::{
     benchmarks, u64_to_logic, CellKind, CycleSim, EmittedSystem, FaultClasses, FaultSite, Logic,
     Netlist, NetlistBuilder, StuckAt, Study, StudyBuilder, System, SystemConfig,
@@ -129,33 +129,6 @@ fn collapsed_poly_is_byte_identical_at_every_thread_count() {
 #[test]
 fn collapsed_fir_is_byte_identical_at_every_thread_count() {
     thread_sweep("fir");
-}
-
-/// Collapsing composes with the compiled grading engines: the tape and
-/// wide-tape kernels grade representative-only packs and the expanded
-/// table still matches the same engine's uncollapsed run bit for bit.
-fn engine_sweep(engine: EngineKind, label: &str) {
-    for bench in ["diffeq", "facet", "poly", "fir"] {
-        let reference = quick(bench).engine(engine).build().expect("builds").run();
-        let collapsed = quick(bench)
-            .engine(engine)
-            .collapse(true)
-            .threads(2)
-            .build()
-            .expect("builds")
-            .run();
-        assert_identical(&reference, &collapsed, &format!("{bench}, {label}"));
-    }
-}
-
-#[test]
-fn collapsed_grading_is_byte_identical_on_the_tape_engine() {
-    engine_sweep(EngineKind::Tape(2), "tape");
-}
-
-#[test]
-fn collapsed_grading_is_byte_identical_on_the_wide_tape_engine() {
-    engine_sweep(EngineKind::TapeWide(2), "tape-wide");
 }
 
 /// Collapsing is a campaign-execution strategy, not a result knob: it

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use sfr_power::exec::{Engine, LaneEngine, SerialEngine, ThreadedEngine};
+use sfr_power::exec::{Engine, SerialEngine, TapeEngine};
 use sfr_power::{
     benchmarks, golden_trace, MonteCarloConfig, RunConfig, Study, StudyBuilder, System,
     SystemConfig, TestSet,
@@ -100,30 +100,29 @@ fn study_is_bit_identical_at_any_thread_count() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The three interchangeable engines agree on every fault's
-    /// verdict for arbitrary TPGR seeds, session lengths, and thread
-    /// counts.
+    /// The scalar reference and the tape engine agree on every fault's
+    /// verdict for arbitrary TPGR seeds and session lengths, and the
+    /// tape's verdicts and cycle counts are identical at every thread
+    /// count.
     #[test]
     fn engines_are_equivalent(
         seed in 1u32..u32::from(u16::MAX),
         len in 30usize..120,
-        threads in 2usize..9,
     ) {
         let sys = poly_system();
         let ts = TestSet::pseudorandom(sys.pattern_width(), len, seed).unwrap();
         let golden = golden_trace(sys, &ts, &RunConfig::default());
         let faults = sys.controller_faults();
         let serial = SerialEngine.run(sys, &golden, &faults);
-        let lane = LaneEngine.run(sys, &golden, &faults);
-        let threaded = ThreadedEngine::new(threads).run(sys, &golden, &faults);
         prop_assert_eq!(serial.len(), faults.len());
-        for ((s, l), t) in serial.iter().zip(&lane).zip(&threaded) {
-            prop_assert_eq!(s.fault, l.fault);
-            prop_assert_eq!(s.fault, t.fault);
-            prop_assert_eq!(s.detection, l.detection);
-            // The lane and threaded engines are byte-identical by
-            // construction (same 63-fault batch boundaries).
-            prop_assert_eq!(l.detection, t.detection);
+        let (one, one_cycles) = TapeEngine::new(1).run_counted(sys, &golden, &faults);
+        for threads in [1, 2, 3, 8] {
+            let (tape, cycles) = TapeEngine::new(threads).run_counted(sys, &golden, &faults);
+            prop_assert_eq!(&serial, &tape, "tape on {} threads", threads);
+            // Batch boundaries are fixed at 63 faults whatever the
+            // thread count, so the tape is byte-identical to itself.
+            prop_assert_eq!(&tape, &one);
+            prop_assert_eq!(cycles, one_cycles, "cycles on {} threads", threads);
         }
     }
 }

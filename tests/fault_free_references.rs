@@ -15,8 +15,8 @@ use sfr_power::{
     RunConfig, RunSpec, StateId, SymbolicDomain, System, SystemConfig, TestSet, Verdict,
 };
 
-/// The scalar reference for [`golden_trace`]: the same session on the
-/// interpretive [`CycleSim`].
+/// The scalar reference for [`golden_trace`]: the same session on
+/// [`CycleSim`].
 fn golden_trace_scalar(sys: &System, ts: &TestSet, cfg: &RunConfig) -> GoldenTrace {
     let mut trace = GoldenTrace {
         runs: Vec::new(),

@@ -1,21 +1,19 @@
-//! Fixed-seed regression pinning the lane-packed grading engine to the
-//! scalar reference (the paper's Table 3 experiment): every fault's
+//! Fixed-seed regression pinning the lane-packed tape grading engine to
+//! the scalar reference (the paper's Table 3 experiment): every fault's
 //! Monte Carlo mean, percentage change and flag must be **bit-identical**
-//! between `grade_faults_scalar_with` and `grade_faults_with`, at every
-//! thread count, and the per-test-set measurement must agree
-//! fault-for-fault with the scalar simulator. The compiled tape kernels
-//! (`SimKernel::Tape` / `SimKernel::TapeWide`) are held to the same
-//! contract: identical grades at every thread count, and per-test-set
-//! reports identical to the interpretive lane simulator.
+//! between `grade_faults_scalar_with` and
+//! `grade_faults_journaled_with_kernel`, on every benchmark, at every
+//! thread count, and across pack boundaries; and the per-test-set
+//! measurement must agree fault-for-fault with the scalar simulator.
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_power::exec::{NullProgress, SimKernel};
+use sfr_power::exec::{Counters, NullProgress, Progress, SimKernel};
 use sfr_power::{
-    benchmarks, classify_system, grade_faults_scalar_with, grade_faults_with,
-    grade_faults_with_kernel, measure_power_lanes_with_testset, measure_power_tape_watched,
-    measure_power_with_testset, ClassifyConfig, GradeConfig, MonteCarloConfig, StuckAt, System,
-    SystemConfig, TapeProgram, TestSet, W256,
+    benchmarks, classify_system, grade_faults_journaled_with_kernel, grade_faults_scalar_with,
+    measure_power_tape_watched, measure_power_with_testset, ClassifyConfig, GradeConfig,
+    MonteCarloConfig, MonteCarloResult, PowerGrade, StuckAt, System, SystemConfig, TapeProgram,
+    TestSet, MAX_PARALLEL_FAULTS,
 };
 
 fn quick_grade_cfg() -> GradeConfig {
@@ -30,8 +28,15 @@ fn quick_grade_cfg() -> GradeConfig {
     }
 }
 
-fn diffeq_sfr() -> (System, Vec<StuckAt>) {
-    let emitted = benchmarks::diffeq(4).expect("diffeq builds");
+fn sfr_of(bench: &str) -> (System, Vec<StuckAt>) {
+    let emitted = match bench {
+        "diffeq" => benchmarks::diffeq(4),
+        "facet" => benchmarks::facet(4),
+        "poly" => benchmarks::poly(4),
+        "fir" => benchmarks::fir(4),
+        other => panic!("unknown benchmark {other}"),
+    }
+    .expect("benchmark builds");
     let sys = System::build(&emitted, SystemConfig::default()).expect("system builds");
     let cfg = ClassifyConfig {
         test_patterns: 240,
@@ -39,98 +44,103 @@ fn diffeq_sfr() -> (System, Vec<StuckAt>) {
     };
     let cls = classify_system(&sys, &cfg);
     let faults: Vec<StuckAt> = cls.sfr().map(|f| f.fault).collect();
-    assert!(faults.len() > 1, "diffeq must yield SFR faults to compare");
+    assert!(faults.len() > 1, "{bench} must yield SFR faults to compare");
     (sys, faults)
 }
 
-#[test]
-fn lane_packed_grades_are_bit_identical_to_scalar_at_every_thread_count() {
-    let (sys, faults) = diffeq_sfr();
-    let cfg = quick_grade_cfg();
-    let (base_ref, grades_ref) = grade_faults_scalar_with(&sys, &faults, &cfg, 1, &NullProgress);
-    for threads in [1, 2, 8] {
-        let (base, grades) = grade_faults_with(&sys, &faults, &cfg, threads, &NullProgress);
-        assert_eq!(
-            base.mean_uw, base_ref.mean_uw,
-            "baseline, {threads} threads"
-        );
-        assert_eq!(base.batches, base_ref.batches);
-        assert_eq!(grades.len(), grades_ref.len());
-        for (g, r) in grades.iter().zip(&grades_ref) {
-            assert_eq!(g.fault, r.fault);
-            assert_eq!(g.mean_uw, r.mean_uw, "{:?}, {threads} threads", g.fault);
-            assert_eq!(g.pct_change, r.pct_change, "{:?}", g.fault);
-            assert_eq!(g.flagged, r.flagged, "{:?}", g.fault);
-        }
+fn tape_grades(
+    sys: &System,
+    faults: &[StuckAt],
+    cfg: &GradeConfig,
+    threads: usize,
+    progress: &dyn Progress,
+) -> (MonteCarloResult, Vec<PowerGrade>) {
+    let report = grade_faults_journaled_with_kernel(
+        sys,
+        faults,
+        cfg,
+        threads,
+        progress,
+        None,
+        SimKernel::Tape,
+    );
+    assert!(report.incidents.is_empty(), "{:?}", report.incidents);
+    (report.baseline, report.grades)
+}
+
+fn assert_same_grades(
+    (base, grades): &(MonteCarloResult, Vec<PowerGrade>),
+    (base_ref, grades_ref): &(MonteCarloResult, Vec<PowerGrade>),
+    context: &str,
+) {
+    assert_eq!(base.mean_uw, base_ref.mean_uw, "baseline, {context}");
+    assert_eq!(base.batches, base_ref.batches, "baseline, {context}");
+    assert_eq!(grades.len(), grades_ref.len(), "{context}");
+    for (g, r) in grades.iter().zip(grades_ref) {
+        assert_eq!(g.fault, r.fault, "{context}");
+        assert_eq!(g.mean_uw, r.mean_uw, "{:?}, {context}", g.fault);
+        assert_eq!(g.pct_change, r.pct_change, "{:?}, {context}", g.fault);
+        assert_eq!(g.flagged, r.flagged, "{:?}, {context}", g.fault);
     }
 }
 
 #[test]
 fn tape_kernel_grades_are_bit_identical_to_scalar_at_every_thread_count() {
-    let (sys, faults) = diffeq_sfr();
     let cfg = quick_grade_cfg();
-    let (base_ref, grades_ref) = grade_faults_scalar_with(&sys, &faults, &cfg, 1, &NullProgress);
-    for kernel in [SimKernel::Tape, SimKernel::TapeWide] {
+    for bench in ["diffeq", "facet", "poly", "fir"] {
+        let (sys, faults) = sfr_of(bench);
+        let reference = grade_faults_scalar_with(&sys, &faults, &cfg, &NullProgress);
         for threads in [1, 2, 8] {
-            let (base, grades) =
-                grade_faults_with_kernel(&sys, &faults, &cfg, threads, &NullProgress, kernel);
-            assert_eq!(
-                base.mean_uw, base_ref.mean_uw,
-                "baseline, {kernel:?}, {threads} threads"
-            );
-            assert_eq!(base.batches, base_ref.batches);
-            assert_eq!(grades.len(), grades_ref.len());
-            for (g, r) in grades.iter().zip(&grades_ref) {
-                assert_eq!(g.fault, r.fault);
-                assert_eq!(
-                    g.mean_uw, r.mean_uw,
-                    "{:?}, {kernel:?}, {threads} threads",
-                    g.fault
-                );
-                assert_eq!(g.pct_change, r.pct_change, "{:?}, {kernel:?}", g.fault);
-                assert_eq!(g.flagged, r.flagged, "{:?}, {kernel:?}", g.fault);
-            }
+            let got = tape_grades(&sys, &faults, &cfg, threads, &NullProgress);
+            assert_same_grades(&got, &reference, &format!("{bench}, {threads} threads"));
         }
     }
 }
 
+/// Every paper SFR set fits one pack, so this case repeats diffeq's SFR
+/// list past two full packs: lanes of packs 1 and 2 must grade exactly
+/// like the scalar reference too, against pack 0's baseline lane.
 #[test]
-fn table3_tape_measurement_matches_interpretive_fault_for_fault() {
-    let (sys, faults) = diffeq_sfr();
+fn lane_packed_grades_are_bit_identical_to_scalar_at_every_thread_count() {
+    let (sys, sfr) = sfr_of("diffeq");
     let cfg = quick_grade_cfg();
-    let ts = TestSet::pseudorandom(sys.pattern_width(), 200, 0xB007).expect("test set");
-    let pack = &faults[..faults.len().min(63)];
-    let want = measure_power_lanes_with_testset(&sys, pack, &ts, &cfg).expect("packed");
-    let prog = TapeProgram::<u64>::compile(&sys.netlist, pack).expect("compiles");
-    let (got, _) = measure_power_tape_watched(&sys, &prog, &ts, &cfg);
-    assert_eq!(want, got, "64-bit tape reports");
-    let wprog = TapeProgram::<W256>::compile(&sys.netlist, &faults).expect("compiles");
-    let (wgot, _) = measure_power_tape_watched(&sys, &wprog, &ts, &cfg);
-    assert_eq!(wgot.len(), faults.len() + 1);
-    assert_eq!(want[..], wgot[..want.len()], "wide tape lane prefix");
+    let faults: Vec<StuckAt> = sfr
+        .iter()
+        .cycle()
+        .take(2 * MAX_PARALLEL_FAULTS + 4)
+        .copied()
+        .collect();
+    // The scalar grade of a fault does not depend on its position, so
+    // the reference grades the distinct faults once and repeats them.
+    let (base_ref, unique) = grade_faults_scalar_with(&sys, &sfr, &cfg, &NullProgress);
+    let reference = (
+        base_ref,
+        unique.iter().cycle().take(faults.len()).copied().collect(),
+    );
+    for threads in [1, 2, 8] {
+        let counters = Counters::new();
+        let got = tape_grades(&sys, &faults, &cfg, threads, &counters);
+        assert_eq!(counters.snapshot().grade_packs, 3, "{threads} threads");
+        assert_same_grades(&got, &reference, &format!("3 packs, {threads} threads"));
+    }
 }
 
 #[test]
 fn table3_testset_measurement_matches_scalar_fault_for_fault() {
-    let (sys, faults) = diffeq_sfr();
+    let (sys, faults) = sfr_of("diffeq");
     let cfg = quick_grade_cfg();
     // A fixed-seed deterministic test set, as in Table 3's columns.
     let ts = TestSet::pseudorandom(sys.pattern_width(), 200, 0xB007).expect("test set");
-    let reports =
-        measure_power_lanes_with_testset(&sys, &faults[..faults.len().min(63)], &ts, &cfg)
-            .expect("at most 63 faults packed");
+    let pack = &faults[..faults.len().min(MAX_PARALLEL_FAULTS)];
+    let prog = TapeProgram::<u64>::compile(&sys.netlist, pack).expect("one pack");
+    let (reports, stalls) = measure_power_tape_watched(&sys, &prog, &ts, &cfg);
+    assert_eq!(stalls, 0, "the watchdog is disarmed by default");
     let baseline = measure_power_with_testset(&sys, None, &ts, &cfg);
-    assert_eq!(
-        reports[0].total_uw, baseline.total_uw,
-        "lane 0 is fault-free"
-    );
-    assert_eq!(reports[0].cycles, baseline.cycles);
-    for (lane, &f) in faults.iter().take(63).enumerate() {
+    assert_eq!(reports[0], baseline, "lane 0 is fault-free");
+    for (lane, &f) in pack.iter().enumerate() {
         let scalar = measure_power_with_testset(&sys, Some(f), &ts, &cfg);
         let lane_rep = &reports[lane + 1];
-        assert_eq!(lane_rep.total_uw, scalar.total_uw, "{f:?}");
-        assert_eq!(lane_rep.switching_uw, scalar.switching_uw, "{f:?}");
-        assert_eq!(lane_rep.clock_uw, scalar.clock_uw, "{f:?}");
+        assert_eq!(*lane_rep, scalar, "{f:?}");
         assert_eq!(
             lane_rep.percent_change_from(&reports[0]),
             scalar.percent_change_from(&baseline),

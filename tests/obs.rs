@@ -179,6 +179,18 @@ fn manifest_profile_reports_pack_timings_and_tape_shape() {
     assert!(num("tape_force_ops") > 0.0, "fault-injection ops recorded");
 }
 
+/// A study built without `.engine` runs on the compiled tape, and its
+/// manifest says so.
+#[test]
+fn default_engine_is_the_tape() {
+    let path = scratch("manifest-default-engine.json");
+    let v = manifest_of(&path, None);
+    assert_eq!(fingerprint_field(&v, "engine"), "tape");
+    let profile = v.get("profile").expect("profile section present");
+    let tape_ops = profile.get("tape_ops").unwrap().as_num().unwrap();
+    assert!(tape_ops > 0.0, "default grading compiled a tape");
+}
+
 #[test]
 fn manifest_refuses_overwrite_without_force() {
     let path = scratch("manifest-protected.json");

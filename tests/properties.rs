@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use sfr_power::{
-    benchmarks, golden_trace, logic_to_u64, run_parallel, run_serial, CycleSim, Logic, RunConfig,
-    System, SystemConfig, TestSet,
+    benchmarks, golden_trace, logic_to_u64, run_serial, run_tape_counted, CycleSim, Logic,
+    RunConfig, System, SystemConfig, TestSet,
 };
 use std::sync::OnceLock;
 
@@ -26,9 +26,9 @@ fn poly_system() -> &'static System {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The serial and bit-parallel fault-simulation engines agree on
-    /// every fault's verdict, for arbitrary TPGR seeds and session
-    /// lengths.
+    /// The serial scalar reference and the bit-parallel tape campaign
+    /// agree on every fault's verdict, for arbitrary TPGR seeds and
+    /// session lengths.
     #[test]
     fn serial_and_parallel_fault_sim_agree(seed in 1u32..u32::from(u16::MAX), len in 30usize..120) {
         let sys = facet_system();
@@ -36,7 +36,8 @@ proptest! {
         let golden = golden_trace(sys, &ts, &RunConfig::default());
         let faults = sys.controller_faults();
         let a = run_serial(sys, &golden, &faults);
-        let b = run_parallel(sys, &golden, &faults);
+        let (b, _) = run_tape_counted(sys, &golden, &faults);
+        prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.fault, y.fault);
             prop_assert_eq!(x.detection, y.detection);

@@ -4,11 +4,11 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_power::exec::{Counters, Engine, NullProgress};
+use sfr_power::exec::{Counters, Engine, NullProgress, SimKernel};
 use sfr_power::{
-    benchmarks, classify_system, classify_system_journaled, grade_faults_journaled, run_serial,
-    CampaignJournal, CampaignOutcome, ClassifyConfig, GoldenTrace, GradeConfig, GradeIncident,
-    Logic, MonteCarloConfig, StuckAt, System, SystemConfig, TestSet,
+    benchmarks, classify_system, classify_system_journaled, grade_faults_journaled_with_kernel,
+    run_serial, CampaignJournal, CampaignOutcome, ClassifyConfig, GoldenTrace, GradeConfig,
+    GradeIncident, Logic, MonteCarloConfig, StuckAt, System, SystemConfig, TestSet,
 };
 use std::path::PathBuf;
 
@@ -176,7 +176,15 @@ fn livelock_fault_exhausts_its_budget_and_is_reported() {
     let mut cfg = quick_grade();
     cfg.run.cycle_budget = 3 * sys.nominal_run_cycles(cfg.run.hold_cycles);
     let counters = Counters::new();
-    let report = grade_faults_journaled(&sys, &[victim], &cfg, 1, &counters, None);
+    let report = grade_faults_journaled_with_kernel(
+        &sys,
+        &[victim],
+        &cfg,
+        1,
+        &counters,
+        None,
+        SimKernel::Tape,
+    );
 
     assert_eq!(report.grades.len(), 1, "the runaway fault is still graded");
     assert!(
@@ -194,7 +202,15 @@ fn livelock_fault_exhausts_its_budget_and_is_reported() {
 
     // With the watchdog disarmed (the default), the same fault grades
     // silently — no incident, no counter.
-    let report = grade_faults_journaled(&sys, &[victim], &quick_grade(), 1, &NullProgress, None);
+    let report = grade_faults_journaled_with_kernel(
+        &sys,
+        &[victim],
+        &quick_grade(),
+        1,
+        &NullProgress,
+        None,
+        SimKernel::Tape,
+    );
     assert!(
         report.incidents.is_empty(),
         "budget 0 disables the watchdog"
