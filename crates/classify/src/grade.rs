@@ -18,8 +18,8 @@
 //! percentages, and flags at any thread count.
 
 use sfr_exec::{
-    par_map_indexed_caught, LaneGrade, Phase, PhaseTimer, Progress, ProgressEvent, TraceRecord,
-    WorkKind,
+    ordered_waves, par_map_indexed_caught, LaneGrade, Phase, PhaseTimer, Progress, ProgressEvent,
+    TraceRecord, WorkKind,
 };
 use sfr_faultsim::{RunConfig, SimKernel, System};
 use sfr_journal::{decode_str, encode_str, CampaignJournal, RecordKind};
@@ -188,7 +188,7 @@ pub fn measure_power_tape_watched(
 
 /// [`measure_power_tape_watched`] over a caller-owned [`TapeSim`], so
 /// consecutive Monte Carlo batches reuse one sim's buffers (slot
-/// arrays, deviation scratch, activity counter matrix) instead of
+/// arrays, deviation scratch, activity counter rows) instead of
 /// reallocating them per batch. Activity counters restart from zero on
 /// every call; reports are identical to the fresh-sim form.
 fn measure_power_tape_watched_with(
@@ -380,8 +380,9 @@ fn decode_pack(words: &[u64], lanes: usize) -> Option<PackOutcome> {
 
 /// Tape-kernel shape counters the always-on self-profiler captures per
 /// computed pack: program size, levelized depth, baked-in force ops,
-/// and the delta sweep's dirty-column count from the final batch. Pure
-/// diagnostics — never journaled, never fingerprinted.
+/// and the delta sweep's dirty-column count from the last batch the
+/// stopping rule consumed. Pure diagnostics — never journaled, never
+/// fingerprinted.
 #[derive(Debug, Default, Clone, Copy)]
 struct PackProf {
     ops: usize,
@@ -424,37 +425,55 @@ pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &
 /// simulated cycle count, and the self-profiler's tape shape counters.
 /// The first three are a pure function of `(sys, pack, cfg)` — every
 /// caller (local grading, a remote shard worker) produces bit-identical
-/// words for the same pack; the profile is diagnostic only and never
-/// enters a payload or journal.
+/// words for the same pack, on any number of workers; the profile is
+/// diagnostic only and never enters a payload or journal.
 ///
-/// The pack's [`TapeProgram`] is compiled once and one [`TapeSim`] is
-/// reused by every batch, so compile and allocation costs are paid once
-/// per pack.
+/// The pack's [`TapeProgram`] is compiled once and shared. Its batches
+/// run on `workers` threads through [`ordered_waves`]: each worker
+/// reuses one [`TapeSim`] for every batch it computes, and the stopping
+/// rule ([`run_monte_carlo_lanes`]) consumes batches in index order.
+/// Batch `i` depends only on `i`, so which worker ran it does not
+/// matter. Stall mask, cycles and the profile's dirty-column count
+/// come from consumed batches only; the at most `workers − 1` batches
+/// computed past the last lane's stop are dropped unread.
 fn run_pack(
     sys: &System,
     pack: &[StuckAt],
     cfg: &GradeConfig,
+    workers: usize,
 ) -> (Vec<MonteCarloResult>, u64, u64, PackProf) {
     let prog =
         TapeProgram::<u64>::compile(&sys.netlist, pack).expect("packs never exceed the lane limit");
-    let mut sim = TapeSim::new(&prog);
     let mut stalls = 0u64;
     let mut cycles = 0u64;
-    let results = run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
-        let ts = batch_testset(sys, cfg, batch);
-        let (reports, batch_stalls) = measure_power_tape_watched_with(sys, &mut sim, &ts, cfg);
-        stalls |= batch_stalls;
-        // All lanes share one schedule; lane 0's cycle count is the
-        // pack's per-batch simulation cost.
-        cycles += reports[0].cycles;
-        reports
-    });
+    let mut dirty_nets = 0usize;
+    let results = ordered_waves(
+        workers,
+        || TapeSim::new(&prog),
+        |sim, batch| {
+            let ts = batch_testset(sys, cfg, batch);
+            let (reports, batch_stalls) = measure_power_tape_watched_with(sys, sim, &ts, cfg);
+            let dirty = sim.activity().map_or(0, |a| a.dirty_net_columns());
+            (reports, batch_stalls, dirty)
+        },
+        |next| {
+            run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
+                let (reports, batch_stalls, dirty) = next(batch);
+                stalls |= batch_stalls;
+                // All lanes share one schedule; lane 0's cycle count is
+                // the pack's per-batch simulation cost.
+                cycles += reports[0].cycles;
+                dirty_nets = dirty;
+                reports
+            })
+        },
+    );
     let prof = PackProf {
         ops: prog.len(),
         levels: prog.level_count(),
         force_ops: prog.force_op_count(),
         lanes: prog.lanes(),
-        dirty_nets: sim.activity().map_or(0, |a| a.dirty_net_columns()),
+        dirty_nets,
         nets: prog.net_count(),
     };
     (results, stalls, cycles, prof)
@@ -475,7 +494,7 @@ pub fn compute_pack_payload(
     kernel: SimKernel,
 ) -> Vec<u64> {
     let slice = grade_pack_slice(faults, pack, kernel);
-    let outcome = par_map_indexed_caught(1, 1, |_| run_pack(sys, slice, cfg))
+    let outcome = par_map_indexed_caught(1, 1, |_| run_pack(sys, slice, cfg, 1))
         .into_iter()
         .next()
         .expect("one task was submitted");
@@ -503,9 +522,11 @@ pub fn validate_pack_payload(
 
 /// The grading entry point: lane-packed Monte Carlo grading on the
 /// compiled tape, sharded across `threads` workers, with checkpoint
-/// journaling, panic quarantine, and watchdog reporting. Returns the
-/// baseline, one [`PowerGrade`] per fault in input order, and the
-/// incident list. Reports one [`ProgressEvent::MonteCarlo`] per
+/// journaling, panic quarantine, and watchdog reporting. Packs run in
+/// parallel; when there are fewer packs than threads, each pack's
+/// Monte Carlo batches are also spread over `threads / packs` workers
+/// (see [`ordered_waves`]). Returns the baseline, one [`PowerGrade`]
+/// per fault in input order, and the incident list. Reports one [`ProgressEvent::MonteCarlo`] per
 /// estimation (faults + baseline), one [`ProgressEvent::GradePack`] per
 /// computed pack, and one [`ProgressEvent::FaultGraded`] per fault.
 ///
@@ -568,6 +589,10 @@ pub fn grade_faults_journaled_with_kernel(
         phase: Phase::Grade,
         items: packs.len(),
     });
+    // Threads the packs leave over go to each pack's Monte Carlo
+    // batches: with fewer packs than threads, every pack gets
+    // `threads / packs` batch workers.
+    let workers = (threads / packs.len()).max(1);
     // Self-profiler side table, indexed by pack. Kept out of
     // `PackOutcome` so the journal payload format (and every
     // decode/restore path) stays untouched by profiling.
@@ -588,7 +613,7 @@ pub fn grade_faults_journaled_with_kernel(
         // Cycle and wall-time accounting stays worker-local and is
         // flushed once per pack — the hot lane loop never observes it.
         let started = std::time::Instant::now();
-        let (results, stalls, cycles, prof) = run_pack(sys, pack, cfg);
+        let (results, stalls, cycles, prof) = run_pack(sys, pack, cfg, workers);
         if let Ok(mut table) = profiles.lock() {
             table[p] = prof;
         }
@@ -721,7 +746,7 @@ pub fn grade_faults_journaled_with_kernel(
     let baseline = match &outcomes[0] {
         PackOutcome::Computed { results, .. } => results[0],
         PackOutcome::Quarantined { message, .. } => {
-            let rescue = par_map_indexed_caught(1, 1, |_| run_pack(sys, &[], cfg).0[0]);
+            let rescue = par_map_indexed_caught(1, 1, |_| run_pack(sys, &[], cfg, 1).0[0]);
             match rescue.into_iter().next() {
                 Some(Ok(mc)) => {
                     progress.event(ProgressEvent::MonteCarlo {

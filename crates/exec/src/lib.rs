@@ -15,6 +15,12 @@
 //!   cycle 2 next to faults that survive a whole session — keep every
 //!   core busy. Results land at their item's index, so the output is
 //!   independent of which worker computed what.
+//! * [`ordered_waves`] — speculative read-ahead for a *sequential*
+//!   consumer: items `0, 1, 2, …` are computed in waves on a pool of
+//!   workers that each own their scratch state, and handed to the
+//!   consumer strictly in index order. Monte Carlo grading uses it to
+//!   spread one pack's batches across threads while its stopping rule
+//!   stays serial.
 //! * [`Progress`] — a campaign observer: phase wall times, per-fault
 //!   simulation/drop events, Monte Carlo convergence. The CLI and the
 //!   table/figure binaries subscribe to it; library callers pass
@@ -173,6 +179,112 @@ where
         unreachable!("loop returns on every attempt")
     };
     par_map_indexed(threads, n, caught)
+}
+
+/// Feeds a sequential consumer items computed ahead on `workers`
+/// threads, and returns what the consumer returns.
+///
+/// `consume` receives a `next` function and must call it with the
+/// indices `0, 1, 2, …` in order; it may stop at any point. `next(i)`
+/// returns `item(state, i)`, where `state` is scratch owned by whichever
+/// worker computed item `i` and reused for every later item it
+/// computes. All states are built by `state()` on the calling thread —
+/// the helpers' up front, before they start — so a helper thread holds
+/// no long-lived allocation of its own. Items must be pure functions of
+/// their index: the consumer then sees exactly what a serial loop over
+/// one state would produce.
+///
+/// Work proceeds in waves of `workers` items. When the consumer asks for
+/// the first item of a wave, the calling thread computes it and the
+/// `workers − 1` helpers compute the next `workers − 1` items at the
+/// same time; the consumer's later requests in that wave are served
+/// from their results. Read-ahead is therefore bounded: a consumer
+/// that stops after taking `k` items has caused at most
+/// `k + workers − 1` items to be computed, and the surplus is
+/// discarded unread. The helpers live for the whole call, one scoped
+/// thread each, and exit when the consumer returns.
+///
+/// A panic inside an item is caught on the helper and re-raised on the
+/// calling thread, with its original payload, when the consumer asks
+/// for that item; a speculative item the consumer never asks for cannot
+/// panic the caller. Helpers never block once the consumer has
+/// returned or unwound, so a panic reaches the caller's own
+/// `catch_unwind` (see [`par_map_indexed_caught`]) without a hang.
+///
+/// With one worker (`0` counts as one) there are no helpers: every wave
+/// is a single item, computed on the calling thread over one state.
+///
+/// # Panics
+///
+/// Panics if `consume` asks for items out of order.
+pub fn ordered_waves<S, R, T>(
+    workers: usize,
+    state: impl Fn() -> S + Sync,
+    item: impl Fn(&mut S, usize) -> R + Sync,
+    consume: impl FnOnce(&mut dyn FnMut(usize) -> R) -> T,
+) -> T
+where
+    S: Send,
+    R: Send,
+{
+    let workers = workers.max(1);
+    let mut expected = 0usize;
+    let mut own: Option<S> = None;
+    let (state, item) = (&state, &item);
+    std::thread::scope(|scope| {
+        let (done_tx, done_rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
+        let jobs: Vec<mpsc::Sender<usize>> = (1..workers)
+            .map(|_| {
+                let (job_tx, job_rx) = mpsc::channel::<usize>();
+                let done = done_tx.clone();
+                let mut own = Some(state());
+                scope.spawn(move || {
+                    while let Ok(i) = job_rx.recv() {
+                        let r = catch_unwind(AssertUnwindSafe(|| {
+                            item(own.get_or_insert_with(state), i)
+                        }));
+                        if r.is_err() {
+                            // The state may be half-updated; rebuild it
+                            // before the next item.
+                            own = None;
+                        }
+                        if done.send((i, r)).is_err() {
+                            break;
+                        }
+                    }
+                });
+                job_tx
+            })
+            .collect();
+        drop(done_tx);
+        // `ahead[j]` holds item `wave + 1 + j` once its helper delivers.
+        let mut ahead: Vec<Option<std::thread::Result<R>>> = (1..workers).map(|_| None).collect();
+        let mut wave = 0usize;
+        consume(&mut |i| {
+            assert_eq!(i, expected, "items must be consumed in index order");
+            expected += 1;
+            if i == 0 || i == wave + workers {
+                wave = i;
+                for (j, job) in jobs.iter().enumerate() {
+                    job.send(i + 1 + j)
+                        .expect("wave helpers outlive the consumer");
+                }
+                return item(own.get_or_insert_with(state), i);
+            }
+            let slot = i - wave - 1;
+            while ahead[slot].is_none() {
+                let (j, r) = done_rx
+                    .recv()
+                    .expect("wave helpers deliver every item they are sent");
+                ahead[j - wave - 1] = Some(r);
+            }
+            match ahead[slot].take() {
+                Some(Ok(r)) => r,
+                Some(Err(payload)) => std::panic::resume_unwind(payload),
+                None => unreachable!("the loop above filled the slot"),
+            }
+        })
+    })
 }
 
 /// Order-preserving parallel map over contiguous chunks of `items`:
@@ -996,6 +1108,124 @@ mod tests {
             let n = a.load(Ordering::SeqCst);
             assert_eq!(n, if i % 2 == 0 { 2 } else { 1 }, "item {i}");
         }
+    }
+
+    /// Drains `n` items through [`ordered_waves`] on `workers` workers,
+    /// returning what the consumer saw and how many items were computed.
+    fn drain_waves(workers: usize, n: usize) -> (Vec<u64>, usize) {
+        let computed = AtomicUsize::new(0);
+        let seen = ordered_waves(
+            workers,
+            || (),
+            |_, i| {
+                computed.fetch_add(1, Ordering::SeqCst);
+                // Uneven item costs, so helpers finish out of order.
+                if i % 3 == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                stream_seed(7, i as u64)
+            },
+            |next| (0..n).map(next).collect::<Vec<_>>(),
+        );
+        (seen, computed.into_inner())
+    }
+
+    #[test]
+    fn ordered_waves_delivers_in_index_order_like_a_serial_run() {
+        let serial: Vec<u64> = (0..23).map(|i| stream_seed(7, i)).collect();
+        for workers in [1, 2, 3, 8] {
+            let (seen, computed) = drain_waves(workers, 23);
+            assert_eq!(seen, serial, "workers = {workers}");
+            assert!(
+                computed >= 23 && computed < 23 + workers,
+                "workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_waves_reads_at_most_workers_minus_one_items_ahead() {
+        for workers in [1, 2, 3, 5] {
+            for k in 1..12 {
+                let (seen, computed) = drain_waves(workers, k);
+                assert_eq!(seen.len(), k);
+                assert!(
+                    computed < k + workers,
+                    "stopping after {k} items on {workers} workers computed {computed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_waves_reraises_a_helper_panic_without_hanging() {
+        for workers in [2, 3, 8] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                ordered_waves(
+                    workers,
+                    || (),
+                    |_, i| {
+                        if i == 1 {
+                            panic!("item {i} misbehaved");
+                        }
+                        i
+                    },
+                    |next| (0..10).map(next).sum::<usize>(),
+                )
+            }));
+            let payload = caught.expect_err("item 1 panics on a helper");
+            assert_eq!(panic_message(payload.as_ref()), "item 1 misbehaved");
+        }
+        // A panicking item past the point where the consumer stops is
+        // never observed, even when its result arrives first.
+        for workers in [3, 8] {
+            let quiet = ordered_waves(
+                workers,
+                || (),
+                |_, i| {
+                    match i {
+                        1 => std::thread::sleep(Duration::from_millis(20)),
+                        2 => panic!("speculative item {i}"),
+                        _ => {}
+                    }
+                    i
+                },
+                |next| next(0) + next(1),
+            );
+            assert_eq!(quiet, 1, "workers = {workers}");
+        }
+        // The same message arrives through the quarantine path.
+        let out = par_map_indexed_caught(1, 1, |_| {
+            ordered_waves(
+                3,
+                || (),
+                |_, i| {
+                    if i == 4 {
+                        panic!("batch {i} exploded");
+                    }
+                    i
+                },
+                |next| (0..6).map(next).sum::<usize>(),
+            )
+        });
+        assert_eq!(out[0].as_ref().unwrap_err().message, "batch 4 exploded");
+    }
+
+    #[test]
+    fn ordered_waves_with_one_worker_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let states = AtomicUsize::new(0);
+        let total = ordered_waves(
+            1,
+            || states.fetch_add(1, Ordering::SeqCst),
+            |_, i| {
+                assert_eq!(std::thread::current().id(), caller, "item {i}");
+                i
+            },
+            |next| (0..9).map(next).sum::<usize>(),
+        );
+        assert_eq!(total, 36);
+        assert_eq!(states.into_inner(), 1, "one state serves every item");
     }
 
     #[test]

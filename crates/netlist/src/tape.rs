@@ -387,7 +387,9 @@ enum TapeOp {
 #[derive(Debug, Clone, Copy)]
 enum SeqOp {
     /// Plain flip-flop: `state = slots[d]`, clock event in every lane.
-    Dff { state: u32, d: u32, gate: u32 },
+    /// `col` is the gate's clock-counter column (its position among the
+    /// sequential gates).
+    Dff { state: u32, d: u32, col: u32 },
     /// Clock-gated flip-flop: load where the enable is definitely 1,
     /// hold where definitely 0, degrade to `X` where the enable is
     /// unknown and the data disagrees with the held state.
@@ -395,7 +397,7 @@ enum SeqOp {
         state: u32,
         d: u32,
         en: u32,
-        gate: u32,
+        col: u32,
     },
 }
 
@@ -421,7 +423,6 @@ pub struct TapeProgram<W> {
     vals: Vec<Logic>,
     n_slots: usize,
     n_nets: usize,
-    n_gates: usize,
     /// Primary-input slots, in netlist declaration order.
     inputs: Vec<u32>,
     /// Primary-output slots, in netlist declaration order.
@@ -584,24 +585,16 @@ impl<W: TapeWord> TapeProgram<W> {
         //    after every driver has settled, and the clock reads the
         //    forced slot.
         let mut seq = Vec::with_capacity(nl.sequential_gates().len());
-        for &g in nl.sequential_gates() {
+        for (col, &g) in nl.sequential_gates().iter().enumerate() {
             let gate = nl.gate(g);
             let state = state_slot[g.index()];
+            let col = col as u32;
             let d = forced_pin(g, 0, gate.inputs()[0], &mut ops, &mut n_slots);
             match gate.kind() {
-                crate::cell::CellKind::Dff => seq.push(SeqOp::Dff {
-                    state,
-                    d,
-                    gate: g.index() as u32,
-                }),
+                crate::cell::CellKind::Dff => seq.push(SeqOp::Dff { state, d, col }),
                 crate::cell::CellKind::Dffe => {
                     let en = forced_pin(g, 1, gate.inputs()[1], &mut ops, &mut n_slots);
-                    seq.push(SeqOp::Dffe {
-                        state,
-                        d,
-                        en,
-                        gate: g.index() as u32,
-                    });
+                    seq.push(SeqOp::Dffe { state, d, en, col });
                 }
                 _ => unreachable!("non-sequential gate in sequential list"),
             }
@@ -614,7 +607,6 @@ impl<W: TapeWord> TapeProgram<W> {
             vals,
             n_slots,
             n_nets,
-            n_gates,
             inputs: nl.inputs().iter().map(|n| n.index() as u32).collect(),
             outputs: nl.outputs().iter().map(|n| n.index() as u32).collect(),
             state_slot,
@@ -671,65 +663,116 @@ impl<W: TapeWord> TapeProgram<W> {
 /// Counters are kept as *deltas against lane 0*: a fault lane toggles
 /// exactly like the fault-free lane on almost every net in almost every
 /// cycle, so per column we store lane 0's scalar count plus a signed
-/// per-(column, lane) deviation matrix — `+1` whenever a lane switched
-/// while lane 0 did not, `−1` whenever it held still while lane 0
-/// switched. A lane's exact count is `base + delta`, integer arithmetic
-/// throughout, so extraction is bit-identical to a dense per-lane
-/// counter; the win is that the per-cycle accumulation only ever
-/// touches the (rare) individual lane bits that deviate, and columns
-/// with no deviation at all — the overwhelming majority — are tracked
-/// by one dirty flag and never rescanned.
+/// per-lane deviation row — `+1` whenever a lane switched while lane 0
+/// did not, `−1` whenever it held still while lane 0 switched. A lane's
+/// exact count is `base + delta`, integer arithmetic throughout, so
+/// extraction is bit-identical to a dense per-lane counter; the win is
+/// that the per-cycle accumulation only ever touches the (rare)
+/// individual lane bits that deviate, and columns with no deviation at
+/// all own no row and are never rescanned.
+///
+/// Two counter families share that layout (`DeltaRows`): net toggles,
+/// one column per net, and clock events, one column per *sequential*
+/// gate (combinational gates never clock, so they get no column).
 #[derive(Debug, Clone)]
 pub struct TapeActivity<W> {
     lanes: usize,
-    nets: usize,
-    gates: usize,
     /// Lane 0's toggle count per net.
     net_base: Vec<u64>,
-    /// Signed per-lane deviation from `net_base`, `nets × W::LANES`
-    /// row-major. `i32` keeps the matrix cache-resident; a deviation's
-    /// magnitude is bounded by the tracked cycle count, which
-    /// [`TapeSim::clock`] caps at `i32::MAX`.
-    net_delta: Vec<i32>,
-    /// Whether any lane of this net ever deviated from lane 0.
-    net_dirty: Vec<bool>,
-    /// Lane 0's clock-event count per gate (zero for combinational).
+    /// Per-lane toggle deviations, one column per net.
+    net_delta: DeltaRows,
+    /// Lane 0's clock-event count per sequential gate, in
+    /// [`Netlist::sequential_gates`] order.
     clock_base: Vec<u64>,
-    /// Signed per-lane deviation from `clock_base`, `gates × W::LANES`
-    /// row-major.
-    clock_delta: Vec<i32>,
-    /// Whether any lane of this gate's clock ever deviated from lane 0.
-    clock_dirty: Vec<bool>,
+    /// Per-lane clock-event deviations, one column per sequential gate.
+    clock_delta: DeltaRows,
+    /// Gate index → clock column ([`NO_ROW`] for combinational gates).
+    clock_col: Vec<u32>,
     cycles: u64,
     _word: std::marker::PhantomData<W>,
 }
 
-/// Applies one column's deviation word to its delta row: every set bit
-/// is one lane that disagreed with lane 0 this edge, bumped by `sign`
-/// (`+1` for a toggle lane 0 did not make, `−1` for one it made alone).
-/// Deviation words almost always carry a single set bit, so this is a
-/// short trailing-zeros walk, not a per-lane sweep.
-#[inline]
-fn bump_delta<W: TapeWord>(delta: &mut [i32], dirty: &mut [bool], idx: usize, w: W, sign: i32) {
-    let row = &mut delta[idx * W::LANES..(idx + 1) * W::LANES];
-    if !dirty[idx] {
-        // Rows are zeroed lazily on their first deviation after a
-        // counter reset — a reset touches the (tiny) dirty flags only,
-        // never the whole matrix.
-        dirty[idx] = true;
-        row.fill(0);
+/// Row index marking a column that has not deviated since the last
+/// reset (and, in `clock_col`, a gate with no clock column).
+const NO_ROW: u32 = u32::MAX;
+
+/// One counter family's signed per-lane deviations from lane 0, stored
+/// sparsely: a column gets a row of `stride` (= live lanes) counters on
+/// its first deviation after a reset, packed densely after the rows
+/// allocated before it. The buffer is reserved for every column up
+/// front, so it never reallocates, and a reset truncates it — the
+/// memory a simulator touches is the rows its busiest batch used, at
+/// `stride` counters each. A deviation's magnitude is bounded by the
+/// tracked cycle count, which [`TapeSim::clock`] caps at `i32::MAX`.
+#[derive(Debug, Clone)]
+struct DeltaRows {
+    /// Column → row index into `delta`, or [`NO_ROW`] while clean.
+    row: Vec<u32>,
+    /// Allocated rows, `stride` counters each, in allocation order.
+    delta: Vec<i32>,
+    stride: usize,
+}
+
+impl DeltaRows {
+    fn new(columns: usize, stride: usize) -> Self {
+        DeltaRows {
+            row: vec![NO_ROW; columns],
+            delta: Vec::with_capacity(columns * stride),
+            stride,
+        }
     }
-    for li in 0..W::LIMBS {
-        let mut bits = w.limb(li);
-        while bits != 0 {
-            let lane = li * 64 + bits.trailing_zeros() as usize;
-            row[lane] += sign;
-            bits &= bits - 1;
+
+    /// Forgets every row; clean columns read as zero deviation again.
+    fn reset(&mut self) {
+        self.row.fill(NO_ROW);
+        self.delta.clear();
+    }
+
+    /// Columns holding a row — those that deviated since the reset.
+    fn rows(&self) -> usize {
+        self.delta.len() / self.stride
+    }
+
+    /// Column `col`'s row, if it has one.
+    fn get(&self, col: usize) -> Option<&[i32]> {
+        match self.row[col] {
+            NO_ROW => None,
+            r => {
+                let at = r as usize * self.stride;
+                Some(&self.delta[at..at + self.stride])
+            }
+        }
+    }
+
+    /// Applies one column's deviation word to its row: every set bit is
+    /// one lane that disagreed with lane 0 this edge, bumped by `sign`
+    /// (`+1` for a toggle lane 0 did not make, `−1` for one it made
+    /// alone). Deviation words almost always carry a single set bit, so
+    /// this is a short trailing-zeros walk, not a per-lane sweep.
+    #[inline]
+    fn bump<W: TapeWord>(&mut self, col: usize, w: W, sign: i32) {
+        let at = match self.row[col] {
+            NO_ROW => {
+                let at = self.delta.len();
+                self.row[col] = (at / self.stride) as u32;
+                self.delta.resize(at + self.stride, 0);
+                at
+            }
+            r => r as usize * self.stride,
+        };
+        let row = &mut self.delta[at..at + self.stride];
+        for li in 0..W::LIMBS {
+            let mut bits = w.limb(li);
+            while bits != 0 {
+                let lane = li * 64 + bits.trailing_zeros() as usize;
+                row[lane] += sign;
+                bits &= bits - 1;
+            }
         }
     }
 }
 
-/// Drains the per-column deviation scratch into the delta matrix. A
+/// Drains the per-column deviation scratch into the delta rows. A
 /// scratch word's bit 0 carries the sign (set ⇔ lane 0 toggled and the
 /// flagged lanes held, so their counts fall *behind* lane 0's).
 /// Deviations are sparse (most columns agree with lane 0 on most
@@ -737,12 +780,7 @@ fn bump_delta<W: TapeWord>(delta: &mut [i32], dirty: &mut [bool], idx: usize, w:
 /// nonzero-flag per column into the `sel` bitmap while the scratch
 /// word was in a register, so the drain walks straight to the hot
 /// columns — clean scratch words are never re-read at all.
-fn drain_deviations<W: TapeWord>(
-    sel: &[u64],
-    scratch: &[W],
-    delta: &mut [i32],
-    dirty: &mut [bool],
-) {
+fn drain_deviations<W: TapeWord>(sel: &[u64], scratch: &[W], delta: &mut DeltaRows) {
     for (word, &bits) in sel.iter().enumerate() {
         let mut bits = bits;
         while bits != 0 {
@@ -750,7 +788,7 @@ fn drain_deviations<W: TapeWord>(
             bits &= bits - 1;
             let w = scratch[idx];
             let sign = 1 - 2 * (w.limb(0) & 1) as i32;
-            bump_delta(delta, dirty, idx, w.andnot(W::mask(0)), sign);
+            delta.bump(idx, w.andnot(W::mask(0)), sign);
         }
     }
 }
@@ -782,59 +820,53 @@ impl LaneCounts<'_> {
     }
 }
 
-/// Streams exact per-lane counts for one counter family (`base` plus
-/// the signed deviation matrix), column by column. Columns where no
-/// lane ever deviated from lane 0 — the overwhelming majority — are
-/// streamed as [`LaneCounts::Uniform`] without touching the scratch
+/// One column's per-lane counts: [`LaneCounts::Uniform`] when the
+/// column owns no deviation row, streamed without touching `counts`,
+/// else `base + delta` per lane, written into the `counts` scratch
 /// buffer.
-fn for_each_count<W: TapeWord>(
-    base: &[u64],
-    delta: &[i32],
-    dirty: &[bool],
-    lanes: usize,
-    mut f: impl FnMut(usize, LaneCounts<'_>),
-) {
-    let mut counts = vec![0u64; lanes];
-    for (i, &b) in base.iter().enumerate() {
-        if !dirty[i] {
-            f(i, LaneCounts::Uniform(b));
-            continue;
-        }
-        let row = &delta[i * W::LANES..i * W::LANES + lanes];
-        for (c, &d) in counts.iter_mut().zip(row) {
-            // A lane's count never undershoots zero: `neg` events only
-            // occur on edges lane 0 actually toggled.
-            *c = b.wrapping_add_signed(i64::from(d));
-        }
-        f(i, LaneCounts::PerLane(&counts));
+fn column_counts<'a>(base: u64, row: Option<&[i32]>, counts: &'a mut [u64]) -> LaneCounts<'a> {
+    let Some(row) = row else {
+        return LaneCounts::Uniform(base);
+    };
+    // A lane's count never undershoots zero: `neg` events only occur on
+    // edges lane 0 actually toggled.
+    for (c, &d) in counts.iter_mut().zip(row) {
+        *c = base.wrapping_add_signed(i64::from(d));
     }
+    LaneCounts::PerLane(counts)
 }
 
 impl<W: TapeWord> TapeActivity<W> {
-    fn new(lanes: usize, nets: usize, gates: usize) -> Self {
+    fn new(prog: &TapeProgram<W>) -> Self {
+        let lanes = prog.lanes();
+        let n_seq = prog.seq.len();
         TapeActivity {
             lanes,
-            nets,
-            gates,
-            net_base: vec![0; nets],
-            net_delta: vec![0; nets * W::LANES],
-            net_dirty: vec![false; nets],
-            clock_base: vec![0; gates],
-            clock_delta: vec![0; gates * W::LANES],
-            clock_dirty: vec![false; gates],
+            net_base: vec![0; prog.n_nets],
+            net_delta: DeltaRows::new(prog.n_nets, lanes),
+            clock_base: vec![0; n_seq],
+            clock_delta: DeltaRows::new(n_seq, lanes),
+            clock_col: prog
+                .state_slot
+                .iter()
+                .map(|&slot| match slot {
+                    NO_ROW => NO_ROW,
+                    // State slots follow the net slots in
+                    // sequential-gate order, like the clock columns.
+                    slot => slot - prog.n_nets as u32,
+                })
+                .collect(),
             cycles: 0,
             _word: std::marker::PhantomData,
         }
     }
 
-    /// Restarts every counter from zero in place. Delta rows are *not*
-    /// wiped here — clearing the dirty flags invalidates them, and
-    /// [`bump_delta`] re-zeroes a row the first time it deviates again.
+    /// Restarts every counter from zero in place, keeping the buffers.
     fn reset(&mut self) {
         self.net_base.fill(0);
-        self.net_dirty.fill(false);
+        self.net_delta.reset();
         self.clock_base.fill(0);
-        self.clock_dirty.fill(false);
+        self.clock_delta.reset();
         self.cycles = 0;
     }
 
@@ -853,12 +885,12 @@ impl<W: TapeWord> TapeActivity<W> {
     /// `dirty_net_columns() / net_columns()` is the density the sparse
     /// representation exploits (diagnostic).
     pub fn dirty_net_columns(&self) -> usize {
-        self.net_dirty.iter().filter(|&&d| d).count()
+        self.net_delta.rows()
     }
 
     /// Total net columns tracked (the sparsity denominator).
     pub fn net_columns(&self) -> usize {
-        self.nets
+        self.net_base.len()
     }
 
     /// Extracts one lane's counters as a scalar [`Activity`] record —
@@ -868,21 +900,27 @@ impl<W: TapeWord> TapeActivity<W> {
         if lane >= self.lanes {
             return None;
         }
-        let read = |base: &[u64], delta: &[i32], dirty: &[bool], i: usize| {
-            // Non-dirty rows may hold stale deltas from before the last
-            // reset — the dirty flag, not the row, is authoritative.
-            if dirty[i] {
-                base[i].wrapping_add_signed(i64::from(delta[i * W::LANES + lane]))
-            } else {
-                base[i]
-            }
+        let read = |base: u64, row: Option<&[i32]>| match row {
+            Some(row) => base.wrapping_add_signed(i64::from(row[lane])),
+            None => base,
         };
         Some(Activity {
-            net_toggles: (0..self.nets)
-                .map(|i| read(&self.net_base, &self.net_delta, &self.net_dirty, i))
+            net_toggles: self
+                .net_base
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| read(b, self.net_delta.get(i)))
                 .collect(),
-            clock_events: (0..self.gates)
-                .map(|i| read(&self.clock_base, &self.clock_delta, &self.clock_dirty, i))
+            clock_events: self
+                .clock_col
+                .iter()
+                .map(|&col| match col {
+                    NO_ROW => 0,
+                    col => read(
+                        self.clock_base[col as usize],
+                        self.clock_delta.get(col as usize),
+                    ),
+                })
                 .collect(),
             cycles: self.cycles,
         })
@@ -891,30 +929,34 @@ impl<W: TapeWord> TapeActivity<W> {
     /// Streams the exact per-lane toggle counts of every net, in net-id
     /// order: `f(net_index, counts)` with `counts.get(lane)` the same
     /// value [`try_lane`](Self::try_lane) would report. One pass over
-    /// the delta matrix — the fast path for whole-pack consumers
+    /// the delta rows — the fast path for whole-pack consumers
     /// (per-lane power) that would otherwise extract `lanes` full
     /// [`Activity`] records.
-    pub fn for_each_net_count(&self, f: impl FnMut(usize, LaneCounts<'_>)) {
-        for_each_count::<W>(
-            &self.net_base,
-            &self.net_delta,
-            &self.net_dirty,
-            self.lanes,
-            f,
-        );
+    pub fn for_each_net_count(&self, mut f: impl FnMut(usize, LaneCounts<'_>)) {
+        let mut counts = vec![0u64; self.lanes];
+        for (i, &base) in self.net_base.iter().enumerate() {
+            f(i, column_counts(base, self.net_delta.get(i), &mut counts));
+        }
     }
 
     /// Streams the exact per-lane clock-event counts of every gate, in
     /// gate-index order (combinational gates report zero for all
     /// lanes). See [`for_each_net_count`](Self::for_each_net_count).
-    pub fn for_each_clock_count(&self, f: impl FnMut(usize, LaneCounts<'_>)) {
-        for_each_count::<W>(
-            &self.clock_base,
-            &self.clock_delta,
-            &self.clock_dirty,
-            self.lanes,
-            f,
-        );
+    pub fn for_each_clock_count(&self, mut f: impl FnMut(usize, LaneCounts<'_>)) {
+        let mut counts = vec![0u64; self.lanes];
+        for (g, &col) in self.clock_col.iter().enumerate() {
+            match col {
+                NO_ROW => f(g, LaneCounts::Uniform(0)),
+                col => {
+                    let col = col as usize;
+                    let base = self.clock_base[col];
+                    f(
+                        g,
+                        column_counts(base, self.clock_delta.get(col), &mut counts),
+                    );
+                }
+            }
+        }
     }
 
     /// Extracts one lane's counters as a scalar [`Activity`] record.
@@ -957,7 +999,7 @@ pub struct TapeSim<'p, W: TapeWord> {
     /// Per-net scratch holding each net's deviation word for the edge:
     /// lanes that disagreed with lane 0 about toggling, with the sign
     /// packed into (otherwise always-clear) bit 0. Filled branch-free
-    /// each edge, drained sparsely into the delta matrix.
+    /// each edge, drained sparsely into the delta rows.
     dev_scratch: Vec<W>,
     /// One bit per net, set when that net's `dev_scratch` word is
     /// nonzero, maintained by the toggle sweep so the drain walks
@@ -1008,13 +1050,7 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
     pub fn track_activity(&mut self, on: bool) {
         match (on, self.activity.as_mut()) {
             (true, Some(a)) => a.reset(),
-            (true, None) => {
-                self.activity = Some(TapeActivity::new(
-                    self.lanes(),
-                    self.prog.n_nets,
-                    self.prog.n_gates,
-                ));
-            }
+            (true, None) => self.activity = Some(TapeActivity::new(self.prog)),
             (false, _) => self.activity = None,
         }
         self.have_prev = false;
@@ -1219,7 +1255,7 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
                 // word is still in a register, so pass B walks straight
                 // to the deviating columns and never touches a clean
                 // one.
-                let nets = a.nets;
+                let nets = self.prog.n_nets;
                 let bit0 = W::mask(0);
                 let slots = &self.slots[..nets];
                 let prev_lo = &mut self.prev_lo[..nets];
@@ -1266,15 +1302,10 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
                     }
                     sel[start >> 6] |= mask << (start & 63);
                 }
-                // Pass B drains the scratch into the delta matrix,
+                // Pass B drains the scratch into the delta rows,
                 // walking the selection bitmap straight to the
                 // deviating columns.
-                drain_deviations(
-                    &self.dev_sel,
-                    &self.dev_scratch,
-                    &mut a.net_delta,
-                    &mut a.net_dirty,
-                );
+                drain_deviations(&self.dev_sel, &self.dev_scratch, &mut a.net_delta);
             } else {
                 for ((plo, phi), cur) in self
                     .prev_lo
@@ -1287,9 +1318,9 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
                 }
             }
             self.have_prev = true;
-            // The i32 delta matrix holds any deviation up to the
-            // tracked cycle count; refuse to run past its range rather
-            // than silently wrap.
+            // The i32 delta rows hold any deviation up to the tracked
+            // cycle count; refuse to run past their range rather than
+            // silently wrap.
             assert!(
                 a.cycles < i32::MAX as u64,
                 "activity tracking is limited to i32::MAX cycles per reset"
@@ -1298,15 +1329,15 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
         }
         for op in &self.prog.seq {
             match *op {
-                SeqOp::Dff { state, d, gate } => {
+                SeqOp::Dff { state, d, col } => {
                     self.slots[state as usize] = self.slots[d as usize];
                     if let Some(a) = act.as_mut() {
                         // Every live lane clocks — no delta against
                         // lane 0, just the scalar base count.
-                        a.clock_base[gate as usize] += 1;
+                        a.clock_base[col as usize] += 1;
                     }
                 }
-                SeqOp::Dffe { state, d, en, gate } => {
+                SeqOp::Dffe { state, d, en, col } => {
                     let d = self.slots[d as usize];
                     let en = self.slots[en as usize];
                     let cur = self.slots[state as usize];
@@ -1319,16 +1350,16 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
                     };
                     if let Some(a) = act.as_mut() {
                         let enabled = en.hi.and(live);
-                        let g = gate as usize;
+                        let col = col as usize;
                         let e0 = enabled.lane0_splat();
-                        a.clock_base[g] += u64::from(enabled.bit(0));
+                        a.clock_base[col] += u64::from(enabled.bit(0));
                         let pos = enabled.andnot(e0);
                         let neg = live.and(e0).andnot(enabled);
                         if !pos.is_zero() {
-                            bump_delta(&mut a.clock_delta, &mut a.clock_dirty, g, pos, 1);
+                            a.clock_delta.bump(col, pos, 1);
                         }
                         if !neg.is_zero() {
-                            bump_delta(&mut a.clock_delta, &mut a.clock_dirty, g, neg, -1);
+                            a.clock_delta.bump(col, neg, -1);
                         }
                     }
                 }
@@ -1495,6 +1526,118 @@ mod tests {
             assert_eq!(&got.net_toggles, &want.net_toggles, "lane {lane}");
             assert_eq!(&got.clock_events, &want.clock_events, "lane {lane}");
         }
+    }
+
+    /// Restarts `tape`'s counters, runs `stim` from reset on it and on
+    /// one fresh scalar simulator per lane, and checks every lane's net
+    /// toggles and clock events through both the per-lane and the
+    /// streaming readers. Returns how many lanes clocked some gate a
+    /// different number of times than lane 0.
+    fn check_tracked_segment(
+        nl: &Netlist,
+        faults: &[StuckAt],
+        tape: &mut TapeSim<'_, u64>,
+        stim: &[[Logic; 2]],
+    ) -> usize {
+        tape.track_activity(true);
+        tape.reset_state(Zero);
+        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(nl))
+            .chain(faults.iter().map(|&f| CycleSim::with_fault(nl, f)))
+            .map(|mut s| {
+                s.track_activity(true);
+                s.reset_state(Zero);
+                s
+            })
+            .collect();
+        for inputs in stim {
+            tape.set_inputs(inputs);
+            tape.eval();
+            tape.clock();
+            for s in scalars.iter_mut() {
+                s.set_inputs(inputs);
+                s.eval();
+                s.clock();
+            }
+        }
+        let act = tape.activity().expect("tracking");
+        for (lane, s) in scalars.iter().enumerate() {
+            let got = act.lane(lane);
+            assert_eq!(got.cycles, s.activity().cycles, "lane {lane}");
+            assert_eq!(got.net_toggles, s.activity().net_toggles, "lane {lane}");
+            assert_eq!(got.clock_events, s.activity().clock_events, "lane {lane}");
+        }
+        act.for_each_net_count(|net, counts| {
+            for (lane, s) in scalars.iter().enumerate() {
+                assert_eq!(counts.get(lane), s.activity().net_toggles[net], "net {net}");
+            }
+        });
+        act.for_each_clock_count(|gate, counts| {
+            for (lane, s) in scalars.iter().enumerate() {
+                assert_eq!(
+                    counts.get(lane),
+                    s.activity().clock_events[gate],
+                    "gate {gate}"
+                );
+            }
+        });
+        let lane0 = &scalars[0].activity().clock_events;
+        scalars
+            .iter()
+            .filter(|s| &s.activity().clock_events != lane0)
+            .count()
+    }
+
+    #[test]
+    fn reused_counters_restart_exactly_between_tracked_segments() {
+        // An enabled register, a plain register and some logic around
+        // them. Faults on the enable pin make the enable differ by
+        // lane, so the clock counters deviate from lane 0.
+        let mut b = NetlistBuilder::new("two-regs");
+        let d = b.input("d");
+        let en = b.input("en");
+        let q = b.net("q");
+        let r = b.gate(CellKind::Dffe, "r", &[d, en], q);
+        let nq = b.gate_net(CellKind::Inv, "i", &[q]);
+        let p = b.net("p");
+        b.gate(CellKind::Dff, "s", &[nq], p);
+        let o = b.gate_net(CellKind::Xor2, "x", &[p, d]);
+        b.mark_output(o);
+        b.mark_output(q);
+        let nl = b.finish().expect("valid");
+        let mut faults = vec![StuckAt::input(r, 1, false), StuckAt::input(r, 1, true)];
+        faults.extend(StuckAt::enumerate(&nl));
+        faults.truncate(MAX_PARALLEL_FAULTS);
+        let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
+        let mut tape = TapeSim::new(&prog);
+
+        // A busy first segment allocates many deviation rows; the
+        // shorter, quieter second one must not see any of them.
+        let busy = [
+            [One, One],
+            [Zero, One],
+            [One, Zero],
+            [X, One],
+            [Zero, X],
+            [One, One],
+            [Zero, Zero],
+            [One, X],
+        ];
+        let quiet = [[Zero, Zero], [Zero, One], [Zero, Zero]];
+        let deviating = check_tracked_segment(&nl, &faults, &mut tape, &busy);
+        assert!(
+            deviating > 0,
+            "some lane's enable must differ from lane 0's"
+        );
+        let busy_rows = tape.activity().expect("tracking").dirty_net_columns();
+        check_tracked_segment(&nl, &faults, &mut tape, &quiet);
+        let quiet_rows = tape.activity().expect("tracking").dirty_net_columns();
+        assert!(quiet_rows < busy_rows, "{quiet_rows} vs {busy_rows} rows");
+        check_tracked_segment(&nl, &faults, &mut tape, &busy);
+        assert_eq!(
+            tape.activity().expect("tracking").dirty_net_columns(),
+            busy_rows,
+            "a repeated segment allocates the same rows"
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 # Grading-throughput benchmark: times the scalar reference against the
 # lane-packed compiled tape (one thread and two) on the diffeq SFR
 # faults, measures the overhead of an attached JSONL trace sink, and
-# writes the numbers to BENCH_grade.json at the repository root.
+# writes the numbers to BENCH_grade.json at the repository root. The
+# full run fails if tracing costs 2% or more, or shard tracing 5%.
 #
 # Usage:
 #   scripts/bench.sh            # full run (all SFR faults, criterion probes)
@@ -25,11 +26,19 @@ echo "== $JSON =="
 cat "$JSON"
 
 # The observability contract: an enabled trace sink must cost under 2%
-# (events aggregate per worker and flush at pack boundaries). Single
-# runs are noisy, so the number is recorded rather than gated on.
+# (events aggregate per worker and flush at pack boundaries). The full
+# run reports the median over 400 alternating untraced/traced sweep
+# pairs, which repeats within a point from run to run, and is gated;
+# the quick smoke times three pairs, so it only records the number.
 overhead=$(sed -n 's/.*"trace_overhead_pct": \([-0-9.]*\).*/\1/p' "$JSON")
 echo
 echo "tracing overhead: ${overhead}% (target < 2%)"
+if [ "$JSON" = "BENCH_grade.json" ]; then
+    awk -v pct="$overhead" 'BEGIN { exit !(pct < 2.0) }' || {
+        echo "ERROR: tracing overhead ${overhead}% breaches the 2% budget"
+        exit 1
+    }
+fi
 
 # Shard flight-recorder contract: a coordinator + worker campaign with
 # both sides tracing must stay within 5% of the untraced wall clock.

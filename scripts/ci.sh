@@ -83,6 +83,13 @@ TAPE_DIR="$(mktemp -d)"
 # The manifest fingerprint covers only deterministic fields, so it must
 # match across engines, as must the grade table on stdout.
 manifest_fp() { sed -n 's/.*"fingerprint": "\(0x[0-9a-f]*\)".*/\1/p' "$1"; }
+# Work counters from the manifest's profile section. Every paper design
+# grades one pack, so 2 and 8 threads spread its Monte Carlo batches
+# over several workers; a batch computed ahead of the stopping rule and
+# then discarded must not reach these counts.
+manifest_work() {
+    grep -E '"(mc_batches|packs_computed|tape_sparsity_pct)"' "$1" | tr -d ' \n'
+}
 for bench in diffeq facet poly fir; do
     "$SFR" grade "$bench" --patterns 600 --engine serial \
         --manifest-out "$TAPE_DIR/$bench-serial-manifest.json" --quiet \
@@ -94,8 +101,16 @@ for bench in diffeq facet poly fir; do
         diff "$TAPE_DIR/$bench-serial.out" "$TAPE_DIR/$bench-tape-$t.out"
         [ "$(manifest_fp "$TAPE_DIR/$bench-serial-manifest.json")" = \
           "$(manifest_fp "$TAPE_DIR/$bench-tape-$t-manifest.json")" ]
+        [ "$(manifest_work "$TAPE_DIR/$bench-tape-1-manifest.json")" = \
+          "$(manifest_work "$TAPE_DIR/$bench-tape-$t-manifest.json")" ] || {
+            echo "   ERROR: $bench work counters differ on $t threads:"
+            echo "   $(manifest_work "$TAPE_DIR/$bench-tape-1-manifest.json")"
+            echo "   $(manifest_work "$TAPE_DIR/$bench-tape-$t-manifest.json")"
+            exit 1
+        }
     done
-    echo "   $bench: tape grade tables and manifest fingerprints match serial at 1/2/8 threads"
+    echo "   $bench: tape grade tables and manifest fingerprints match serial at 1/2/8 threads;"
+    echo "   $bench: mc_batches, packs_computed and tape_sparsity_pct match across thread counts"
 done
 rm -rf "$TAPE_DIR"
 

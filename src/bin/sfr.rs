@@ -26,10 +26,13 @@
 //! `<benchmark>` is one of `diffeq`, `facet`, `poly`, `fir`.
 //!
 //! `--threads N` shards fault simulation and Monte Carlo power grading
-//! across N worker threads (0 = all cores); results are byte-identical
-//! at every thread count. A campaign summary — faults simulated and
-//! dropped, Monte Carlo convergence, wall time per phase — is printed
-//! to stderr.
+//! across N worker threads (0 = all cores). Grading splits the SFR
+//! faults into 63-fault packs; when there are fewer packs than threads
+//! (every paper design grades one pack), each pack's Monte Carlo
+//! batches are spread across the spare threads too. Output is
+//! byte-identical at every thread count. A campaign summary — faults
+//! simulated and dropped, Monte Carlo convergence, wall time per phase
+//! — is printed to stderr.
 //!
 //! `--engine NAME` picks the fault-simulation engine: `tape` (the
 //! default: the compiled levelized op-tape kernel, 63 faults per pass,

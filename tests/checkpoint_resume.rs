@@ -136,40 +136,49 @@ fn sfr(args: &[&str]) -> String {
 /// whose default engine was the interpretive lane simulator. Journals
 /// are kernel-independent, so the default engine must restore every
 /// fault-simulation chunk and the grade pack from it, recompute
-/// nothing, and print exactly what a fresh run prints.
+/// nothing, and print exactly what a fresh run prints — on one thread,
+/// and on two, where a computed pack would spread its Monte Carlo
+/// batches over both.
 #[test]
 fn journal_from_an_earlier_release_resumes_without_recomputation() {
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/poly-240.journal"
     );
-    let journal = scratch("fixture.journal");
-    let manifest = scratch("fixture-manifest.json");
-    std::fs::copy(fixture, &journal).expect("fixture copies");
-    let _ = std::fs::remove_file(&manifest);
-
     let fresh = sfr(&["grade", "poly", "--patterns", "240"]);
-    let resumed = sfr(&[
-        "grade",
-        "poly",
-        "--patterns",
-        "240",
-        "--resume",
-        journal.to_str().expect("utf-8 temp path"),
-        "--manifest-out",
-        manifest.to_str().expect("utf-8 temp path"),
-    ]);
-    assert_eq!(resumed, fresh, "a resumed run prints the fresh run's table");
+    for threads in ["1", "2"] {
+        let journal = scratch(&format!("fixture-{threads}.journal"));
+        let manifest = scratch(&format!("fixture-manifest-{threads}.json"));
+        std::fs::copy(fixture, &journal).expect("fixture copies");
+        let _ = std::fs::remove_file(&manifest);
 
-    let text = std::fs::read_to_string(&manifest).expect("manifest written");
-    let v = sfr_power::obs::json::parse(&text).expect("manifest parses");
-    let profile = v.get("profile").expect("profile section");
-    let num = |key: &str| profile.get(key).unwrap().as_num().unwrap();
-    // 181 faults make three fault-simulation chunks; 38 SFR faults make
-    // one grade pack. All four come from the journal.
-    assert_eq!(num("packs_restored"), 4.0);
-    assert_eq!(num("packs_computed"), 0.0);
-    assert_eq!(num("mc_batches"), 0.0, "no Monte Carlo batch ran");
-    let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(&manifest);
+        let resumed = sfr(&[
+            "grade",
+            "poly",
+            "--patterns",
+            "240",
+            "--threads",
+            threads,
+            "--resume",
+            journal.to_str().expect("utf-8 temp path"),
+            "--manifest-out",
+            manifest.to_str().expect("utf-8 temp path"),
+        ]);
+        assert_eq!(
+            resumed, fresh,
+            "a resumed run on {threads} thread(s) prints the fresh run's table"
+        );
+
+        let text = std::fs::read_to_string(&manifest).expect("manifest written");
+        let v = sfr_power::obs::json::parse(&text).expect("manifest parses");
+        let profile = v.get("profile").expect("profile section");
+        let num = |key: &str| profile.get(key).unwrap().as_num().unwrap();
+        // 181 faults make three fault-simulation chunks; 38 SFR faults
+        // make one grade pack. All four come from the journal.
+        assert_eq!(num("packs_restored"), 4.0, "{threads} thread(s)");
+        assert_eq!(num("packs_computed"), 0.0, "{threads} thread(s)");
+        assert_eq!(num("mc_batches"), 0.0, "no Monte Carlo batch ran");
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&manifest);
+    }
 }

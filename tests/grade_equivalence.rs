@@ -3,17 +3,20 @@
 //! Monte Carlo mean, percentage change and flag must be **bit-identical**
 //! between `grade_faults_scalar_with` and
 //! `grade_faults_journaled_with_kernel`, on every benchmark, at every
-//! thread count, and across pack boundaries; and the per-test-set
-//! measurement must agree fault-for-fault with the scalar simulator.
+//! thread count — including counts that spread one pack's Monte Carlo
+//! batches over several workers — and across pack boundaries; the
+//! journaled pack payloads must not depend on the thread count; and the
+//! per-test-set measurement must agree fault-for-fault with the scalar
+//! simulator.
 
 #![allow(clippy::unwrap_used)]
 
 use sfr_power::exec::{Counters, NullProgress, Progress, SimKernel};
 use sfr_power::{
     benchmarks, classify_system, grade_faults_journaled_with_kernel, grade_faults_scalar_with,
-    measure_power_tape_watched, measure_power_with_testset, ClassifyConfig, GradeConfig,
-    MonteCarloConfig, MonteCarloResult, PowerGrade, StuckAt, System, SystemConfig, TapeProgram,
-    TestSet, MAX_PARALLEL_FAULTS,
+    measure_power_tape_watched, measure_power_with_testset, CampaignJournal, ClassifyConfig,
+    GradeConfig, MonteCarloConfig, MonteCarloResult, PowerGrade, RecordKind, StuckAt, System,
+    SystemConfig, TapeProgram, TestSet, MAX_PARALLEL_FAULTS,
 };
 
 fn quick_grade_cfg() -> GradeConfig {
@@ -84,17 +87,90 @@ fn assert_same_grades(
     }
 }
 
+/// The journaled payload words of pack 0 after grading `faults` on
+/// `threads` threads: per-lane means, half-widths, batch counts and
+/// convergence flags, plus the watchdog's stall mask.
+fn pack0_payload(sys: &System, faults: &[StuckAt], cfg: &GradeConfig, threads: usize) -> Vec<u64> {
+    let path = std::env::temp_dir().join(format!(
+        "sfr-grade-eq-{}-{threads}.journal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let journal = CampaignJournal::create(&path, 1, "grade-equivalence").expect("journal creates");
+    let report = grade_faults_journaled_with_kernel(
+        sys,
+        faults,
+        cfg,
+        threads,
+        &NullProgress,
+        Some(&journal),
+        SimKernel::Tape,
+    );
+    assert_eq!(report.grades.len(), faults.len());
+    let words = journal
+        .get(RecordKind::GradePack, 0)
+        .expect("pack 0 is journaled");
+    let _ = std::fs::remove_file(&path);
+    words
+}
+
+/// Every paper SFR set fits one pack, so every thread count past 1
+/// spreads that pack's Monte Carlo batches over `threads` workers. Waves
+/// of three do not divide the 8-batch ceiling, so a pack that runs to it
+/// computes a batch the stopping rule discards.
 #[test]
 fn tape_kernel_grades_are_bit_identical_to_scalar_at_every_thread_count() {
     let cfg = quick_grade_cfg();
+    let mut stalled_lanes = 0;
     for bench in ["diffeq", "facet", "poly", "fir"] {
         let (sys, faults) = sfr_of(bench);
         let reference = grade_faults_scalar_with(&sys, &faults, &cfg, &NullProgress);
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 3, 8] {
             let got = tape_grades(&sys, &faults, &cfg, threads, &NullProgress);
             assert_same_grades(&got, &reference, &format!("{bench}, {threads} threads"));
         }
+
+        // The journaled payload of one full pack — the SFR faults topped
+        // up with other controller faults, some of which stall the
+        // controller — under an armed watchdog. Stall masks, batch
+        // counts and means must come from consumed batches only. The
+        // second config's 16-pattern batches hold one or two runs each,
+        // so which lanes stall changes from batch to batch, and its two
+        // batches leave up to 6 of the 8 workers' batches unconsumed.
+        let mut pack = faults.clone();
+        pack.extend(
+            sys.controller_faults()
+                .into_iter()
+                .filter(|f| !faults.contains(f)),
+        );
+        pack.truncate(MAX_PARALLEL_FAULTS);
+        let short_batches = GradeConfig {
+            mc: MonteCarloConfig {
+                rel_tolerance: 0.05,
+                min_batches: 2,
+                max_batches: 2,
+            },
+            patterns_per_batch: 16,
+            ..Default::default()
+        };
+        for mut armed in [quick_grade_cfg(), short_batches] {
+            armed.run.cycle_budget = 2 * sys.nominal_run_cycles(armed.run.hold_cycles);
+            let serial = pack0_payload(&sys, &pack, &armed, 1);
+            stalled_lanes += serial[1].count_ones();
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    pack0_payload(&sys, &pack, &armed, threads),
+                    serial,
+                    "{bench}: pack payload on {threads} threads, {} patterns per batch",
+                    armed.patterns_per_batch
+                );
+            }
+        }
     }
+    assert!(
+        stalled_lanes > 0,
+        "some compared payload must carry a nonzero stall mask"
+    );
 }
 
 /// Every paper SFR set fits one pack, so this case repeats diffeq's SFR

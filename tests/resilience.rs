@@ -175,30 +175,48 @@ fn livelock_fault_exhausts_its_budget_and_is_reported() {
 
     let mut cfg = quick_grade();
     cfg.run.cycle_budget = 3 * sys.nominal_run_cycles(cfg.run.hold_cycles);
-    let counters = Counters::new();
-    let report = grade_faults_journaled_with_kernel(
-        &sys,
-        &[victim],
-        &cfg,
-        1,
-        &counters,
-        None,
-        SimKernel::Tape,
-    );
+    // One pack on 1, 2 and 8 threads: the pack's batches spread over
+    // that many workers, and the watchdog's verdict must not move.
+    let mut serial = None;
+    for threads in [1, 2, 8] {
+        let counters = Counters::new();
+        let report = grade_faults_journaled_with_kernel(
+            &sys,
+            &[victim],
+            &cfg,
+            threads,
+            &counters,
+            None,
+            SimKernel::Tape,
+        );
 
-    assert_eq!(report.grades.len(), 1, "the runaway fault is still graded");
-    assert!(
-        report
-            .incidents
-            .iter()
-            .any(|i| matches!(i, GradeIncident::BudgetExhausted { fault } if *fault == victim)),
-        "expected a BudgetExhausted incident, got {:?}",
-        report.incidents
-    );
-    assert!(
-        counters.snapshot().budget_exhausted >= 1,
-        "the watchdog hit is counted"
-    );
+        assert_eq!(report.grades.len(), 1, "the runaway fault is still graded");
+        assert!(
+            report
+                .incidents
+                .iter()
+                .any(|i| matches!(i, GradeIncident::BudgetExhausted { fault } if *fault == victim)),
+            "expected a BudgetExhausted incident, got {:?}",
+            report.incidents
+        );
+        assert!(
+            counters.snapshot().budget_exhausted >= 1,
+            "the watchdog hit is counted"
+        );
+        let grade = &report.grades[0];
+        let seen = (
+            grade.fault,
+            grade.mean_uw.to_bits(),
+            grade.pct_change.to_bits(),
+            grade.flagged,
+            report.incidents,
+            counters.snapshot().budget_exhausted,
+        );
+        match &serial {
+            None => serial = Some(seen),
+            Some(want) => assert_eq!(&seen, want, "{threads} threads"),
+        }
+    }
 
     // With the watchdog disarmed (the default), the same fault grades
     // silently — no incident, no counter.
