@@ -12,10 +12,7 @@
 //! Monte Carlo batches spread over both). A tracing probe times
 //! alternating 1-thread tape sweeps with and without a JSONL trace
 //! sink attached and reports the median paired slowdown as
-//! `trace_overhead_pct` (contract: < 2%). A final probe runs a
-//! coordinator + one-worker shard campaign untraced and with both
-//! sides writing flight-recorder traces, and reports the wall-clock
-//! delta as `shard_trace_overhead_pct` (contract: < 5%).
+//! `trace_overhead_pct` (contract: < 2%).
 //!
 //! Run with `cargo bench -p sfr-bench --bench grade_throughput`
 //! (add `-- --quick` for the CI smoke mode: fewer faults and batches,
@@ -29,10 +26,10 @@ use sfr_core::exec::{Counters, EngineKind, NullProgress, SimKernel};
 use sfr_core::{
     analyze_controller_static, benchmarks, classify_system_with,
     grade_faults_journaled_with_kernel, grade_faults_scalar_with, measure_power_tape_watched,
-    measure_power_with_testset, render_table1, static_rule_label, FaultClasses, GradeConfig,
-    MonteCarloConfig, PowerGrade, StuckAt, System, SystemConfig, TapeProgram, TestSet,
+    measure_power_with_testset, static_rule_label, FaultClasses, GradeConfig, MonteCarloConfig,
+    PowerGrade, StuckAt, System, SystemConfig, TapeProgram, TestSet,
 };
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Untraced/traced sweep pairs the tracing probe times in full mode.
 const TRACE_PAIRS: usize = 400;
@@ -104,48 +101,6 @@ fn best_of_interleaved(passes: usize, rows: &[Box<dyn Fn() -> EngineRun + '_>]) 
     best.into_iter()
         .map(|r| r.expect("every row ran at least once"))
         .collect()
-}
-
-/// Times one in-process coordinator + one-worker shard campaign over
-/// the real TCP protocol, with the given progress sinks on each side.
-/// Setup (study preparation) and teardown (journal removal) stay
-/// outside the clock; the timed region is bind → serve → merge.
-fn shard_campaign(
-    spec: &sfr_shard::ShardSpec,
-    journal: &std::path::Path,
-    coordinator: &dyn sfr_core::exec::Progress,
-    worker: &dyn sfr_core::exec::Progress,
-) -> (f64, sfr_core::Study) {
-    let _ = std::fs::remove_file(journal);
-    let prepared = spec
-        .study_builder()
-        .checkpoint(journal)
-        .build()
-        .expect("shard spec builds");
-    let (tx, rx) = std::sync::mpsc::channel();
-    let cfg = sfr_shard::ServeConfig {
-        grace: Duration::from_millis(8_000),
-        bound: Some(tx),
-        ..Default::default()
-    };
-    let start = Instant::now();
-    let result = std::thread::scope(|scope| {
-        let serve = scope.spawn(|| sfr_shard::serve(prepared, spec, &cfg, coordinator));
-        let addr = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("coordinator never bound");
-        let wcfg = sfr_shard::WorkConfig {
-            connect: addr.to_string(),
-            worker_id: 1,
-            ..Default::default()
-        };
-        sfr_shard::work(&wcfg, worker).expect("worker failed");
-        serve.join().expect("serve thread panicked")
-    });
-    let seconds = start.elapsed().as_secs_f64();
-    let (study, _stats) = result.expect("serve failed");
-    let _ = std::fs::remove_file(journal);
-    (seconds, study)
 }
 
 fn bench(c: &mut Criterion) {
@@ -246,58 +201,6 @@ fn bench(c: &mut Criterion) {
     let trace_text = std::fs::read_to_string(&trace_path).expect("trace reads back");
     sfr_core::obs::check_trace(&trace_text).expect("trace validates");
 
-    // Shard flight-recorder overhead: the same coordinator + one-worker
-    // campaign over the real TCP protocol, untraced vs with both sides
-    // writing JSONL traces. The distributed-observability contract is
-    // under 5% wall-clock overhead, and every traced pass must
-    // reconstruct into a gap-free report with results identical to the
-    // untraced run.
-    let shard_design = if quick { "facet" } else { "diffeq" };
-    let mut shard_spec = sfr_shard::ShardSpec::new(shard_design, 4).quick_monte_carlo();
-    shard_spec.patterns = 240;
-    let shard_journal = std::env::temp_dir().join("sfr_grade_throughput_shard.journal");
-    let shard_trace_dir = std::env::temp_dir().join("sfr_grade_throughput_shard_traces");
-    let _ = std::fs::remove_dir_all(&shard_trace_dir);
-    std::fs::create_dir_all(&shard_trace_dir).expect("shard trace dir");
-    let shard_passes = if quick { 2 } else { 3 };
-    let (mut shard_untraced_best, mut shard_traced_best) = (f64::INFINITY, f64::INFINITY);
-    for pass in 0..shard_passes {
-        let (plain_s, plain_study) =
-            shard_campaign(&shard_spec, &shard_journal, &NullProgress, &NullProgress);
-        shard_untraced_best = shard_untraced_best.min(plain_s);
-
-        let coord_path = shard_trace_dir.join(format!("trace-{pass}.jsonl"));
-        let worker_path = shard_trace_dir.join(format!("worker-1-{pass}.jsonl"));
-        let coord = sfr_core::obs::TraceWriter::create(&coord_path).expect("coordinator trace");
-        let work = sfr_core::obs::TraceWriter::create(&worker_path).expect("worker trace");
-        let (traced_s, traced_study) = shard_campaign(&shard_spec, &shard_journal, &coord, &work);
-        shard_traced_best = shard_traced_best.min(traced_s);
-        coord.finish().expect("coordinator trace flushes");
-        work.finish().expect("worker trace flushes");
-
-        assert_eq!(
-            render_table1(&plain_study, 5),
-            render_table1(&traced_study, 5),
-            "worker tracing perturbed the distributed grades"
-        );
-        let artifacts: Vec<sfr_core::obs::Artifact> = [&coord_path, &worker_path]
-            .iter()
-            .map(|p| sfr_core::obs::Artifact {
-                label: p.display().to_string(),
-                text: std::fs::read_to_string(p).expect("trace reads back"),
-            })
-            .collect();
-        let report = sfr_core::obs::build_report(&artifacts, None).expect("report builds");
-        assert!(
-            report.gaps.is_empty(),
-            "traced campaign left gaps: {:?}",
-            report.gaps
-        );
-        assert!(report.packs.merged >= 1, "no pack merged from the worker");
-    }
-    let shard_trace_overhead_pct = (shard_traced_best / shard_untraced_best - 1.0) * 100.0;
-    let _ = std::fs::remove_dir_all(&shard_trace_dir);
-
     // Bit-identity gate: a throughput number for wrong answers is
     // meaningless.
     for (name, grades) in [
@@ -384,7 +287,6 @@ fn bench(c: &mut Criterion) {
          \"threads\": {},\n  \"cycles_per_batch\": {},\n  \"engines\": [\n{}\n  ],\n  \
          \"speedup_tape_1t\": {:.2},\n  \"speedup_tape_mt\": {:.2},\n  \
          \"trace_overhead_pct\": {:.2},\n  \"trace_probe_pairs\": {},\n  \
-         \"shard_trace_overhead_pct\": {:.2},\n  \
          \"baseline_cycles_per_sec\": {:.0},\n  \"collapse\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         faults.len(),
@@ -395,7 +297,6 @@ fn bench(c: &mut Criterion) {
         tape_mt_fps / scalar_fps,
         trace_overhead_pct,
         trace_pairs,
-        shard_trace_overhead_pct,
         scalar_cps,
         collapse_json
     );
@@ -418,7 +319,6 @@ fn bench(c: &mut Criterion) {
         out
     );
     eprintln!("tracing overhead: {trace_overhead_pct:+.2}% (target < 2%)");
-    eprintln!("shard tracing overhead: {shard_trace_overhead_pct:+.2}% (target < 5%)");
 
     // Criterion probes of one Monte Carlo batch per engine (skipped in
     // the CI smoke so the whole bench stays inside its time budget).

@@ -395,8 +395,8 @@ struct PackProf {
 
 /// Lane capacity of one grade pack under `kernel` — the number of
 /// faults that share a simulation pass with the fault-free baseline on
-/// lane 0. This is the unit of work a distributed campaign hands out:
-/// pack `p` covers `faults[p*cap .. (p+1)*cap]`.
+/// lane 0. This is the unit of work the campaign journals and
+/// quarantines: pack `p` covers `faults[p*cap .. (p+1)*cap]`.
 pub fn grade_pack_capacity(kernel: SimKernel) -> usize {
     match kernel {
         SimKernel::Tape => MAX_PARALLEL_FAULTS,
@@ -424,9 +424,9 @@ pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &
 /// fault-free first), the accumulated watchdog stall mask, the
 /// simulated cycle count, and the self-profiler's tape shape counters.
 /// The first three are a pure function of `(sys, pack, cfg)` — every
-/// caller (local grading, a remote shard worker) produces bit-identical
-/// words for the same pack, on any number of workers; the profile is
-/// diagnostic only and never enters a payload or journal.
+/// run produces bit-identical words for the same pack, on any number of
+/// workers; the profile is diagnostic only and never enters a payload
+/// or journal.
 ///
 /// The pack's [`TapeProgram`] is compiled once and shared. Its batches
 /// run on `workers` threads through [`ordered_waves`]: each worker
@@ -477,47 +477,6 @@ fn run_pack(
         nets: prog.net_count(),
     };
     (results, stalls, cycles, prof)
-}
-
-/// Computes pack `pack` of `faults` exactly as
-/// [`grade_faults_journaled_with_kernel`] would and returns the journal
-/// payload words — the byte-exact [`RecordKind::GradePack`] record a
-/// shard coordinator merges via [`CampaignJournal::record`]. Panics in
-/// the simulation are retried once and then normalized into a
-/// quarantine payload, mirroring the local path, so a remote worker
-/// reports a poisoned pack instead of crashing the campaign.
-pub fn compute_pack_payload(
-    sys: &System,
-    faults: &[StuckAt],
-    pack: usize,
-    cfg: &GradeConfig,
-    kernel: SimKernel,
-) -> Vec<u64> {
-    let slice = grade_pack_slice(faults, pack, kernel);
-    let outcome = par_map_indexed_caught(1, 1, |_| run_pack(sys, slice, cfg, 1))
-        .into_iter()
-        .next()
-        .expect("one task was submitted");
-    match outcome {
-        Ok((results, stalls, _cycles, _prof)) => encode_pack(&results, stalls),
-        Err(panic) => encode_quarantine(&panic.message),
-    }
-}
-
-/// Coordinator-side shape check for a pack payload received over the
-/// wire: `true` iff `words` decode as a computed or quarantined record
-/// for pack `pack` of `faults` under `kernel`. Recording an arbitrary
-/// payload would poison the journal with an undecodable (or worse,
-/// wrong-shaped-but-decodable) record, so garbage from a confused
-/// worker is rejected before it reaches the merge path.
-pub fn validate_pack_payload(
-    words: &[u64],
-    faults: &[StuckAt],
-    pack: usize,
-    kernel: SimKernel,
-) -> bool {
-    let slice = grade_pack_slice(faults, pack, kernel);
-    decode_pack(words, slice.len() + 1).is_some()
 }
 
 /// The grading entry point: lane-packed Monte Carlo grading on the

@@ -65,10 +65,9 @@ mod rules;
 mod table;
 
 pub use grade::{
-    compute_pack_payload, grade_faults_journaled_with_kernel, grade_faults_scalar_with,
-    grade_pack_capacity, grade_pack_count, grade_pack_slice, measure_power_monte_carlo,
-    measure_power_tape_watched, measure_power_with_testset, validate_pack_payload, GradeConfig,
-    GradeIncident, GradeReport, PowerGrade,
+    grade_faults_journaled_with_kernel, grade_faults_scalar_with, grade_pack_capacity,
+    grade_pack_count, grade_pack_slice, measure_power_monte_carlo, measure_power_tape_watched,
+    measure_power_with_testset, GradeConfig, GradeIncident, GradeReport, PowerGrade,
 };
 pub use oracle::{judge, Mismatch, Verdict};
 pub use pipeline::{

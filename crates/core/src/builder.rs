@@ -554,52 +554,10 @@ impl PreparedStudy {
     /// The campaign fingerprint: a stable 64-bit digest of everything
     /// that determines results (design, width, classify and grade
     /// settings — deliberately not threads or engine). Two prepared
-    /// studies with equal fingerprints produce bit-identical packs; a
-    /// shard coordinator uses this to reject workers built from a
-    /// different configuration.
+    /// studies with equal fingerprints produce bit-identical packs; the
+    /// run manifest records it as `campaign_fingerprint`.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The fault-simulation engine the run will use.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
-    }
-
-    /// The grading configuration (after [`StudyBuilder::cycle_budget`]
-    /// resolution against the built system).
-    pub fn grade_config(&self) -> &GradeConfig {
-        &self.cfg.grade
-    }
-
-    /// Runs classification only and returns the SFR faults in grading
-    /// order — the fault universe a shard coordinator distributes as
-    /// grade packs. Completed fault-simulation chunks are recorded to
-    /// the configured journal, so a later [`run_with`](Self::run_with)
-    /// on the same journal restores classification instead of
-    /// re-simulating, and its SFR order matches this one bit-exactly.
-    ///
-    /// With [`StudyBuilder::collapse`], the returned list holds one
-    /// grading representative per structural equivalence class — the
-    /// collapsed packs a shard coordinator leases — and coordinator and
-    /// workers (which derive the same list independently) agree on it
-    /// bit-exactly.
-    pub fn classify_sfr(&self, progress: &dyn Progress) -> Vec<sfr_netlist::StuckAt> {
-        let engine = self.engine.build();
-        let (classification, _quarantined) = sfr_classify::classify_system_collapsed(
-            &self.system,
-            &self.cfg.classify,
-            engine.as_ref(),
-            progress,
-            self.journal.as_ref(),
-            self.collapse,
-        );
-        let sfr: Vec<sfr_netlist::StuckAt> = classification.sfr().map(|f| f.fault).collect();
-        if self.collapse {
-            sfr_classify::collapse_grading_set(&self.system, &sfr).0
-        } else {
-            sfr
-        }
     }
 
     /// Runs classification and power grading to completion.
@@ -664,17 +622,6 @@ impl PreparedStudy {
             }
         }
         study
-    }
-
-    /// The checkpoint journal this run records to (or resumes from), if
-    /// one was configured.
-    pub fn journal(&self) -> Option<&CampaignJournal> {
-        self.journal.as_ref()
-    }
-
-    /// Where the run manifest will be written, if configured.
-    pub fn manifest_path(&self) -> Option<&std::path::Path> {
-        self.manifest_out.as_deref()
     }
 }
 

@@ -328,9 +328,6 @@ pub enum Phase {
     Analyze,
     /// Monte Carlo power grading of the SFR faults.
     Grade,
-    /// Distributed pack distribution: the shard coordinator handing out
-    /// grade-pack leases to remote workers and merging their results.
-    Shard,
 }
 
 impl Phase {
@@ -344,7 +341,6 @@ impl Phase {
             Phase::FaultSim => "faultsim",
             Phase::Analyze => "analyze",
             Phase::Grade => "grade",
-            Phase::Shard => "shard",
         }
     }
 }
@@ -440,24 +436,6 @@ pub enum ProgressEvent {
     /// to in-memory operation (the message travels in the incident
     /// list and the structured [`TraceRecord::JournalDegraded`]).
     JournalDegraded,
-    /// A shard worker completed its handshake with the coordinator.
-    ShardWorkerConnected,
-    /// The shard coordinator granted one pack lease to a worker.
-    ShardLeaseGranted,
-    /// A pack lease expired (missed heartbeats / deadline) and the pack
-    /// was queued for reassignment.
-    ShardLeaseExpired,
-    /// A result arrived under a stale (expired or superseded) lease and
-    /// was fenced off instead of merged.
-    ShardResultFenced,
-    /// A pack re-entered the queue under exponential backoff after its
-    /// lease expired.
-    ShardBackoff,
-    /// A shard worker's connection ended (cleanly or by a chaos kill).
-    ShardWorkerDisconnected,
-    /// The coordinator merged one worker-computed pack result under a
-    /// still-valid lease.
-    ShardPackMerged,
     /// The always-on self-profiler finished accounting one computed
     /// grade pack: wall time plus tape-kernel shape counters.
     PackProfile {
@@ -595,31 +573,6 @@ pub enum TraceRecord {
         classes: usize,
         /// Faults folded into another fault's class.
         merged: usize,
-    },
-    /// One shard coordination event: a lease granted, expired, or
-    /// fenced, a worker joining or leaving. Cross-linked to the journal
-    /// record the pack merges into, so an incident in a distributed run
-    /// points straight at the checkpoint entry that replays it.
-    Shard {
-        /// Worker id the event concerns. Coordinator-assigned on the
-        /// coordinator side; `--worker-id` (the spawn slot) on the
-        /// worker side, so the two trace streams agree.
-        worker: u64,
-        /// What happened. Coordinator actions: `"connected"`,
-        /// `"granted"`, `"heartbeat"`, `"expired"`, `"backoff"`,
-        /// `"fenced"`, `"merged"`, `"revoked"`, `"disconnected"`.
-        /// Worker actions: `"received"`, `"stalled"`, `"sent"`.
-        action: &'static str,
-        /// The grade pack involved, when the event is pack-scoped.
-        pack: Option<usize>,
-        /// The lease token involved, when the event is lease-scoped.
-        /// The token doubles as the fencing token — a result frame is
-        /// merged only while this exact token is still current — so it
-        /// is the join key between coordinator and worker traces.
-        lease: Option<u64>,
-        /// The checkpoint-journal record key (`"grade/3"`) the pack
-        /// merges into, when the campaign is journaled.
-        journal_key: Option<String>,
     },
     /// Free-form annotation (campaign metadata, tool chatter that
     /// previously went to stderr).
@@ -783,20 +736,6 @@ pub struct CounterState {
     pub faults_collapsed: usize,
     /// Times the checkpoint journal degraded to in-memory operation.
     pub journal_degraded: usize,
-    /// Shard workers that completed the coordinator handshake.
-    pub shard_workers: usize,
-    /// Pack leases the shard coordinator granted.
-    pub shard_leases_granted: usize,
-    /// Pack leases that expired and were queued for reassignment.
-    pub shard_leases_expired: usize,
-    /// Results fenced off for arriving under a stale lease.
-    pub shard_results_fenced: usize,
-    /// Packs re-queued under exponential backoff.
-    pub shard_backoffs: usize,
-    /// Worker-computed pack results merged under a valid lease.
-    pub shard_packs_merged: usize,
-    /// Worker connections that ended (cleanly or by a chaos kill).
-    pub shard_disconnects: usize,
     /// Packs the self-profiler accounted (computed, not restored).
     pub packs_profiled: usize,
     /// Total pack wall time the self-profiler accounted, µs.
@@ -831,13 +770,6 @@ impl CounterState {
             faults_pruned: self.faults_pruned - earlier.faults_pruned,
             faults_collapsed: self.faults_collapsed - earlier.faults_collapsed,
             journal_degraded: self.journal_degraded - earlier.journal_degraded,
-            shard_workers: self.shard_workers - earlier.shard_workers,
-            shard_leases_granted: self.shard_leases_granted - earlier.shard_leases_granted,
-            shard_leases_expired: self.shard_leases_expired - earlier.shard_leases_expired,
-            shard_results_fenced: self.shard_results_fenced - earlier.shard_results_fenced,
-            shard_backoffs: self.shard_backoffs - earlier.shard_backoffs,
-            shard_packs_merged: self.shard_packs_merged - earlier.shard_packs_merged,
-            shard_disconnects: self.shard_disconnects - earlier.shard_disconnects,
             packs_profiled: self.packs_profiled - earlier.packs_profiled,
             pack_time_us: self.pack_time_us - earlier.pack_time_us,
             cycles_simulated: self.cycles_simulated - earlier.cycles_simulated,
@@ -920,18 +852,6 @@ impl std::fmt::Display for CounterState {
                 self.journal_degraded
             )?;
         }
-        if self.shard_workers + self.shard_leases_granted > 0 {
-            writeln!(
-                f,
-                "shard: {} worker(s), {} lease(s) granted, {} expired, {} fenced, {} backoff(s), {} merged",
-                self.shard_workers,
-                self.shard_leases_granted,
-                self.shard_leases_expired,
-                self.shard_results_fenced,
-                self.shard_backoffs,
-                self.shard_packs_merged
-            )?;
-        }
         if self.packs_profiled > 0 {
             writeln!(
                 f,
@@ -1007,13 +927,6 @@ impl Progress for Counters {
             ProgressEvent::FaultPruned => s.faults_pruned += 1,
             ProgressEvent::FaultCollapsed => s.faults_collapsed += 1,
             ProgressEvent::JournalDegraded => s.journal_degraded += 1,
-            ProgressEvent::ShardWorkerConnected => s.shard_workers += 1,
-            ProgressEvent::ShardLeaseGranted => s.shard_leases_granted += 1,
-            ProgressEvent::ShardLeaseExpired => s.shard_leases_expired += 1,
-            ProgressEvent::ShardResultFenced => s.shard_results_fenced += 1,
-            ProgressEvent::ShardBackoff => s.shard_backoffs += 1,
-            ProgressEvent::ShardPackMerged => s.shard_packs_merged += 1,
-            ProgressEvent::ShardWorkerDisconnected => s.shard_disconnects += 1,
             ProgressEvent::PackProfile { us, .. } => {
                 s.packs_profiled += 1;
                 s.pack_time_us = s.pack_time_us.saturating_add(us);
@@ -1262,12 +1175,8 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_shard_and_profile_events() {
+    fn counters_accumulate_profile_events() {
         let c = Counters::new();
-        c.event(ProgressEvent::ShardWorkerConnected);
-        c.event(ProgressEvent::ShardLeaseGranted);
-        c.event(ProgressEvent::ShardPackMerged);
-        c.event(ProgressEvent::ShardWorkerDisconnected);
         c.event(ProgressEvent::PackProfile {
             us: u64::MAX,
             ops: 10,
@@ -1287,14 +1196,10 @@ mod tests {
             nets: 20,
         });
         let s = c.snapshot();
-        assert_eq!(s.shard_workers, 1);
-        assert_eq!(s.shard_packs_merged, 1);
-        assert_eq!(s.shard_disconnects, 1);
         assert_eq!(s.packs_profiled, 2);
         assert_eq!(s.pack_time_us, u64::MAX, "pack time saturates");
         let text = s.to_string();
         assert!(text.contains("profile: 2 pack(s) timed"));
-        assert!(text.contains("1 merged"));
     }
 
     #[test]

@@ -451,12 +451,14 @@ impl CampaignJournal {
                     .ok_or_else(|| corrupt(lineno, "record missing length".into()))?;
                 let n = usize::from_str_radix(n_field, 16)
                     .map_err(|_| corrupt(lineno, format!("bad length {n_field:?}")))?;
-                let mut words = Vec::with_capacity(n);
-                for w in fields {
-                    let word = u64::from_str_radix(w, 16)
-                        .map_err(|_| corrupt(lineno, format!("bad word {w:?}")))?;
-                    words.push(word);
-                }
+                // The length field is only checked against the words
+                // actually present, never trusted as an allocation size.
+                let words = fields
+                    .map(|w| {
+                        u64::from_str_radix(w, 16)
+                            .map_err(|_| corrupt(lineno, format!("bad word {w:?}")))
+                    })
+                    .collect::<Result<Vec<u64>, _>>()?;
                 if words.len() != n {
                     return Err(corrupt(
                         lineno,
@@ -622,6 +624,7 @@ impl CampaignJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -796,5 +799,120 @@ mod tests {
         let r = CampaignJournal::open(&path).expect("open");
         assert_eq!(r.entries(), e);
         let _ = fs::remove_file(&path);
+    }
+
+    /// `body` as a journal line with a valid checksum.
+    fn sealed(body: &str) -> String {
+        format!("{:08x} {body}", crc32(body.as_bytes()))
+    }
+
+    #[test]
+    fn huge_length_field_is_checked_against_the_words_present() {
+        // A checksum-valid record claiming 2^60 words must not size an
+        // allocation: its count is compared with the words present.
+        let hostile = sealed("R grade 0 fffffffffffffff 1");
+        let header = sealed("H 0000000000000001 x");
+        let good = sealed("R grade 1 1 cd");
+        let path = tmp_path("huge-length");
+
+        let mid_file = format!("{MAGIC}\n{header}\n{hostile}\n{good}\n");
+        fs::write(&path, &mid_file).expect("write");
+        match CampaignJournal::open(&path) {
+            Err(JournalError::Corrupt { line, message, .. }) => {
+                assert_eq!(line, 3);
+                assert!(message.contains("length says"), "{message}");
+            }
+            other => panic!("want Corrupt, got {other:?}"),
+        }
+        assert_eq!(fs::read_to_string(&path).expect("read"), mid_file);
+
+        fs::write(&path, format!("{MAGIC}\n{header}\n{good}\n{hostile}\n")).expect("write");
+        let r = CampaignJournal::open(&path).expect("torn tail recovers");
+        assert_eq!(r.get(RecordKind::GradePack, 1), Some(vec![0xCD]));
+        assert_eq!(r.get(RecordKind::GradePack, 0), None, "tail dropped");
+        let note = r.torn_tail().expect("recovery reported");
+        assert!(note.contains("line 4"), "{note}");
+        let _ = fs::remove_file(&path);
+    }
+
+    /// One damage to a journal file.
+    #[derive(Debug, Clone)]
+    enum Mutation {
+        /// Replace one field of one line and re-seal the line's
+        /// checksum, so the damage reaches the field parsers.
+        Field {
+            line: usize,
+            field: usize,
+            token: &'static str,
+        },
+        /// Overwrite one byte, leaving checksums as they were.
+        Byte { at: usize, byte: u8 },
+    }
+
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        let token = prop_oneof![
+            Just("fffffffffffffff"),
+            Just("ffffffffffffffff"),
+            Just("10000000000000000"),
+            Just("0"),
+            Just("2"),
+            Just("-1"),
+            Just("+1"),
+            Just(""),
+            Just("0 0"),
+            Just("zz"),
+            Just("R"),
+            Just("H"),
+            Just("grade"),
+            Just("faultsim"),
+        ];
+        prop_oneof![
+            (any::<usize>(), any::<usize>(), token)
+                .prop_map(|(line, field, token)| Mutation::Field { line, field, token }),
+            (any::<usize>(), any::<u8>()).prop_map(|(at, byte)| Mutation::Byte { at, byte }),
+        ]
+    }
+
+    fn apply(text: &str, m: &Mutation) -> Vec<u8> {
+        match *m {
+            Mutation::Field { line, field, token } => {
+                let lines: Vec<&str> = text.lines().collect();
+                // Line 0 is the magic; every later line is sealed.
+                let target = 1 + line % (lines.len() - 1);
+                let body = lines[target].split_once(' ').map_or("", |(_, b)| b);
+                let mut fields: Vec<&str> = body.split(' ').collect();
+                let at = field % fields.len();
+                fields[at] = token;
+                let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+                out[target] = sealed(&fields.join(" "));
+                (out.join("\n") + "\n").into_bytes()
+            }
+            Mutation::Byte { at, byte } => {
+                let mut bytes = text.as_bytes().to_vec();
+                let at = at % bytes.len();
+                bytes[at] = byte;
+                bytes
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn open_never_panics_and_leaves_rejected_files_untouched(m in mutation()) {
+            let path = tmp_path("mutated");
+            let j = CampaignJournal::create(&path, 0xFEED, "poly w=4").expect("create");
+            j.record(RecordKind::FaultSim, 0, &[7, 0, u64::MAX]);
+            j.record(RecordKind::GradePack, 0, &[1, 2, 3]);
+            j.record(RecordKind::GradePack, 1, &encode_str("lane panic"));
+            let text = fs::read_to_string(&path).expect("read");
+            let mutated = apply(&text, &m);
+            fs::write(&path, &mutated).expect("write");
+            if CampaignJournal::open(&path).is_err() {
+                prop_assert_eq!(fs::read(&path).expect("read back"), mutated);
+            }
+            let _ = fs::remove_file(&path);
+        }
     }
 }

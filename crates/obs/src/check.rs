@@ -217,22 +217,6 @@ pub fn check_trace(text: &str) -> Result<TraceStats, String> {
             "journal_degraded" => {
                 str_field(&v, line_no, "message")?;
             }
-            "shard" => {
-                num_field(&v, line_no, "worker")?;
-                str_field(&v, line_no, "action")?;
-                // "pack" and "lease" are number-or-null (worker-level
-                // actions carry neither); "journal" is string-or-null.
-                for key in ["pack", "lease"] {
-                    match field(&v, line_no, key)? {
-                        Value::Null => {}
-                        p if p.as_num().is_some() => {}
-                        _ => {
-                            return Err(format!("line {line_no}: {key:?} must be a number or null"))
-                        }
-                    }
-                }
-                opt_str(&v, line_no, "journal")?;
-            }
             "note" => {
                 str_field(&v, line_no, "text")?;
                 stats.notes += 1;
@@ -498,147 +482,6 @@ pub fn check_analysis(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate a flight-recorder report (`sfr report --format json`):
-/// tool tag, per-section shapes, monotone latency percentiles, known
-/// gap kinds, and the timeline event count consistent with the
-/// timeline array. Returns the number of timeline entries.
-pub fn check_report(text: &str) -> Result<usize, String> {
-    let v = json::parse(text).map_err(|e| format!("report: {e}"))?;
-    let tool = str_field(&v, 1, "tool")?;
-    if tool != "sfr-report" {
-        return Err(format!("unexpected tool tag {tool:?}"));
-    }
-    for key in ["benchmark", "fingerprint"] {
-        opt_str(&v, 1, key)?;
-    }
-    let traces = field(&v, 1, "traces")?;
-    let total = num_field(traces, 1, "total")?;
-    let coordinator = num_field(traces, 1, "coordinator")?;
-    let worker = num_field(traces, 1, "worker")?;
-    if coordinator + worker != total {
-        return Err(format!(
-            "traces.coordinator {coordinator} + traces.worker {worker} != traces.total {total}"
-        ));
-    }
-    let workers = field(&v, 1, "workers")?
-        .as_arr()
-        .ok_or("\"workers\" must be an array")?;
-    for (i, w) in workers.iter().enumerate() {
-        let line_no = i + 1;
-        num_field(w, line_no, "worker")?;
-        str_field(w, line_no, "label")?;
-        for key in [
-            "packs_received",
-            "packs_sent",
-            "stalls",
-            "busy_ms",
-            "span_ms",
-        ] {
-            num_field(w, line_no, key)?;
-        }
-        let util = num_field(w, line_no, "utilization_pct")?;
-        if !(0.0..=100.0).contains(&util) {
-            return Err(format!(
-                "worker {line_no}: utilization_pct {util} outside [0, 100]"
-            ));
-        }
-        bool_field(w, line_no, "torn")?;
-    }
-    let leases = field(&v, 1, "leases")?;
-    let granted = num_field(leases, 1, "granted")?;
-    for key in ["merged", "expired", "fenced", "revoked"] {
-        let n = num_field(leases, 1, key)?;
-        if n > granted {
-            return Err(format!("leases.{key} {n} exceeds leases.granted {granted}"));
-        }
-    }
-    for key in ["backoffs", "heartbeats", "churn_pct"] {
-        num_field(leases, 1, key)?;
-    }
-    let packs = field(&v, 1, "packs")?;
-    for key in ["computed", "restored", "merged", "unattributed"] {
-        num_field(packs, 1, key)?;
-    }
-    match field(packs, 1, "journaled")? {
-        Value::Null => {}
-        j if j.as_num().is_some() => {}
-        _ => return Err("packs.journaled must be a number or null".into()),
-    }
-    let p50 = num_field(packs, 1, "latency_p50_ms")?;
-    let p90 = num_field(packs, 1, "latency_p90_ms")?;
-    let max = num_field(packs, 1, "latency_max_ms")?;
-    if p50 > p90 || p90 > max {
-        return Err(format!(
-            "pack latency percentiles not monotone: p50 {p50} / p90 {p90} / max {max}"
-        ));
-    }
-    let heartbeat = field(&v, 1, "heartbeat")?;
-    for key in ["intervals", "mean_ms", "max_ms", "jitter_ms"] {
-        num_field(heartbeat, 1, key)?;
-    }
-    let phases = field(&v, 1, "phases")?
-        .as_arr()
-        .ok_or("\"phases\" must be an array")?;
-    for p in phases {
-        str_field(p, 1, "name")?;
-        num_field(p, 1, "wall_ms")?;
-        bool_field(p, 1, "aborted")?;
-    }
-    let incidents = field(&v, 1, "incidents")?
-        .as_arr()
-        .ok_or("\"incidents\" must be an array")?;
-    for (i, inc) in incidents.iter().enumerate() {
-        str_field(inc, i + 1, "kind")?;
-        opt_str(inc, i + 1, "journal")?;
-        str_field(inc, i + 1, "detail")?;
-    }
-    let timeline = field(&v, 1, "timeline")?
-        .as_arr()
-        .ok_or("\"timeline\" must be an array")?;
-    let mut events = 0usize;
-    for (i, t) in timeline.iter().enumerate() {
-        let line_no = i + 1;
-        num_field(t, line_no, "lease")?;
-        for key in ["pack", "worker"] {
-            match field(t, line_no, key)? {
-                Value::Null => {}
-                p if p.as_num().is_some() => {}
-                _ => {
-                    return Err(format!(
-                        "timeline {line_no}: {key:?} must be a number or null"
-                    ))
-                }
-            }
-        }
-        events += id_list(t, line_no, "events")?;
-    }
-    let declared = num_field(&v, 1, "timeline_events")?;
-    if declared as usize != events {
-        return Err(format!(
-            "timeline_events = {declared} but the timeline holds {events} events"
-        ));
-    }
-    let gaps = field(&v, 1, "gaps")?
-        .as_arr()
-        .ok_or("\"gaps\" must be an array")?;
-    for (i, g) in gaps.iter().enumerate() {
-        let line_no = i + 1;
-        let kind = str_field(g, line_no, "kind")?;
-        if ![
-            "unresolved_grant",
-            "fenced_zombie",
-            "torn_trace",
-            "unattributed_pack",
-        ]
-        .contains(&kind)
-        {
-            return Err(format!("gap {line_no}: unknown gap kind {kind:?}"));
-        }
-        str_field(g, line_no, "detail")?;
-    }
-    Ok(timeline.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,30 +518,32 @@ mod tests {
         assert!(check_trace(orphan)
             .expect_err("orphan end")
             .contains("without matching"));
-        let unknown = "{\"ev\":\"trace_start\",\"version\":1}\n{\"ev\":\"mystery\"}\n{\"ev\":\"trace_end\",\"t_ms\":2.0}";
-        assert!(check_trace(unknown)
-            .expect_err("unknown ev")
-            .contains("unknown event"));
+        for ev in ["mystery", "shard"] {
+            let unknown = format!("{{\"ev\":\"trace_start\",\"version\":1}}\n{{\"ev\":\"{ev}\"}}\n{{\"ev\":\"trace_end\",\"t_ms\":2.0}}");
+            assert!(check_trace(&unknown)
+                .expect_err("unknown ev")
+                .contains("unknown event"));
+        }
         assert!(check_trace("").is_err());
     }
 
     #[test]
-    fn rejects_torn_and_truncated_worker_traces() {
-        // A worker trace whose writer was SIGKILLed: no trace_end.
-        let torn = "{\"ev\":\"trace_start\",\"version\":1}\n{\"ev\":\"shard\",\"worker\":1,\"action\":\"received\",\"pack\":0,\"lease\":9,\"journal\":\"grade/0\",\"t_ms\":0.5}";
+    fn rejects_torn_and_truncated_traces() {
+        // A trace whose writer was SIGKILLed: no trace_end.
+        let torn = "{\"ev\":\"trace_start\",\"version\":1}\n{\"ev\":\"note\",\"text\":\"grade pack 0\",\"t_ms\":0.5}";
         let err = check_trace(torn).expect_err("torn trace rejected");
         assert!(err.contains("truncated"), "{err}");
         // A half-written final line (kill mid-write) fails to parse.
-        let half = format!("{torn}\n{{\"ev\":\"shard\",\"wor");
+        let half = format!("{torn}\n{{\"ev\":\"note\",\"te");
         assert!(check_trace(&half).is_err());
-        // The same content properly footered passes, lease and all.
+        // The same content properly footered passes.
         let whole = format!("{torn}\n{{\"ev\":\"trace_end\",\"t_ms\":1.0}}");
-        check_trace(&whole).expect("complete worker trace valid");
-        // A lease that is neither number nor null is rejected.
-        let bad_lease = whole.replace("\"lease\":9", "\"lease\":\"nine\"");
-        assert!(check_trace(&bad_lease)
-            .expect_err("bad lease")
-            .contains("lease"));
+        check_trace(&whole).expect("complete trace valid");
+        // A note without its text is rejected.
+        let bad_note = whole.replace("\"text\":\"grade pack 0\",", "");
+        assert!(check_trace(&bad_note)
+            .expect_err("bad note")
+            .contains("text"));
     }
 
     #[test]

@@ -9,6 +9,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`parse`] accepts. The artifacts this
+/// workspace writes nest at most four levels; the cap keeps hostile
+/// input from exhausting the stack of the recursive descent.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -79,6 +84,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -92,6 +98,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -131,8 +139,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -141,6 +149,24 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object with `parse_container`, one level
+    /// deeper, refusing to go past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse_container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse_container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -331,6 +357,7 @@ pub fn num(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_document() {
@@ -374,5 +401,65 @@ mod tests {
         assert_eq!(num(f64::NAN), "null");
         let v = parse(&num(123.456)).expect("parse num");
         assert_eq!(v.as_num(), Some(123.456));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (opener, width) in [("[", 1), ("{\"a\":", 5)] {
+            let text = opener.repeat(100_000);
+            let err = parse(&text).expect_err("hostile nesting rejected");
+            let at = (MAX_DEPTH * width).to_string();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            assert!(err.ends_with(&format!("at byte {at}")), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok(), "MAX_DEPTH levels still parse");
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_mangled_json(
+            cut in any::<usize>(),
+            pos in any::<usize>(),
+            byte in prop_oneof![Just(b'['), Just(b'{'), Just(b'"'), Just(b'\\'), Just(b','),
+                                Just(b':'), Just(b'-'), Just(b'e'), Just(0xc3u8), any::<u8>()],
+        ) {
+            let doc = r#"{"a": [1, -2.5e3, {"b": null}], "c": "x\u00e9\"y", "d": true}"#;
+            let mut bytes = doc.as_bytes()[..cut % (doc.len() + 1)].to_vec();
+            if !bytes.is_empty() {
+                let at = pos % bytes.len();
+                bytes[at] = byte;
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn escaped_strings_round_trip(
+            codes in prop::collection::vec(any::<u32>(), 0..64),
+        ) {
+            // The top two bits pick a range, so ASCII (controls
+            // included), the BMP and the higher planes all occur;
+            // surrogates are not scalar values and drop out.
+            let s: String = codes
+                .iter()
+                .filter_map(|&c| match c >> 30 {
+                    0 => char::from_u32(c & 0x7f),
+                    1 => char::from_u32(c & 0xffff),
+                    _ => char::from_u32(c % 0x11_0000),
+                })
+                .collect();
+            prop_assert_eq!(parse(&escaped(&s)), Ok(Value::Str(s.clone())));
+        }
     }
 }

@@ -20,10 +20,6 @@
 //!   stderr is not a terminal or under `--quiet`.
 //! * [`check_trace`] / [`check_manifest`] / [`check_metrics`] — the
 //!   validators behind `sfr obs-check`.
-//! * [`build_report`] — the flight-recorder merge behind `sfr report`:
-//!   coordinator and worker traces joined on lease tokens into a
-//!   causally-ordered timeline, with per-worker utilization, lease
-//!   churn, pack latency percentiles, and reconstruction gaps.
 //!
 //! The zero-cost contract: none of these sinks are consulted unless
 //! installed, producers only build allocation-bearing
@@ -42,16 +38,13 @@ pub mod check;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod report;
 pub mod trace;
 pub mod tty;
 
 pub use check::{
-    check_analysis, check_diagnostics, check_manifest, check_metrics, check_report, check_trace,
-    TraceStats,
+    check_analysis, check_diagnostics, check_manifest, check_metrics, check_trace, TraceStats,
 };
 pub use manifest::{git_revision, process_cpu_ms, PhaseTime, ProfileSection, RunManifest, Tallies};
 pub use metrics::{Histogram, Metrics};
-pub use report::{build_report, Artifact, Report};
 pub use trace::{TraceWriter, TRACE_VERSION};
 pub use tty::TtyStatus;

@@ -159,13 +159,6 @@ registry_counters! {
     budget_exhausted => "sfr_budget_exhausted_total", "Faults that exhausted their cycle budget";
     cycles_simulated => "sfr_cycles_simulated_total", "Simulated controller+datapath cycles";
     journal_degraded => "sfr_journal_degraded_total", "Checkpoint journals that degraded to in-memory operation";
-    shard_workers => "sfr_shard_workers_total", "Shard workers that completed the coordinator handshake";
-    shard_leases_granted => "sfr_shard_leases_granted_total", "Pack leases granted to shard workers";
-    shard_leases_expired => "sfr_shard_leases_expired_total", "Pack leases that missed their heartbeat deadline";
-    shard_results_fenced => "sfr_shard_results_fenced_total", "Shard results discarded for arriving under a stale lease";
-    shard_backoffs => "sfr_shard_backoffs_total", "Packs re-queued under exponential backoff";
-    shard_packs_merged => "sfr_shard_packs_merged_total", "Worker pack results merged under a valid lease";
-    shard_disconnects => "sfr_shard_disconnects_total", "Shard worker connections that ended";
     tape_force_ops => "sfr_tape_force_ops_total", "Fault-injection Force ops across compiled tapes";
 }
 
@@ -410,13 +403,6 @@ impl Progress for Metrics {
             ProgressEvent::PackRestored { .. } => self.add(&self.counters.packs_restored, 1),
             ProgressEvent::BudgetExhausted => self.add(&self.counters.budget_exhausted, 1),
             ProgressEvent::JournalDegraded => self.add(&self.counters.journal_degraded, 1),
-            ProgressEvent::ShardWorkerConnected => self.add(&self.counters.shard_workers, 1),
-            ProgressEvent::ShardLeaseGranted => self.add(&self.counters.shard_leases_granted, 1),
-            ProgressEvent::ShardLeaseExpired => self.add(&self.counters.shard_leases_expired, 1),
-            ProgressEvent::ShardResultFenced => self.add(&self.counters.shard_results_fenced, 1),
-            ProgressEvent::ShardBackoff => self.add(&self.counters.shard_backoffs, 1),
-            ProgressEvent::ShardPackMerged => self.add(&self.counters.shard_packs_merged, 1),
-            ProgressEvent::ShardWorkerDisconnected => self.add(&self.counters.shard_disconnects, 1),
             ProgressEvent::PackProfile {
                 ops,
                 levels,
@@ -505,7 +491,6 @@ mod tests {
         m.event(ProgressEvent::FaultGraded { flagged: true });
         m.event(ProgressEvent::GradePack { faults: 63 });
         m.event(ProgressEvent::CyclesSimulated { cycles: 500 });
-        m.event(ProgressEvent::ShardPackMerged);
         m.event(ProgressEvent::PackProfile {
             us: 900,
             ops: 120,
@@ -518,7 +503,6 @@ mod tests {
         let text = m.render_prometheus();
         assert!(text.contains("sfr_faults_graded_total 1"));
         assert!(text.contains("sfr_cycles_simulated_total 500"));
-        assert!(text.contains("sfr_shard_packs_merged_total 1"));
         assert!(text.contains("sfr_tape_force_ops_total 63"));
         assert!(text.contains("# HELP sfr_pack_latency_microseconds "));
         assert!(text.contains("# TYPE sfr_pack_latency_microseconds histogram"));

@@ -8,12 +8,12 @@
 //! panics on I/O trouble: a failed write latches an error that
 //! [`TraceWriter::finish`] reports.
 //!
-//! The flight recorder depends on traces surviving a SIGKILL: the
-//! header, phase ends, pack records, and shard protocol records are
-//! flushed to the OS as they are written (durable points), so a worker
-//! killed mid-campaign leaves every completed record on disk — at
-//! worst a torn final line — instead of an empty buffer. Per-lane
-//! progress ticks never flush; the cost stays proportional to packs.
+//! Traces survive a SIGKILL: the header, phase ends, pack records, and
+//! incident records are flushed to the OS as they are written (durable
+//! points), so a campaign killed mid-run leaves every completed record
+//! on disk — at worst a torn final line — instead of an empty buffer.
+//! Per-lane progress ticks never flush; the cost stays proportional to
+//! packs.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -204,13 +204,6 @@ impl Progress for TraceWriter {
             | ProgressEvent::FaultPruned
             | ProgressEvent::FaultCollapsed
             | ProgressEvent::JournalDegraded
-            | ProgressEvent::ShardWorkerConnected
-            | ProgressEvent::ShardLeaseGranted
-            | ProgressEvent::ShardLeaseExpired
-            | ProgressEvent::ShardResultFenced
-            | ProgressEvent::ShardBackoff
-            | ProgressEvent::ShardWorkerDisconnected
-            | ProgressEvent::ShardPackMerged
             | ProgressEvent::PackProfile { .. } => {}
         }
     }
@@ -286,30 +279,6 @@ impl Progress for TraceWriter {
                 push_opt_key(&mut line, "journal", journal_key.as_deref());
                 line.push_str(&format!(",\"t_ms\":{t}}}"));
                 self.emit(&line);
-            }
-            TraceRecord::Shard {
-                worker,
-                action,
-                pack,
-                lease,
-                journal_key,
-            } => {
-                let mut line = format!("{{\"ev\":\"shard\",\"worker\":{worker},\"action\":");
-                json::push_str_escaped(&mut line, action);
-                line.push_str(",\"pack\":");
-                match pack {
-                    Some(p) => line.push_str(&p.to_string()),
-                    None => line.push_str("null"),
-                }
-                line.push_str(",\"lease\":");
-                match lease {
-                    Some(l) => line.push_str(&l.to_string()),
-                    None => line.push_str("null"),
-                }
-                line.push(',');
-                push_opt_key(&mut line, "journal", journal_key.as_deref());
-                line.push_str(&format!(",\"t_ms\":{t}}}"));
-                self.emit_durable(&line);
             }
             TraceRecord::Collapse {
                 universe,

@@ -31,10 +31,6 @@ struct TtyState {
     items_done: usize,
     faults_done: usize,
     incidents: usize,
-    workers_active: usize,
-    packs_leased: usize,
-    packs_merged: usize,
-    last_expiry: Option<Instant>,
     last_paint: Option<Instant>,
     painted: bool,
 }
@@ -106,18 +102,6 @@ fn status_line(state: &TtyState, now: Instant) -> String {
     if state.faults_done > 0 {
         line.push_str(&format!(" faults {}", state.faults_done));
     }
-    if state.workers_active + state.packs_leased + state.packs_merged > 0 {
-        line.push_str(&format!(
-            " workers {} leased {} merged {}",
-            state.workers_active, state.packs_leased, state.packs_merged
-        ));
-    }
-    if let Some(expired) = state.last_expiry {
-        line.push_str(&format!(
-            " last-expiry {:.1}s ago",
-            now.duration_since(expired).as_secs_f64()
-        ));
-    }
     if state.incidents > 0 {
         line.push_str(&format!(" incidents {}", state.incidents));
     }
@@ -156,29 +140,10 @@ fn apply_event(state: &mut TtyState, event: ProgressEvent, now: Instant) {
         ProgressEvent::FaultSimulated { .. } | ProgressEvent::FaultGraded { .. } => {
             state.faults_done += 1;
         }
-        ProgressEvent::ShardWorkerConnected => {
-            state.workers_active += 1;
-            state.last_paint = None;
-        }
-        ProgressEvent::ShardWorkerDisconnected => {
-            state.workers_active = state.workers_active.saturating_sub(1);
-            state.last_paint = None;
-        }
-        ProgressEvent::ShardLeaseGranted => state.packs_leased += 1,
-        ProgressEvent::ShardLeaseExpired => {
-            state.packs_leased = state.packs_leased.saturating_sub(1);
-            state.last_expiry = Some(now);
-        }
-        ProgressEvent::ShardPackMerged => {
-            state.packs_leased = state.packs_leased.saturating_sub(1);
-            state.packs_merged += 1;
-        }
         ProgressEvent::CyclesSimulated { .. }
         | ProgressEvent::MonteCarlo { .. }
         | ProgressEvent::FaultPruned
         | ProgressEvent::FaultCollapsed
-        | ProgressEvent::ShardResultFenced
-        | ProgressEvent::ShardBackoff
         | ProgressEvent::PackProfile { .. } => {}
     }
 }
@@ -220,45 +185,6 @@ mod tests {
         assert!(line.contains("eta 2.0s"), "{line}");
         assert!(line.contains("faults 126"), "{line}");
         assert!(line.contains("incidents 1"), "{line}");
-        assert!(!line.contains("workers"), "no shard text off-shard: {line}");
-    }
-
-    #[test]
-    fn status_line_shows_shard_activity_and_expiry_age() {
-        let now = Instant::now();
-        let state = TtyState {
-            phase: Some(Phase::Shard),
-            workers_active: 3,
-            packs_leased: 2,
-            packs_merged: 7,
-            last_expiry: Some(now - Duration::from_secs(4)),
-            ..TtyState::default()
-        };
-        let line = status_line(&state, now);
-        assert!(line.contains("shard"), "{line}");
-        assert!(line.contains("workers 3 leased 2 merged 7"), "{line}");
-        assert!(line.contains("last-expiry 4.0s ago"), "{line}");
-    }
-
-    #[test]
-    fn shard_events_update_state() {
-        let mut state = TtyState::default();
-        let now = Instant::now();
-        for ev in [
-            ProgressEvent::ShardWorkerConnected,
-            ProgressEvent::ShardWorkerConnected,
-            ProgressEvent::ShardLeaseGranted,
-            ProgressEvent::ShardLeaseGranted,
-            ProgressEvent::ShardPackMerged,
-            ProgressEvent::ShardLeaseExpired,
-            ProgressEvent::ShardWorkerDisconnected,
-        ] {
-            apply_event(&mut state, ev, now);
-        }
-        assert_eq!(state.workers_active, 1);
-        assert_eq!(state.packs_leased, 0);
-        assert_eq!(state.packs_merged, 1);
-        assert!(state.last_expiry.is_some());
     }
 
     #[test]

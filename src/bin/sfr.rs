@@ -14,13 +14,6 @@
 //! sfr testprogram <benchmark> [--width N] [--patterns N] [--out FILE] [--threads N]
 //!                             [--engine NAME]
 //! sfr table2      [--patterns N] [--threads N] [--engine NAME]
-//! sfr shard serve <benchmark> [grade flags] [--addr HOST:PORT] [--lease-ms N]
-//!                             [--grace-ms N] [--spawn-workers N]
-//!                             [--chaos kill=P,stall=P] [--chaos-seed N]
-//!                             [--worker-trace-dir DIR]
-//! sfr shard work  --connect HOST:PORT [--max-retries N] [--stall P] [--chaos-seed N]
-//!                             [--worker-id N]
-//! sfr report      <artifacts...> [--journal FILE] [--format text|json]
 //! ```
 //!
 //! `<benchmark>` is one of `diffeq`, `facet`, `poly`, `fir`.
@@ -61,7 +54,7 @@
 //! simulation and prunes them from the campaign; results are
 //! byte-identical to the unpruned run.
 //!
-//! `--collapse` on `classify`/`grade`/`shard serve` enables structural
+//! `--collapse` on `classify`/`grade` enables structural
 //! fault collapsing: structurally equivalent controller faults (BUF/INV
 //! chains, controlling-value links through fanout-free nets) are folded
 //! into equivalence classes and only one representative per class is
@@ -78,35 +71,6 @@
 //! and how many faults a `--static-prune --collapse` campaign would
 //! actually simulate. `--format json` emits the same report
 //! machine-readably (validated by `sfr obs-check --analysis`).
-//!
-//! `shard serve` runs a `grade` campaign as a fault-tolerant
-//! distributed coordinator: grade packs are leased to connecting
-//! `shard work` processes over a length-prefixed TCP protocol with
-//! heartbeats, expired leases are reassigned under exponential
-//! backoff, stale results are fenced, and the merged table is
-//! byte-identical to a local `grade` run — even with zero workers
-//! (graceful local fallback) or with the built-in chaos harness
-//! (`--chaos kill=P,stall=P`) killing and stalling workers mid-run.
-//!
-//! `shard serve --worker-trace-dir DIR` makes every spawned worker
-//! write its own flight-recorder trace to
-//! `DIR/worker-<slot>-<generation>.jsonl` (the generation counts
-//! respawns, so a chaos-killed worker's torn trace survives next to
-//! its replacement's). `shard work --worker-id N` stamps N on the
-//! worker's own trace records; the lease token, which doubles as the
-//! fencing token, is the join key against the coordinator's trace.
-//!
-//! `report` is the flight-recorder reader: it merges a coordinator
-//! trace, any number of worker traces, and the run manifest into one
-//! causally-ordered account — per-worker utilization, lease churn,
-//! heartbeat jitter, pack latency percentiles, incidents cross-linked
-//! to checkpoint-journal keys, and per-phase wall clock. Cross-process
-//! ordering never compares clocks: lease lifecycles are reconstructed
-//! per token. With `--journal FILE` it also proves every journaled
-//! grade pack is attributed to a trace record, and it flags gaps —
-//! packs granted but never resolved, fenced zombie results, torn
-//! worker traces. `--format json` emits a machine-readable report
-//! (validated by `sfr obs-check --report`).
 //!
 //! `vcd` dumps a waveform of one computation run (optionally with a
 //! controller fault injected, e.g. `--fault g21.out/sa1`) for any VCD
@@ -125,7 +89,6 @@
 
 use sfr_power::exec::{Counters, EngineKind, Progress, Tee};
 use sfr_power::obs::{Metrics, TraceWriter, TtyStatus};
-use sfr_power::shard;
 use sfr_power::{
     benchmarks, classify_system_with, describe_effect, ClassifyConfig, EmittedSystem, FaultClass,
     Logic, StuckAt, StudyBuilder, System, SystemConfig,
@@ -147,14 +110,8 @@ fn usage() -> ExitCode {
          sfr testprogram <benchmark> [--width N] [--patterns N] [--out FILE] [--threads N]\n                  \
          [--engine NAME]\n  \
          sfr table2      [--patterns N] [--threads N] [--engine NAME]\n  \
-         sfr shard serve <benchmark> [grade flags] [--addr HOST:PORT] [--lease-ms N]\n                  \
-         [--grace-ms N] [--spawn-workers N] [--chaos kill=P,stall=P] [--chaos-seed N]\n                  \
-         [--worker-trace-dir DIR]\n  \
-         sfr shard work  --connect HOST:PORT [--max-retries N] [--stall P] [--chaos-seed N]\n                  \
-         [--worker-id N]\n  \
-         sfr report      <artifacts...> [--journal FILE] [--format text|json]\n  \
          sfr obs-check   [--trace FILE] [--manifest FILE] [--metrics FILE]\n                  \
-         [--diagnostics FILE] [--analysis FILE] [--report FILE]\n\
+         [--diagnostics FILE] [--analysis FILE]\n\
          observability (classify/grade/testprogram): [--trace-out FILE] [--metrics-out FILE]\n                  \
          [--manifest-out FILE] [--force] [--quiet]\n\
          benchmarks: diffeq | facet | poly | fir\n\
@@ -620,229 +577,21 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             }
             Ok(())
         }
-        "shard" => {
-            let sub = args
-                .positional()
-                .ok_or("missing shard subcommand (serve|work)")?;
-            let chaos_seed: u64 = args
-                .flag("--chaos-seed")
-                .map(|s| s.parse().map_err(|_| "bad --chaos-seed"))
-                .transpose()?
-                .unwrap_or(0x5FAD);
-            match sub.as_str() {
-                "serve" => {
-                    let name = args.positional().ok_or("missing benchmark name")?;
-                    let addr = args
-                        .flag("--addr")
-                        .unwrap_or_else(|| "127.0.0.1:0".to_string());
-                    let lease_ms: u64 = args
-                        .flag("--lease-ms")
-                        .map(|s| s.parse().map_err(|_| "bad --lease-ms"))
-                        .transpose()?
-                        .unwrap_or(2_000);
-                    let grace_ms: u64 = args
-                        .flag("--grace-ms")
-                        .map(|s| s.parse().map_err(|_| "bad --grace-ms"))
-                        .transpose()?
-                        .unwrap_or(3_000);
-                    let spawn_workers: usize = args
-                        .flag("--spawn-workers")
-                        .map(|s| s.parse().map_err(|_| "bad --spawn-workers"))
-                        .transpose()?
-                        .unwrap_or(0);
-                    let chaos = match args.flag("--chaos") {
-                        Some(text) => shard::ChaosConfig::parse(&text)?,
-                        None => shard::ChaosConfig::default(),
-                    };
-                    let worker_trace_dir = args.flag("--worker-trace-dir");
-                    if lease_ms == 0 {
-                        return Err("--lease-ms must be positive".into());
-                    }
-
-                    let mut spec = shard::ShardSpec::new(&name, width);
-                    spec.patterns = patterns;
-                    spec.threshold_pct = threshold;
-                    spec.static_prune = static_prune;
-                    spec.collapse = collapse;
-                    spec.cycle_budget = cycle_budget;
-                    spec.engine = engine;
-                    spec.lease_ms = lease_ms;
-
-                    let mut builder = spec.study_builder().threads(threads).force(force);
-                    // The coordinator merges through journal replay, so
-                    // a journal is mandatory; without --checkpoint it
-                    // lives in a temp file for the run's duration.
-                    let mut temp_journal = None;
-                    match (&checkpoint, &resume) {
-                        (_, Some(path)) => builder = builder.resume(path),
-                        (Some(path), None) => builder = builder.checkpoint(path),
-                        (None, None) => {
-                            let path = std::env::temp_dir()
-                                .join(format!("sfr-shard-{name}-{}.journal", std::process::id()));
-                            builder = builder.checkpoint(&path);
-                            temp_journal = Some(path);
-                        }
-                    }
-                    if let Some(path) = &manifest_out {
-                        builder = builder.manifest_out(path);
-                    }
-                    let prepared = builder.build().map_err(|e| e.to_string())?;
-
-                    let (bound_tx, bound_rx) = std::sync::mpsc::channel();
-                    let serve_cfg = shard::ServeConfig {
-                        addr,
-                        lease: std::time::Duration::from_millis(lease_ms),
-                        grace: std::time::Duration::from_millis(grace_ms),
-                        spawn_workers,
-                        chaos,
-                        chaos_seed,
-                        bound: Some(bound_tx),
-                        worker_trace_dir: worker_trace_dir.map(std::path::PathBuf::from),
-                        ..Default::default()
-                    };
-                    // The listener may pick an ephemeral port; announce
-                    // the real address once it is bound.
-                    let announce = std::thread::spawn(move || {
-                        if let Ok(addr) = bound_rx.recv() {
-                            eprintln!(
-                                "serving grade packs on {addr} \
-                                 ({spawn_workers} spawned worker(s), lease {lease_ms} ms)..."
-                            );
-                        }
-                    });
-                    let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-                    let sinks = obs.sinks();
-                    let tee = Tee::new(&sinks);
-                    let result = shard::serve(prepared, &spec, &serve_cfg, &tee);
-                    drop(sinks);
-                    drop(serve_cfg);
-                    let _ = announce.join();
-                    if let Some(path) = &temp_journal {
-                        let _ = std::fs::remove_file(path);
-                    }
-                    let (study, stats) = result?;
-                    obs.finish()?;
-                    eprintln!(
-                        "shard: {} worker connection(s), {} lease(s) granted, {} expired, \
-                         {} result(s) fenced, {} pack(s) merged from workers, {} local, \
-                         {} chaos kill(s)",
-                        stats.workers_connected,
-                        stats.leases_granted,
-                        stats.leases_expired,
-                        stats.results_fenced,
-                        stats.packs_merged_remote,
-                        stats.packs_local,
-                        stats.chaos_kills
-                    );
-                    if let Some(path) = &manifest_out {
-                        if std::path::Path::new(path).exists() {
-                            eprintln!("manifest written to {path}");
-                        }
-                    }
-                    print_grade_table(&name, threshold, &study)
-                }
-                "work" => {
-                    let connect = args
-                        .flag("--connect")
-                        .ok_or("shard work needs --connect HOST:PORT")?;
-                    let max_retries: u32 = args
-                        .flag("--max-retries")
-                        .map(|s| s.parse().map_err(|_| "bad --max-retries"))
-                        .transpose()?
-                        .unwrap_or(8);
-                    let stall: f64 = args
-                        .flag("--stall")
-                        .map(|s| s.parse().map_err(|_| "bad --stall"))
-                        .transpose()?
-                        .unwrap_or(0.0);
-                    let worker_id: u64 = args
-                        .flag("--worker-id")
-                        .map(|s| s.parse().map_err(|_| "bad --worker-id"))
-                        .transpose()?
-                        .unwrap_or(0);
-                    let work_cfg = shard::WorkConfig {
-                        connect,
-                        max_retries,
-                        stall,
-                        chaos_seed,
-                        worker_id,
-                    };
-                    let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-                    let sinks = obs.sinks();
-                    let tee = Tee::new(&sinks);
-                    let result = shard::work(&work_cfg, &tee);
-                    drop(sinks);
-                    let summary = result?;
-                    obs.finish()?;
-                    eprintln!(
-                        "worker: {} pack(s) computed over {} session(s), {} chaos stall(s)",
-                        summary.packs_computed, summary.connects, summary.stalls_injected
-                    );
-                    Ok(())
-                }
-                other => Err(format!("unknown shard subcommand `{other}` (serve|work)")),
-            }
-        }
-        "report" => {
-            let journal_in = args.flag("--journal");
-            let mut artifacts = Vec::new();
-            while let Some(path) = args.positional() {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read artifact {path}: {e}"))?;
-                artifacts.push(sfr_power::obs::Artifact { label: path, text });
-            }
-            if artifacts.is_empty() {
-                return Err("report needs at least one trace or manifest artifact".into());
-            }
-            // The journal is read here, not in sfr-obs (which is
-            // dependency-free): only the grade-pack ids cross over.
-            let journal_packs: Option<Vec<u64>> = match &journal_in {
-                Some(path) => {
-                    let journal =
-                        sfr_power::CampaignJournal::open(path).map_err(|e| e.to_string())?;
-                    let mut packs: Vec<u64> = journal
-                        .entries()
-                        .into_iter()
-                        .filter(|(kind, ..)| matches!(kind, sfr_power::RecordKind::GradePack))
-                        .map(|(_, id, _)| id)
-                        .collect();
-                    packs.sort_unstable();
-                    packs.dedup();
-                    Some(packs)
-                }
-                None => None,
-            };
-            let report = sfr_power::obs::build_report(&artifacts, journal_packs.as_deref())?;
-            if format == "json" {
-                print!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            let unattributed = report.unattributed_packs();
-            if unattributed > 0 {
-                return Err(format!(
-                    "{unattributed} journaled pack(s) are not attributed by any trace"
-                ));
-            }
-            Ok(())
-        }
         "obs-check" => {
             let trace = args.flag("--trace");
             let manifest = args.flag("--manifest");
             let metrics = args.flag("--metrics");
             let diagnostics = args.flag("--diagnostics");
             let analysis = args.flag("--analysis");
-            let report = args.flag("--report");
             if trace.is_none()
                 && manifest.is_none()
                 && metrics.is_none()
                 && diagnostics.is_none()
                 && analysis.is_none()
-                && report.is_none()
             {
                 return Err(
                     "obs-check needs at least one of --trace, --manifest, --metrics, \
-                            --diagnostics, --analysis, --report"
+                            --diagnostics, --analysis"
                         .into(),
                 );
             }
@@ -892,13 +641,6 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                     .map_err(|e| format!("invalid analysis {path}: {e}"))?;
                 println!("analysis {path}: ok");
             }
-            if let Some(path) = report {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read report {path}: {e}"))?;
-                let n = sfr_power::obs::check_report(&text)
-                    .map_err(|e| format!("invalid report {path}: {e}"))?;
-                println!("report {path}: ok — {n} timeline entry(ies)");
-            }
             Ok(())
         }
         _ => {
@@ -909,8 +651,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
 }
 
 /// Prints the grade table to stdout and turns incidents into a nonzero
-/// exit. Shared by `grade` and `shard serve` so the local and
-/// distributed paths emit byte-identical output.
+/// exit.
 fn print_grade_table(name: &str, threshold: f64, study: &sfr_power::Study) -> Result<(), String> {
     println!(
         "{name}: fault-free datapath power {:.2} uW; band ±{threshold}%",

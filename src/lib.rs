@@ -27,8 +27,3 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub use sfr_core::*;
-
-/// The fault-tolerant sharded campaign runner (`sfr shard serve` /
-/// `sfr shard work`): coordinator/worker protocol, lease fencing,
-/// retry/backoff, and the chaos harness.
-pub use sfr_shard as shard;

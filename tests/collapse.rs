@@ -132,7 +132,7 @@ fn collapsed_fir_is_byte_identical_at_every_thread_count() {
 }
 
 /// Collapsing is a campaign-execution strategy, not a result knob: it
-/// must not enter the campaign fingerprint that shard workers compare.
+/// must not enter the campaign fingerprint the run manifest records.
 #[test]
 fn collapse_does_not_change_the_campaign_fingerprint() {
     let plain = quick("poly").build().expect("builds");
