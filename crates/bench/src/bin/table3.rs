@@ -78,6 +78,9 @@ fn show(
     );
 
     let mut max_spread: f64 = 0.0;
+    // Rows are labelled with each fault's rank among the SFR faults by
+    // power — Table 1's numbering, so Table 1's fault 49 is the last row
+    // here.
     for (row, &p) in picks.iter().enumerate() {
         let g = &grades[order[p]];
         let cols: Vec<f64> = per_set.iter().map(|r| r[row + 1].total_uw).collect();
@@ -85,7 +88,7 @@ fn show(
             |uw: f64, base: f64| -> String { format!("({:+.2}%)", 100.0 * (uw - base) / base) };
         println!(
             "{:<12} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
-            format!("fault {}", row + 1),
+            format!("fault {}", p + 1),
             g.mean_uw,
             cols[0],
             cols[1],

@@ -28,17 +28,9 @@ use sfr_rtl::FuOp;
 ///
 /// # Errors
 ///
-/// Propagates [`EmitError`] — impossible for valid widths, surfaced
-/// rather than unwrapped.
-///
-/// # Panics
-///
-/// Panics if `width < 2` (the constant 3 must be representable).
+/// Returns the [`EmitError`] datapath validation raises when `width < 2`,
+/// where the constant 3 does not fit the datapath width.
 pub fn diffeq(width: usize) -> Result<EmittedSystem, EmitError> {
-    assert!(
-        width >= 2,
-        "diffeq needs at least 2 bits for the constant 3"
-    );
     let mut d = DesignBuilder::new("diffeq", width, 8);
     let x_in = d.port("x_in");
     let y_in = d.port("y_in");

@@ -19,17 +19,10 @@ pub const FIR_SAMPLES: u64 = 8;
 ///
 /// # Errors
 ///
-/// Propagates [`EmitError`] (impossible for valid widths).
-///
-/// # Panics
-///
-/// Panics if `width < 4` (the sample counter must count to
-/// [`FIR_SAMPLES`]).
+/// Returns the [`EmitError`] datapath validation raises when `width < 4`,
+/// where the sample counter's bound [`FIR_SAMPLES`] does not fit the
+/// datapath width.
 pub fn fir(width: usize) -> Result<EmittedSystem, EmitError> {
-    assert!(
-        width >= 4,
-        "fir needs at least 4 bits for its sample counter"
-    );
     let mut d = DesignBuilder::new("fir", width, 6);
     let x_in = d.port("x_in");
     let c0_in = d.port("c0_in");

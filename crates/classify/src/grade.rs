@@ -9,11 +9,16 @@
 //! Grading is **lane-packed** on the compiled op tape: up to
 //! [`MAX_PARALLEL_FAULTS`] faults plus the fault-free baseline (lane 0)
 //! share every simulation pass of one [`TapeSim`], with per-lane
-//! switching activity accumulated bit-parallel
-//! ([`sfr_netlist::TapeActivity`]). Lane 0 doubles as a baseline-activity
-//! cache: the separate fault-free Monte Carlo the scalar path runs per
-//! design comes for free with pack 0. Every lane is an exact dual-rail
-//! simulation, so lane-packed grades are bit-identical to the scalar
+//! switching activity accumulated bit-parallel ([`TapeActivity`]). Lane
+//! 0 doubles as a baseline-activity cache: the separate fault-free Monte
+//! Carlo the scalar path runs per design comes for free with pack 0.
+//! Grading never meets `X` — every run resets the controller to its
+//! reset code and every datapath register to 0, every primary input
+//! takes one bit of a binary pattern, and stuck-at forces are 0 or 1
+//! ([`System::build`] checks that the reset and the pattern reach every
+//! flip-flop and input) — so it runs on the tape's single-rail
+//! two-valued lanes, each an exact simulation of its lane's circuit.
+//! Lane-packed grades are therefore bit-identical to the scalar
 //! reference path ([`grade_faults_scalar_with`]) — same means,
 //! percentages, and flags at any thread count.
 
@@ -23,7 +28,9 @@ use sfr_exec::{
 };
 use sfr_faultsim::{RunConfig, SimKernel, System};
 use sfr_journal::{decode_str, encode_str, CampaignJournal, RecordKind};
-use sfr_netlist::{CycleSim, Logic, StuckAt, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS};
+use sfr_netlist::{
+    CycleSim, Logic, StuckAt, TapeActivity, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS,
+};
 use sfr_power_model::{
     power_from_activity_where, power_from_tape_activity_where, run_monte_carlo,
     run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult, PowerConfig, PowerReport,
@@ -152,11 +159,11 @@ pub fn measure_power_with_testset(
     })
 }
 
-/// Lane-packed [`measure_power_with_testset`] on a compiled tape: one
-/// pass measures the fault-free baseline (lane 0) and every fault baked
-/// into `prog` at once, returning one [`PowerReport`] per lane
-/// (`reports[0]` fault-free, `reports[1 + i]` under `prog.faults()[i]`)
-/// plus the watchdog's stall mask.
+/// Lane-packed [`measure_power_with_testset`] on a compiled two-valued
+/// tape: one pass measures the fault-free baseline (lane 0) and every
+/// fault baked into `prog` at once, returning one [`PowerReport`] per
+/// lane (`reports[0]` fault-free, `reports[1 + i]` under
+/// `prog.faults()[i]`) plus the watchdog's stall mask.
 ///
 /// Run boundaries are steered by decoding **lane 0** — the fault-free
 /// controller — which is exact for the baseline and equal to each fault
@@ -183,22 +190,25 @@ pub fn measure_power_tape_watched(
     cfg: &GradeConfig,
 ) -> (Vec<PowerReport>, u64) {
     let mut sim = TapeSim::new(prog);
-    measure_power_tape_watched_with(sys, &mut sim, ts, cfg)
+    let mut act = TapeActivity::new(prog);
+    measure_power_tape_watched_with(sys, &mut sim, &mut act, ts, cfg)
 }
 
-/// [`measure_power_tape_watched`] over a caller-owned [`TapeSim`], so
-/// consecutive Monte Carlo batches reuse one sim's buffers (slot
-/// arrays, deviation scratch, activity counter rows) instead of
-/// reallocating them per batch. Activity counters restart from zero on
-/// every call; reports are identical to the fresh-sim form.
+/// [`measure_power_tape_watched`] over a caller-owned [`TapeSim`] and
+/// [`TapeActivity`], so consecutive Monte Carlo batches reuse one
+/// simulator's buffers (slot array, deviation scratch, activity counter
+/// rows) instead of reallocating them per batch. Activity counters
+/// restart from zero on every call; reports are identical to the
+/// fresh-simulator form.
 fn measure_power_tape_watched_with(
     sys: &System,
     sim: &mut TapeSim<'_, u64>,
+    act: &mut TapeActivity,
     ts: &TestSet,
     cfg: &GradeConfig,
 ) -> (Vec<PowerReport>, u64) {
     let n_faults = sim.faults().len();
-    sim.track_activity(true);
+    act.reset();
     let hold = sys.meta.hold_state();
     let ceiling = cfg.run.run_ceiling();
     let armed = cfg.run.cycle_budget != 0;
@@ -225,7 +235,7 @@ fn measure_power_tape_watched_with(
                     }
                 }
             }
-            sim.clock();
+            sim.clock_counting(act);
             if st == Some(hold) {
                 in_hold_for += 1;
                 if in_hold_for > cfg.run.hold_cycles {
@@ -234,7 +244,6 @@ fn measure_power_tape_watched_with(
             }
         }
     }
-    let act = sim.activity().expect("tracking enabled above");
     let reports = power_from_tape_activity_where(&sys.netlist, act, &cfg.power, |g| {
         !sys.is_controller_gate(g)
     });
@@ -428,10 +437,11 @@ pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &
 /// workers; the profile is diagnostic only and never enters a payload
 /// or journal.
 ///
-/// The pack's [`TapeProgram`] is compiled once and shared. Its batches
-/// run on `workers` threads through [`ordered_waves`]: each worker
-/// reuses one [`TapeSim`] for every batch it computes, and the stopping
-/// rule ([`run_monte_carlo_lanes`]) consumes batches in index order.
+/// The pack's two-valued [`TapeProgram`] is compiled once and shared.
+/// Its batches run on `workers` threads through [`ordered_waves`]: each
+/// worker reuses one [`TapeSim`] and one [`TapeActivity`] for every
+/// batch it computes, and the stopping rule ([`run_monte_carlo_lanes`])
+/// consumes batches in index order.
 /// Batch `i` depends only on `i`, so which worker ran it does not
 /// matter. Stall mask, cycles and the profile's dirty-column count
 /// come from consumed batches only; the at most `workers − 1` batches
@@ -449,12 +459,11 @@ fn run_pack(
     let mut dirty_nets = 0usize;
     let results = ordered_waves(
         workers,
-        || TapeSim::new(&prog),
-        |sim, batch| {
+        || (TapeSim::new(&prog), TapeActivity::new(&prog)),
+        |(sim, act), batch| {
             let ts = batch_testset(sys, cfg, batch);
-            let (reports, batch_stalls) = measure_power_tape_watched_with(sys, sim, &ts, cfg);
-            let dirty = sim.activity().map_or(0, |a| a.dirty_net_columns());
-            (reports, batch_stalls, dirty)
+            let (reports, batch_stalls) = measure_power_tape_watched_with(sys, sim, act, &ts, cfg);
+            (reports, batch_stalls, act.dirty_net_columns())
         },
         |next| {
             run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {

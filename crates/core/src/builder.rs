@@ -759,6 +759,22 @@ mod tests {
     }
 
     #[test]
+    fn widths_below_a_designs_floor_are_refused() {
+        // diffeq's constant 3 needs 2 bits; fir's sample bound 8 needs 4.
+        for (name, floor) in [("diffeq", 2), ("fir", 4)] {
+            let err = StudyBuilder::new(name)
+                .width(floor - 1)
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, StudyError::Benchmark(_)), "{err}");
+            assert!(err.to_string().contains("does not fit"), "{err}");
+            if let Err(e) = StudyBuilder::new(name).width(floor).build() {
+                panic!("{name} at {floor} bits: {e}");
+            }
+        }
+    }
+
+    #[test]
     fn empty_test_set_is_rejected() {
         let err = StudyBuilder::new("poly")
             .test_patterns(0)

@@ -118,9 +118,9 @@ pub use sfr_logic::{minimize, Cover, Cube, SopMapper};
 pub use sfr_netlist::{
     critical_path, logic_to_u64, parse_verilog, parse_verilog_spanned, u64_to_logic,
     write_cell_library, write_verilog, Activity, ActivityMismatch, Atpg, CellKind, CycleSim,
-    FaultClasses, FaultSite, GateId, LaneCounts, Logic, NetId, Netlist, NetlistBuilder,
+    FaultClasses, FaultSite, GateId, LaneCounts, LaneValue, Logic, NetId, Netlist, NetlistBuilder,
     NetlistError, NetlistStats, ParseError, Pat, SourceSpans, StuckAt, TapeActivity, TapeProgram,
-    TapeSim, TapeWord, TestOutcome, TooManyFaultsError, VcdRecorder, MAX_PARALLEL_FAULTS,
+    TapeSim, TestOutcome, TooManyFaultsError, VcdRecorder, MAX_PARALLEL_FAULTS,
 };
 pub use sfr_obs as obs;
 pub use sfr_power_model::{

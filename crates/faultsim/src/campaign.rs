@@ -11,7 +11,7 @@
 
 use crate::golden::GoldenTrace;
 use crate::system::System;
-use sfr_netlist::{CycleSim, Logic, StuckAt, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS};
+use sfr_netlist::{CycleSim, Logic, Pat, StuckAt, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS};
 
 /// The outcome of fault simulation for one fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +98,8 @@ pub fn run_serial_counted(
     (outcomes, cycles)
 }
 
-/// Bit-parallel fault simulation on the compiled tape kernel: one fault
+/// Bit-parallel fault simulation on the compiled tape kernel's
+/// three-valued lanes (runs start with the datapath at `X`): one fault
 /// per lane, [`MAX_PARALLEL_FAULTS`] faults per batch, lane 0 fault-free,
 /// with fault dropping. Also returns the simulator cycles evaluated: a
 /// lane-packed `eval` serves a whole batch at once, so the count is per
@@ -115,7 +116,7 @@ pub fn run_tape_counted(
     let mut outcomes = Vec::with_capacity(faults.len());
     for batch in faults.chunks(MAX_PARALLEL_FAULTS) {
         let prog =
-            TapeProgram::<u64>::compile(&sys.netlist, batch).expect("batch fits the lane budget");
+            TapeProgram::<Pat>::compile(&sys.netlist, batch).expect("batch fits the lane budget");
         let mut sim = TapeSim::new(&prog);
         let mut detected: Vec<Option<usize>> = vec![None; batch.len()];
         let mut potential: Vec<Option<usize>> = vec![None; batch.len()];

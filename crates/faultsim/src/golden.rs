@@ -26,7 +26,7 @@
 
 use crate::system::System;
 use sfr_fsm::StateId;
-use sfr_netlist::{Logic, NetId, TapeProgram, TapeSim};
+use sfr_netlist::{LaneValue, Logic, NetId, Pat, TapeProgram, TapeSim};
 use sfr_rtl::{DatapathSim, ExprId, InputId, RegId, StepResult, SymbolicDomain};
 use sfr_tpg::TestSet;
 
@@ -114,8 +114,8 @@ impl GoldenTrace {
 /// run begins on the following pattern. Trailing patterns too few to
 /// start a meaningful run are still consumed (a short final run).
 ///
-/// The session runs on lane 0 of a fault-free [`TapeProgram`], the
-/// same compiled kernel the campaigns use.
+/// The session runs on lane 0 of a fault-free three-valued
+/// [`TapeProgram`], the same compiled kernel the campaigns use.
 pub fn golden_trace(sys: &System, ts: &TestSet, cfg: &RunConfig) -> GoldenTrace {
     assert_eq!(
         ts.width(),
@@ -130,9 +130,9 @@ pub fn golden_trace(sys: &System, ts: &TestSet, cfg: &RunConfig) -> GoldenTrace 
         states: Vec::new(),
     };
     let prog =
-        TapeProgram::<u64>::compile(&sys.netlist, &[]).expect("a fault-free tape needs one lane");
+        TapeProgram::<Pat>::compile(&sys.netlist, &[]).expect("a fault-free tape needs one lane");
     let mut sim = TapeSim::new(&prog);
-    let lane0 = |sim: &TapeSim<'_, u64>, nets: &[NetId]| -> Vec<Logic> {
+    let lane0 = |sim: &TapeSim<'_, Pat>, nets: &[NetId]| -> Vec<Logic> {
         nets.iter().map(|&n| sim.value(n).lane(0)).collect()
     };
     let mut idx = 0usize;

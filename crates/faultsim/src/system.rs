@@ -13,8 +13,8 @@ use crate::golden::SymbolicGolden;
 use sfr_fsm::{synthesize_into, EncodedFsm, Encoding, FillPolicy, StateId, SynthesizedController};
 use sfr_hls::{DesignMeta, EmittedSystem};
 use sfr_netlist::{
-    CellKind, CycleSim, GateId, Logic, NetId, Netlist, NetlistBuilder, NetlistError, Pat, StuckAt,
-    TapeSim,
+    CellKind, CycleSim, GateId, LaneValue, Logic, NetId, Netlist, NetlistBuilder, NetlistError,
+    StuckAt, TapeSim,
 };
 use sfr_rtl::{elaborate_into, Datapath, ElabNets};
 use std::sync::OnceLock;
@@ -84,6 +84,12 @@ impl System {
     ///
     /// Propagates netlist validation errors, which would indicate an
     /// internal bug in synthesis or elaboration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tester's reset and the data inputs do not reach
+    /// every flip-flop and every primary input (see
+    /// [`System::reset_tape`]) — also a synthesis or elaboration bug.
     pub fn build(sys: &EmittedSystem, cfg: SystemConfig) -> Result<System, NetlistError> {
         let dp = &sys.datapath;
         let fsm = EncodedFsm::new(sys.fsm.clone(), cfg.encoding);
@@ -137,7 +143,7 @@ impl System {
             "standalone controller must mirror the embedded one"
         );
 
-        Ok(System {
+        let system = System {
             netlist,
             ctrl,
             elab,
@@ -149,7 +155,36 @@ impl System {
             ctrl_netlist,
             ctrl_standalone,
             symbolic_golden: OnceLock::new(),
-        })
+        };
+        system.assert_reset_reaches_every_source();
+        Ok(system)
+    }
+
+    /// Checks the precondition that makes two-valued grading exact:
+    /// the sequential gates are exactly the controller state flip-flops
+    /// plus the datapath register bits (all of which
+    /// [`System::reset_tape`] loads), and the primary inputs are exactly
+    /// the data-input bits (all of which [`System::apply_pattern_tape`]
+    /// drives). A run from a known reset under a binary pattern then
+    /// never meets `X`. Both lists are compared in construction order:
+    /// the controller is built before the datapath, and each creates its
+    /// flip-flops and inputs in the order it records them.
+    fn assert_reset_reaches_every_source(&self) {
+        let reset = self
+            .ctrl
+            .state_gates
+            .iter()
+            .chain(self.elab.reg_gates.iter().flatten());
+        assert!(
+            reset.eq(self.netlist.sequential_gates()),
+            "{}: the reset must load every flip-flop, and only flip-flops",
+            self.netlist.name()
+        );
+        assert!(
+            self.data_inputs.iter().flatten().eq(self.netlist.inputs()),
+            "{}: the test pattern must drive every primary input, and only inputs",
+            self.netlist.name()
+        );
     }
 
     /// The fault-free symbolic trajectories the SFR/SFI oracle judges
@@ -218,23 +253,32 @@ impl System {
         }
     }
 
-    /// Resets all lanes of a compiled tape simulator the same way.
+    /// Resets all lanes of a compiled tape simulator the same way, on
+    /// either lane domain.
     ///
     /// Mirrors [`System::reset_sim`] field for field: only sequential
-    /// *state* is overwritten (per gate, all lanes), never the
-    /// simulator's activity baseline — so, like the scalar
-    /// [`CycleSim::set_state`] path, the toggle edge between the last
-    /// settled cycle of one run and the first of the next is counted.
-    /// That keeps lane-packed power accounting bit-identical to the
-    /// scalar measurement loop across run boundaries.
-    pub fn reset_tape(&self, sim: &mut TapeSim<'_, u64>, datapath_init: Logic) {
+    /// *state* is overwritten (per gate, all lanes), never an activity
+    /// baseline — so, like the scalar [`CycleSim::set_state`] path, the
+    /// toggle edge between the last settled cycle of one run and the
+    /// first of the next is counted. That keeps lane-packed power
+    /// accounting bit-identical to the scalar measurement loop across
+    /// run boundaries. [`System::build`] checks that this reset loads
+    /// every flip-flop, so a known `datapath_init` leaves no `X` in the
+    /// sequential state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `datapath_init` is [`Logic::X`] on two-valued lanes,
+    /// which cannot hold it.
+    pub fn reset_tape<V: LaneValue>(&self, sim: &mut TapeSim<'_, V>, datapath_init: Logic) {
         let code = self.fsm.reset_code();
         for (k, &g) in self.ctrl.state_gates.iter().enumerate() {
-            sim.set_gate_state(g, Pat::splat(Logic::from_bool(code >> k & 1 == 1)));
+            sim.set_gate_state(g, V::splat(Logic::from_bool(code >> k & 1 == 1)));
         }
+        let init = V::splat(datapath_init);
         for gates in &self.elab.reg_gates {
             for &g in gates {
-                sim.set_gate_state(g, Pat::splat(datapath_init));
+                sim.set_gate_state(g, init);
             }
         }
     }
@@ -259,7 +303,11 @@ impl System {
     /// Lane 0 is the fault-free controller; the grading loop uses it to
     /// steer run boundaries for a whole fault pack, which is sound
     /// because SFR faults never alter the controller's state sequence.
-    pub fn decode_state_tape_lane(&self, sim: &TapeSim<'_, u64>, lane: usize) -> Option<StateId> {
+    pub fn decode_state_tape_lane<V: LaneValue>(
+        &self,
+        sim: &TapeSim<'_, V>,
+        lane: usize,
+    ) -> Option<StateId> {
         let mut code = 0u32;
         for (k, &g) in self.ctrl.state_gates.iter().enumerate() {
             match sim.gate_state(g).lane(lane) {
@@ -284,8 +332,8 @@ impl System {
     }
 
     /// Applies one pattern word to every lane of a compiled tape
-    /// simulator.
-    pub fn apply_pattern_tape(&self, sim: &mut TapeSim<'_, u64>, pattern: u64) {
+    /// simulator, on either lane domain.
+    pub fn apply_pattern_tape<V: LaneValue>(&self, sim: &mut TapeSim<'_, V>, pattern: u64) {
         let w = self.datapath.width();
         for (p, port) in self.data_inputs.iter().enumerate() {
             for (i, &net) in port.iter().enumerate() {
@@ -320,7 +368,7 @@ impl System {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use sfr_netlist::logic_to_u64;
+    use sfr_netlist::{logic_to_u64, Pat, TapeProgram};
 
     pub(crate) use crate::fixtures::toy_system;
 
@@ -376,14 +424,17 @@ pub(crate) mod tests {
         assert_eq!(states, expect);
     }
 
-    #[test]
-    fn tape_reset_and_lane_decode_mirror_scalar() {
-        let sys = toy_system();
+    /// Runs the toy system from reset on `tape` and on the scalar
+    /// reference side by side, checking state and decoded controller
+    /// state every cycle.
+    fn check_tape_mirrors_scalar<V: LaneValue>(
+        sys: &System,
+        tape: &mut TapeSim<'_, V>,
+        datapath_init: Logic,
+    ) {
         let mut sim = CycleSim::new(&sys.netlist);
-        let prog = sfr_netlist::TapeProgram::<u64>::compile(&sys.netlist, &[]).unwrap();
-        let mut tape = TapeSim::new(&prog);
-        sys.reset_sim(&mut sim, Logic::Zero);
-        sys.reset_tape(&mut tape, Logic::Zero);
+        sys.reset_sim(&mut sim, datapath_init);
+        sys.reset_tape(tape, datapath_init);
         // The per-gate reset paths must cover every sequential gate the
         // same way in both simulators.
         for &g in sys.netlist.sequential_gates() {
@@ -391,13 +442,34 @@ pub(crate) mod tests {
         }
         for _ in 0..5 {
             sys.apply_pattern(&mut sim, 9);
-            sys.apply_pattern_tape(&mut tape, 9);
+            sys.apply_pattern_tape(tape, 9);
             sim.eval();
             tape.eval();
-            assert_eq!(sys.decode_state_tape_lane(&tape, 0), sys.decode_state(&sim));
+            assert_eq!(sys.decode_state_tape_lane(tape, 0), sys.decode_state(&sim));
+            for &o in sys.netlist.outputs() {
+                assert_eq!(tape.value(o).lane(0), sim.value(o));
+            }
             sim.clock();
             tape.clock();
         }
+    }
+
+    #[test]
+    fn tape_reset_and_lane_decode_mirror_scalar_on_both_lane_domains() {
+        let sys = toy_system();
+        let three = TapeProgram::<Pat>::compile(&sys.netlist, &[]).unwrap();
+        check_tape_mirrors_scalar(&sys, &mut TapeSim::new(&three), Logic::X);
+        check_tape_mirrors_scalar(&sys, &mut TapeSim::new(&three), Logic::Zero);
+        let two = TapeProgram::<u64>::compile(&sys.netlist, &[]).unwrap();
+        check_tape_mirrors_scalar(&sys, &mut TapeSim::new(&two), Logic::Zero);
+    }
+
+    #[test]
+    #[should_panic(expected = "two-valued tape lanes cannot hold X")]
+    fn two_valued_reset_to_x_is_refused() {
+        let sys = toy_system();
+        let prog = TapeProgram::<u64>::compile(&sys.netlist, &[]).unwrap();
+        sys.reset_tape(&mut TapeSim::new(&prog), Logic::X);
     }
 
     #[test]

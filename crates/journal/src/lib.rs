@@ -900,6 +900,51 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
+        fn decode_str_never_panics_on_arbitrary_words(
+            words in prop::collection::vec(any::<u64>(), 0..16),
+        ) {
+            let _ = decode_str(&words);
+        }
+
+        /// A plausible length word in front of arbitrary payload words
+        /// reaches the UTF-8 check instead of stopping at the length.
+        #[test]
+        fn decode_str_never_panics_on_short_lengths(
+            len in 0u64..128,
+            payload in prop::collection::vec(any::<u64>(), 0..16),
+        ) {
+            let mut words = vec![len];
+            words.extend(payload);
+            if let Some((s, used)) = decode_str(&words) {
+                prop_assert_eq!(s.len() as u64, len);
+                prop_assert!(used <= words.len());
+            }
+        }
+
+        #[test]
+        fn decode_str_inverts_encode_str(
+            codes in prop::collection::vec(any::<u32>(), 0..40),
+            trailing in prop::collection::vec(any::<u64>(), 0..4),
+        ) {
+            // The top two bits pick a range, so ASCII, the BMP and the
+            // higher planes all occur; surrogates drop out.
+            let s: String = codes
+                .iter()
+                .filter_map(|&c| match c >> 30 {
+                    0 => char::from_u32(c & 0x7f),
+                    1 => char::from_u32(c & 0xffff),
+                    _ => char::from_u32(c % 0x11_0000),
+                })
+                .collect();
+            let mut words = encode_str(&s);
+            let n = words.len();
+            // Words after the string belong to the next field and are
+            // left unread.
+            words.extend(trailing);
+            prop_assert_eq!(decode_str(&words), Some((s.clone(), n)));
+        }
+
+        #[test]
         fn open_never_panics_and_leaves_rejected_files_untouched(m in mutation()) {
             let path = tmp_path("mutated");
             let j = CampaignJournal::create(&path, 0xFEED, "poly w=4").expect("create");

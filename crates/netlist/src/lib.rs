@@ -15,7 +15,10 @@
 //!   — the scalar reference;
 //! * a compiled 64-lane [op-tape simulator](TapeSim) (lane 0 fault-free,
 //!   one fault per further lane) that is exact for sequential circuits
-//!   and bit-identical, lane for lane, to the scalar reference.
+//!   and bit-identical, lane for lane, to the scalar reference: on
+//!   three-valued [`Pat`] lanes for any stimulus, and on two-valued
+//!   `u64` lanes — the only ones that count switching activity
+//!   ([`TapeActivity`]) — for stimulus that never produces `X`.
 //!
 //! # Example
 //!
@@ -79,7 +82,7 @@ pub use logic::{logic_to_u64, u64_to_logic, Logic};
 pub use sim::{Activity, ActivityMismatch, CycleSim};
 pub use stats::{critical_path, NetlistStats};
 pub use tape::{
-    LaneCounts, Pat, TapeActivity, TapeProgram, TapeSim, TapeWord, TooManyFaultsError,
+    LaneCounts, LaneValue, Pat, TapeActivity, TapeProgram, TapeSim, TooManyFaultsError,
     MAX_PARALLEL_FAULTS,
 };
 pub use vcd::VcdRecorder;

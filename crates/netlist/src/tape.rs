@@ -10,13 +10,24 @@
 //! per-lane masks, so the evaluator is a tight loop: no `CellKind`
 //! dispatch, no force scans, no per-cycle allocation.
 //!
-//! Lanes are the bits of a [`TapeWord`]; `u64` gives the classic
-//! 63-faults-plus-baseline pack. Every lane is an exact dual-rail
-//! three-valued simulation with the same semantics as the scalar
-//! reference [`crate::CycleSim`]: values, detection masks, and per-lane
-//! switching activity are bit-identical to a `CycleSim` run of that
-//! lane's circuit for the same stimulus (property-tested in
-//! `tests/proptests.rs`).
+//! Lanes are the bits of a `u64`: the classic 63-faults-plus-baseline
+//! pack. A slot holds one [`LaneValue`], in one of two logic domains
+//! that share the compiler, the eval loop and the flip-flop update:
+//!
+//! * [`Pat`] — dual-rail three-valued lanes with the semantics of the
+//!   scalar reference [`crate::CycleSim`], `X` included: values and
+//!   detection masks are bit-identical to a `CycleSim` run of that
+//!   lane's circuit. The fault campaign and the golden session run here,
+//!   since they start the datapath at `X`.
+//! * `u64` — single-rail two-valued lanes, half the work per op. Exact
+//!   wherever no `X` can arise: every flip-flop reset to a known value
+//!   and every primary input driven with one. Power grading runs here,
+//!   and only here is per-lane switching activity counted
+//!   ([`TapeActivity`], [`TapeSim::clock_counting`]) — bit-identical to
+//!   a `CycleSim` run of that lane's circuit for the same binary
+//!   stimulus.
+//!
+//! Both equivalences are property-tested in `tests/proptests.rs`.
 
 use crate::fault::{FaultSite, StuckAt};
 use crate::graph::{GateId, NetId, Netlist};
@@ -47,62 +58,66 @@ impl std::fmt::Display for TooManyFaultsError {
 
 impl std::error::Error for TooManyFaultsError {}
 
-/// A machine word carrying one simulation lane per bit.
-///
-/// Implemented by `u64` (64 lanes). All ops are pure bitwise
-/// combinators.
-pub trait TapeWord:
-    Copy + Clone + PartialEq + Eq + std::fmt::Debug + Default + Send + Sync + 'static
-{
-    /// Simulation lanes carried per word.
-    const LANES: usize;
-    /// The all-zero word.
+/// The value of one tape slot: one simulation lane per bit of a `u64`
+/// (lane 0 fault-free, lane `i + 1` under fault `i`), in one of the two
+/// logic domains the module docs describe — [`Pat`] (three-valued) or
+/// `u64` (two-valued). Every tape op is written once over these
+/// lane-wise combinators. A fresh simulator's slots hold
+/// `Self::default()`: all `X` for [`Pat`], all 0 for `u64`.
+pub trait LaneValue: Copy + PartialEq + Default + std::fmt::Debug + Send + Sync + 'static {
+    /// Every lane 0.
     const ZERO: Self;
-    /// The all-ones word.
-    const ONES: Self;
-    /// Bitwise AND.
-    fn and(self, o: Self) -> Self;
-    /// Bitwise OR.
-    fn or(self, o: Self) -> Self;
-    /// Bitwise XOR.
-    fn xor(self, o: Self) -> Self;
-    /// Bitwise NOT.
+    /// Every lane 1.
+    const ONE: Self;
+    /// Every lane at `v`.
+    ///
+    /// # Panics
+    ///
+    /// Two-valued lanes panic on [`Logic::X`], which they cannot hold.
+    fn splat(v: Logic) -> Self;
+    /// Lane `i`'s value.
+    fn lane(self, i: usize) -> Logic;
+    /// Lane-wise NOT.
     fn not(self) -> Self;
-    /// Whether no bit is set.
-    fn is_zero(self) -> bool;
-    /// Reads bit `lane`.
-    fn bit(self, lane: usize) -> bool;
-    /// The single-bit mask for `lane`.
-    fn mask(lane: usize) -> Self;
-    /// The mask with bits `0..n` set.
-    fn low_mask(n: usize) -> Self;
-    /// Number of `u64` limbs making up the word.
-    const LIMBS: usize;
-    /// Reads limb `i` (lanes `64·i..64·(i+1)`).
-    fn limb(self, i: usize) -> u64;
-    /// All-ones when bit 0 (lane 0) is set, all-zero otherwise —
-    /// a branch-free broadcast of the fault-free lane's bit.
-    fn lane0_splat(self) -> Self;
-    /// `1` when any bit is set, `0` otherwise — branch-free, so hot
-    /// loops can pack per-column "deviation present" summary bits
-    /// without data-dependent control flow.
-    fn any01(self) -> u64;
-    /// All-ones when any bit is set, all-zero otherwise — the
-    /// branch-free word-wide version of [`any01`](Self::any01).
-    fn nonzero_splat(self) -> Self;
-
-    /// `self & !o`.
-    #[inline]
-    fn andnot(self, o: Self) -> Self {
-        self.and(o.not())
-    }
+    /// Lane-wise AND.
+    fn and(self, o: Self) -> Self;
+    /// Lane-wise OR.
+    fn or(self, o: Self) -> Self;
+    /// Lane-wise XOR.
+    fn xor(self, o: Self) -> Self;
+    /// Lane-wise 2:1 mux: `sel = 0` picks `a`, `sel = 1` picks `b`. It
+    /// is also the enabled flip-flop's next state, `mux(held, d, en)`.
+    fn mux(a: Self, b: Self, sel: Self) -> Self;
+    /// Forces the lanes in `mask` to the matching bits of `ones` (a
+    /// stuck-at injection: `ones` is `mask` for stuck-at-1, 0 for
+    /// stuck-at-0).
+    fn force(self, mask: u64, ones: u64) -> Self;
 }
 
-impl TapeWord for u64 {
-    const LANES: usize = 64;
+/// Two-valued lanes: bit `i` is lane `i`'s value.
+impl LaneValue for u64 {
     const ZERO: u64 = 0;
-    const ONES: u64 = !0;
+    const ONE: u64 = !0;
 
+    #[inline]
+    fn splat(v: Logic) -> u64 {
+        match v {
+            Logic::Zero => 0,
+            Logic::One => !0,
+            Logic::X => panic!(
+                "two-valued tape lanes cannot hold X: simulate unknown values on \
+                 three-valued (Pat) lanes"
+            ),
+        }
+    }
+    #[inline]
+    fn lane(self, i: usize) -> Logic {
+        Logic::from_bool(self >> i & 1 == 1)
+    }
+    #[inline]
+    fn not(self) -> u64 {
+        !self
+    }
     #[inline]
     fn and(self, o: u64) -> u64 {
         self & o
@@ -116,198 +131,132 @@ impl TapeWord for u64 {
         self ^ o
     }
     #[inline]
-    fn not(self) -> u64 {
-        !self
+    fn mux(a: u64, b: u64, sel: u64) -> u64 {
+        (a & !sel) | (b & sel)
     }
     #[inline]
-    fn is_zero(self) -> bool {
-        self == 0
-    }
-    #[inline]
-    fn bit(self, lane: usize) -> bool {
-        debug_assert!(lane < 64, "lane {lane} out of range");
-        self >> lane & 1 == 1
-    }
-    #[inline]
-    fn mask(lane: usize) -> u64 {
-        debug_assert!(lane < 64, "lane {lane} out of range");
-        1u64 << lane
-    }
-    #[inline]
-    fn low_mask(n: usize) -> u64 {
-        if n >= 64 {
-            !0
-        } else {
-            (1u64 << n) - 1
-        }
-    }
-    const LIMBS: usize = 1;
-    #[inline]
-    fn limb(self, i: usize) -> u64 {
-        debug_assert!(i == 0, "limb {i} out of range");
-        self
-    }
-    #[inline]
-    fn lane0_splat(self) -> u64 {
-        (self & 1).wrapping_neg()
-    }
-    #[inline]
-    fn any01(self) -> u64 {
-        (self | self.wrapping_neg()) >> 63
-    }
-    #[inline]
-    fn nonzero_splat(self) -> u64 {
-        ((self | self.wrapping_neg()) >> 63).wrapping_neg()
+    fn force(self, mask: u64, ones: u64) -> u64 {
+        (self & !mask) | ones
     }
 }
 
-/// A dual-rail logic word over `W::LANES` lanes. Invariant:
-/// `lo & hi == 0`; a lane with neither bit set is `X`.
+/// A dual-rail three-valued logic word over 64 lanes. Invariant:
+/// `lo & hi == 0`; a lane with neither bit set is `X`. The default is
+/// all `X`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Pat<W> {
+pub struct Pat {
     /// Lanes that are definitely 0.
-    pub lo: W,
+    pub lo: u64,
     /// Lanes that are definitely 1.
-    pub hi: W,
+    pub hi: u64,
 }
 
-impl<W: TapeWord> Pat<W> {
+impl Pat {
     /// All lanes `X`.
     #[inline]
     pub fn all_x() -> Self {
-        Pat {
-            lo: W::ZERO,
-            hi: W::ZERO,
-        }
-    }
-
-    /// Broadcasts a scalar logic value to all lanes.
-    #[inline]
-    pub fn splat(v: Logic) -> Self {
-        match v {
-            Logic::Zero => Pat {
-                lo: W::ONES,
-                hi: W::ZERO,
-            },
-            Logic::One => Pat {
-                lo: W::ZERO,
-                hi: W::ONES,
-            },
-            Logic::X => Pat::all_x(),
-        }
-    }
-
-    /// Reads one lane.
-    #[inline]
-    pub fn lane(self, i: usize) -> Logic {
-        if self.lo.bit(i) {
-            Logic::Zero
-        } else if self.hi.bit(i) {
-            Logic::One
-        } else {
-            Logic::X
-        }
+        Pat { lo: 0, hi: 0 }
     }
 
     /// Writes one lane.
     #[inline]
     #[must_use]
     pub fn with_lane(self, i: usize, v: Logic) -> Self {
-        self.force(W::mask(i), v)
-    }
-
-    /// Forces the lanes selected by `mask` to `v`.
-    #[inline]
-    #[must_use]
-    pub fn force(self, mask: W, v: Logic) -> Self {
+        let bit = 1u64 << i;
         let mut r = Pat {
-            lo: self.lo.andnot(mask),
-            hi: self.hi.andnot(mask),
+            lo: self.lo & !bit,
+            hi: self.hi & !bit,
         };
         match v {
-            Logic::Zero => r.lo = r.lo.or(mask),
-            Logic::One => r.hi = r.hi.or(mask),
+            Logic::Zero => r.lo |= bit,
+            Logic::One => r.hi |= bit,
             Logic::X => {}
         }
         r
     }
 
-    /// Lane-wise NOT (a dual-rail inversion is a rail swap; the name
-    /// mirrors the other lane-wise combinators rather than `ops::Not`,
-    /// which would require a reference-consuming operator impl).
+    /// Lanes (as a mask) whose value definitely differs from the
+    /// corresponding lane of `o` — both lanes known, opposite values.
     #[inline]
-    #[must_use]
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Self {
+    pub fn definitely_differs(self, o: Self) -> u64 {
+        (self.lo & o.hi) | (self.hi & o.lo)
+    }
+
+    /// Lanes (as a mask) that are known (`0` or `1`).
+    #[inline]
+    pub fn known(self) -> u64 {
+        self.lo | self.hi
+    }
+}
+
+impl LaneValue for Pat {
+    const ZERO: Pat = Pat { lo: !0, hi: 0 };
+    const ONE: Pat = Pat { lo: 0, hi: !0 };
+
+    #[inline]
+    fn splat(v: Logic) -> Pat {
+        match v {
+            Logic::Zero => Pat::ZERO,
+            Logic::One => Pat::ONE,
+            Logic::X => Pat::all_x(),
+        }
+    }
+    #[inline]
+    fn lane(self, i: usize) -> Logic {
+        if self.lo >> i & 1 == 1 {
+            Logic::Zero
+        } else if self.hi >> i & 1 == 1 {
+            Logic::One
+        } else {
+            Logic::X
+        }
+    }
+    /// A dual-rail inversion is a rail swap.
+    #[inline]
+    fn not(self) -> Pat {
         Pat {
             lo: self.hi,
             hi: self.lo,
         }
     }
-
-    /// Lane-wise AND.
     #[inline]
-    #[must_use]
-    pub fn and(self, o: Self) -> Self {
+    fn and(self, o: Pat) -> Pat {
         Pat {
-            lo: self.lo.or(o.lo),
-            hi: self.hi.and(o.hi),
+            lo: self.lo | o.lo,
+            hi: self.hi & o.hi,
         }
     }
-
-    /// Lane-wise OR.
     #[inline]
-    #[must_use]
-    pub fn or(self, o: Self) -> Self {
+    fn or(self, o: Pat) -> Pat {
         Pat {
-            lo: self.lo.and(o.lo),
-            hi: self.hi.or(o.hi),
+            lo: self.lo & o.lo,
+            hi: self.hi | o.hi,
         }
     }
-
-    /// Lane-wise XOR.
     #[inline]
-    #[must_use]
-    pub fn xor(self, o: Self) -> Self {
+    fn xor(self, o: Pat) -> Pat {
         Pat {
-            lo: self.lo.and(o.lo).or(self.hi.and(o.hi)),
-            hi: self.lo.and(o.hi).or(self.hi.and(o.lo)),
+            lo: (self.lo & o.lo) | (self.hi & o.hi),
+            hi: (self.lo & o.hi) | (self.hi & o.lo),
         }
     }
-
-    /// Lane-wise 2:1 mux (`sel=0` picks `a`, `sel=1` picks `b`); an `X`
-    /// select yields the data value only where both data lanes agree.
+    /// An `X` select yields the data value only where both data lanes
+    /// agree — for a flip-flop, an unknown enable keeps the held state
+    /// only where the incoming data provably equals it.
     #[inline]
-    #[must_use]
-    pub fn mux(a: Self, b: Self, sel: Self) -> Self {
-        let agree_lo = a.lo.and(b.lo);
-        let agree_hi = a.hi.and(b.hi);
-        let x_sel = sel.lo.or(sel.hi).not();
+    fn mux(a: Pat, b: Pat, sel: Pat) -> Pat {
+        let x_sel = !(sel.lo | sel.hi);
         Pat {
-            lo: sel
-                .lo
-                .and(a.lo)
-                .or(sel.hi.and(b.lo))
-                .or(x_sel.and(agree_lo)),
-            hi: sel
-                .lo
-                .and(a.hi)
-                .or(sel.hi.and(b.hi))
-                .or(x_sel.and(agree_hi)),
+            lo: (sel.lo & a.lo) | (sel.hi & b.lo) | (x_sel & a.lo & b.lo),
+            hi: (sel.lo & a.hi) | (sel.hi & b.hi) | (x_sel & a.hi & b.hi),
         }
     }
-
-    /// Lanes (as a mask) whose value definitely differs from the
-    /// corresponding lane of `o` — both lanes known, opposite values.
     #[inline]
-    pub fn definitely_differs(self, o: Self) -> W {
-        self.lo.and(o.hi).or(self.hi.and(o.lo))
-    }
-
-    /// Lanes (as a mask) that are known (`0` or `1`).
-    #[inline]
-    pub fn known(self) -> W {
-        self.lo.or(self.hi)
+    fn force(self, mask: u64, ones: u64) -> Pat {
+        Pat {
+            lo: (self.lo & !mask) | (mask ^ ones),
+            hi: (self.hi & !mask) | ones,
+        }
     }
 }
 
@@ -378,7 +327,7 @@ enum TapeOp {
     Xnor2 { dst: u32, a: u32, b: u32 },
     /// `slots[dst] = mux(slots[a], slots[b], slots[sel])`.
     Mux2 { dst: u32, a: u32, b: u32, sel: u32 },
-    /// `slots[dst] = slots[src].force(masks[f], vals[f])` — a baked-in
+    /// `slots[dst] = slots[src].force(masks[f], ones[f])` — a baked-in
     /// stuck-at injection site.
     Force { dst: u32, src: u32, f: u32 },
 }
@@ -390,9 +339,10 @@ enum SeqOp {
     /// `col` is the gate's clock-counter column (its position among the
     /// sequential gates).
     Dff { state: u32, d: u32, col: u32 },
-    /// Clock-gated flip-flop: load where the enable is definitely 1,
-    /// hold where definitely 0, degrade to `X` where the enable is
-    /// unknown and the data disagrees with the held state.
+    /// Clock-gated flip-flop: `state = mux(state, slots[d], slots[en])`
+    /// — load where the enable is 1, hold where 0, and on three-valued
+    /// lanes degrade to `X` where the enable is unknown and the data
+    /// disagrees with the held state.
     Dffe {
         state: u32,
         d: u32,
@@ -413,14 +363,20 @@ enum SeqOp {
 /// pins before the consuming gate, outputs after the driving gate,
 /// primary-input stems at the head). Compiling is one linear pass —
 /// trivially cheap next to the thousands of cycles a pack simulates.
+///
+/// `V` is the [`LaneValue`] domain the program is simulated in —
+/// `TapeProgram::<Pat>` three-valued, `TapeProgram::<u64>` two-valued —
+/// and fixes the [`TapeSim`] built over it; the compiled tape itself is
+/// the same for both.
 #[derive(Debug, Clone)]
-pub struct TapeProgram<W> {
+pub struct TapeProgram<V> {
     ops: Vec<TapeOp>,
     seq: Vec<SeqOp>,
     /// Per-fault force masks (lane `i+1` for fault `i`).
-    masks: Vec<W>,
-    /// Per-fault forced values, parallel to `masks`.
-    vals: Vec<Logic>,
+    masks: Vec<u64>,
+    /// Per-fault forced ones, parallel to `masks`: the mask for a
+    /// stuck-at-1, 0 for a stuck-at-0.
+    ones: Vec<u64>,
     n_slots: usize,
     n_nets: usize,
     /// Primary-input slots, in netlist declaration order.
@@ -432,18 +388,19 @@ pub struct TapeProgram<W> {
     faults: Vec<StuckAt>,
     /// Deepest combinational level in the levelized schedule.
     n_levels: usize,
+    domain: std::marker::PhantomData<V>,
 }
 
-impl<W: TapeWord> TapeProgram<W> {
+impl<V: LaneValue> TapeProgram<V> {
     /// Compiles `nl` with `faults` baked in (lane 0 stays fault-free;
-    /// fault `i` occupies lane `i+1`).
+    /// fault `i` occupies lane `i+1`), to be simulated on `V` lanes.
     ///
     /// # Errors
     ///
     /// Returns [`TooManyFaultsError`] when the pack exceeds
-    /// `W::LANES - 1` faults.
+    /// [`MAX_PARALLEL_FAULTS`] faults.
     pub fn compile(nl: &Netlist, faults: &[StuckAt]) -> Result<Self, TooManyFaultsError> {
-        if faults.len() > W::LANES - 1 {
+        if faults.len() > MAX_PARALLEL_FAULTS {
             return Err(TooManyFaultsError {
                 requested: faults.len(),
             });
@@ -451,7 +408,7 @@ impl<W: TapeWord> TapeProgram<W> {
         let n_nets = nl.net_count();
         let n_gates = nl.gate_count();
         let mut masks = Vec::with_capacity(faults.len());
-        let mut vals = Vec::with_capacity(faults.len());
+        let mut ones = Vec::with_capacity(faults.len());
         // Force sites in fault-enumeration order, so chained forces on
         // one site resolve deterministically.
         let mut pin_forces: Vec<(GateId, usize, u32)> = Vec::new();
@@ -459,8 +416,9 @@ impl<W: TapeWord> TapeProgram<W> {
         let mut pi_forces: Vec<(NetId, u32)> = Vec::new();
         for (i, f) in faults.iter().enumerate() {
             let fi = i as u32;
-            masks.push(W::mask(i + 1));
-            vals.push(f.stuck_logic());
+            let mask = 1u64 << (i + 1);
+            masks.push(mask);
+            ones.push(if f.stuck { mask } else { 0 });
             match f.site {
                 FaultSite::GateInput { gate, pin } => pin_forces.push((gate, pin, fi)),
                 FaultSite::GateOutput { gate } => out_forces.push((gate, fi)),
@@ -604,7 +562,7 @@ impl<W: TapeWord> TapeProgram<W> {
             ops,
             seq,
             masks,
-            vals,
+            ones,
             n_slots,
             n_nets,
             inputs: nl.inputs().iter().map(|n| n.index() as u32).collect(),
@@ -612,6 +570,7 @@ impl<W: TapeWord> TapeProgram<W> {
             state_slot,
             faults: faults.to_vec(),
             n_levels,
+            domain: std::marker::PhantomData,
         })
     }
 
@@ -656,9 +615,20 @@ impl<W: TapeWord> TapeProgram<W> {
     pub fn net_count(&self) -> usize {
         self.n_nets
     }
+
+    /// Mask covering every live lane, including lane 0 (`compile`
+    /// keeps the lane count within `1..=64`).
+    fn live_lanes_mask(&self) -> u64 {
+        !0 >> (64 - self.lanes())
+    }
 }
 
-/// Per-lane switching-activity counters for a [`TapeSim`].
+/// Per-lane switching-activity counters of a two-valued [`TapeSim`],
+/// filled by [`TapeSim::clock_counting`]: per cycle and per lane, the
+/// same net toggles and clock events the scalar
+/// [`crate::CycleSim::clock`] records. Power grading is the only
+/// consumer, and it runs on two-valued lanes, so the three-valued tape
+/// counts nothing.
 ///
 /// Counters are kept as *deltas against lane 0*: a fault lane toggles
 /// exactly like the fault-free lane on almost every net in almost every
@@ -674,8 +644,11 @@ impl<W: TapeWord> TapeProgram<W> {
 /// Two counter families share that layout (`DeltaRows`): net toggles,
 /// one column per net, and clock events, one column per *sequential*
 /// gate (combinational gates never clock, so they get no column).
+///
+/// The counters are built for one [`TapeProgram`] and must only record
+/// simulators of that program.
 #[derive(Debug, Clone)]
-pub struct TapeActivity<W> {
+pub struct TapeActivity {
     lanes: usize,
     /// Lane 0's toggle count per net.
     net_base: Vec<u64>,
@@ -689,7 +662,19 @@ pub struct TapeActivity<W> {
     /// Gate index → clock column ([`NO_ROW`] for combinational gates).
     clock_col: Vec<u32>,
     cycles: u64,
-    _word: std::marker::PhantomData<W>,
+    /// The previous cycle's settled net values, the other end of each
+    /// toggle; meaningful once `have_prev` is set.
+    prev: Vec<u64>,
+    have_prev: bool,
+    /// Per-net scratch holding each net's deviation word for the edge:
+    /// lanes that disagreed with lane 0 about toggling, with the sign
+    /// packed into (otherwise always-clear) bit 0. Filled branch-free
+    /// each edge, drained sparsely into the delta rows.
+    dev_scratch: Vec<u64>,
+    /// One bit per net, set when that net's `dev_scratch` word is
+    /// nonzero, maintained by the toggle sweep so the drain walks
+    /// straight to deviating columns without re-reading clean ones.
+    dev_sel: Vec<u64>,
 }
 
 /// Row index marking a column that has not deviated since the last
@@ -703,7 +688,8 @@ const NO_ROW: u32 = u32::MAX;
 /// front, so it never reallocates, and a reset truncates it — the
 /// memory a simulator touches is the rows its busiest batch used, at
 /// `stride` counters each. A deviation's magnitude is bounded by the
-/// tracked cycle count, which [`TapeSim::clock`] caps at `i32::MAX`.
+/// tracked cycle count, which [`TapeSim::clock_counting`] caps at
+/// `i32::MAX`.
 #[derive(Debug, Clone)]
 struct DeltaRows {
     /// Column → row index into `delta`, or [`NO_ROW`] while clean.
@@ -750,7 +736,7 @@ impl DeltaRows {
     /// alone). Deviation words almost always carry a single set bit, so
     /// this is a short trailing-zeros walk, not a per-lane sweep.
     #[inline]
-    fn bump<W: TapeWord>(&mut self, col: usize, w: W, sign: i32) {
+    fn bump(&mut self, col: usize, w: u64, sign: i32) {
         let at = match self.row[col] {
             NO_ROW => {
                 let at = self.delta.len();
@@ -761,13 +747,10 @@ impl DeltaRows {
             r => r as usize * self.stride,
         };
         let row = &mut self.delta[at..at + self.stride];
-        for li in 0..W::LIMBS {
-            let mut bits = w.limb(li);
-            while bits != 0 {
-                let lane = li * 64 + bits.trailing_zeros() as usize;
-                row[lane] += sign;
-                bits &= bits - 1;
-            }
+        let mut bits = w;
+        while bits != 0 {
+            row[bits.trailing_zeros() as usize] += sign;
+            bits &= bits - 1;
         }
     }
 }
@@ -780,15 +763,15 @@ impl DeltaRows {
 /// nonzero-flag per column into the `sel` bitmap while the scratch
 /// word was in a register, so the drain walks straight to the hot
 /// columns — clean scratch words are never re-read at all.
-fn drain_deviations<W: TapeWord>(sel: &[u64], scratch: &[W], delta: &mut DeltaRows) {
+fn drain_deviations(sel: &[u64], scratch: &[u64], delta: &mut DeltaRows) {
     for (word, &bits) in sel.iter().enumerate() {
         let mut bits = bits;
         while bits != 0 {
             let idx = word * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let w = scratch[idx];
-            let sign = 1 - 2 * (w.limb(0) & 1) as i32;
-            delta.bump(idx, w.andnot(W::mask(0)), sign);
+            let sign = 1 - 2 * (w & 1) as i32;
+            delta.bump(idx, w & !1, sign);
         }
     }
 }
@@ -836,8 +819,9 @@ fn column_counts<'a>(base: u64, row: Option<&[i32]>, counts: &'a mut [u64]) -> L
     LaneCounts::PerLane(counts)
 }
 
-impl<W: TapeWord> TapeActivity<W> {
-    fn new(prog: &TapeProgram<W>) -> Self {
+impl TapeActivity {
+    /// Zeroed counters for simulators of `prog`.
+    pub fn new(prog: &TapeProgram<u64>) -> Self {
         let lanes = prog.lanes();
         let n_seq = prog.seq.len();
         TapeActivity {
@@ -857,17 +841,130 @@ impl<W: TapeWord> TapeActivity<W> {
                 })
                 .collect(),
             cycles: 0,
-            _word: std::marker::PhantomData,
+            prev: vec![0; prog.n_nets],
+            have_prev: false,
+            dev_scratch: vec![0; prog.n_nets],
+            dev_sel: vec![0; prog.n_nets.div_ceil(64)],
         }
     }
 
-    /// Restarts every counter from zero in place, keeping the buffers.
-    fn reset(&mut self) {
+    /// Restarts every counter from zero in place, keeping the buffers —
+    /// the cheap path for Monte Carlo loops that run many batches over
+    /// one simulator. The next edge only records its settled values as
+    /// the baseline for the one after.
+    pub fn reset(&mut self) {
         self.net_base.fill(0);
         self.net_delta.reset();
         self.clock_base.fill(0);
         self.clock_delta.reset();
         self.cycles = 0;
+        self.have_prev = false;
+    }
+
+    /// Counts one clock edge of a simulator of `prog` whose settled
+    /// slots are `slots`: net toggles against the previous edge's
+    /// settled values, then clock events.
+    fn count_edge(&mut self, prog: &TapeProgram<u64>, slots: &[u64]) {
+        let live = prog.live_lanes_mask();
+        let nets = prog.n_nets;
+        debug_assert_eq!(self.net_base.len(), nets, "counters of another program");
+        if self.have_prev {
+            // Delta accumulation, two passes. Pass A is branch-free (no
+            // data-dependent control flow at all, so it auto-vectorizes):
+            // a lane toggled when its settled value differs from the
+            // previous edge's, `(prev ^ cur) & live`; lane 0's toggle is
+            // a scalar increment, and the lanes *disagreeing* with lane
+            // 0 land in one per-net scratch word,
+            // `d = toggled ^ (live & splat(toggled₀))` — when lane 0
+            // held, `d` is the lanes that toggled anyway; when lane 0
+            // toggled, `d` is the live lanes that held. Bit 0 of the
+            // scratch word is always clear (lane 0 never disagrees with
+            // itself), so it carries the sign, set only when `d` is
+            // nonzero to keep clean columns all-zero. The previous-cycle
+            // plane is refreshed and each column's nonzero flag is
+            // folded into a selection bitmap in the same sweep while the
+            // scratch word is still in a register, so pass B walks
+            // straight to the deviating columns and never touches a
+            // clean one.
+            let cur = &slots[..nets];
+            let prev = &mut self.prev[..nets];
+            let base = &mut self.net_base[..nets];
+            let dev = &mut self.dev_scratch[..nets];
+            // The per-net body, returning the scratch word's nonzero
+            // flag to fold into the selection bitmap. Split into full
+            // 8-net chunks plus a remainder so the hot inner loop has a
+            // constant trip count the compiler can unroll and vectorize.
+            macro_rules! sweep_net {
+                ($i:expr) => {{
+                    let i = $i;
+                    let toggled = (prev[i] ^ cur[i]) & live;
+                    prev[i] = cur[i];
+                    let lane0 = toggled & 1;
+                    base[i] += lane0;
+                    let d = toggled ^ (live & lane0.wrapping_neg());
+                    let nonzero = (d | d.wrapping_neg()) >> 63;
+                    let w = d | (lane0 & nonzero);
+                    dev[i] = w;
+                    (w | w.wrapping_neg()) >> 63
+                }};
+            }
+            let full = nets / 8;
+            let sel = &mut self.dev_sel[..nets.div_ceil(64)];
+            sel.fill(0);
+            for blk in 0..full {
+                let start = blk * 8;
+                let mut mask = 0u64;
+                for j in 0..8 {
+                    mask |= sweep_net!(start + j) << j;
+                }
+                // 8-net chunks at 8-aligned offsets never straddle a
+                // 64-bit selection word.
+                sel[start >> 6] |= mask << (start & 63);
+            }
+            if nets % 8 != 0 {
+                let start = full * 8;
+                let mut mask = 0u64;
+                for (j, i) in (start..nets).enumerate() {
+                    mask |= sweep_net!(i) << j;
+                }
+                sel[start >> 6] |= mask << (start & 63);
+            }
+            // Pass B drains the scratch into the delta rows, walking the
+            // selection bitmap straight to the deviating columns.
+            drain_deviations(&self.dev_sel, &self.dev_scratch, &mut self.net_delta);
+        } else {
+            self.prev.copy_from_slice(&slots[..nets]);
+        }
+        self.have_prev = true;
+        // The i32 delta rows hold any deviation up to the tracked cycle
+        // count; refuse to run past their range rather than silently
+        // wrap.
+        assert!(
+            self.cycles < i32::MAX as u64,
+            "activity tracking is limited to i32::MAX cycles per reset"
+        );
+        self.cycles += 1;
+        for op in &prog.seq {
+            match *op {
+                // Every live lane clocks — no delta against lane 0, just
+                // the scalar base count.
+                SeqOp::Dff { col, .. } => self.clock_base[col as usize] += 1,
+                SeqOp::Dffe { en, col, .. } => {
+                    let col = col as usize;
+                    let enabled = slots[en as usize] & live;
+                    let e0 = (enabled & 1).wrapping_neg();
+                    self.clock_base[col] += enabled & 1;
+                    let pos = enabled & !e0;
+                    let neg = live & e0 & !enabled;
+                    if pos != 0 {
+                        self.clock_delta.bump(col, pos, 1);
+                    }
+                    if neg != 0 {
+                        self.clock_delta.bump(col, neg, -1);
+                    }
+                }
+            }
+        }
     }
 
     /// Number of lanes tracked (fault count + 1; lane 0 is fault-free).
@@ -977,54 +1074,33 @@ impl<W: TapeWord> TapeActivity<W> {
     }
 }
 
-/// The tape evaluator: runs a [`TapeProgram`] cycle by cycle with zero
-/// per-cycle allocation.
+/// The tape evaluator: runs a [`TapeProgram`] cycle by cycle on `V`
+/// lanes with zero per-cycle allocation.
 ///
 /// The call discipline mirrors [`crate::CycleSim`]: set inputs,
-/// [`eval`](Self::eval), read values/masks, [`clock`](Self::clock).
+/// [`eval`](Self::eval), read values/masks, [`clock`](Self::clock)
+/// (or, on two-valued lanes, [`clock_counting`](Self::clock_counting)).
 #[derive(Debug, Clone)]
-pub struct TapeSim<'p, W: TapeWord> {
-    prog: &'p TapeProgram<W>,
+pub struct TapeSim<'p, V: LaneValue> {
+    prog: &'p TapeProgram<V>,
     /// The flat value array: net slots, then sequential state slots,
     /// then forced-operand scratch slots.
-    slots: Vec<Pat<W>>,
-    /// Previous cycle's settled net values (for toggle accounting),
-    /// split into separate `lo`/`hi` planes so the toggle sweep streams
-    /// same-field data contiguously instead of shuffling interleaved
-    /// `Pat` pairs.
-    prev_lo: Vec<W>,
-    /// `hi` plane of the previous-cycle snapshot.
-    prev_hi: Vec<W>,
-    have_prev: bool,
-    /// Per-net scratch holding each net's deviation word for the edge:
-    /// lanes that disagreed with lane 0 about toggling, with the sign
-    /// packed into (otherwise always-clear) bit 0. Filled branch-free
-    /// each edge, drained sparsely into the delta rows.
-    dev_scratch: Vec<W>,
-    /// One bit per net, set when that net's `dev_scratch` word is
-    /// nonzero, maintained by the toggle sweep so the drain walks
-    /// straight to deviating columns without re-reading clean ones.
-    dev_sel: Vec<u64>,
-    activity: Option<TapeActivity<W>>,
+    slots: Vec<V>,
 }
 
-impl<'p, W: TapeWord> TapeSim<'p, W> {
-    /// Creates an evaluator over a compiled program.
-    pub fn new(prog: &'p TapeProgram<W>) -> Self {
+impl<'p, V: LaneValue> TapeSim<'p, V> {
+    /// Creates an evaluator over a compiled program. Every slot starts
+    /// at `V::default()`: `X` on three-valued lanes, 0 on two-valued
+    /// ones.
+    pub fn new(prog: &'p TapeProgram<V>) -> Self {
         TapeSim {
             prog,
-            slots: vec![Pat::all_x(); prog.n_slots],
-            prev_lo: vec![W::ZERO; prog.n_nets],
-            prev_hi: vec![W::ZERO; prog.n_nets],
-            have_prev: false,
-            dev_scratch: vec![W::ZERO; prog.n_nets],
-            dev_sel: vec![0; prog.n_nets.div_ceil(64)],
-            activity: None,
+            slots: vec![V::default(); prog.n_slots],
         }
     }
 
     /// The program being evaluated.
-    pub fn program(&self) -> &'p TapeProgram<W> {
+    pub fn program(&self) -> &'p TapeProgram<V> {
         self.prog
     }
 
@@ -1038,71 +1114,30 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
         self.prog.lanes()
     }
 
-    /// Mask covering every live lane, including lane 0.
-    fn live_lanes_mask(&self) -> W {
-        W::low_mask(self.prog.faults.len() + 1)
-    }
-
-    /// Enables per-lane switching-activity accounting (off by default).
-    /// Enabling (re-)starts the counters from zero; an already-tracking
-    /// sim resets in place, reusing its counter buffers — the cheap path
-    /// for Monte Carlo loops that run many batches over one sim.
-    pub fn track_activity(&mut self, on: bool) {
-        match (on, self.activity.as_mut()) {
-            (true, Some(a)) => a.reset(),
-            (true, None) => self.activity = Some(TapeActivity::new(self.prog)),
-            (false, _) => self.activity = None,
-        }
-        self.have_prev = false;
-    }
-
-    /// The accumulated per-lane activity, if tracking is enabled.
-    pub fn activity(&self) -> Option<&TapeActivity<W>> {
-        self.activity.as_ref()
-    }
-
-    /// Extracts one lane's accumulated [`Activity`], or `None` when
-    /// tracking is disabled or `lane` is out of range.
-    pub fn try_lane_activity(&self, lane: usize) -> Option<Activity> {
-        self.activity.as_ref().and_then(|a| a.try_lane(lane))
-    }
-
-    /// Extracts one lane's accumulated [`Activity`].
+    /// Resets all sequential state in all lanes to `v`.
     ///
     /// # Panics
     ///
-    /// Panics if tracking is disabled or `lane` is out of range.
-    pub fn lane_activity(&self, lane: usize) -> Activity {
-        self.activity
-            .as_ref()
-            .expect(
-                "activity tracking not enabled: call track_activity(true) before simulating \
-                 to accumulate per-lane toggle counts",
-            )
-            .lane(lane)
-    }
-
-    /// Resets all sequential state in all lanes, discarding the
-    /// previous-cycle toggle baseline (accumulated counts survive).
+    /// Panics if `v` is [`Logic::X`] on two-valued lanes.
     pub fn reset_state(&mut self, v: Logic) {
-        let s = Pat::splat(v);
+        let s = V::splat(v);
         for op in &self.prog.seq {
             let slot = match *op {
                 SeqOp::Dff { state, .. } | SeqOp::Dffe { state, .. } => state,
             };
             self.slots[slot as usize] = s;
         }
-        self.have_prev = false;
     }
 
     /// Overwrites one sequential gate's stored state (all lanes) — used
-    /// by system-level reset to load a specific controller state code
-    /// while preserving the inter-run toggle edge.
+    /// by system-level reset to load a specific controller state code.
+    /// Activity counters are untouched, so the toggle edge into the
+    /// reset state is counted like any other.
     ///
     /// # Panics
     ///
     /// Panics if `gate` is not sequential.
-    pub fn set_gate_state(&mut self, gate: GateId, v: Pat<W>) {
+    pub fn set_gate_state(&mut self, gate: GateId, v: V) {
         let slot = self.prog.state_slot[gate.index()];
         assert!(slot != u32::MAX, "{gate} is not a sequential gate");
         self.slots[slot as usize] = v;
@@ -1113,31 +1148,36 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
     /// # Panics
     ///
     /// Panics if `gate` is not sequential.
-    pub fn gate_state(&self, gate: GateId) -> Pat<W> {
+    pub fn gate_state(&self, gate: GateId) -> V {
         let slot = self.prog.state_slot[gate.index()];
         assert!(slot != u32::MAX, "{gate} is not a sequential gate");
         self.slots[slot as usize]
     }
 
     /// Applies the same value to a primary input across all lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is [`Logic::X`] on two-valued lanes.
     pub fn set_input(&mut self, net: NetId, v: Logic) {
-        self.slots[net.index()] = Pat::splat(v);
+        self.slots[net.index()] = V::splat(v);
     }
 
     /// Applies the same values to all primary inputs across all lanes.
     ///
     /// # Panics
     ///
-    /// Panics if `vals` length differs from the number of primary inputs.
+    /// Panics if `vals` length differs from the number of primary
+    /// inputs, or if a value is [`Logic::X`] on two-valued lanes.
     pub fn set_inputs(&mut self, vals: &[Logic]) {
         assert_eq!(vals.len(), self.prog.inputs.len(), "input width mismatch");
         for (&slot, &v) in self.prog.inputs.iter().zip(vals) {
-            self.slots[slot as usize] = Pat::splat(v);
+            self.slots[slot as usize] = V::splat(v);
         }
     }
 
     /// Lane-vector value of a net (valid after [`TapeSim::eval`]).
-    pub fn value(&self, net: NetId) -> Pat<W> {
+    pub fn value(&self, net: NetId) -> V {
         self.slots[net.index()]
     }
 
@@ -1145,11 +1185,11 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
     pub fn eval(&mut self) {
         let slots = &mut self.slots;
         let masks = &self.prog.masks;
-        let vals = &self.prog.vals;
+        let ones = &self.prog.ones;
         for op in &self.prog.ops {
             match *op {
-                TapeOp::Const0 { dst } => slots[dst as usize] = Pat::splat(Logic::Zero),
-                TapeOp::Const1 { dst } => slots[dst as usize] = Pat::splat(Logic::One),
+                TapeOp::Const0 { dst } => slots[dst as usize] = V::ZERO,
+                TapeOp::Const1 { dst } => slots[dst as usize] = V::ONE,
                 TapeOp::Copy { dst, a } => slots[dst as usize] = slots[a as usize],
                 TapeOp::Not { dst, a } => slots[dst as usize] = slots[a as usize].not(),
                 TapeOp::And2 { dst, a, b } => {
@@ -1220,180 +1260,75 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
                 }
                 TapeOp::Mux2 { dst, a, b, sel } => {
                     slots[dst as usize] =
-                        Pat::mux(slots[a as usize], slots[b as usize], slots[sel as usize]);
+                        V::mux(slots[a as usize], slots[b as usize], slots[sel as usize]);
                 }
                 TapeOp::Force { dst, src, f } => {
                     slots[dst as usize] =
-                        slots[src as usize].force(masks[f as usize], vals[f as usize]);
+                        slots[src as usize].force(masks[f as usize], ones[f as usize]);
                 }
             }
         }
     }
 
-    /// Advances sequential state one clock edge in all lanes, recording
-    /// activity when tracking is enabled. Per cycle and per lane the
-    /// accounting matches the scalar [`crate::CycleSim::clock`] exactly.
+    /// Advances sequential state one clock edge in all lanes, exactly as
+    /// the scalar [`crate::CycleSim::clock`] does per lane.
     pub fn clock(&mut self) {
-        let live = self.live_lanes_mask();
-        let mut act = self.activity.take();
-        if let Some(a) = act.as_mut() {
-            if self.have_prev {
-                // Delta accumulation, two passes. Pass A is branch-free
-                // (no data-dependent control flow at all, so it
-                // auto-vectorizes): lane 0's toggle is a scalar
-                // increment, and the lanes *disagreeing* with lane 0
-                // land in one per-net scratch word,
-                // `d = toggled ^ (live & splat(toggled₀))` — when
-                // lane 0 held, `d` is the lanes that toggled anyway;
-                // when lane 0 toggled, `d` is the live lanes that held.
-                // Bit 0 of the scratch word is always clear (lane 0
-                // never disagrees with itself), so it carries the sign,
-                // set only when `d` is nonzero to keep clean columns
-                // all-zero. The previous-cycle snapshot is refreshed
-                // and each column's nonzero flag is folded into a
-                // selection bitmap in the same sweep while the scratch
-                // word is still in a register, so pass B walks straight
-                // to the deviating columns and never touches a clean
-                // one.
-                let nets = self.prog.n_nets;
-                let bit0 = W::mask(0);
-                let slots = &self.slots[..nets];
-                let prev_lo = &mut self.prev_lo[..nets];
-                let prev_hi = &mut self.prev_hi[..nets];
-                let base = &mut a.net_base[..nets];
-                let dev = &mut self.dev_scratch[..nets];
-                // The per-net body, returning the scratch word's
-                // nonzero flag to fold into the selection bitmap.
-                // Split into full 8-net chunks plus a remainder so the
-                // hot inner loop has a constant trip count the
-                // compiler can unroll and vectorize.
-                macro_rules! sweep_net {
-                    ($i:expr) => {{
-                        let i = $i;
-                        let cur = slots[i];
-                        let toggled = prev_lo[i].and(cur.hi).or(prev_hi[i].and(cur.lo)).and(live);
-                        prev_lo[i] = cur.lo;
-                        prev_hi[i] = cur.hi;
-                        base[i] += u64::from(toggled.bit(0));
-                        let d = toggled.xor(live.and(toggled.lane0_splat()));
-                        let w = d.or(toggled.and(bit0).and(d.nonzero_splat()));
-                        dev[i] = w;
-                        w.any01()
-                    }};
-                }
-                let full = nets / 8;
-                let sel = &mut self.dev_sel[..nets.div_ceil(64)];
-                sel.fill(0);
-                for blk in 0..full {
-                    let start = blk * 8;
-                    let mut mask = 0u64;
-                    for j in 0..8 {
-                        mask |= sweep_net!(start + j) << j;
-                    }
-                    // 8-net chunks at 8-aligned offsets never straddle
-                    // a 64-bit selection word.
-                    sel[start >> 6] |= mask << (start & 63);
-                }
-                if nets % 8 != 0 {
-                    let start = full * 8;
-                    let mut mask = 0u64;
-                    for (j, i) in (start..nets).enumerate() {
-                        mask |= sweep_net!(i) << j;
-                    }
-                    sel[start >> 6] |= mask << (start & 63);
-                }
-                // Pass B drains the scratch into the delta rows,
-                // walking the selection bitmap straight to the
-                // deviating columns.
-                drain_deviations(&self.dev_sel, &self.dev_scratch, &mut a.net_delta);
-            } else {
-                for ((plo, phi), cur) in self
-                    .prev_lo
-                    .iter_mut()
-                    .zip(self.prev_hi.iter_mut())
-                    .zip(&self.slots[..self.prog.n_nets])
-                {
-                    *plo = cur.lo;
-                    *phi = cur.hi;
-                }
-            }
-            self.have_prev = true;
-            // The i32 delta rows hold any deviation up to the tracked
-            // cycle count; refuse to run past their range rather than
-            // silently wrap.
-            assert!(
-                a.cycles < i32::MAX as u64,
-                "activity tracking is limited to i32::MAX cycles per reset"
-            );
-            a.cycles += 1;
-        }
         for op in &self.prog.seq {
             match *op {
-                SeqOp::Dff { state, d, col } => {
+                SeqOp::Dff { state, d, .. } => {
                     self.slots[state as usize] = self.slots[d as usize];
-                    if let Some(a) = act.as_mut() {
-                        // Every live lane clocks — no delta against
-                        // lane 0, just the scalar base count.
-                        a.clock_base[col as usize] += 1;
-                    }
                 }
-                SeqOp::Dffe { state, d, en, col } => {
-                    let d = self.slots[d as usize];
-                    let en = self.slots[en as usize];
-                    let cur = self.slots[state as usize];
-                    let agree_lo = d.lo.and(cur.lo);
-                    let agree_hi = d.hi.and(cur.hi);
-                    let x_en = en.lo.or(en.hi).not();
-                    self.slots[state as usize] = Pat {
-                        lo: en.hi.and(d.lo).or(en.lo.and(cur.lo)).or(x_en.and(agree_lo)),
-                        hi: en.hi.and(d.hi).or(en.lo.and(cur.hi)).or(x_en.and(agree_hi)),
-                    };
-                    if let Some(a) = act.as_mut() {
-                        let enabled = en.hi.and(live);
-                        let col = col as usize;
-                        let e0 = enabled.lane0_splat();
-                        a.clock_base[col] += u64::from(enabled.bit(0));
-                        let pos = enabled.andnot(e0);
-                        let neg = live.and(e0).andnot(enabled);
-                        if !pos.is_zero() {
-                            a.clock_delta.bump(col, pos, 1);
-                        }
-                        if !neg.is_zero() {
-                            a.clock_delta.bump(col, neg, -1);
-                        }
-                    }
+                SeqOp::Dffe { state, d, en, .. } => {
+                    let s = state as usize;
+                    self.slots[s] = V::mux(
+                        self.slots[s],
+                        self.slots[d as usize],
+                        self.slots[en as usize],
+                    );
                 }
             }
         }
-        self.activity = act;
     }
+}
 
+impl TapeSim<'_, u64> {
+    /// [`clock`](Self::clock), first counting the settled cycle's
+    /// switching activity into `act` — per cycle and per lane the same
+    /// net toggles and clock events the scalar
+    /// [`crate::CycleSim::clock`] records. `act` must have been built
+    /// for this simulator's program.
+    pub fn clock_counting(&mut self, act: &mut TapeActivity) {
+        act.count_edge(self.prog, &self.slots);
+        self.clock();
+    }
+}
+
+impl TapeSim<'_, Pat> {
     /// Mask of fault lanes whose primary outputs *definitely* differ
     /// from lane 0 in the current cycle. Bit `i+1` corresponds to
     /// `self.faults()[i]`.
-    pub fn detected_mask(&self) -> W {
-        let mut mask = W::ZERO;
+    pub fn detected_mask(&self) -> u64 {
+        let mut mask = 0;
         for &o in &self.prog.outputs {
             let v = self.slots[o as usize];
             let golden = Pat::splat(v.lane(0));
-            mask = mask.or(v.definitely_differs(golden));
+            mask |= v.definitely_differs(golden);
         }
-        mask.andnot(W::mask(0))
+        mask & !1
     }
 
     /// Mask of fault lanes where some primary output is known in lane 0
     /// but unknown in the fault lane (the "potentially detected"
     /// GENTEST outcome).
-    pub fn potentially_detected_mask(&self) -> W {
-        let mut mask = W::ZERO;
+    pub fn potentially_detected_mask(&self) -> u64 {
+        let mut mask = 0;
         for &o in &self.prog.outputs {
             let v = self.slots[o as usize];
             if v.lane(0).is_known() {
-                mask = mask.or(v.known().not());
+                mask |= !v.known();
             }
         }
-        mask.andnot(W::mask(0))
-            .and(W::low_mask(self.prog.faults.len() + 1))
+        mask & !1 & self.prog.live_lanes_mask()
     }
 }
 
@@ -1406,31 +1341,19 @@ mod tests {
     use crate::sim::CycleSim;
 
     #[test]
-    fn lane_masks_and_bits() {
-        for lane in [0usize, 1, 17, 63] {
-            let m = <u64 as TapeWord>::mask(lane);
-            assert!(m.bit(lane));
-            assert_eq!(m.and(m.not()), 0);
-        }
-        assert_eq!(<u64 as TapeWord>::low_mask(0), 0);
-        assert_eq!(<u64 as TapeWord>::low_mask(64), !0);
-        assert_eq!(<u64 as TapeWord>::low_mask(3), 0b111);
-    }
-
-    #[test]
     fn pat_ops_match_scalar_logic() {
         let lane = 17;
         let vals = [Zero, One, X];
         for &a in &vals {
             for &b in &vals {
-                let va = Pat::<u64>::all_x().with_lane(lane, a);
-                let vb = Pat::<u64>::all_x().with_lane(lane, b);
+                let va = Pat::all_x().with_lane(lane, a);
+                let vb = Pat::all_x().with_lane(lane, b);
                 assert_eq!(va.and(vb).lane(lane), a & b, "and {a} {b}");
                 assert_eq!(va.or(vb).lane(lane), a | b, "or {a} {b}");
                 assert_eq!(va.xor(vb).lane(lane), a ^ b, "xor {a} {b}");
                 assert_eq!(va.not().lane(lane), !a, "not {a}");
                 for &s in &vals {
-                    let vs = Pat::<u64>::splat(s);
+                    let vs = Pat::splat(s);
                     let expect = CellKind::Mux2.eval(&[a, b, s]);
                     assert_eq!(
                         Pat::mux(Pat::splat(a), Pat::splat(b), vs).lane(lane),
@@ -1438,8 +1361,41 @@ mod tests {
                         "mux {a} {b} {s}"
                     );
                 }
+                for (mask, ones, want) in [(1 << lane, 0, Zero), (1 << lane, 1 << lane, One)] {
+                    assert_eq!(va.force(mask, ones).lane(lane), want, "force {a}");
+                    assert_eq!(va.force(mask, ones).lane(lane + 1), X, "other lanes");
+                }
             }
         }
+    }
+
+    #[test]
+    fn two_valued_ops_match_three_valued_ops_on_known_lanes() {
+        // Every lane carries one of the eight (a, b, sel) combinations.
+        let bits = |k: u32| (0..64u64).fold(0u64, |w, lane| w | ((lane >> k & 1) << lane));
+        let (a, b, s) = (bits(0), bits(1), bits(2));
+        let pat = |w: u64| Pat { lo: !w, hi: w };
+        let known = |p: Pat| {
+            assert_eq!(p.known(), !0, "known operands give known results");
+            p.hi
+        };
+        assert_eq!(a.and(b), known(pat(a).and(pat(b))));
+        assert_eq!(a.or(b), known(pat(a).or(pat(b))));
+        assert_eq!(a.xor(b), known(pat(a).xor(pat(b))));
+        assert_eq!(a.not(), known(pat(a).not()));
+        assert_eq!(u64::mux(a, b, s), known(Pat::mux(pat(a), pat(b), pat(s))));
+        assert_eq!(a.force(s, s & b), known(pat(a).force(s, s & b)));
+        for lane in 0..64 {
+            assert_eq!(a.lane(lane), pat(a).lane(lane));
+        }
+        assert_eq!(u64::splat(One), !0);
+        assert_eq!(u64::splat(Zero), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "two-valued tape lanes cannot hold X")]
+    fn two_valued_lanes_refuse_x() {
+        let _ = u64::splat(X);
     }
 
     /// Small sequential circuit: enabled register + inverter cloud.
@@ -1456,30 +1412,38 @@ mod tests {
         b.finish().expect("valid")
     }
 
-    #[test]
-    fn tape_lanes_agree_with_scalar_simulation() {
-        let nl = build();
-        // Pack the collapsed fault list several times over to fill
-        // lanes up to bit 63.
-        let base = StuckAt::enumerate_collapsed(&nl);
-        let faults: Vec<StuckAt> = base
+    /// The collapsed fault list of `nl`, repeated to fill lanes up to
+    /// bit 63.
+    fn full_pack(nl: &Netlist) -> Vec<StuckAt> {
+        StuckAt::enumerate_collapsed(nl)
             .iter()
             .cycle()
             .take(MAX_PARALLEL_FAULTS)
             .copied()
-            .collect();
-        let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
-        let mut tape = TapeSim::new(&prog);
-        tape.track_activity(true);
-        tape.reset_state(Zero);
-        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
-            .chain(faults.iter().map(|&f| CycleSim::with_fault(&nl, f)))
+            .collect()
+    }
+
+    /// One fresh scalar simulator per lane, reset to `v`, with activity
+    /// tracking on.
+    fn scalar_lanes<'n>(nl: &'n Netlist, faults: &[StuckAt], v: Logic) -> Vec<CycleSim<'n>> {
+        std::iter::once(CycleSim::new(nl))
+            .chain(faults.iter().map(|&f| CycleSim::with_fault(nl, f)))
             .map(|mut s| {
                 s.track_activity(true);
-                s.reset_state(Zero);
+                s.reset_state(v);
                 s
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn three_valued_lanes_agree_with_scalar_simulation() {
+        let nl = build();
+        let faults = full_pack(&nl);
+        let prog = TapeProgram::<Pat>::compile(&nl, &faults).expect("fits");
+        let mut tape = TapeSim::new(&prog);
+        tape.reset_state(Zero);
+        let mut scalars = scalar_lanes(&nl, &faults, Zero);
         let stim = [[One, Zero], [Zero, One], [One, One], [X, One], [Zero, X]];
         for inputs in stim {
             tape.set_inputs(&inputs);
@@ -1508,9 +1472,9 @@ mod tests {
                         .iter()
                         .zip(&golden)
                         .any(|(g, w)| w.is_known() && !g.is_known());
-                    assert_eq!(tape.detected_mask().bit(lane), det, "lane {lane}");
+                    assert_eq!(tape.detected_mask() >> lane & 1 == 1, det, "lane {lane}");
                     assert_eq!(
-                        tape.potentially_detected_mask().bit(lane),
+                        tape.potentially_detected_mask() >> lane & 1 == 1,
                         pot,
                         "lane {lane}"
                     );
@@ -1519,8 +1483,39 @@ mod tests {
             }
             tape.clock();
         }
+    }
+
+    #[test]
+    fn two_valued_lanes_and_activity_agree_with_scalar_simulation() {
+        let nl = build();
+        let faults = full_pack(&nl);
+        let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
+        let mut tape = TapeSim::new(&prog);
+        let mut act = TapeActivity::new(&prog);
+        tape.reset_state(One);
+        let mut scalars = scalar_lanes(&nl, &faults, One);
+        let stim = [
+            [One, Zero],
+            [Zero, One],
+            [One, One],
+            [Zero, Zero],
+            [Zero, One],
+        ];
+        for inputs in stim {
+            tape.set_inputs(&inputs);
+            tape.eval();
+            for (lane, s) in scalars.iter_mut().enumerate() {
+                s.set_inputs(&inputs);
+                s.eval();
+                for net in nl.net_ids() {
+                    assert_eq!(tape.value(net).lane(lane), s.value(net), "lane {lane}");
+                }
+                s.clock();
+            }
+            tape.clock_counting(&mut act);
+        }
         for (lane, s) in scalars.iter().enumerate() {
-            let got = tape.lane_activity(lane);
+            let got = act.lane(lane);
             let want = s.activity();
             assert_eq!(got.cycles, want.cycles, "lane {lane}");
             assert_eq!(&got.net_toggles, &want.net_toggles, "lane {lane}");
@@ -1528,38 +1523,29 @@ mod tests {
         }
     }
 
-    /// Restarts `tape`'s counters, runs `stim` from reset on it and on
-    /// one fresh scalar simulator per lane, and checks every lane's net
-    /// toggles and clock events through both the per-lane and the
-    /// streaming readers. Returns how many lanes clocked some gate a
-    /// different number of times than lane 0.
+    /// Restarts `act`, runs `stim` from reset on `tape` and on one fresh
+    /// scalar simulator per lane, and checks every lane's net toggles
+    /// and clock events through both the per-lane and the streaming
+    /// readers. Returns how many lanes clocked some gate a different
+    /// number of times than lane 0.
     fn check_tracked_segment(
         nl: &Netlist,
         faults: &[StuckAt],
         tape: &mut TapeSim<'_, u64>,
+        act: &mut TapeActivity,
         stim: &[[Logic; 2]],
     ) -> usize {
-        tape.track_activity(true);
+        act.reset();
         tape.reset_state(Zero);
-        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(nl))
-            .chain(faults.iter().map(|&f| CycleSim::with_fault(nl, f)))
-            .map(|mut s| {
-                s.track_activity(true);
-                s.reset_state(Zero);
-                s
-            })
-            .collect();
+        let mut scalars = scalar_lanes(nl, faults, Zero);
         for inputs in stim {
             tape.set_inputs(inputs);
             tape.eval();
-            tape.clock();
+            tape.clock_counting(act);
             for s in scalars.iter_mut() {
-                s.set_inputs(inputs);
-                s.eval();
-                s.clock();
+                s.step(inputs);
             }
         }
-        let act = tape.activity().expect("tracking");
         for (lane, s) in scalars.iter().enumerate() {
             let got = act.lane(lane);
             assert_eq!(got.cycles, s.activity().cycles, "lane {lane}");
@@ -1609,6 +1595,7 @@ mod tests {
         faults.truncate(MAX_PARALLEL_FAULTS);
         let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
         let mut tape = TapeSim::new(&prog);
+        let mut act = TapeActivity::new(&prog);
 
         // A busy first segment allocates many deviation rows; the
         // shorter, quieter second one must not see any of them.
@@ -1616,25 +1603,25 @@ mod tests {
             [One, One],
             [Zero, One],
             [One, Zero],
-            [X, One],
-            [Zero, X],
+            [Zero, One],
+            [One, Zero],
             [One, One],
             [Zero, Zero],
-            [One, X],
+            [One, One],
         ];
         let quiet = [[Zero, Zero], [Zero, One], [Zero, Zero]];
-        let deviating = check_tracked_segment(&nl, &faults, &mut tape, &busy);
+        let deviating = check_tracked_segment(&nl, &faults, &mut tape, &mut act, &busy);
         assert!(
             deviating > 0,
             "some lane's enable must differ from lane 0's"
         );
-        let busy_rows = tape.activity().expect("tracking").dirty_net_columns();
-        check_tracked_segment(&nl, &faults, &mut tape, &quiet);
-        let quiet_rows = tape.activity().expect("tracking").dirty_net_columns();
+        let busy_rows = act.dirty_net_columns();
+        check_tracked_segment(&nl, &faults, &mut tape, &mut act, &quiet);
+        let quiet_rows = act.dirty_net_columns();
         assert!(quiet_rows < busy_rows, "{quiet_rows} vs {busy_rows} rows");
-        check_tracked_segment(&nl, &faults, &mut tape, &busy);
+        check_tracked_segment(&nl, &faults, &mut tape, &mut act, &busy);
         assert_eq!(
-            tape.activity().expect("tracking").dirty_net_columns(),
+            act.dirty_net_columns(),
             busy_rows,
             "a repeated segment allocates the same rows"
         );
@@ -1660,7 +1647,7 @@ mod tests {
         let nl = b.finish().expect("valid");
         let g = nl.driver(nl.find_net("i_o").expect("net")).expect("gate");
         let faults = vec![StuckAt::output(g, false), StuckAt::output(g, true)];
-        let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
+        let prog = TapeProgram::<Pat>::compile(&nl, &faults).expect("fits");
         let mut sim = TapeSim::new(&prog);
         sim.set_inputs(&[Zero]);
         sim.eval();

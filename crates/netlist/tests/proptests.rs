@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use sfr_netlist::{
-    CellKind, CycleSim, Logic, Netlist, NetlistBuilder, StuckAt, TapeProgram, TapeSim, TapeWord,
+    parse_verilog, write_verilog, CellKind, CycleSim, LaneValue, Logic, Netlist, NetlistBuilder,
+    Pat, StuckAt, TapeActivity, TapeProgram, TapeSim,
 };
 
 /// A fixed small sequential circuit with reconvergent fanout and a
@@ -190,38 +191,54 @@ fn random_seq(seed: u64) -> Netlist {
     b.finish().expect("valid random sequential netlist")
 }
 
+/// A random packing of `nl`'s collapsed faults: rotate the list by
+/// `rot` and fill a whole 63-fault pack, repeating faults if the list
+/// is shorter.
+fn random_pack(nl: &Netlist, rot: u64) -> Vec<StuckAt> {
+    let all = StuckAt::enumerate_collapsed(nl);
+    let start = (rot as usize) % all.len();
+    all.iter().cycle().skip(start).take(63).copied().collect()
+}
+
+/// One scalar simulator per lane of `batch` (lane 0 fault-free), with
+/// activity tracking on and every flip-flop at `reset(gate index)`.
+fn scalar_lanes<'n>(
+    nl: &'n Netlist,
+    batch: &[StuckAt],
+    reset: impl Fn(usize) -> Logic,
+) -> Vec<CycleSim<'n>> {
+    std::iter::once(CycleSim::new(nl))
+        .chain(batch.iter().map(|&f| CycleSim::with_fault(nl, f)))
+        .map(|mut s| {
+            s.track_activity(true);
+            for &g in nl.sequential_gates() {
+                s.set_state(g, reset(g.index()));
+            }
+            s
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every lane of the compiled tape reproduces a scalar `CycleSim`
-    /// run of that lane's circuit — every net value every cycle, the
-    /// detected and potentially-detected masks, and the extracted
-    /// per-lane toggle and clock-event counts — over random netlists,
-    /// random fault packings, and random stimulus including `X` inputs.
+    /// Every lane of the three-valued tape reproduces a scalar
+    /// `CycleSim` run of that lane's circuit — every net value every
+    /// cycle, and the detected and potentially-detected masks — over
+    /// random netlists, random fault packings, and random stimulus
+    /// including `X` inputs.
     #[test]
-    fn tape_lanes_equal_scalar_runs(
+    fn three_valued_tape_lanes_equal_scalar_runs(
         seed in 1u64..3000,
         rot in any::<u64>(),
         stimulus in proptest::collection::vec(0u8..27, 1..24),
     ) {
         let nl = random_seq(seed);
-        let all = StuckAt::enumerate_collapsed(&nl);
-        // A random packing: rotate the collapsed fault list and fill a
-        // whole 63-fault pack, repeating faults if the list is shorter.
-        let start = (rot as usize) % all.len();
-        let batch: Vec<StuckAt> = all.iter().cycle().skip(start).take(63).copied().collect();
-        let prog = TapeProgram::<u64>::compile(&nl, &batch).expect("fits");
+        let batch = random_pack(&nl, rot);
+        let prog = TapeProgram::<Pat>::compile(&nl, &batch).expect("fits");
         let mut tape = TapeSim::new(&prog);
-        tape.track_activity(true);
         tape.reset_state(Logic::Zero);
-        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
-            .chain(batch.iter().map(|&f| CycleSim::with_fault(&nl, f)))
-            .map(|mut s| {
-                s.track_activity(true);
-                s.reset_state(Logic::Zero);
-                s
-            })
-            .collect();
+        let mut scalars = scalar_lanes(&nl, &batch, |_| Logic::Zero);
         for &word in &stimulus {
             let inputs = [trit_of(word, 0), trit_of(word, 1), trit_of(word, 2)];
             tape.set_inputs(&inputs);
@@ -232,7 +249,7 @@ proptest! {
             }
             let golden = scalars[0].outputs();
             let (detected, potential) = (tape.detected_mask(), tape.potentially_detected_mask());
-            prop_assert!(!detected.bit(0) && !potential.bit(0), "lane 0 is the reference");
+            prop_assert!((detected | potential) & 1 == 0, "lane 0 is the reference");
             for (lane, s) in scalars.iter().enumerate() {
                 for net in nl.net_ids() {
                     prop_assert_eq!(
@@ -247,16 +264,58 @@ proptest! {
                 let out = s.outputs();
                 let det = out.iter().zip(&golden).any(|(g, w)| g.definitely_differs(*w));
                 let pot = out.iter().zip(&golden).any(|(g, w)| w.is_known() && !g.is_known());
-                prop_assert_eq!(detected.bit(lane), det, "detected, lane {}", lane);
-                prop_assert_eq!(potential.bit(lane), pot, "potential, lane {}", lane);
+                prop_assert_eq!(detected >> lane & 1 == 1, det, "detected, lane {}", lane);
+                prop_assert_eq!(potential >> lane & 1 == 1, pot, "potential, lane {}", lane);
             }
             tape.clock();
             for s in scalars.iter_mut() {
                 s.clock();
             }
         }
+    }
+
+    /// Every lane of the two-valued tape reproduces a scalar `CycleSim`
+    /// run of that lane's circuit — every net value every cycle, and
+    /// the extracted per-lane toggle and clock-event counts — over
+    /// random netlists, random fault packings, every flip-flop reset to
+    /// a random bit, and random binary stimulus.
+    #[test]
+    fn two_valued_tape_lanes_and_activity_equal_scalar_runs(
+        seed in 1u64..3000,
+        rot in any::<u64>(),
+        reset_bits in any::<u64>(),
+        stimulus in proptest::collection::vec(0u8..8, 1..24),
+    ) {
+        let nl = random_seq(seed);
+        let batch = random_pack(&nl, rot);
+        let reset = |gate: usize| Logic::from_bool(reset_bits >> (gate % 64) & 1 == 1);
+        let prog = TapeProgram::<u64>::compile(&nl, &batch).expect("fits");
+        let mut tape = TapeSim::new(&prog);
+        let mut act = TapeActivity::new(&prog);
+        for &g in nl.sequential_gates() {
+            tape.set_gate_state(g, u64::splat(reset(g.index())));
+        }
+        let mut scalars = scalar_lanes(&nl, &batch, reset);
+        for &bits in &stimulus {
+            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
+            tape.set_inputs(&inputs);
+            tape.eval();
+            for (lane, s) in scalars.iter_mut().enumerate() {
+                s.set_inputs(&inputs);
+                s.eval();
+                for net in nl.net_ids() {
+                    prop_assert_eq!(
+                        tape.value(net).lane(lane),
+                        s.value(net),
+                        "net {} lane {}", nl.net(net).name(), lane
+                    );
+                }
+                s.clock();
+            }
+            tape.clock_counting(&mut act);
+        }
         for (lane, s) in scalars.iter().enumerate() {
-            let got = tape.lane_activity(lane);
+            let got = act.lane(lane);
             let want = s.activity();
             prop_assert_eq!(got.cycles, want.cycles, "lane {}", lane);
             prop_assert_eq!(&got.net_toggles, &want.net_toggles, "lane {}", lane);
@@ -325,5 +384,133 @@ proptest! {
             let brute = (0..16u64).any(|m| atpg.check_test(fault, &u64_to_logic(m, 4)));
             prop_assert_eq!(verdict, brute, "disagreement on {} (seed {})", fault, seed);
         }
+    }
+}
+
+/// `write_verilog` output for one random sequential netlist — the
+/// valid artifact the hostile-input cases below mutate.
+fn exported(seed: u64) -> String {
+    let mut text = Vec::new();
+    write_verilog(&random_seq(seed), &mut text).unwrap();
+    String::from_utf8(text).unwrap()
+}
+
+/// One grammar-aware edit of an exported netlist.
+#[derive(Debug, Clone)]
+enum VerilogEdit {
+    /// Replace the whitespace-separated token at `at` with `token`.
+    Token { at: usize, token: &'static str },
+    /// Overwrite the byte at `at`.
+    Byte { at: usize, byte: u8 },
+    /// Cut the text at `at`.
+    Truncate { at: usize },
+    /// Delete line `at`, or duplicate it.
+    Line { at: usize, duplicate: bool },
+}
+
+fn verilog_edit() -> impl Strategy<Value = VerilogEdit> {
+    let token = prop_oneof![
+        Just("("),
+        Just(")"),
+        Just(";"),
+        Just(","),
+        Just("."),
+        Just("module"),
+        Just("endmodule"),
+        Just("input"),
+        Just("output"),
+        Just("wire"),
+        Just("assign"),
+        Just("DFF"),
+        Just("MUX2"),
+        Just(".A("),
+        Just("n_"),
+        Just("[63:0]"),
+        Just("18446744073709551616"),
+        Just("\\escaped"),
+        Just("/*"),
+        Just("//"),
+        Just(""),
+    ];
+    prop_oneof![
+        (any::<usize>(), token).prop_map(|(at, token)| VerilogEdit::Token { at, token }),
+        (any::<usize>(), any::<u8>()).prop_map(|(at, byte)| VerilogEdit::Byte { at, byte }),
+        any::<usize>().prop_map(|at| VerilogEdit::Truncate { at }),
+        (any::<usize>(), any::<bool>())
+            .prop_map(|(at, duplicate)| VerilogEdit::Line { at, duplicate }),
+    ]
+}
+
+fn apply_edit(text: &str, edit: &VerilogEdit) -> String {
+    match *edit {
+        VerilogEdit::Token { at, token } => {
+            let mut tokens: Vec<&str> = text.split_whitespace().collect();
+            let at = at % tokens.len();
+            tokens[at] = token;
+            tokens.join(" ")
+        }
+        VerilogEdit::Byte { at, byte } => {
+            let mut bytes = text.as_bytes().to_vec();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        VerilogEdit::Truncate { at } => {
+            String::from_utf8_lossy(&text.as_bytes()[..at % (text.len() + 1)]).into_owned()
+        }
+        VerilogEdit::Line { at, duplicate } => {
+            let mut lines: Vec<&str> = text.lines().collect();
+            let at = at % lines.len();
+            if duplicate {
+                lines.insert(at, lines[at]);
+            } else {
+                lines.remove(at);
+            }
+            lines.join("\n")
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes never panic the Verilog reader.
+    #[test]
+    fn parse_verilog_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = parse_verilog(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// One or two grammar-aware edits of a valid export never panic the
+    /// Verilog reader; an edit it accepts yields a netlist that
+    /// re-exports.
+    #[test]
+    fn parse_verilog_never_panics_on_mutated_exports(
+        seed in 1u64..3000,
+        first in verilog_edit(),
+        second in proptest::option::of(verilog_edit()),
+    ) {
+        let mut text = apply_edit(&exported(seed), &first);
+        if let Some(edit) = &second {
+            if !text.is_empty() {
+                text = apply_edit(&text, edit);
+            }
+        }
+        if let Ok(nl) = parse_verilog(&text) {
+            let mut out = Vec::new();
+            prop_assert!(write_verilog(&nl, &mut out).is_ok());
+        }
+    }
+
+    /// An unedited export parses back to the same netlist shape.
+    #[test]
+    fn exported_verilog_round_trips(seed in 1u64..3000) {
+        let nl = random_seq(seed);
+        let back = parse_verilog(&exported(seed)).unwrap();
+        prop_assert_eq!(back.gate_count(), nl.gate_count());
+        prop_assert_eq!(back.net_count(), nl.net_count());
+        prop_assert_eq!(back.inputs().len(), nl.inputs().len());
+        prop_assert_eq!(back.outputs().len(), nl.outputs().len());
     }
 }

@@ -7,7 +7,7 @@
 //! *guaranteed* power increases: an extra load un-gates a register's clock
 //! for a cycle, spending clock energy even when the data does not change.
 
-use sfr_netlist::{Activity, ActivityMismatch, LaneCounts, Netlist, TapeActivity, TapeWord};
+use sfr_netlist::{Activity, ActivityMismatch, LaneCounts, Netlist, TapeActivity};
 
 /// Electrical operating point for power estimation.
 ///
@@ -124,7 +124,7 @@ pub fn power_from_activity_where(
     }
 }
 
-/// Converts a compiled-tape kernel's per-lane [`TapeActivity`] into one
+/// Converts a compiled two-valued tape's per-lane [`TapeActivity`] into one
 /// [`PowerReport`] per lane, restricted to the sub-circuit whose driver
 /// gates satisfy `include`.
 ///
@@ -136,9 +136,9 @@ pub fn power_from_activity_where(
 /// multiplications, as the per-lane reference — excluded or quiet
 /// columns contribute an exact `+0.0`, which leaves an IEEE-754 sum
 /// unchanged.
-pub fn power_from_tape_activity_where<W: TapeWord>(
+pub fn power_from_tape_activity_where(
     nl: &Netlist,
-    act: &TapeActivity<W>,
+    act: &TapeActivity,
     cfg: &PowerConfig,
     include: impl Fn(sfr_netlist::GateId) -> bool,
 ) -> Vec<PowerReport> {
@@ -342,14 +342,14 @@ mod tests {
         let faults = StuckAt::enumerate_collapsed(&nl);
         let prog = TapeProgram::<u64>::compile(&nl, &faults).unwrap();
         let mut tape = TapeSim::new(&prog);
-        tape.track_activity(true);
+        let mut act = TapeActivity::new(&prog);
         tape.reset_state(Logic::Zero);
         let stim = [
             [Logic::One, Logic::One],
             [Logic::Zero, Logic::Zero],
             [Logic::One, Logic::Zero],
-            [Logic::X, Logic::One],
             [Logic::Zero, Logic::One],
+            [Logic::One, Logic::One],
         ];
         let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
             .chain(faults.iter().map(|&f| CycleSim::with_fault(&nl, f)))
@@ -362,13 +362,12 @@ mod tests {
         for inputs in stim {
             tape.set_inputs(&inputs);
             tape.eval();
-            tape.clock();
+            tape.clock_counting(&mut act);
             for s in scalars.iter_mut() {
                 s.step(&inputs);
             }
         }
-        let reports =
-            power_from_tape_activity_where(&nl, tape.activity().expect("tracking"), &cfg, |_| true);
+        let reports = power_from_tape_activity_where(&nl, &act, &cfg, |_| true);
         assert_eq!(reports.len(), faults.len() + 1);
         for (lane, s) in scalars.iter().enumerate() {
             let want = power_from_activity(&nl, s.activity(), &cfg);

@@ -44,8 +44,9 @@ grep -q "unreachable-state" /tmp/sfr-lint-fixture.out
 grep -q "combinational-loop" /tmp/sfr-lint-fixture.out
 rm -f /tmp/sfr-lint-fixture.out
 
-echo "== widths past the 64-bit test pattern are refused with exit code 1 =="
-for args in "grade diffeq --width 13" "classify poly --width 13" "grade fir --width 17"; do
+echo "== widths past the 64-bit test pattern or below a design's floor are refused with exit code 1 =="
+for args in "grade diffeq --width 13" "classify poly --width 13" "grade fir --width 17" \
+    "grade diffeq --width 1" "grade fir --width 3" "table2 --width 1"; do
     rc=0
     # shellcheck disable=SC2086 # split the argument string on purpose
     "$SFR" $args > /dev/null 2>&1 || rc=$?
@@ -54,6 +55,17 @@ for args in "grade diffeq --width 13" "classify poly --width 13" "grade fir --wi
         exit 1
     fi
 done
+
+echo "== paper tables match the committed record byte for byte =="
+TABLES_OUT="$(mktemp)"
+cargo build --release -p sfr-bench --bins
+for bin in table2 table1 fig7 table3 worstcase; do
+    echo "== $bin =="
+    "target/release/$bin" 2>/dev/null
+done > "$TABLES_OUT"
+diff reports/experiments_raw.txt "$TABLES_OUT"
+rm -f "$TABLES_OUT"
+echo "   table2 table1 fig7 table3 worstcase reproduce reports/experiments_raw.txt"
 
 echo "== retired engines are refused with exit code 1 =="
 for engine in lane threaded tape-wide; do
