@@ -24,12 +24,12 @@
 
 use sfr_exec::{
     ordered_waves, par_map_indexed_caught, LaneGrade, Phase, PhaseTimer, Progress, ProgressEvent,
-    TraceRecord, WorkKind,
+    TraceRecord,
 };
-use sfr_faultsim::{RunConfig, SimKernel, System};
-use sfr_journal::{decode_str, encode_str, CampaignJournal, RecordKind};
+use sfr_faultsim::{run_journaled_packs, PackBody, RunConfig, SimKernel, System};
+use sfr_journal::{CampaignJournal, RecordKind};
 use sfr_netlist::{
-    CycleSim, Logic, StuckAt, TapeActivity, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS,
+    Activity, CycleSim, Logic, StuckAt, TapeActivity, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS,
 };
 use sfr_power_model::{
     power_from_activity_where, power_from_tape_activity_where, run_monte_carlo,
@@ -95,24 +95,42 @@ pub struct PowerGrade {
 /// Measures datapath power for one (optionally faulty) system over a
 /// specific test set — the paper's Table 3 measurement.
 ///
-/// Runs start from a known state (datapath registers cleared) so that
-/// switching activity is fully defined; power is accounted over the
-/// datapath only (every gate outside the controller's range), matching
-/// the paper's "power consumed by the datapath".
-///
-/// Run boundaries are the tester's: each run ends when the *fault-free*
-/// controller has held HOLD for the configured tail, so a faulty system
-/// is measured over exactly the fault-free schedule. A fault simulation
-/// therefore steps a fault-free companion simulator alongside. That
-/// matters for looping designs, where an SFR fault can change the
-/// controller's own sequencing (extra loop iterations, say) without
-/// ever changing a data output.
+/// Power is accounted over the datapath only (every gate outside the
+/// controller's range), matching the paper's "power consumed by the
+/// datapath", from the switching activity
+/// [`measure_activity_with_testset`] records.
 pub fn measure_power_with_testset(
     sys: &System,
     fault: Option<StuckAt>,
     ts: &TestSet,
     cfg: &GradeConfig,
 ) -> PowerReport {
+    let act = measure_activity_with_testset(sys, fault, ts, &cfg.run);
+    power_from_activity_where(&sys.netlist, &act, &cfg.power, |g| {
+        !sys.is_controller_gate(g)
+    })
+}
+
+/// Switching activity of one (optionally faulty) system over a specific
+/// test set, on the scalar reference simulator — the one activity loop
+/// behind [`measure_power_with_testset`] and the per-component power
+/// breakdown.
+///
+/// Runs start from a known state (datapath registers cleared) so that
+/// switching activity is fully defined. Run boundaries are the
+/// tester's: each run ends when the *fault-free* controller has held
+/// HOLD for the configured tail, or at [`RunConfig::run_ceiling`], so a
+/// faulty system is measured over exactly the fault-free schedule. A
+/// fault simulation therefore steps a fault-free companion simulator
+/// alongside. That matters for looping designs, where an SFR fault can
+/// change the controller's own sequencing (extra loop iterations, say)
+/// without ever changing a data output.
+pub fn measure_activity_with_testset(
+    sys: &System,
+    fault: Option<StuckAt>,
+    ts: &TestSet,
+    run: &RunConfig,
+) -> Activity {
     let mut sim = match fault {
         Some(f) => CycleSim::with_fault(&sys.netlist, f),
         None => CycleSim::new(&sys.netlist),
@@ -120,7 +138,7 @@ pub fn measure_power_with_testset(
     let mut fault_free = fault.map(|_| CycleSim::new(&sys.netlist));
     sim.track_activity(true);
     let hold = sys.meta.hold_state();
-    let ceiling = cfg.run.run_ceiling();
+    let ceiling = run.run_ceiling();
     let mut idx = 0usize;
     while idx < ts.len() {
         sys.reset_sim(&mut sim, Logic::Zero);
@@ -148,15 +166,13 @@ pub fn measure_power_with_testset(
             sim.clock();
             if st == Some(hold) {
                 in_hold_for += 1;
-                if in_hold_for > cfg.run.hold_cycles {
+                if in_hold_for > run.hold_cycles {
                     break;
                 }
             }
         }
     }
-    power_from_activity_where(&sys.netlist, sim.activity(), &cfg.power, |g| {
-        !sys.is_controller_gate(g)
-    })
+    sim.take_activity()
 }
 
 /// Lane-packed [`measure_power_with_testset`] on a compiled two-valued
@@ -312,78 +328,57 @@ pub struct GradeReport {
     pub incidents: Vec<GradeIncident>,
 }
 
-/// What one pack contributed: either its lane estimations plus the
-/// accumulated watchdog stall mask, or a quarantine record.
-enum PackOutcome {
-    Computed {
-        results: Vec<MonteCarloResult>,
-        /// Watchdog stall mask (bit `i` covers the pack's fault `i`).
-        stalls: u64,
-        restored: bool,
-        /// Simulator cycles the pack's Monte Carlo loop evaluated
-        /// (0 when restored from a journal — nothing was simulated).
-        cycles: u64,
-        /// Wall time spent simulating, measured inside the worker.
-        elapsed: std::time::Duration,
-    },
-    Quarantined {
-        message: String,
-    },
+/// One grade pack's Monte Carlo outcome.
+struct GradedPack {
+    /// Per-lane estimations, lane 0 (the fault-free baseline) first.
+    results: Vec<MonteCarloResult>,
+    /// Watchdog stall mask (bit `i` covers the pack's fault `i`).
+    stalls: u64,
+    /// Simulator cycles the pack's Monte Carlo loop evaluated (0 when
+    /// restored from a journal — nothing was simulated).
+    cycles: u64,
+    /// The self-profiler's tape shape counters (zero when restored).
+    prof: PackProf,
 }
 
-/// Journal payload tags for grade packs.
-const PACK_OK: u64 = 0;
-const PACK_QUARANTINED: u64 = 1;
-
-fn encode_pack(results: &[MonteCarloResult], stalls: u64) -> Vec<u64> {
-    let mut words = vec![PACK_OK, stalls, results.len() as u64];
-    for r in results {
-        words.push(r.mean_uw.to_bits());
-        words.push(r.half_width_uw.to_bits());
-        words.push(r.batches as u64);
-        words.push(u64::from(r.converged));
+/// The journal body is the stall mask, the lane count, then four words
+/// per lane (mean and half-width as `f64` bits, batches, converged).
+/// Cycles and profile are diagnostics and stay out of the payload.
+impl PackBody for GradedPack {
+    fn encode_body(&self) -> Vec<u64> {
+        let mut words = vec![self.stalls, self.results.len() as u64];
+        for r in &self.results {
+            words.push(r.mean_uw.to_bits());
+            words.push(r.half_width_uw.to_bits());
+            words.push(r.batches as u64);
+            words.push(u64::from(r.converged));
+        }
+        words
     }
-    words
-}
 
-fn encode_quarantine(message: &str) -> Vec<u64> {
-    let mut words = vec![PACK_QUARANTINED];
-    words.extend(encode_str(message));
-    words
-}
-
-/// Decodes a journaled pack payload; `None` means the payload is not a
-/// valid record for a pack with `lanes` lanes (the pack is recomputed).
-fn decode_pack(words: &[u64], lanes: usize) -> Option<PackOutcome> {
-    match *words.first()? {
-        PACK_OK => {
-            let stalls = *words.get(1)?;
-            let n = usize::try_from(*words.get(2)?).ok()?;
-            if n != lanes || words.len() != 3 + 4 * n {
-                return None;
-            }
-            let results = words[3..]
-                .chunks(4)
-                .map(|c| MonteCarloResult {
-                    mean_uw: f64::from_bits(c[0]),
-                    half_width_uw: f64::from_bits(c[1]),
-                    batches: c[2] as usize,
-                    converged: c[3] != 0,
-                })
-                .collect();
-            Some(PackOutcome::Computed {
-                results,
-                stalls,
-                restored: true,
-                cycles: 0,
-                elapsed: std::time::Duration::ZERO,
+    /// `None` unless the body holds one estimation per lane of `pack`
+    /// (its faults plus the baseline lane).
+    fn decode_body(words: &[u64], pack: &[StuckAt]) -> Option<Self> {
+        let stalls = *words.first()?;
+        let n = usize::try_from(*words.get(1)?).ok()?;
+        if n != pack.len() + 1 || words.len() != 2 + 4 * n {
+            return None;
+        }
+        let results = words[2..]
+            .chunks(4)
+            .map(|c| MonteCarloResult {
+                mean_uw: f64::from_bits(c[0]),
+                half_width_uw: f64::from_bits(c[1]),
+                batches: c[2] as usize,
+                converged: c[3] != 0,
             })
-        }
-        PACK_QUARANTINED => {
-            let (message, _) = decode_str(&words[1..])?;
-            Some(PackOutcome::Quarantined { message })
-        }
-        _ => None,
+            .collect();
+        Some(GradedPack {
+            results,
+            stalls,
+            cycles: 0,
+            prof: PackProf::default(),
+        })
     }
 }
 
@@ -446,12 +441,7 @@ pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &
 /// matter. Stall mask, cycles and the profile's dirty-column count
 /// come from consumed batches only; the at most `workers − 1` batches
 /// computed past the last lane's stop are dropped unread.
-fn run_pack(
-    sys: &System,
-    pack: &[StuckAt],
-    cfg: &GradeConfig,
-    workers: usize,
-) -> (Vec<MonteCarloResult>, u64, u64, PackProf) {
+fn run_pack(sys: &System, pack: &[StuckAt], cfg: &GradeConfig, workers: usize) -> GradedPack {
     let prog =
         TapeProgram::<u64>::compile(&sys.netlist, pack).expect("packs never exceed the lane limit");
     let mut stalls = 0u64;
@@ -477,15 +467,19 @@ fn run_pack(
             })
         },
     );
-    let prof = PackProf {
-        ops: prog.len(),
-        levels: prog.level_count(),
-        force_ops: prog.force_op_count(),
-        lanes: prog.lanes(),
-        dirty_nets,
-        nets: prog.net_count(),
-    };
-    (results, stalls, cycles, prof)
+    GradedPack {
+        results,
+        stalls,
+        cycles,
+        prof: PackProf {
+            ops: prog.len(),
+            levels: prog.level_count(),
+            force_ops: prog.force_op_count(),
+            lanes: prog.lanes(),
+            dirty_nets,
+            nets: prog.net_count(),
+        },
+    }
 }
 
 /// The grading entry point: lane-packed Monte Carlo grading on the
@@ -494,9 +488,10 @@ fn run_pack(
 /// parallel; when there are fewer packs than threads, each pack's
 /// Monte Carlo batches are also spread over `threads / packs` workers
 /// (see [`ordered_waves`]). Returns the baseline, one [`PowerGrade`]
-/// per fault in input order, and the incident list. Reports one [`ProgressEvent::MonteCarlo`] per
-/// estimation (faults + baseline), one [`ProgressEvent::GradePack`] per
-/// computed pack, and one [`ProgressEvent::FaultGraded`] per fault.
+/// per fault in input order, and the incident list. Reports one
+/// [`ProgressEvent::MonteCarlo`] per estimation (faults + baseline), one
+/// [`ProgressEvent::GradePack`] per computed pack, and one
+/// [`ProgressEvent::FaultGraded`] per fault.
 ///
 /// Batches are *paired*: fault `f`'s batch `i` uses the same
 /// pseudorandom data as the baseline's batch `i`, which removes
@@ -510,23 +505,15 @@ fn run_pack(
 /// function of its fault slice — grades are bit-identical to
 /// [`grade_faults_scalar_with`] and to themselves at any thread count.
 ///
-/// Per pack:
-///
-/// * **journal hit** — the pack's estimations (or its quarantine
-///   verdict) are restored verbatim from `journal` and the simulation
-///   is skipped ([`ProgressEvent::PackRestored`]); because journaled
-///   payloads are the bit-exact `f64` words of the original run, a
-///   resumed study is bit-identical to an uninterrupted one;
-/// * **panic** — the pack is retried once, then quarantined
-///   ([`GradeIncident::QuarantinedPack`],
-///   [`ProgressEvent::PackQuarantined`]) without poisoning the study;
-/// * **watchdog** — a fault whose lane misses HOLD while lane 0
-///   completes a run is reported as
-///   [`GradeIncident::BudgetExhausted`] (its grade is still emitted,
-///   measured over [`RunConfig::run_ceiling`]-bounded runs).
-///
-/// Completed packs are recorded to `journal` as they finish, so a kill
-/// at any instant loses at most the packs still in flight.
+/// Packs run through [`run_journaled_packs`]: a journaled pack's
+/// estimations (or its quarantine) are restored verbatim, and a pack
+/// that panics twice is quarantined
+/// ([`GradeIncident::QuarantinedPack`]) without poisoning the study.
+/// Because journaled payloads are the bit-exact `f64` words of the
+/// original run, a resumed study is bit-identical to an uninterrupted
+/// one. A fault whose lane misses HOLD while lane 0 completes a run is
+/// reported as [`GradeIncident::BudgetExhausted`] (its grade is still
+/// emitted, measured over [`RunConfig::run_ceiling`]-bounded runs).
 ///
 /// # Panics
 ///
@@ -534,7 +521,6 @@ fn run_pack(
 /// 0 — quarantines, a baseline-only rescue estimation runs (itself
 /// retried once); if that also panics the study cannot produce any
 /// percentage change and the function panics with the payload message.
-#[allow(clippy::too_many_arguments)]
 pub fn grade_faults_journaled_with_kernel(
     sys: &System,
     faults: &[StuckAt],
@@ -553,168 +539,86 @@ pub fn grade_faults_journaled_with_kernel(
     } else {
         faults.chunks(capacity).collect()
     };
-    progress.event(ProgressEvent::WorkPlanned {
-        phase: Phase::Grade,
-        items: packs.len(),
-    });
     // Threads the packs leave over go to each pack's Monte Carlo
     // batches: with fewer packs than threads, every pack gets
     // `threads / packs` batch workers.
     let workers = (threads / packs.len()).max(1);
-    // Self-profiler side table, indexed by pack. Kept out of
-    // `PackOutcome` so the journal payload format (and every
-    // decode/restore path) stays untouched by profiling.
-    let profiles: std::sync::Mutex<Vec<PackProf>> =
-        std::sync::Mutex::new(vec![PackProf::default(); packs.len()]);
-    let outcomes = par_map_indexed_caught(threads, packs.len(), |p| {
-        let pack = packs[p];
-        if let Some(j) = journal {
-            if let Some(words) = j.get(RecordKind::GradePack, p as u64) {
-                if let Some(outcome) = decode_pack(&words, pack.len() + 1) {
-                    return outcome;
-                }
-                // An undecodable payload (e.g. written by an older
-                // format or at another pack width) falls through to
-                // recomputation.
-            }
-        }
-        // Cycle and wall-time accounting stays worker-local and is
-        // flushed once per pack — the hot lane loop never observes it.
-        let started = std::time::Instant::now();
-        let (results, stalls, cycles, prof) = run_pack(sys, pack, cfg, workers);
-        if let Ok(mut table) = profiles.lock() {
-            table[p] = prof;
-        }
-        if let Some(j) = journal {
-            j.record(
-                RecordKind::GradePack,
-                p as u64,
-                &encode_pack(&results, stalls),
-            );
-        }
-        PackOutcome::Computed {
-            results,
-            stalls,
-            restored: false,
-            cycles,
-            elapsed: started.elapsed(),
-        }
-    });
-
-    // Normalize panics into quarantine outcomes and journal them, so a
-    // resumed study replays the incident instead of re-panicking.
-    let outcomes: Vec<PackOutcome> = outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(p, slot)| match slot {
-            Ok(outcome) => outcome,
-            Err(panic) => {
-                if let Some(j) = journal {
-                    j.record(
-                        RecordKind::GradePack,
-                        p as u64,
-                        &encode_quarantine(&panic.message),
-                    );
-                }
-                PackOutcome::Quarantined {
-                    message: panic.message,
-                }
-            }
-        })
-        .collect();
-
-    // Progress accounting, in deterministic pack order. Structured
-    // records allocate (fault-id rendering), so they are only built
-    // when a sink asked for them — the default path stays free.
+    // Structured records allocate (fault-id rendering), so they are only
+    // built when a sink asked for them — the default path stays free.
     let tracing = progress.wants_records();
-    for (p, outcome) in outcomes.iter().enumerate() {
-        let n_faults = packs[p].len();
-        match outcome {
-            PackOutcome::Computed {
-                results,
-                stalls,
-                restored,
-                cycles,
-                elapsed,
-            } => {
-                if *restored {
-                    progress.event(ProgressEvent::PackRestored { faults: n_faults });
-                } else {
-                    // One MonteCarlo event per estimation: every pack's
-                    // fault lanes, plus the shared baseline (lane 0)
-                    // once, from pack 0.
-                    for r in results.iter().skip(usize::from(p != 0)) {
-                        progress.event(ProgressEvent::MonteCarlo {
-                            batches: r.batches,
-                            converged: r.converged,
-                        });
-                    }
-                    progress.event(ProgressEvent::CyclesSimulated { cycles: *cycles });
-                    progress.event(ProgressEvent::GradePack { faults: n_faults });
-                    // Self-profiler flush, in the same deterministic
-                    // pack order as every other event. Timings vary
-                    // run to run, but the event *sequence* does not.
-                    let prof = profiles.lock().map(|t| t[p]).unwrap_or_default();
-                    progress.event(ProgressEvent::PackProfile {
-                        us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                        ops: prof.ops,
-                        levels: prof.levels,
-                        force_ops: prof.force_ops,
-                        lanes: prof.lanes,
-                        dirty_nets: prof.dirty_nets,
-                        nets: prof.nets,
+    let slots = run_journaled_packs(
+        RecordKind::GradePack,
+        &packs,
+        threads,
+        progress,
+        journal,
+        |pack| run_pack(sys, pack, cfg, workers),
+        |p, graded: &GradedPack, elapsed| {
+            if let Some(elapsed) = elapsed {
+                // One MonteCarlo event per estimation: every pack's
+                // fault lanes, plus the shared baseline (lane 0) once,
+                // from pack 0.
+                for r in graded.results.iter().skip(usize::from(p != 0)) {
+                    progress.event(ProgressEvent::MonteCarlo {
+                        batches: r.batches,
+                        converged: r.converged,
                     });
                 }
-                if tracing {
-                    let lanes = results
-                        .iter()
-                        .enumerate()
-                        .map(|(l, r)| LaneGrade {
-                            fault: l.checked_sub(1).map(|i| packs[p][i].to_string()),
-                            mean_uw: r.mean_uw,
-                            half_width_uw: r.half_width_uw,
-                            batches: r.batches,
-                            converged: r.converged,
-                        })
-                        .collect();
-                    let stalled = packs[p]
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| stalls >> i & 1 == 1)
-                        .map(|(_, f)| f.to_string())
-                        .collect();
-                    progress.record(&TraceRecord::PackGraded {
-                        pack: p,
-                        lanes,
-                        occupancy: results.len(),
-                        cycles: *cycles,
-                        stalled,
-                        elapsed: *elapsed,
-                        restored: *restored,
-                    });
-                }
+                progress.event(ProgressEvent::CyclesSimulated {
+                    cycles: graded.cycles,
+                });
+                progress.event(ProgressEvent::GradePack {
+                    faults: packs[p].len(),
+                });
+                let prof = graded.prof;
+                progress.event(ProgressEvent::PackProfile {
+                    us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+                    ops: prof.ops,
+                    levels: prof.levels,
+                    force_ops: prof.force_ops,
+                    lanes: prof.lanes,
+                    dirty_nets: prof.dirty_nets,
+                    nets: prof.nets,
+                });
             }
-            PackOutcome::Quarantined { message } => {
-                progress.event(ProgressEvent::PackQuarantined { faults: n_faults });
-                if tracing {
-                    progress.record(&TraceRecord::Quarantined {
-                        kind: WorkKind::GradePack,
-                        index: p,
-                        fault_ids: packs[p].iter().map(StuckAt::to_string).collect(),
-                        message: message.clone(),
-                        journal_key: journal.map(|_| RecordKind::GradePack.key(p as u64)),
-                    });
-                }
+            if tracing {
+                let lanes = graded
+                    .results
+                    .iter()
+                    .enumerate()
+                    .map(|(l, r)| LaneGrade {
+                        fault: l.checked_sub(1).map(|i| packs[p][i].to_string()),
+                        mean_uw: r.mean_uw,
+                        half_width_uw: r.half_width_uw,
+                        batches: r.batches,
+                        converged: r.converged,
+                    })
+                    .collect();
+                let stalled = packs[p]
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| graded.stalls >> i & 1 == 1)
+                    .map(|(_, f)| f.to_string())
+                    .collect();
+                progress.record(&TraceRecord::PackGraded {
+                    pack: p,
+                    lanes,
+                    occupancy: graded.results.len(),
+                    cycles: graded.cycles,
+                    stalled,
+                    elapsed: elapsed.unwrap_or_default(),
+                    restored: elapsed.is_none(),
+                });
             }
-        }
-    }
+        },
+    );
 
     // The baseline lives on lane 0 of pack 0; if that pack quarantined,
     // rescue the study with a baseline-only estimation.
-    let baseline = match &outcomes[0] {
-        PackOutcome::Computed { results, .. } => results[0],
-        PackOutcome::Quarantined { message, .. } => {
-            let rescue = par_map_indexed_caught(1, 1, |_| run_pack(sys, &[], cfg, 1).0[0]);
+    let baseline = match &slots[0] {
+        Ok(graded) => graded.results[0],
+        Err(message) => {
+            let rescue = par_map_indexed_caught(1, 1, |_| run_pack(sys, &[], cfg, 1).results[0]);
             match rescue.into_iter().next() {
                 Some(Ok(mc)) => {
                     progress.event(ProgressEvent::MonteCarlo {
@@ -733,40 +637,38 @@ pub fn grade_faults_journaled_with_kernel(
 
     let mut grades = Vec::with_capacity(faults.len());
     let mut incidents = Vec::new();
-    for (p, (pack, outcome)) in packs.iter().zip(&outcomes).enumerate() {
-        match outcome {
-            PackOutcome::Computed {
-                results, stalls, ..
-            } => {
-                for (i, &fault) in pack.iter().enumerate() {
-                    let mc = results[i + 1];
-                    let pct = 100.0 * (mc.mean_uw - baseline.mean_uw) / baseline.mean_uw;
-                    let flagged = pct.abs() > cfg.threshold_pct;
-                    progress.event(ProgressEvent::FaultGraded { flagged });
-                    grades.push(PowerGrade {
-                        fault,
-                        mean_uw: mc.mean_uw,
-                        pct_change: pct,
-                        flagged,
-                    });
-                    if stalls >> i & 1 == 1 {
-                        progress.event(ProgressEvent::BudgetExhausted);
-                        if tracing {
-                            progress.record(&TraceRecord::BudgetExhausted {
-                                fault_id: fault.to_string(),
-                                journal_key: journal.map(|_| RecordKind::GradePack.key(p as u64)),
-                            });
-                        }
-                        incidents.push(GradeIncident::BudgetExhausted { fault });
-                    }
-                }
-            }
-            PackOutcome::Quarantined { message, .. } => {
+    for (p, (pack, slot)) in packs.iter().zip(slots).enumerate() {
+        let graded = match slot {
+            Ok(graded) => graded,
+            Err(message) => {
                 incidents.push(GradeIncident::QuarantinedPack {
                     pack: p,
                     faults: pack.to_vec(),
-                    message: message.clone(),
+                    message,
                 });
+                continue;
+            }
+        };
+        for (i, &fault) in pack.iter().enumerate() {
+            let mc = graded.results[i + 1];
+            let pct = 100.0 * (mc.mean_uw - baseline.mean_uw) / baseline.mean_uw;
+            let flagged = pct.abs() > cfg.threshold_pct;
+            progress.event(ProgressEvent::FaultGraded { flagged });
+            grades.push(PowerGrade {
+                fault,
+                mean_uw: mc.mean_uw,
+                pct_change: pct,
+                flagged,
+            });
+            if graded.stalls >> i & 1 == 1 {
+                progress.event(ProgressEvent::BudgetExhausted);
+                if tracing {
+                    progress.record(&TraceRecord::BudgetExhausted {
+                        fault_id: fault.to_string(),
+                        journal_key: journal.map(|_| RecordKind::GradePack.key(p as u64)),
+                    });
+                }
+                incidents.push(GradeIncident::BudgetExhausted { fault });
             }
         }
     }
@@ -977,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn pack_payload_roundtrips_and_rejects_bad_shapes() {
+    fn pack_body_roundtrips_and_rejects_bad_shapes() {
         let results = vec![
             MonteCarloResult {
                 mean_uw: 123.456,
@@ -992,30 +894,71 @@ mod tests {
                 converged: false,
             },
         ];
-        let words = encode_pack(&results, 0b10);
-        match decode_pack(&words, results.len()) {
-            Some(PackOutcome::Computed {
-                results: r,
-                stalls,
-                restored,
-                ..
-            }) => {
-                assert_eq!(r.len(), 2);
-                assert_eq!(r[0].mean_uw, results[0].mean_uw);
-                assert_eq!(r[1].batches, 9);
-                assert_eq!(stalls, 0b10);
-                assert!(restored);
-            }
-            _ => panic!("payload must roundtrip"),
+        let (_, faults) = toy_sfr(2);
+        let pack = &faults[..results.len() - 1];
+        let words = GradedPack {
+            results: results.clone(),
+            stalls: 0b10,
+            cycles: 99,
+            prof: PackProf::default(),
         }
-        // A record for another lane count, a truncated record, and a
-        // record under an unknown tag all force recomputation.
-        assert!(decode_pack(&words, results.len() + 1).is_none());
-        assert!(decode_pack(&words[..words.len() - 1], results.len()).is_none());
-        let mut retagged = words.clone();
-        retagged[0] = 2;
-        assert!(decode_pack(&retagged, results.len()).is_none());
-        assert!(decode_pack(&[], results.len()).is_none());
+        .encode_body();
+        let back = GradedPack::decode_body(&words, pack).expect("payload must roundtrip");
+        assert_eq!(back.results, results);
+        assert_eq!(back.stalls, 0b10);
+        assert_eq!(back.cycles, 0, "cycles are not journaled");
+        // A record for another lane count, a truncated record, and an
+        // empty record all force recomputation.
+        assert!(GradedPack::decode_body(&words, &faults[..2]).is_none());
+        assert!(GradedPack::decode_body(&words[..words.len() - 1], pack).is_none());
+        assert!(GradedPack::decode_body(&[], pack).is_none());
+    }
+
+    #[test]
+    fn journaled_quarantine_of_the_baseline_pack_replays_and_rescues_the_baseline() {
+        let (sys, faults) = toy_sfr(usize::MAX);
+        let cfg = quick_cfg();
+        let mut path = std::env::temp_dir();
+        path.push(format!("sfr-grade-quarantine-{}", std::process::id()));
+        let journal = CampaignJournal::create(&path, 3, "grade-quarantine").expect("creates");
+        let mut marker = vec![1];
+        marker.extend(sfr_journal::encode_str("lane panic"));
+        journal.record(RecordKind::GradePack, 0, &marker);
+        let before = std::fs::read(&path).expect("journal on disk");
+
+        let counters = sfr_exec::Counters::new();
+        let report = grade_faults_journaled_with_kernel(
+            &sys,
+            &faults,
+            &cfg,
+            1,
+            &counters,
+            Some(&journal),
+            SimKernel::Tape,
+        );
+        assert_eq!(
+            report.incidents,
+            [GradeIncident::QuarantinedPack {
+                pack: 0,
+                faults: faults.clone(),
+                message: "lane panic".into(),
+            }]
+        );
+        assert!(report.grades.is_empty(), "the pack's faults carry no grade");
+        assert_eq!(counters.snapshot().packs_quarantined, 1);
+        assert_eq!(
+            std::fs::read(&path).expect("journal on disk"),
+            before,
+            "a replayed quarantine is not journaled again"
+        );
+        // The baseline-only rescue reproduces lane 0 of an intact pack 0.
+        let (baseline, _) = grade(&sys, &faults, &cfg, 1, &NullProgress);
+        assert_eq!(report.baseline, baseline);
+        assert_eq!(
+            report.baseline.mean_uw.to_bits(),
+            baseline.mean_uw.to_bits()
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

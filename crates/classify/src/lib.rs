@@ -66,8 +66,9 @@ mod table;
 
 pub use grade::{
     grade_faults_journaled_with_kernel, grade_faults_scalar_with, grade_pack_capacity,
-    grade_pack_count, grade_pack_slice, measure_power_monte_carlo, measure_power_tape_watched,
-    measure_power_with_testset, GradeConfig, GradeIncident, GradeReport, PowerGrade,
+    grade_pack_count, grade_pack_slice, measure_activity_with_testset, measure_power_monte_carlo,
+    measure_power_tape_watched, measure_power_with_testset, GradeConfig, GradeIncident,
+    GradeReport, PowerGrade,
 };
 pub use oracle::{judge, Mismatch, Verdict};
 pub use pipeline::{

@@ -235,7 +235,7 @@ pub fn classify_system_collapsed(
         let timer = PhaseTimer::start(progress, Phase::Lint);
         let analysis = sfr_lint::analyze_controller_static(sys);
         decided = sfr_exec::par_map_indexed(engine.threads(), faults.len(), |i| {
-            static_decide(sys, &analysis, faults[i])
+            static_decision(sys, &analysis, faults[i]).map(|(_, record)| record)
         });
         for _ in decided.iter().flatten() {
             progress.event(ProgressEvent::FaultPruned);
@@ -327,9 +327,10 @@ pub fn classify_system_collapsed(
     (Classification { faults: merged }, quarantined)
 }
 
-/// Tries to classify one fault without simulation. `None` means the
-/// fault's final class depends on campaign evidence (a detection cycle)
-/// and it must be simulated.
+/// Tries to classify one fault without simulation: the deciding rule's
+/// label (see [`static_rule_label`]) with the classified record. `None`
+/// means the fault's final class depends on campaign evidence (a
+/// detection cycle) and it must be simulated.
 ///
 /// Sound prunes, and why they reproduce the simulated pipeline bit for
 /// bit:
@@ -346,36 +347,47 @@ pub fn classify_system_collapsed(
 /// Sequence-altering and oracle-irredundant faults are *not* pruned:
 /// their [`SfiReason`] embeds the first detecting/ambiguous cycle,
 /// which only the campaign can produce.
-fn static_decide(
+fn static_decision(
     sys: &System,
     analysis: &sfr_lint::StaticAnalysis,
     fault: StuckAt,
-) -> Option<ClassifiedFault> {
+) -> Option<(&'static str, ClassifiedFault)> {
+    use sfr_lint::StaticCfrReason;
     let sf = sys.fault_to_standalone(fault)?;
-    let cfr = ClassifiedFault {
-        fault,
-        class: FaultClass::Cfr,
-        effects: Vec::new(),
-        rule_verdict: None,
+    let cfr = |label| {
+        let record = ClassifiedFault {
+            fault,
+            class: FaultClass::Cfr,
+            effects: Vec::new(),
+            rule_verdict: None,
+        };
+        Some((label, record))
     };
-    if sfr_lint::statically_cfr(sys, analysis, sf).is_some() {
-        return Some(cfr);
+    if let Some(reason) = sfr_lint::statically_cfr(sys, analysis, sf) {
+        return cfr(match reason {
+            StaticCfrReason::DeadCone => "dead-cone",
+            StaticCfrReason::ConstantSite => "constant-site",
+            StaticCfrReason::MaskedPropagation => "masked-propagation",
+            StaticCfrReason::ParityCancellation => "parity-cancellation",
+        });
     }
     let behavior = analyze_controller_fault(sys, sf);
     if behavior.is_cfr() {
-        return Some(cfr);
+        return cfr("table-cfr");
     }
     if behavior.sequence_altering {
         return None;
     }
-    let rule_verdict = Some(judge_by_rules(sys, &behavior.effects));
     match judge(sys, &behavior.faulty_outputs) {
-        Verdict::Redundant => Some(ClassifiedFault {
-            fault,
-            class: FaultClass::Sfr,
-            effects: behavior.effects,
-            rule_verdict,
-        }),
+        Verdict::Redundant => {
+            let record = ClassifiedFault {
+                fault,
+                class: FaultClass::Sfr,
+                rule_verdict: Some(judge_by_rules(sys, &behavior.effects)),
+                effects: behavior.effects,
+            };
+            Some(("oracle-sfr", record))
+        }
         Verdict::Irredundant(_) => None,
     }
 }
@@ -416,34 +428,14 @@ pub fn collapse_grading_set(
 /// `dead-cone`, `constant-site`, `masked-propagation`,
 /// `parity-cancellation` (CFR proofs, cheapest first), `table-cfr`, or
 /// `oracle-sfr` — or `None` when only campaign evidence can finish the
-/// classification. Decisions match [`classify_system_collapsed`]'s
-/// static pre-pass exactly.
+/// classification. Decisions are [`classify_system_collapsed`]'s static
+/// pre-pass itself.
 pub fn static_rule_label(
     sys: &System,
     analysis: &sfr_lint::StaticAnalysis,
     fault: StuckAt,
 ) -> Option<&'static str> {
-    use sfr_lint::StaticCfrReason;
-    let sf = sys.fault_to_standalone(fault)?;
-    if let Some(reason) = sfr_lint::statically_cfr(sys, analysis, sf) {
-        return Some(match reason {
-            StaticCfrReason::DeadCone => "dead-cone",
-            StaticCfrReason::ConstantSite => "constant-site",
-            StaticCfrReason::MaskedPropagation => "masked-propagation",
-            StaticCfrReason::ParityCancellation => "parity-cancellation",
-        });
-    }
-    let behavior = analyze_controller_fault(sys, sf);
-    if behavior.is_cfr() {
-        return Some("table-cfr");
-    }
-    if behavior.sequence_altering {
-        return None;
-    }
-    match judge(sys, &behavior.faulty_outputs) {
-        Verdict::Redundant => Some("oracle-sfr"),
-        Verdict::Irredundant(_) => None,
-    }
+    static_decision(sys, analysis, fault).map(|(label, _)| label)
 }
 
 /// Steps 2–4 of the methodology for one campaign outcome.

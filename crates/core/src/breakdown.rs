@@ -7,8 +7,9 @@
 //! system's architectural components: the controller, each register,
 //! and the combinational datapath remainder.
 
+use sfr_classify::measure_activity_with_testset;
 use sfr_faultsim::{RunConfig, System};
-use sfr_netlist::{Activity, CycleSim, GateId, Logic, StuckAt};
+use sfr_netlist::{Activity, GateId, StuckAt};
 use sfr_power_model::{power_from_activity_where, PowerConfig};
 use sfr_tpg::TestSet;
 use std::collections::HashMap;
@@ -111,7 +112,9 @@ impl PowerBreakdown {
 }
 
 /// Measures the per-component breakdown of an (optionally faulty) system
-/// over one test set.
+/// over one test set. Runs end where the fault-free controller's do
+/// (see [`measure_activity_with_testset`]), so the datapath components
+/// sum to [`sfr_classify::measure_power_with_testset`]'s total.
 pub fn measure_breakdown(
     sys: &System,
     fault: Option<StuckAt>,
@@ -119,33 +122,8 @@ pub fn measure_breakdown(
     run: &RunConfig,
     cfg: &PowerConfig,
 ) -> PowerBreakdown {
-    let mut sim = match fault {
-        Some(f) => CycleSim::with_fault(&sys.netlist, f),
-        None => CycleSim::new(&sys.netlist),
-    };
-    sim.track_activity(true);
-    let hold = sys.meta.hold_state();
-    let mut idx = 0usize;
-    while idx < ts.len() {
-        sys.reset_sim(&mut sim, Logic::Zero);
-        let mut len = 0usize;
-        let mut held = 0usize;
-        while idx < ts.len() && len < run.max_cycles_per_run {
-            sys.apply_pattern(&mut sim, ts.patterns()[idx]);
-            idx += 1;
-            len += 1;
-            sim.eval();
-            let st = sys.decode_state(&sim);
-            sim.clock();
-            if st == Some(hold) {
-                held += 1;
-                if held > run.hold_cycles {
-                    break;
-                }
-            }
-        }
-    }
-    PowerBreakdown::from_activity(sys, sim.activity(), cfg)
+    let act = measure_activity_with_testset(sys, fault, ts, run);
+    PowerBreakdown::from_activity(sys, &act, cfg)
 }
 
 #[cfg(test)]
@@ -225,6 +203,33 @@ mod tests {
         let quiet = (power_of(&faulty, "REG9") - power_of(&base, "REG9")).abs();
         let bank = power_of(&faulty, "REG1") - power_of(&base, "REG1");
         assert!(quiet < bank, "signature concentrates in the forced bank");
+    }
+
+    #[test]
+    fn datapath_components_sum_to_the_measured_power_of_every_sfr_fault() {
+        let cfg = sfr_classify::GradeConfig::default();
+        for (name, emitted) in sfr_benchmarks::extended_benchmarks(4).expect("builds") {
+            let sys = System::build(&emitted, SystemConfig::default()).expect("system builds");
+            let classes = sfr_classify::classify_system(&sys, &Default::default());
+            let ts = TestSet::pseudorandom(sys.pattern_width(), 240, 0xACE1).unwrap();
+            for f in classes.sfr() {
+                let b = measure_breakdown(&sys, Some(f.fault), &ts, &cfg.run, &cfg.power);
+                let datapath: f64 = b
+                    .components
+                    .iter()
+                    .filter(|c| c.name != "controller")
+                    .map(|c| c.power_uw)
+                    .sum();
+                let measured =
+                    sfr_classify::measure_power_with_testset(&sys, Some(f.fault), &ts, &cfg);
+                assert!(
+                    (datapath - measured.total_uw).abs() <= 1e-9 * measured.total_uw,
+                    "{name} {}: breakdown {datapath} vs measured {}",
+                    f.fault,
+                    measured.total_uw
+                );
+            }
+        }
     }
 
     #[test]

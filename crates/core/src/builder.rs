@@ -19,7 +19,7 @@
 
 use crate::error::StudyError;
 use crate::flow::{execute_study, Study, StudyConfig};
-use sfr_classify::{ClassifyConfig, GradeConfig};
+use sfr_classify::GradeConfig;
 use sfr_exec::{Counters, NullProgress, Phase, Progress, ProgressEvent, Tee};
 use sfr_faultsim::{EngineKind, System};
 use sfr_fsm::{Encoding, FillPolicy};
@@ -188,12 +188,6 @@ impl StudyBuilder {
             max_batches: 6,
         };
         self.cfg.grade.patterns_per_batch = 60;
-        self
-    }
-
-    /// Replaces the classification settings wholesale.
-    pub fn classify_config(mut self, classify: ClassifyConfig) -> Self {
-        self.cfg.classify = classify;
         self
     }
 

@@ -10,17 +10,18 @@
 //! * [`Progress`] / [`ProgressEvent`] / [`Counters`] — the campaign
 //!   observer hook (phase wall times, faults simulated and dropped,
 //!   Monte Carlo convergence);
-//! * [`par_map_indexed`] / [`par_map_chunks`] — the order-preserving
-//!   scoped-thread work queue underneath it all;
-//! * [`stream_seed`] — the per-work-item seed-splitting scheme that
-//!   keeps parallel runs byte-identical to serial ones.
+//! * [`par_map_indexed`] / [`par_map_indexed_caught`] — the
+//!   order-preserving scoped-thread work queue underneath it all, the
+//!   second with the retry-once panic quarantine;
+//! * [`run_campaign_quarantined`] — the journaled, quarantined
+//!   fault-simulation campaign.
 
 pub use sfr_exec::{
-    default_threads, panic_message, par_map_chunks, par_map_indexed, par_map_indexed_caught,
-    stream_seed, CounterState, Counters, LaneGrade, NullProgress, Phase, PhaseTimer, Progress,
-    ProgressEvent, TaskPanic, Tee, TraceRecord, WorkKind,
+    default_threads, panic_message, par_map_indexed, par_map_indexed_caught, CounterState,
+    Counters, LaneGrade, NullProgress, Phase, PhaseTimer, Progress, ProgressEvent, TaskPanic, Tee,
+    TraceRecord,
 };
 pub use sfr_faultsim::{
-    run_campaign, run_campaign_quarantined, Engine, EngineKind, QuarantinedChunk, SerialEngine,
-    SimKernel, TapeEngine,
+    run_campaign_quarantined, Engine, EngineKind, QuarantinedChunk, SerialEngine, SimKernel,
+    TapeEngine,
 };

@@ -110,9 +110,8 @@ pub use sfr_hls::{
 pub use sfr_journal::{CampaignJournal, JournalError, RecordKind};
 pub use sfr_lint::{
     absint_cfr, analyze_controller_static, cone_is_dead, controller_net_constants, fixture_report,
-    lint_fsm, lint_netlist, lint_schedule, lint_system, lint_verilog, static_cfr_verdicts,
-    statically_cfr, Diagnostic, LintReport, Location, NetConstants, Severity, StaticAnalysis,
-    StaticCfrReason,
+    lint_fsm, lint_netlist, lint_schedule, lint_system, lint_verilog, statically_cfr, Diagnostic,
+    LintReport, Location, NetConstants, Severity, StaticAnalysis, StaticCfrReason,
 };
 pub use sfr_logic::{minimize, Cover, Cube, SopMapper};
 pub use sfr_netlist::{
@@ -124,9 +123,9 @@ pub use sfr_netlist::{
 };
 pub use sfr_obs as obs;
 pub use sfr_power_model::{
-    power_from_activity, power_from_activity_parts, power_from_activity_where,
-    power_from_tape_activity_where, run_monte_carlo, run_monte_carlo_lanes, MonteCarloConfig,
-    MonteCarloResult, PowerConfig, PowerPopulation, PowerReport, VariationModel,
+    power_from_activity, power_from_activity_where, power_from_tape_activity_where,
+    run_monte_carlo, run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult, PowerConfig,
+    PowerPopulation, PowerReport, VariationModel,
 };
 pub use sfr_rtl::{
     elaborate_into, ConcreteDomain, CtrlId, CtrlKind, DataSrc, Datapath, DatapathBuilder,

@@ -4,8 +4,9 @@
 //! embarrassingly parallel across faults and batches, and both must
 //! stay *byte-identical* to their serial counterparts at any thread
 //! count (every workspace table regenerates deterministically). This
-//! crate provides the two primitives that make that possible with
-//! nothing beyond `std`:
+//! crate provides the primitives that make that possible, built on `std`
+//! alone (its one dependency, the std-only `sfr-journal`, lends the
+//! record kind that names quarantined work in traces):
 //!
 //! * [`par_map_indexed`] — an order-preserving parallel map over an
 //!   index space, built from `std::thread::scope` plus a shared atomic
@@ -15,6 +16,8 @@
 //!   cycle 2 next to faults that survive a whole session — keep every
 //!   core busy. Results land at their item's index, so the output is
 //!   independent of which worker computed what.
+//!   [`par_map_indexed_caught`] runs each item under `catch_unwind`,
+//!   retrying it once before reporting its panic in its slot.
 //! * [`ordered_waves`] — speculative read-ahead for a *sequential*
 //!   consumer: items `0, 1, 2, …` are computed in waves on a pool of
 //!   workers that each own their scratch state, and handed to the
@@ -27,15 +30,16 @@
 //!   [`NullProgress`].
 //!
 //! Determinism contract: callers key every random stream by the *work
-//! item* (fault index, batch index — see [`stream_seed`]), never by the
-//! executing thread. The executor only decides *where* an item runs;
-//! the item's inputs, seeds, and output slot are pure functions of its
-//! index.
+//! item* (a Monte Carlo batch's test set is seeded by its batch index),
+//! never by the executing thread. The executor only decides *where* an
+//! item runs; the item's inputs, seeds, and output slot are pure
+//! functions of its index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+use sfr_journal::RecordKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -47,21 +51,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Derives an independent per-item seed from a base seed and a stream
-/// index (splitmix64 finalizer).
-///
-/// Work items — not threads — own random streams: item `i` always draws
-/// from `stream_seed(base, i)` no matter which worker executes it,
-/// which is what keeps parallel runs byte-identical to serial ones.
-pub fn stream_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(stream.wrapping_mul(0xD605_0B91_5D2C_EB4F));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Order-preserving parallel map over `0..n`: returns
@@ -287,27 +276,6 @@ where
     })
 }
 
-/// Order-preserving parallel map over contiguous chunks of `items`:
-/// the concatenated result equals
-/// `items.chunks(chunk).flat_map(f).collect()`.
-///
-/// Chunk boundaries are fixed by `chunk` alone — never by the thread
-/// count — so engines with batch semantics (the 63-lane fault
-/// simulator) produce identical per-batch behaviour at any parallelism.
-pub fn par_map_chunks<T, R, F>(threads: usize, items: &[T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-    par_map_indexed(threads, chunks.len(), |i| f(chunks[i]))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// The pipeline stages an observer can time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -456,25 +424,6 @@ pub enum ProgressEvent {
     },
 }
 
-/// Which kind of campaign work a structured record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkKind {
-    /// A fault-simulation chunk (classification phase).
-    FaultSimChunk,
-    /// A Monte Carlo power-grading lane pack.
-    GradePack,
-}
-
-impl WorkKind {
-    /// A short label for traces (`"faultsim"` / `"grade"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            WorkKind::FaultSimChunk => "faultsim",
-            WorkKind::GradePack => "grade",
-        }
-    }
-}
-
 /// One lane's Monte Carlo outcome inside a [`TraceRecord::PackGraded`]
 /// record: the estimation's mean, 95%-CI half-width at the stopping
 /// point, and how many batches the stopping rule consumed.
@@ -540,8 +489,9 @@ pub enum TraceRecord {
     },
     /// A pack/chunk panicked twice and was quarantined.
     Quarantined {
-        /// What kind of work quarantined.
-        kind: WorkKind,
+        /// What kind of work quarantined: a fault-simulation chunk or a
+        /// grade pack, named by its journal record kind.
+        kind: RecordKind,
         /// Pack/chunk index.
         index: usize,
         /// Rendered fault ids that lost their verdict/grade.
@@ -955,21 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunks_matches_flat_serial() {
-        let items: Vec<u32> = (0..200).collect();
-        let serial: Vec<u64> = items
-            .chunks(63)
-            .flat_map(|c| c.iter().map(|&x| u64::from(x) * 3).collect::<Vec<_>>())
-            .collect();
-        for threads in [1, 4] {
-            let par = par_map_chunks(threads, &items, 63, |c| {
-                c.iter().map(|&x| u64::from(x) * 3).collect()
-            });
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn imbalanced_items_all_complete() {
         // Items with wildly different costs: the shared queue keeps
         // workers busy and every result lands in its slot.
@@ -1036,7 +971,7 @@ mod tests {
                 if i % 3 == 0 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                stream_seed(7, i as u64)
+                i as u64 * i as u64 + 7
             },
             |next| (0..n).map(next).collect::<Vec<_>>(),
         );
@@ -1045,7 +980,7 @@ mod tests {
 
     #[test]
     fn ordered_waves_delivers_in_index_order_like_a_serial_run() {
-        let serial: Vec<u64> = (0..23).map(|i| stream_seed(7, i)).collect();
+        let serial: Vec<u64> = (0..23).map(|i| i * i + 7).collect();
         for workers in [1, 2, 3, 8] {
             let (seen, computed) = drain_waves(workers, 23);
             assert_eq!(seen, serial, "workers = {workers}");
@@ -1139,16 +1074,6 @@ mod tests {
         );
         assert_eq!(total, 36);
         assert_eq!(states.into_inner(), 1, "one state serves every item");
-    }
-
-    #[test]
-    fn stream_seed_separates_streams() {
-        let a = stream_seed(0xACE1, 0);
-        let b = stream_seed(0xACE1, 1);
-        let c = stream_seed(0xACE2, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, stream_seed(0xACE1, 0), "deterministic");
     }
 
     #[test]

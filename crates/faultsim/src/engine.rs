@@ -9,15 +9,17 @@
 //! byte-identical at any thread count. [`SerialEngine`] is the scalar
 //! reference: one [`sfr_netlist::CycleSim`] run per fault, with the same
 //! verdict for every fault.
+//!
+//! [`run_campaign_quarantined`] is the one campaign path: it feeds an
+//! engine chunk by chunk through the journaled, quarantined pack runner
+//! ([`run_journaled_packs`]).
 
-use crate::campaign::{run_serial, run_tape_counted, CampaignOutcome, Detection};
+use crate::campaign::{run_serial_counted, run_tape_counted, CampaignOutcome, Detection};
 use crate::golden::GoldenTrace;
+use crate::packs::{run_journaled_packs, PackBody};
 use crate::system::System;
-use sfr_exec::{
-    par_map_indexed, par_map_indexed_caught, NullProgress, Phase, Progress, ProgressEvent,
-    TraceRecord, WorkKind,
-};
-use sfr_journal::{decode_str, encode_str, CampaignJournal, RecordKind};
+use sfr_exec::{par_map_indexed, Progress, ProgressEvent, TraceRecord};
+use sfr_journal::{CampaignJournal, RecordKind};
 use sfr_netlist::{StuckAt, MAX_PARALLEL_FAULTS};
 
 /// The inner evaluation kernel that power grading runs on. Downstream
@@ -40,21 +42,15 @@ pub trait Engine: Sync {
     /// A short identifier for reports (`"serial"`, `"tape"`).
     fn name(&self) -> &'static str;
 
-    /// Runs the campaign.
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome>;
-
-    /// Runs the campaign and also reports the simulator cycles it
-    /// evaluated, for the observability stream. The default conservatively
-    /// reports 0 cycles (an engine that doesn't count doesn't guess);
-    /// all built-in engines override it.
-    fn run_counted(
+    /// Runs the campaign: one outcome per fault, in fault order, and the
+    /// simulator cycles evaluated, for the observability stream (a stub
+    /// that does not count reports 0).
+    fn run(
         &self,
         sys: &System,
         golden: &GoldenTrace,
         faults: &[StuckAt],
-    ) -> (Vec<CampaignOutcome>, u64) {
-        (self.run(sys, golden, faults), 0)
-    }
+    ) -> (Vec<CampaignOutcome>, u64);
 
     /// The worker count this engine represents — downstream per-fault
     /// stages (controller-table analysis, the symbolic oracle, power
@@ -80,17 +76,13 @@ impl Engine for SerialEngine {
         "serial"
     }
 
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
-        run_serial(sys, golden, faults)
-    }
-
-    fn run_counted(
+    fn run(
         &self,
         sys: &System,
         golden: &GoldenTrace,
         faults: &[StuckAt],
     ) -> (Vec<CampaignOutcome>, u64) {
-        crate::campaign::run_serial_counted(sys, golden, faults)
+        run_serial_counted(sys, golden, faults)
     }
 }
 
@@ -124,11 +116,7 @@ impl Engine for TapeEngine {
         self.threads
     }
 
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
-        self.run_counted(sys, golden, faults).0
-    }
-
-    fn run_counted(
+    fn run(
         &self,
         sys: &System,
         golden: &GoldenTrace,
@@ -185,25 +173,6 @@ impl EngineKind {
     }
 }
 
-/// Runs a campaign on `engine`, reporting one
-/// [`ProgressEvent::FaultSimulated`] per fault (a detected fault is
-/// dropped from further phases).
-pub fn run_campaign(
-    engine: &dyn Engine,
-    sys: &System,
-    golden: &GoldenTrace,
-    faults: &[StuckAt],
-    progress: &dyn Progress,
-) -> Vec<CampaignOutcome> {
-    let outcomes = engine.run(sys, golden, faults);
-    for o in &outcomes {
-        progress.event(ProgressEvent::FaultSimulated {
-            dropped: o.detection.is_detected(),
-        });
-    }
-    outcomes
-}
-
 /// A fault-simulation chunk that panicked twice and was quarantined:
 /// its faults carry no verdicts, the rest of the campaign is intact.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,65 +185,67 @@ pub struct QuarantinedChunk {
     pub message: String,
 }
 
-/// Journal payload tags for fault-simulation chunks.
-const CHUNK_OK: u64 = 0;
-const CHUNK_QUARANTINED: u64 = 1;
-
-fn encode_outcomes(outcomes: &[CampaignOutcome]) -> Vec<u64> {
-    let mut words = vec![CHUNK_OK, outcomes.len() as u64];
-    for o in outcomes {
-        let (tag, cycle) = match o.detection {
-            Detection::NotDetected => (0u64, 0usize),
-            Detection::Detected { cycle } => (1, cycle),
-            Detection::Potential { cycle } => (2, cycle),
-        };
-        words.push(tag);
-        words.push(cycle as u64);
-    }
-    words
+/// One simulated chunk: its verdicts, and the simulator cycles they
+/// cost (0 when restored from a journal — nothing was simulated).
+struct SimulatedChunk {
+    outcomes: Vec<CampaignOutcome>,
+    cycles: u64,
 }
 
-/// Decodes a journaled chunk against the fault slice it was keyed to;
-/// `None` (recompute) on any shape mismatch.
-fn decode_outcomes(words: &[u64], faults: &[StuckAt]) -> Option<Vec<CampaignOutcome>> {
-    if *words.first()? != CHUNK_OK {
-        return None;
+/// The journal body is the verdict count, then a (detection tag,
+/// detection cycle) word pair per fault; the simulator cycle count is
+/// not journaled.
+impl PackBody for SimulatedChunk {
+    fn encode_body(&self) -> Vec<u64> {
+        let mut words = vec![self.outcomes.len() as u64];
+        for o in &self.outcomes {
+            let (tag, cycle) = match o.detection {
+                Detection::NotDetected => (0u64, 0usize),
+                Detection::Detected { cycle } => (1, cycle),
+                Detection::Potential { cycle } => (2, cycle),
+            };
+            words.push(tag);
+            words.push(cycle as u64);
+        }
+        words
     }
-    let n = usize::try_from(*words.get(1)?).ok()?;
-    if n != faults.len() || words.len() != 2 + 2 * n {
-        return None;
+
+    /// Shape-checked against the fault slice the chunk was keyed to, so
+    /// a mismatched record recomputes rather than misattributes.
+    fn decode_body(words: &[u64], faults: &[StuckAt]) -> Option<Self> {
+        let n = usize::try_from(*words.first()?).ok()?;
+        if n != faults.len() || words.len() != 1 + 2 * n {
+            return None;
+        }
+        let mut outcomes = Vec::with_capacity(n);
+        for (&fault, pair) in faults.iter().zip(words[1..].chunks(2)) {
+            let cycle = usize::try_from(pair[1]).ok()?;
+            let detection = match pair[0] {
+                0 => Detection::NotDetected,
+                1 => Detection::Detected { cycle },
+                2 => Detection::Potential { cycle },
+                _ => return None,
+            };
+            outcomes.push(CampaignOutcome { fault, detection });
+        }
+        Some(SimulatedChunk {
+            outcomes,
+            cycles: 0,
+        })
     }
-    let mut outcomes = Vec::with_capacity(n);
-    for (i, pair) in words[2..].chunks(2).enumerate() {
-        let cycle = usize::try_from(pair[1]).ok()?;
-        let detection = match pair[0] {
-            0 => Detection::NotDetected,
-            1 => Detection::Detected { cycle },
-            2 => Detection::Potential { cycle },
-            _ => return None,
-        };
-        outcomes.push(CampaignOutcome {
-            fault: faults[i],
-            detection,
-        });
-    }
-    Some(outcomes)
 }
 
-/// Crash-safe, fault-isolated [`run_campaign`]: the fault list is cut
-/// into [`MAX_PARALLEL_FAULTS`]-sized chunks (the same boundaries the
-/// tape engine already batches on, so verdicts are unchanged), each
-/// chunk runs under panic quarantine, and completed chunks are
-/// checkpointed to `journal`. Journaled records are shape-checked
-/// against their chunk, so an undecodable or mismatched record
-/// recomputes rather than misattributes.
+/// The crash-safe, fault-isolated fault-simulation campaign: the fault
+/// list is cut into [`MAX_PARALLEL_FAULTS`]-sized chunks (the same
+/// boundaries the tape engine already batches on, so verdicts are
+/// unchanged) and run through [`run_journaled_packs`] — journaled chunks
+/// are restored and journaled quarantines replayed, the rest simulate
+/// under panic quarantine and are checkpointed to `journal`.
 ///
 /// Returns the outcomes of every surviving chunk in fault order plus
-/// one [`QuarantinedChunk`] per chunk that panicked twice. Chunks found
-/// in `journal` are restored verbatim instead of resimulated
-/// ([`ProgressEvent::PackRestored`]); journaled quarantine verdicts are
-/// likewise replayed, so a resumed campaign reproduces the original
-/// incident list without re-panicking.
+/// one [`QuarantinedChunk`] per quarantined chunk. Reports one
+/// [`ProgressEvent::FaultSimulated`] per simulated fault (a detected
+/// fault is dropped from further phases).
 pub fn run_campaign_quarantined(
     engine: &dyn Engine,
     sys: &System,
@@ -283,151 +254,66 @@ pub fn run_campaign_quarantined(
     progress: &dyn Progress,
     journal: Option<&CampaignJournal>,
 ) -> (Vec<CampaignOutcome>, Vec<QuarantinedChunk>) {
-    enum ChunkOutcome {
-        Computed {
-            outcomes: Vec<CampaignOutcome>,
-            cycles: u64,
-            elapsed: std::time::Duration,
-        },
-        Restored(Vec<CampaignOutcome>),
-        ReplayedQuarantine(String),
-    }
     let chunks: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
-    progress.event(ProgressEvent::WorkPlanned {
-        phase: Phase::FaultSim,
-        items: chunks.len(),
-    });
-    let slots = par_map_indexed_caught(engine.threads(), chunks.len(), |i| {
-        let chunk = chunks[i];
-        if let Some(j) = journal {
-            if let Some(words) = j.get(RecordKind::FaultSim, i as u64) {
-                if let Some(outcomes) = decode_outcomes(&words, chunk) {
-                    return ChunkOutcome::Restored(outcomes);
-                }
-                if words.first() == Some(&CHUNK_QUARANTINED) {
-                    if let Some((message, _)) = decode_str(&words[1..]) {
-                        return ChunkOutcome::ReplayedQuarantine(message);
-                    }
-                }
-                // Undecodable payload: fall through and resimulate.
-            }
-        }
-        // Wall time is measured here in the worker (the coordinating
-        // thread replays events post-hoc, long after the work ran).
-        let started = std::time::Instant::now();
-        let (outcomes, cycles) = engine.run_counted(sys, golden, chunk);
-        let elapsed = started.elapsed();
-        if let Some(j) = journal {
-            j.record(RecordKind::FaultSim, i as u64, &encode_outcomes(&outcomes));
-        }
-        ChunkOutcome::Computed {
-            outcomes,
-            cycles,
-            elapsed,
-        }
-    });
-
-    let mut all = Vec::with_capacity(faults.len());
-    let mut quarantined = Vec::new();
     // Records allocate (fault-id rendering), so only build them when a
-    // sink asked; this loop runs post-hoc on the coordinating thread in
-    // chunk order, keeping the trace layout deterministic.
+    // sink asked.
     let tracing = progress.wants_records();
-    let chunk_ids = |chunk: &[StuckAt]| chunk.iter().map(StuckAt::to_string).collect::<Vec<_>>();
-    let chunk_record = |i: usize, outcomes: &[CampaignOutcome], cycles, elapsed, restored| {
-        let mut detected = 0;
-        let mut potential = 0;
-        for o in outcomes {
-            match o.detection {
-                Detection::Detected { .. } => detected += 1,
-                Detection::Potential { .. } => potential += 1,
-                Detection::NotDetected => {}
-            }
-        }
-        TraceRecord::ChunkSimulated {
-            chunk: i,
-            fault_ids: chunk_ids(chunks[i]),
-            detected,
-            potential,
-            cycles,
-            elapsed,
-            restored,
-        }
-    };
-    for (i, slot) in slots.into_iter().enumerate() {
-        let mut quarantine = |message: String, journal_it: bool| {
-            if journal_it {
-                if let Some(j) = journal {
-                    let mut words = vec![CHUNK_QUARANTINED];
-                    words.extend(encode_str(&message));
-                    j.record(RecordKind::FaultSim, i as u64, &words);
-                }
-            }
-            progress.event(ProgressEvent::PackQuarantined {
-                faults: chunks[i].len(),
-            });
-            if tracing {
-                progress.record(&TraceRecord::Quarantined {
-                    kind: WorkKind::FaultSimChunk,
-                    index: i,
-                    fault_ids: chunk_ids(chunks[i]),
-                    message: message.clone(),
-                    journal_key: journal.map(|_| RecordKind::FaultSim.key(i as u64)),
+    let slots = run_journaled_packs(
+        RecordKind::FaultSim,
+        &chunks,
+        engine.threads(),
+        progress,
+        journal,
+        |chunk| {
+            let (outcomes, cycles) = engine.run(sys, golden, chunk);
+            SimulatedChunk { outcomes, cycles }
+        },
+        |i, chunk: &SimulatedChunk, elapsed| {
+            if elapsed.is_some() {
+                progress.event(ProgressEvent::CyclesSimulated {
+                    cycles: chunk.cycles,
                 });
-            }
-            quarantined.push(QuarantinedChunk {
-                chunk: i,
-                faults: chunks[i].to_vec(),
-                message,
-            });
-        };
-        match slot {
-            Ok(ChunkOutcome::Computed {
-                outcomes,
-                cycles,
-                elapsed,
-            }) => {
-                progress.event(ProgressEvent::CyclesSimulated { cycles });
-                for o in &outcomes {
+                for o in &chunk.outcomes {
                     progress.event(ProgressEvent::FaultSimulated {
                         dropped: o.detection.is_detected(),
                     });
                 }
-                if tracing {
-                    progress.record(&chunk_record(i, &outcomes, cycles, elapsed, false));
-                }
-                all.extend(outcomes);
             }
-            Ok(ChunkOutcome::Restored(outcomes)) => {
-                progress.event(ProgressEvent::PackRestored {
-                    faults: chunks[i].len(),
+            if tracing {
+                let mut detected = 0;
+                let mut potential = 0;
+                for o in &chunk.outcomes {
+                    match o.detection {
+                        Detection::Detected { .. } => detected += 1,
+                        Detection::Potential { .. } => potential += 1,
+                        Detection::NotDetected => {}
+                    }
+                }
+                progress.record(&TraceRecord::ChunkSimulated {
+                    chunk: i,
+                    fault_ids: chunks[i].iter().map(StuckAt::to_string).collect(),
+                    detected,
+                    potential,
+                    cycles: chunk.cycles,
+                    elapsed: elapsed.unwrap_or_default(),
+                    restored: elapsed.is_none(),
                 });
-                if tracing {
-                    progress.record(&chunk_record(
-                        i,
-                        &outcomes,
-                        0,
-                        std::time::Duration::ZERO,
-                        true,
-                    ));
-                }
-                all.extend(outcomes);
             }
-            Ok(ChunkOutcome::ReplayedQuarantine(message)) => quarantine(message, false),
-            Err(panic) => quarantine(panic.message, true),
+        },
+    );
+    let mut all = Vec::with_capacity(faults.len());
+    let mut quarantined = Vec::new();
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot {
+            Ok(chunk) => all.extend(chunk.outcomes),
+            Err(message) => quarantined.push(QuarantinedChunk {
+                chunk: i,
+                faults: chunks[i].to_vec(),
+                message,
+            }),
         }
     }
     (all, quarantined)
-}
-
-/// Convenience wrapper: campaign with no observer.
-pub fn run_with(
-    engine: &dyn Engine,
-    sys: &System,
-    golden: &GoldenTrace,
-    faults: &[StuckAt],
-) -> Vec<CampaignOutcome> {
-    run_campaign(engine, sys, golden, faults, &NullProgress)
 }
 
 #[cfg(test)]
@@ -448,9 +334,9 @@ mod tests {
     #[test]
     fn serial_and_tape_engines_agree() {
         let (sys, golden, faults) = setup();
-        let reference = SerialEngine.run(&sys, &golden, &faults);
+        let (reference, _) = SerialEngine.run(&sys, &golden, &faults);
         for threads in [1, 2, 8] {
-            let got = EngineKind::Tape(threads)
+            let (got, _) = EngineKind::Tape(threads)
                 .build()
                 .run(&sys, &golden, &faults);
             assert_eq!(
@@ -463,9 +349,9 @@ mod tests {
     #[test]
     fn tape_is_byte_identical_at_any_thread_count_including_cycles() {
         let (sys, golden, faults) = setup();
-        let (one, one_cycles) = TapeEngine::new(1).run_counted(&sys, &golden, &faults);
+        let (one, one_cycles) = TapeEngine::new(1).run(&sys, &golden, &faults);
         for threads in [2, 3, 8] {
-            let (tape, cycles) = TapeEngine::new(threads).run_counted(&sys, &golden, &faults);
+            let (tape, cycles) = TapeEngine::new(threads).run(&sys, &golden, &faults);
             assert_eq!(tape, one, "threads = {threads}");
             assert_eq!(cycles, one_cycles, "threads = {threads}");
         }
@@ -485,7 +371,9 @@ mod tests {
     fn campaign_reports_one_event_per_fault() {
         let (sys, golden, faults) = setup();
         let counters = sfr_exec::Counters::new();
-        let outcomes = run_campaign(&TapeEngine::new(1), &sys, &golden, &faults, &counters);
+        let (outcomes, quarantined) =
+            run_campaign_quarantined(&TapeEngine::new(1), &sys, &golden, &faults, &counters, None);
+        assert!(quarantined.is_empty());
         let snap = counters.snapshot();
         assert_eq!(snap.faults_simulated, faults.len());
         let detected = outcomes
@@ -493,5 +381,28 @@ mod tests {
             .filter(|o| o.detection.is_detected())
             .count();
         assert_eq!(snap.faults_dropped, detected);
+    }
+
+    #[test]
+    fn chunk_body_roundtrips_and_rejects_bad_shapes() {
+        let (sys, golden, faults) = setup();
+        let chunk = &faults[..MAX_PARALLEL_FAULTS.min(faults.len())];
+        let (outcomes, _) = TapeEngine::new(1).run(&sys, &golden, chunk);
+        let words = SimulatedChunk {
+            outcomes: outcomes.clone(),
+            cycles: 99,
+        }
+        .encode_body();
+        let back = SimulatedChunk::decode_body(&words, chunk).expect("roundtrips");
+        assert_eq!(back.outcomes, outcomes);
+        assert_eq!(back.cycles, 0, "cycles are not journaled");
+        // A record for another chunk size, a truncated record, an
+        // unknown detection tag and an empty record all recompute.
+        assert!(SimulatedChunk::decode_body(&words, &chunk[1..]).is_none());
+        assert!(SimulatedChunk::decode_body(&words[..words.len() - 1], chunk).is_none());
+        let mut retagged = words.clone();
+        retagged[1] = 3;
+        assert!(SimulatedChunk::decode_body(&retagged, chunk).is_none());
+        assert!(SimulatedChunk::decode_body(&[], chunk).is_none());
     }
 }

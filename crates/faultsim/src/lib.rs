@@ -51,15 +51,17 @@ mod campaign;
 mod engine;
 pub mod fixtures;
 mod golden;
+mod packs;
 mod system;
 
 pub use campaign::{run_serial, run_tape_counted, CampaignOutcome, Detection};
 pub use engine::{
-    run_campaign, run_campaign_quarantined, run_with, Engine, EngineKind, QuarantinedChunk,
-    SerialEngine, SimKernel, TapeEngine,
+    run_campaign_quarantined, Engine, EngineKind, QuarantinedChunk, SerialEngine, SimKernel,
+    TapeEngine,
 };
 pub use golden::{
     golden_trace, symbolic_step, GoldenTrace, RunConfig, RunSpec, SymbolicGolden, SymbolicPath,
     SymbolicRow, HOLD_OBSERVE_CYCLES, LOOP_DEPTHS,
 };
+pub use packs::{run_journaled_packs, PackBody};
 pub use system::{System, SystemConfig};

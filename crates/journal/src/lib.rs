@@ -896,6 +896,23 @@ mod tests {
         }
     }
 
+    /// The journal every mutation case damages: one create and three
+    /// records. Each record persists (and syncs) the whole file, so the
+    /// text is built once rather than once per case.
+    fn base_journal_text() -> &'static str {
+        static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        TEXT.get_or_init(|| {
+            let path = tmp_path("mutation-base");
+            let j = CampaignJournal::create(&path, 0xFEED, "poly w=4").expect("create");
+            j.record(RecordKind::FaultSim, 0, &[7, 0, u64::MAX]);
+            j.record(RecordKind::GradePack, 0, &[1, 2, 3]);
+            j.record(RecordKind::GradePack, 1, &encode_str("lane panic"));
+            let text = fs::read_to_string(&path).expect("read");
+            let _ = fs::remove_file(&path);
+            text
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -947,12 +964,7 @@ mod tests {
         #[test]
         fn open_never_panics_and_leaves_rejected_files_untouched(m in mutation()) {
             let path = tmp_path("mutated");
-            let j = CampaignJournal::create(&path, 0xFEED, "poly w=4").expect("create");
-            j.record(RecordKind::FaultSim, 0, &[7, 0, u64::MAX]);
-            j.record(RecordKind::GradePack, 0, &[1, 2, 3]);
-            j.record(RecordKind::GradePack, 1, &encode_str("lane panic"));
-            let text = fs::read_to_string(&path).expect("read");
-            let mutated = apply(&text, &m);
+            let mutated = apply(base_journal_text(), &m);
             fs::write(&path, &mutated).expect("write");
             if CampaignJournal::open(&path).is_err() {
                 prop_assert_eq!(fs::read(&path).expect("read back"), mutated);

@@ -92,25 +92,6 @@ pub fn statically_cfr(
     absint_cfr(nl, &analysis.constants, fault)
 }
 
-/// Checks the system's whole controller fault universe in parallel:
-/// for each fault (in [`System::controller_faults`] order), whether it
-/// is statically CFR and why. Faults that do not remap to the
-/// standalone controller get `None`.
-pub fn static_cfr_verdicts(
-    sys: &System,
-    analysis: &StaticAnalysis,
-    threads: usize,
-) -> Vec<(StuckAt, Option<StaticCfrReason>)> {
-    let faults = sys.controller_faults();
-    sfr_exec::par_map_indexed(threads, faults.len(), |i| {
-        let f = faults[i];
-        let verdict = sys
-            .fault_to_standalone(f)
-            .and_then(|sf| statically_cfr(sys, analysis, sf));
-        (f, verdict)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +104,10 @@ mod tests {
         // dead or constant, so the static pass must claim nothing.
         let sys = toy_system();
         let a = analyze_controller_static(&sys);
-        for (f, v) in static_cfr_verdicts(&sys, &a, 1) {
+        for f in sys.controller_faults() {
+            let v = sys
+                .fault_to_standalone(f)
+                .and_then(|sf| statically_cfr(&sys, &a, sf));
             assert_eq!(v, None, "fault {f} wrongly proven CFR");
         }
     }
@@ -153,9 +137,16 @@ mod tests {
         let _dead = b.gate_net(CellKind::Inv, "dead_inv", &[probe]);
         sys.ctrl_netlist = b.finish().expect("still valid");
         let a = analyze_controller_static(&sys);
-        let one = static_cfr_verdicts(&sys, &a, 1);
+        let faults = sys.controller_faults();
+        let verdicts = |threads| {
+            sfr_exec::par_map_indexed(threads, faults.len(), |i| {
+                sys.fault_to_standalone(faults[i])
+                    .and_then(|sf| statically_cfr(&sys, &a, sf))
+            })
+        };
+        let one = verdicts(1);
         for threads in [2, 8] {
-            assert_eq!(one, static_cfr_verdicts(&sys, &a, threads));
+            assert_eq!(one, verdicts(threads));
         }
     }
 

@@ -39,9 +39,7 @@ mod fixture;
 pub mod rules;
 
 pub use absint::absint_cfr;
-pub use cfr::{
-    analyze_controller_static, static_cfr_verdicts, statically_cfr, StaticAnalysis, StaticCfrReason,
-};
+pub use cfr::{analyze_controller_static, statically_cfr, StaticAnalysis, StaticCfrReason};
 pub use cone::cone_is_dead;
 pub use constprop::{controller_net_constants, NetConstants};
 pub use diag::{Diagnostic, LintReport, Location, Severity};

@@ -43,11 +43,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod cube;
-mod espresso;
 mod map;
 mod qm;
 
 pub use cube::{Cover, Cube};
-pub use espresso::minimize_heuristic;
 pub use map::SopMapper;
 pub use qm::{minimize, prime_implicants};

@@ -257,10 +257,8 @@ impl Progress for TraceWriter {
                 message,
                 journal_key,
             } => {
-                let mut line = format!(
-                    "{{\"ev\":\"quarantine\",\"kind\":\"{}\",\"index\":{index},",
-                    kind.label()
-                );
+                let mut line =
+                    format!("{{\"ev\":\"quarantine\",\"kind\":\"{kind}\",\"index\":{index},");
                 push_ids(&mut line, "faults", fault_ids);
                 line.push_str(",\"message\":");
                 json::push_str_escaped(&mut line, message);
@@ -351,7 +349,7 @@ mod tests {
             restored: false,
         });
         writer.record(&TraceRecord::Quarantined {
-            kind: sfr_exec::WorkKind::GradePack,
+            kind: sfr_journal::RecordKind::GradePack,
             index: 3,
             fault_ids: vec!["g1.out/sa0".into()],
             message: "lane panic: \"boom\"".into(),

@@ -7,7 +7,7 @@
 //! *guaranteed* power increases: an extra load un-gates a register's clock
 //! for a cycle, spending clock energy even when the data does not change.
 
-use sfr_netlist::{Activity, ActivityMismatch, LaneCounts, Netlist, TapeActivity};
+use sfr_netlist::{Activity, LaneCounts, Netlist, TapeActivity};
 
 /// Electrical operating point for power estimation.
 ///
@@ -204,33 +204,6 @@ pub fn power_from_tape_activity_where(
         .collect()
 }
 
-/// Converts activity recorded in separately simulated parts (e.g. one
-/// [`Activity`] per stimulus segment) into one combined power estimate,
-/// merging the parts with [`Activity::merge`].
-///
-/// Returns a zero report for an empty part list.
-///
-/// # Errors
-///
-/// Propagates [`ActivityMismatch`] when the parts were recorded on
-/// differently-shaped netlists and therefore cannot be combined.
-pub fn power_from_activity_parts<'a>(
-    nl: &Netlist,
-    parts: impl IntoIterator<Item = &'a Activity>,
-    cfg: &PowerConfig,
-    include: impl Fn(sfr_netlist::GateId) -> bool,
-) -> Result<PowerReport, ActivityMismatch> {
-    let mut parts = parts.into_iter();
-    let Some(first) = parts.next() else {
-        return Ok(PowerReport::default());
-    };
-    let mut total = first.clone();
-    for part in parts {
-        total.merge(part)?;
-    }
-    Ok(power_from_activity_where(nl, &total, cfg, include))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,53 +346,6 @@ mod tests {
             let want = power_from_activity(&nl, s.activity(), &cfg);
             assert_eq!(reports[lane], want, "lane {lane}");
         }
-    }
-
-    #[test]
-    fn activity_parts_power_equals_whole() {
-        let nl = toggler();
-        let cfg = PowerConfig::default();
-        let run = |stim: &[[Logic; 2]]| {
-            let mut s = CycleSim::new(&nl);
-            s.track_activity(true);
-            s.reset_state(Logic::Zero);
-            for inputs in stim {
-                s.step(inputs);
-            }
-            s.take_activity()
-        };
-        let a = run(&[[Logic::One, Logic::One], [Logic::Zero, Logic::One]]);
-        let b = run(&[[Logic::One, Logic::Zero], [Logic::One, Logic::One]]);
-        let combined =
-            power_from_activity_parts(&nl, [&a, &b], &cfg, |_| true).expect("same netlist");
-        let mut whole = a.clone();
-        whole.merge(&b).unwrap();
-        assert_eq!(combined, power_from_activity(&nl, &whole, &cfg));
-        // Empty part list: zero power, no error.
-        let empty = power_from_activity_parts(&nl, [], &cfg, |_| true).unwrap();
-        assert_eq!(empty.total_uw, 0.0);
-    }
-
-    #[test]
-    fn activity_parts_reject_shape_mismatch() {
-        let nl = toggler();
-        let cfg = PowerConfig::default();
-        let mut s = CycleSim::new(&nl);
-        s.track_activity(true);
-        s.reset_state(Logic::Zero);
-        s.step(&[Logic::One, Logic::One]);
-        let a = s.take_activity();
-        let mut b2 = NetlistBuilder::new("tiny");
-        let d = b2.input("d");
-        let o = b2.gate_net(CellKind::Inv, "i", &[d]);
-        b2.mark_output(o);
-        let other = b2.finish().unwrap();
-        let mut s2 = CycleSim::new(&other);
-        s2.track_activity(true);
-        s2.step(&[Logic::One]);
-        let b = s2.take_activity();
-        let err = power_from_activity_parts(&nl, [&a, &b], &cfg, |_| true).unwrap_err();
-        assert!(err.to_string().contains("cannot merge"));
     }
 
     #[test]

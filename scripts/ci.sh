@@ -115,6 +115,23 @@ for args in "obs-check --manifest $HOSTILE_DIR/deep.json" \
 done
 rm -rf "$HOSTILE_DIR"
 
+echo "== journals keep their bytes (poly, threads 1/2/8, against the committed fixture) =="
+JOURNAL_DIR="$(mktemp -d)"
+JOURNAL_FIXTURE=tests/fixtures/poly-240.journal
+for t in 1 2 8; do
+    "$SFR" grade poly --patterns 240 --threads "$t" \
+        --checkpoint "$JOURNAL_DIR/poly-$t.journal" > /dev/null 2>&1
+    if [ "$t" -eq 1 ]; then
+        cmp "$JOURNAL_FIXTURE" "$JOURNAL_DIR/poly-$t.journal"
+    else
+        # Workers journal packs as they complete, so completion order
+        # decides record order; the records themselves must not change.
+        diff <(sort "$JOURNAL_FIXTURE") <(sort "$JOURNAL_DIR/poly-$t.journal")
+    fi
+done
+rm -rf "$JOURNAL_DIR"
+echo "   1 thread reproduces $JOURNAL_FIXTURE byte for byte; 2 and 8 threads line for line after sorting"
+
 echo "== static prune equivalence (diffeq, threads 1/2/8) =="
 PRUNE_DIR="$(mktemp -d)"
 "$SFR" grade diffeq --patterns 600 > "$PRUNE_DIR/plain.out" 2>/dev/null

@@ -113,11 +113,11 @@ proptest! {
         let ts = TestSet::pseudorandom(sys.pattern_width(), len, seed).unwrap();
         let golden = golden_trace(sys, &ts, &RunConfig::default());
         let faults = sys.controller_faults();
-        let serial = SerialEngine.run(sys, &golden, &faults);
+        let (serial, _) = SerialEngine.run(sys, &golden, &faults);
         prop_assert_eq!(serial.len(), faults.len());
-        let (one, one_cycles) = TapeEngine::new(1).run_counted(sys, &golden, &faults);
+        let (one, one_cycles) = TapeEngine::new(1).run(sys, &golden, &faults);
         for threads in [1, 2, 3, 8] {
-            let (tape, cycles) = TapeEngine::new(threads).run_counted(sys, &golden, &faults);
+            let (tape, cycles) = TapeEngine::new(threads).run(sys, &golden, &faults);
             prop_assert_eq!(&serial, &tape, "tape on {} threads", threads);
             // Batch boundaries are fixed at 63 faults whatever the
             // thread count, so the tape is byte-identical to itself.

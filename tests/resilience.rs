@@ -53,12 +53,17 @@ impl Engine for PanicOn {
         "panic-stub"
     }
 
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
+    fn run(
+        &self,
+        sys: &System,
+        golden: &GoldenTrace,
+        faults: &[StuckAt],
+    ) -> (Vec<CampaignOutcome>, u64) {
         assert!(
             !faults.contains(&self.victim),
             "injected fault-sim panic for testing"
         );
-        run_serial(sys, golden, faults)
+        (run_serial(sys, golden, faults), 0)
     }
 }
 
@@ -71,7 +76,7 @@ impl Engine for NeverRun {
         "never-run"
     }
 
-    fn run(&self, _: &System, _: &GoldenTrace, _: &[StuckAt]) -> Vec<CampaignOutcome> {
+    fn run(&self, _: &System, _: &GoldenTrace, _: &[StuckAt]) -> (Vec<CampaignOutcome>, u64) {
         panic!("engine invoked although every chunk was journaled")
     }
 }
