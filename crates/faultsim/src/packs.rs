@@ -7,7 +7,8 @@
 //! * **journal hit** — a journaled result (tag word 0, then the pack's
 //!   [`PackBody`]) is restored, and a journaled quarantine (tag word 1,
 //!   then the panic message) is replayed, without running anything. A
-//!   record that does not decode for this pack is recomputed;
+//!   record that does not decode for this pack is recomputed, and the
+//!   new record supersedes it;
 //! * **otherwise** the caller's computation runs under
 //!   [`par_map_indexed_caught`] — a panic is retried once, a second one
 //!   quarantines the pack — and its result, or the fresh quarantine, is
@@ -238,6 +239,40 @@ mod tests {
             "journaled records are left as they were"
         );
         assert_eq!(j.get(RecordKind::GradePack, 2), Some(vec![PACK_DONE, 2]));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_that_does_not_decode_is_recomputed_and_superseded() {
+        let faults = faults();
+        let packs: Vec<&[StuckAt]> = vec![&faults];
+        let (path, mut j) = journal("supersede");
+        j.record(RecordKind::GradePack, 0, &[2, 40]);
+        // The first run recomputes the pack and journals its value over
+        // the undecodable record; a second run, on the reopened journal,
+        // restores it.
+        for computed in [1, 0] {
+            let runs = AtomicUsize::new(0);
+            let counters = Counters::new();
+            let slots = run_journaled_packs(
+                RecordKind::GradePack,
+                &packs,
+                1,
+                &counters,
+                Some(&j),
+                |pack| {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    Sum(pack.len() as u64)
+                },
+                |_, _: &Sum, _| {},
+            );
+            assert_eq!(runs.into_inner(), computed);
+            assert_eq!(slots, [Ok(Sum(6))]);
+            assert_eq!(counters.snapshot().packs_quarantined, 0);
+            assert_eq!(j.get(RecordKind::GradePack, 0), Some(vec![PACK_DONE, 6]));
+            j = CampaignJournal::open(&path).expect("reopens");
+            assert_eq!(j.get(RecordKind::GradePack, 0), Some(vec![PACK_DONE, 6]));
+        }
         let _ = std::fs::remove_file(&path);
     }
 

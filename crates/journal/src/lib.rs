@@ -7,13 +7,16 @@
 //! vectors; callers encode their results (e.g. `f64::to_bits`) so the
 //! journal itself stays dependency-free and format-stable.
 //!
-//! Persistence is atomic at every step: each `record` serialises the full
-//! journal to `<path>.tmp`, fsyncs it, renames it over `<path>`, and fsyncs
-//! the parent directory. A `SIGKILL` at any instant therefore leaves either
-//! the previous complete journal or the new complete journal on disk —
-//! never a torn file. Every line additionally carries a CRC32 checksum as a
-//! belt-and-braces guard against storage-level corruption; a record line
-//! that fails its checksum is rejected at load with a descriptive error.
+//! The file is an append-only log. Each `record` appends one line and
+//! syncs the file's data before it returns, so every record `record` has
+//! returned for survives a crash. A `SIGKILL` mid-append leaves at most
+//! one torn final line, which [`CampaignJournal::open`] drops: that one
+//! unit of work recomputes. The whole file is rewritten only by `create`
+//! and by `open` repairing a file: the text goes to `<path>.tmp`, which is
+//! synced and renamed over `<path>` before the directory is synced, so a
+//! kill during a rewrite leaves either the old or the new file. Every line
+//! carries a CRC32 checksum; a damaged line anywhere but at the end is
+//! rejected at load with a descriptive error.
 //!
 //! The on-disk format is line-oriented text:
 //!
@@ -24,10 +27,10 @@
 //! ```
 //!
 //! where `<crc32>` is the checksum of the rest of the line and all numeric
-//! fields are lower-case hex. Records are append-ordered; re-recording an
-//! existing key with an identical payload is a no-op, while a conflicting
-//! payload is reported as corruption (it means two runs with the same
-//! fingerprint disagreed, which the determinism contract forbids).
+//! fields are lower-case hex. Records are append-ordered. Re-recording an
+//! existing key with an identical payload is a no-op; a different payload
+//! appends a superseding line, and the key keeps its first position with
+//! the last payload.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
@@ -36,7 +39,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -169,6 +172,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// `body` as one journal line: its CRC32, a space, `body`, a newline.
+fn sealed_line(body: &str) -> String {
+    format!("{:08x} {body}\n", crc32(body.as_bytes()))
+}
+
+/// The body of the line recording `words` under `(kind, id)`.
+fn record_body(kind: RecordKind, id: u64, words: &[u64]) -> String {
+    let mut body = format!("R {kind} {id:x} {:x}", words.len());
+    for w in words {
+        body.push_str(&format!(" {w:x}"));
+    }
+    body
+}
+
 /// Pack a UTF-8 string into `u64` words (length-prefixed, little-endian
 /// bytes) so free-form text such as panic messages can ride in a journal
 /// payload.
@@ -207,6 +224,9 @@ struct JournalState {
     /// Append order of keys, preserved across save/load so resumed files
     /// serialise identically to uninterrupted ones.
     order: Vec<(RecordKind, u64)>,
+    /// Append handle on the journal file, opened by the first append after
+    /// each rewrite (a rename leaves an open handle on the replaced file).
+    file: Option<File>,
     /// First write-side failure, if any; once set, persistence stops and the
     /// journal runs in-memory only.
     degraded: Option<String>,
@@ -215,7 +235,7 @@ struct JournalState {
     torn_tail: Option<String>,
 }
 
-/// An append-only, checksummed, atomically-persisted checkpoint journal.
+/// An append-only, checksummed checkpoint journal, synced per record.
 ///
 /// Thread-safe: `record` takes `&self` and may be called concurrently from
 /// campaign worker threads; an internal mutex serialises writes.
@@ -245,48 +265,46 @@ impl CampaignJournal {
             state: Mutex::new(JournalState {
                 records: BTreeMap::new(),
                 order: Vec::new(),
+                file: None,
                 degraded: None,
                 torn_tail: None,
             }),
         };
-        let state = journal.lock();
-        journal.persist(&state).map_err(|source| JournalError::Io {
-            path: journal.path.clone(),
-            source,
-        })?;
-        drop(state);
+        journal
+            .persist(&mut journal.lock())
+            .map_err(|source| JournalError::Io {
+                path: journal.path.clone(),
+                source,
+            })?;
         Ok(journal)
     }
 
     /// Open an existing journal, verifying magic and per-line checksums.
     ///
     /// A damaged **final** line — the signature of a crash- or
-    /// storage-truncated tail — is tolerated: the tail is dropped (that
-    /// unit of work recomputes), the truncated journal is persisted back
-    /// to disk, and [`Self::torn_tail`] reports what happened. Damage
-    /// anywhere else still rejects the file as
-    /// [`JournalError::Corrupt`].
+    /// storage-truncated tail, whatever bytes it holds — is tolerated: the
+    /// tail is dropped (that unit of work recomputes) and
+    /// [`Self::torn_tail`] reports what happened. Damage anywhere else
+    /// still rejects the file as [`JournalError::Corrupt`].
+    ///
+    /// A file whose bytes differ from what the loaded records serialise to
+    /// — a dropped tail, a final line without its newline, superseded
+    /// records — is rewritten before anything is appended to it; an append
+    /// would otherwise glue onto an unterminated final line.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
         let path = path.into();
-        let mut text = String::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|source| JournalError::Io {
-                path: path.clone(),
-                source,
-            })?;
-        let journal = Self::parse(path, &text)?;
+        let bytes = fs::read(&path).map_err(|source| JournalError::Io {
+            path: path.clone(),
+            source,
+        })?;
+        let journal = Self::parse(path, &bytes)?;
         {
             let mut state = journal.lock();
-            if state.torn_tail.is_some() {
-                // Persist the recovery so the damaged line never has to
-                // be re-dropped; a write failure here degrades exactly
-                // like a failed record() — the campaign still runs.
-                if let Err(err) = journal.persist(&state) {
-                    state.degraded = Some(format!(
-                        "checkpoint persistence disabled after I/O error on {}: {err}",
-                        journal.path.display()
-                    ));
+            if journal.serialize(&state).as_bytes() != bytes {
+                // A write failure here degrades exactly like a failed
+                // record(): the campaign still runs.
+                if let Err(err) = journal.persist(&mut state) {
+                    journal.degrade(&mut state, &err);
                 }
             }
         }
@@ -326,19 +344,26 @@ impl CampaignJournal {
         }
     }
 
-    fn parse(path: PathBuf, text: &str) -> Result<Self, JournalError> {
+    fn parse(path: PathBuf, bytes: &[u8]) -> Result<Self, JournalError> {
         let corrupt = |line: usize, message: String| JournalError::Corrupt {
             path: path.clone(),
             line,
             message,
         };
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, magic)) if magic == MAGIC => {}
-            Some((_, other)) => {
-                return Err(corrupt(1, format!("bad magic {other:?}, want {MAGIC:?}")))
-            }
-            None => return Err(corrupt(1, "empty file".to_string())),
+        if bytes.is_empty() {
+            return Err(corrupt(1, "empty file".to_string()));
+        }
+        // The lines `str::lines` would give, split as bytes: a torn append
+        // can leave any bytes at all in the final line.
+        let mut lines = bytes
+            .strip_suffix(b"\n")
+            .unwrap_or(bytes)
+            .split(|&b| b == b'\n')
+            .map(|line| line.strip_suffix(b"\r").unwrap_or(line));
+        let magic = lines.next().unwrap_or_default();
+        if magic != MAGIC.as_bytes() {
+            let found = String::from_utf8_lossy(magic);
+            return Err(corrupt(1, format!("bad magic {found:?}, want {MAGIC:?}")));
         }
 
         let mut fingerprint = None;
@@ -347,22 +372,27 @@ impl CampaignJournal {
         let mut order = Vec::new();
         let mut torn_tail = None;
 
-        let body_lines: Vec<(usize, &str)> = lines.collect();
-        let last_nonempty = body_lines.iter().rposition(|(_, l)| !l.is_empty());
-        for (pos, &(idx, line)) in body_lines.iter().enumerate() {
-            let lineno = idx + 1;
+        let body_lines: Vec<&[u8]> = lines.collect();
+        let last_nonempty = body_lines.iter().rposition(|l| !l.is_empty());
+        for (pos, line) in body_lines.iter().enumerate() {
+            // Line 1 is the magic.
+            let lineno = pos + 2;
             if line.is_empty() {
                 continue;
             }
-            let parsed = Self::parse_line(
-                &corrupt,
-                lineno,
-                line,
-                &mut fingerprint,
-                &mut label,
-                &mut records,
-                &mut order,
-            );
+            let parsed = std::str::from_utf8(line)
+                .map_err(|err| corrupt(lineno, err.to_string()))
+                .and_then(|line| {
+                    Self::parse_line(
+                        &corrupt,
+                        lineno,
+                        line,
+                        &mut fingerprint,
+                        &mut label,
+                        &mut records,
+                        &mut order,
+                    )
+                });
             if let Err(err) = parsed {
                 // A damaged *final* record line is the signature of a
                 // crash-truncated (or storage-torn) tail: everything
@@ -395,6 +425,7 @@ impl CampaignJournal {
             state: Mutex::new(JournalState {
                 records,
                 order,
+                file: None,
                 degraded: None,
                 torn_tail,
             }),
@@ -543,60 +574,76 @@ impl CampaignJournal {
         self.lock().torn_tail.clone()
     }
 
-    /// Checkpoint `(kind, id)` with `words` and atomically persist the
-    /// journal. Re-recording an identical payload is a no-op; a conflicting
-    /// payload panics in debug builds (it violates the determinism contract)
-    /// and keeps the first payload in release builds.
+    /// Checkpoint `(kind, id)` with `words`: append one line to the journal
+    /// file and sync its data before returning, so the record survives a
+    /// crash from then on. Re-recording an identical payload is a no-op
+    /// that writes nothing. A different payload appends a superseding
+    /// line; [`Self::get`], [`Self::entries`] and a reload return it, at
+    /// the key's first position.
     ///
     /// Never fails the campaign: on I/O error the journal degrades to
     /// in-memory operation (see [`Self::degradation`]).
     pub fn record(&self, kind: RecordKind, id: u64, words: &[u64]) {
         let mut state = self.lock();
         let key = (kind, id);
-        if let Some(existing) = state.records.get(&key) {
-            debug_assert_eq!(
-                existing, words,
-                "journal record {kind}/{id} re-recorded with a different payload"
-            );
+        if state.records.get(&key).is_some_and(|old| old == words) {
             return;
         }
-        state.records.insert(key, words.to_vec());
-        state.order.push(key);
+        if state.records.insert(key, words.to_vec()).is_none() {
+            state.order.push(key);
+        }
         if state.degraded.is_none() {
-            if let Err(err) = self.persist(&state) {
-                state.degraded = Some(format!(
-                    "checkpoint persistence disabled after I/O error on {}: {err}",
-                    self.path.display()
-                ));
+            let line = sealed_line(&record_body(kind, id, words));
+            if let Err(err) = self.append(&mut state, &line) {
+                self.degrade(&mut state, &err);
             }
         }
     }
 
+    /// Appends `line` through the state's append handle, opening it if a
+    /// rewrite dropped it, and syncs the file's data.
+    fn append(&self, state: &mut JournalState, line: &str) -> io::Result<()> {
+        let file = match &mut state.file {
+            Some(file) => file,
+            None => state
+                .file
+                .insert(OpenOptions::new().append(true).open(&self.path)?),
+        };
+        file.write_all(line.as_bytes())?;
+        file.sync_data()
+    }
+
+    /// Stops persistence after the write-side failure `err`.
+    fn degrade(&self, state: &mut JournalState, err: &io::Error) {
+        state.file = None;
+        state.degraded = Some(format!(
+            "checkpoint persistence disabled after I/O error on {}: {err}",
+            self.path.display()
+        ));
+    }
+
     fn serialize(&self, state: &JournalState) -> String {
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
         let header = if self.label.is_empty() {
             format!("H {:016x}", self.fingerprint)
         } else {
             format!("H {:016x} {}", self.fingerprint, self.label)
         };
-        out.push_str(&format!("{:08x} {header}\n", crc32(header.as_bytes())));
+        let mut out = format!("{MAGIC}\n{}", sealed_line(&header));
         for key in &state.order {
             if let Some(words) = state.records.get(key) {
-                let mut body = format!("R {} {:x} {:x}", key.0, key.1, words.len());
-                for w in words {
-                    body.push_str(&format!(" {w:x}"));
-                }
-                out.push_str(&format!("{:08x} {body}\n", crc32(body.as_bytes())));
+                out.push_str(&sealed_line(&record_body(key.0, key.1, words)));
             }
         }
         out
     }
 
-    /// Write-tmp-then-rename with fsync on both the file and its directory:
-    /// a kill at any instant leaves either the old or the new journal.
-    fn persist(&self, state: &JournalState) -> io::Result<()> {
+    /// Rewrites the whole journal — write `<path>.tmp`, sync it, rename it
+    /// over `<path>`, sync the directory — so a kill at any instant leaves
+    /// either the old or the new file. Only `create` and a repair in
+    /// `open` rewrite; `record` appends. The append handle still points at
+    /// the replaced file, so it is dropped and the next append reopens.
+    fn persist(&self, state: &mut JournalState) -> io::Result<()> {
+        state.file = None;
         let text = self.serialize(state);
         let tmp = self.path.with_extension("journal.tmp");
         {
@@ -723,11 +770,98 @@ mod tests {
     }
 
     #[test]
+    fn a_different_payload_supersedes_at_the_first_position() {
+        let path = tmp_path("supersede");
+        let j = CampaignJournal::create(&path, 1, "x").expect("create");
+        j.record(RecordKind::GradePack, 0, &[2, 40]);
+        j.record(RecordKind::GradePack, 1, &[1]);
+        j.record(RecordKind::GradePack, 0, &[0, 6]);
+        let want = vec![
+            (RecordKind::GradePack, 0, vec![0, 6]),
+            (RecordKind::GradePack, 1, vec![1]),
+        ];
+        assert_eq!(j.get(RecordKind::GradePack, 0), Some(vec![0, 6]));
+        assert_eq!(j.entries(), want);
+        let r = CampaignJournal::open(&path).expect("open");
+        assert_eq!(r.entries(), want);
+        assert!(r.torn_tail().is_none());
+        // The reload rewrote the file without the superseded line.
+        assert_eq!(
+            fs::read_to_string(&path).expect("read"),
+            r.serialize(&r.lock())
+        );
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Each record costs one appended line and no rename: the file keeps
+    /// its inode, and its bytes grow by exactly the new line.
+    #[cfg(unix)]
+    #[test]
+    fn records_append_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let path = tmp_path("append");
+        let j = CampaignJournal::create(&path, 1, "x").expect("create");
+        let inode = fs::metadata(&path).expect("stat").ino();
+        let mut bytes = fs::read(&path).expect("read");
+        for (id, words, body) in [
+            (0, vec![1, 2, 3], "R grade 0 3 1 2 3"),
+            (10, vec![], "R grade a 0"),
+            (0, vec![0xab], "R grade 0 1 ab"),
+        ] {
+            j.record(RecordKind::GradePack, id, &words);
+            bytes.extend_from_slice(format!("{}\n", sealed(body)).as_bytes());
+            assert_eq!(fs::read(&path).expect("read"), bytes, "{body}");
+            assert_eq!(fs::metadata(&path).expect("stat").ino(), inode, "{body}");
+            j.record(RecordKind::GradePack, id, &words);
+            assert_eq!(fs::read(&path).expect("read"), bytes, "{body} again");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn invalid_utf8_in_the_final_line_is_a_torn_tail() {
+        let path = tmp_path("utf8-tail");
+        let j = CampaignJournal::create(&path, 1, "x").expect("create");
+        j.record(RecordKind::GradePack, 0, &[0xAB]);
+        let mut bytes = fs::read(&path).expect("read");
+        bytes.extend_from_slice(b"4f2d R grade 1 1 \xff\xfe");
+        fs::write(&path, &bytes).expect("write");
+        let r = CampaignJournal::open(&path).expect("torn tail recovers");
+        assert_eq!(r.get(RecordKind::GradePack, 0), Some(vec![0xAB]));
+        assert_eq!(r.len(), 1, "tail dropped");
+        let note = r.torn_tail().expect("recovery reported");
+        assert!(note.contains("line 4") && note.contains("utf-8"), "{note}");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn invalid_utf8_before_the_final_line_is_corrupt() {
+        let path = tmp_path("utf8-mid");
+        let j = CampaignJournal::create(&path, 1, "x").expect("create");
+        j.record(RecordKind::GradePack, 0, &[0xAB]);
+        j.record(RecordKind::GradePack, 1, &[0xCD]);
+        let mut bytes = fs::read(&path).expect("read");
+        let at = bytes
+            .windows(3)
+            .position(|w| w == b" ab")
+            .expect("first payload word");
+        bytes[at + 1] = 0xff;
+        fs::write(&path, &bytes).expect("write");
+        match CampaignJournal::open(&path) {
+            Err(JournalError::Corrupt { line, message, .. }) => {
+                assert_eq!(line, 3);
+                assert!(message.contains("utf-8"), "{message}");
+            }
+            other => panic!("want Corrupt, got {other:?}"),
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn truncated_final_line_recovers_and_resumes_cleanly() {
-        // The rename protocol should prevent torn files, but if one
-        // appears anyway (storage-level truncation after a kill) the
-        // journal drops the torn tail, keeps every intact record, and
-        // persists the truncation so the next open is clean.
+        // A kill mid-append leaves a torn final line: the journal drops
+        // it, keeps every intact record, and persists the truncation so
+        // the next open is clean.
         let path = tmp_path("torn");
         let j = CampaignJournal::create(&path, 1, "x").expect("create");
         j.record(RecordKind::GradePack, 0, &[10, 20]);
@@ -896,9 +1030,9 @@ mod tests {
         }
     }
 
-    /// The journal every mutation case damages: one create and three
-    /// records. Each record persists (and syncs) the whole file, so the
-    /// text is built once rather than once per case.
+    /// The journal every mutation and cut case damages: one create and
+    /// three records. Each of them syncs the file, so the text is built
+    /// once rather than once per case.
     fn base_journal_text() -> &'static str {
         static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
         TEXT.get_or_init(|| {
@@ -969,6 +1103,43 @@ mod tests {
             if CampaignJournal::open(&path).is_err() {
                 prop_assert_eq!(fs::read(&path).expect("read back"), mutated);
             }
+            let _ = fs::remove_file(&path);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A kill mid-append cuts the last record line anywhere, down to
+        /// all of it but its newline (`lost` 0). The cut file opens, takes
+        /// one more record and reopens with every record whose line body
+        /// survived, and ends up exactly as its records serialise.
+        #[test]
+        fn a_journal_cut_mid_append_recovers_and_appends(
+            lost in prop_oneof![Just(0usize), any::<usize>()],
+        ) {
+            let text = base_journal_text();
+            let base = CampaignJournal::parse(PathBuf::new(), text.as_bytes())
+                .expect("base parses")
+                .entries();
+            let newline = text.len() - 1;
+            let line_start = text[..newline].rfind('\n').expect("several lines") + 1;
+            let cut = newline - lost % (newline - line_start + 1);
+            let path = tmp_path("cut");
+            fs::write(&path, &text.as_bytes()[..cut]).expect("write");
+
+            let j = CampaignJournal::open(&path).expect("a cut tail is not corrupt");
+            j.record(RecordKind::FaultSim, 9, &[0xAB]);
+            let r = CampaignJournal::open(&path).expect("reopens");
+            let survivors = if cut == newline { base.len() } else { base.len() - 1 };
+            let mut want = base[..survivors].to_vec();
+            want.push((RecordKind::FaultSim, 9, vec![0xAB]));
+            prop_assert_eq!(r.entries(), want);
+            prop_assert!(r.torn_tail().is_none());
+            prop_assert_eq!(
+                fs::read(&path).expect("read back"),
+                r.serialize(&r.lock()).into_bytes()
+            );
             let _ = fs::remove_file(&path);
         }
     }

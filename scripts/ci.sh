@@ -132,6 +132,27 @@ done
 rm -rf "$JOURNAL_DIR"
 echo "   1 thread reproduces $JOURNAL_FIXTURE byte for byte; 2 and 8 threads line for line after sorting"
 
+echo "== a journal cut mid-append resumes to the fixture =="
+CUT_DIR="$(mktemp -d)"
+"$SFR" grade poly --patterns 240 > "$CUT_DIR/fresh.out" 2>/dev/null
+fixture_len=$(wc -c < "$JOURNAL_FIXTURE")
+last_line_len=$(tail -n 1 "$JOURNAL_FIXTURE" | wc -c)
+# What a kill mid-append can leave: (a) the last record cut 200 bytes
+# before the end; (b) the last record without its newline; (c) the
+# record before it without its newline. Resuming must repair the file
+# before appending, so the new record does not glue onto that line.
+head -c $((fixture_len - 200)) "$JOURNAL_FIXTURE" > "$CUT_DIR/a.journal"
+head -c $((fixture_len - 1)) "$JOURNAL_FIXTURE" > "$CUT_DIR/b.journal"
+head -c $((fixture_len - last_line_len - 1)) "$JOURNAL_FIXTURE" > "$CUT_DIR/c.journal"
+for cut in a b c; do
+    "$SFR" grade poly --patterns 240 --resume "$CUT_DIR/$cut.journal" \
+        > "$CUT_DIR/$cut.out" 2>/dev/null
+    diff "$CUT_DIR/fresh.out" "$CUT_DIR/$cut.out"
+    cmp "$JOURNAL_FIXTURE" "$CUT_DIR/$cut.journal"
+done
+rm -rf "$CUT_DIR"
+echo "   each cut resumes to the fresh run's table and leaves $JOURNAL_FIXTURE's bytes"
+
 echo "== static prune equivalence (diffeq, threads 1/2/8) =="
 PRUNE_DIR="$(mktemp -d)"
 "$SFR" grade diffeq --patterns 600 > "$PRUNE_DIR/plain.out" 2>/dev/null
