@@ -9,30 +9,26 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, report_counters, threads_from_args, ObsArgs};
-use sfr_core::exec::{Counters, Tee};
+use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
 use sfr_core::{benchmarks, Fig7Series, StudyBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     let threads = threads_from_args();
     // One trace/metrics file spans all three benchmark studies.
-    let obs = ObsArgs::from_env()?;
+    let sinks = sinks_from_args()?;
     println!("Figure 7: SFR controller faults vs datapath power (±5% band).");
     println!();
     let labels = ["(a) diffeq", "(b) facet", "(c) poly"];
     for ((name, emitted), label) in benchmarks::all_benchmarks(4)?.into_iter().zip(labels) {
         eprintln!("grading {name} on {threads} thread(s) (lane-packed Monte Carlo)...");
-        let counters = Counters::new();
-        let sinks = obs.sinks(&counters);
-        let tee = Tee::new(&sinks);
+        let before = sinks.counters().snapshot();
         let study = StudyBuilder::from_emitted(name, emitted)
             .config(cfg.clone())
             .threads(threads)
             .build()?
-            .run_with(&tee);
-        drop(sinks);
-        report_counters(&counters);
+            .run_with(&sinks);
+        eprint!("{}", sinks.counters().snapshot().delta(&before));
         let fig = Fig7Series::from_study(&study, cfg.grade.threshold_pct);
         println!("{label}");
         print!("{}", fig.render_ascii(21));
@@ -41,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!("{}", fig.render_csv());
         println!();
     }
-    obs.finish()?;
+    sinks.finish()?;
     println!("Paper shapes to compare against:");
     println!(" - all select-only faults fall inside the ±5% band (small, either sign);");
     println!(" - load-line faults only ever increase power;");

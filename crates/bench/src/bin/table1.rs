@@ -7,8 +7,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, report_counters, threads_from_args, ObsArgs};
-use sfr_core::exec::{Counters, Tee};
+use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
 use sfr_core::{render_table1, StudyBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,18 +16,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "classifying and grading diffeq on {threads} thread(s) \
          (Monte Carlo power, 63 faults + baseline per lane-packed pass)..."
     );
-    let counters = Counters::new();
-    let obs = ObsArgs::from_env()?;
-    let sinks = obs.sinks(&counters);
-    let tee = Tee::new(&sinks);
+    let sinks = sinks_from_args()?;
     let study = StudyBuilder::new("diffeq")
         .config(paper_config())
         .threads(threads)
         .build()?
-        .run_with(&tee);
-    drop(sinks);
-    obs.finish()?;
-    report_counters(&counters);
+        .run_with(&sinks);
+    sinks.finish()?;
     println!("Table 1: SFR faults vs datapath power, 4-bit differential equation solver.");
     println!("(faults ranked by power; the paper's table spans -3.02% .. +20.98%)");
     println!();

@@ -5,18 +5,15 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, report_counters, threads_from_args, ObsArgs};
-use sfr_core::exec::{Counters, EngineKind, Tee};
+use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
+use sfr_core::exec::EngineKind;
 use sfr_core::{benchmarks, classify_system_with, System};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     let threads = threads_from_args();
     let engine = EngineKind::Tape(threads).build();
-    let counters = Counters::new();
-    let obs = ObsArgs::from_env()?;
-    let sinks = obs.sinks(&counters);
-    let tee = Tee::new(&sinks);
+    let sinks = sinks_from_args()?;
     let start = std::time::Instant::now();
     println!("Table 2: Breakdown of controller faults for the three examples.");
     println!();
@@ -34,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         assert_eq!(name, pname);
         let sys = System::build(&emitted, cfg.system)?;
-        let c = classify_system_with(&sys, &cfg.classify, engine.as_ref(), &tee);
+        let c = classify_system_with(&sys, &cfg.classify, engine.as_ref(), &sinks);
         println!(
             "{:<10} {:>12} {:>10} {:>10.1}%    ({ptot} / {psfr} / {ppct}%)",
             name,
@@ -47,9 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("No controller-functionally redundant (CFR) faults, as in the paper:");
     println!("exact two-level minimization leaves no redundancy in the controllers.");
-    drop(sinks);
-    obs.finish()?;
-    report_counters(&counters);
+    sinks.finish()?;
     eprintln!(
         "classified all three benchmarks in {:.2} s on {threads} thread(s)",
         start.elapsed().as_secs_f64()

@@ -17,8 +17,8 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, threads_from_args, ObsArgs};
-use sfr_core::exec::{Counters, EngineKind, Progress, SimKernel, Tee};
+use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
+use sfr_core::exec::{EngineKind, Progress, SimKernel};
 use sfr_core::{
     benchmarks, classify_system_with, grade_faults_journaled_with_kernel,
     measure_power_tape_watched, EmittedSystem, PowerReport, StuckAt, System, TapeProgram, TestSet,
@@ -123,10 +123,7 @@ fn show(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = threads_from_args();
-    let counters = Counters::new();
-    let obs = ObsArgs::from_env()?;
-    let sinks = obs.sinks(&counters);
-    let tee = Tee::new(&sinks);
+    let sinks = sinks_from_args()?;
     println!("Table 3: Power in the presence of SFR faults for different test sets");
     println!("(percentage change from fault-free shown beneath each row).");
     println!();
@@ -134,15 +131,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "a: differential equation solver",
         &benchmarks::diffeq(4)?,
         threads,
-        &tee,
+        &sinks,
     )?;
     show(
         "b: polynomial evaluator",
         &benchmarks::poly(4)?,
         threads,
-        &tee,
+        &sinks,
     )?;
-    drop(sinks);
-    obs.finish()?;
+    sinks.finish()?;
     Ok(())
 }

@@ -7,17 +7,14 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, threads_from_args, ObsArgs};
-use sfr_core::exec::{Counters, Progress, Tee, TraceRecord};
+use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
+use sfr_core::exec::{Progress, TraceRecord};
 use sfr_core::{benchmarks, worst_case_extra_effects, System};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     let threads = threads_from_args();
-    let counters = Counters::new();
-    let obs = ObsArgs::from_env()?;
-    let sinks = obs.sinks(&counters);
-    let tee = Tee::new(&sinks);
+    let sinks = sinks_from_args()?;
     let start = std::time::Instant::now();
     println!("Worst-case non-disruptive control line effects (paper Section 4).");
     println!();
@@ -31,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         worst_case_extra_effects(&built[i].1, &cfg.grade)
     });
     for ((name, _), wc) in built.iter().zip(&results) {
-        if tee.wants_records() {
-            tee.record(&TraceRecord::Note {
+        if sinks.wants_records() {
+            sinks.record(&TraceRecord::Note {
                 text: format!(
                     "worstcase {name}: {} extra loads, {} select flips, {:+.1}% power",
                     wc.extra_loads,
@@ -54,8 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("The paper reports >200% for diffeq — a worst case only multiple");
     println!("simultaneous faults could cause, but an upper bound on the power a");
     println!("defective controller can silently waste.");
-    drop(sinks);
-    obs.finish()?;
+    sinks.finish()?;
     eprintln!(
         "worst-case search over all three benchmarks took {:.2} s on {threads} thread(s)",
         start.elapsed().as_secs_f64()

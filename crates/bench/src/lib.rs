@@ -19,8 +19,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-use sfr_core::exec::{Counters, Progress};
-use sfr_core::obs::{Metrics, TraceWriter, TtyStatus};
+use sfr_core::obs::Sinks;
 use sfr_core::{ClassifyConfig, GradeConfig, MonteCarloConfig, StudyConfig};
 
 /// The full-fidelity configuration used to regenerate the paper's
@@ -66,17 +65,19 @@ pub fn quick_config() -> StudyConfig {
     }
 }
 
+/// The value after `name` in the process arguments, if any.
+fn arg_value(name: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != name).skip(1);
+    args.next()
+}
+
 /// Reads the shared `--threads N` flag every table/figure binary
 /// accepts (`cargo run -p sfr-bench --bin table2 -- --threads 8`).
 /// Returns 1 when absent; 0 resolves to all available cores. Results
 /// are byte-identical at every thread count — the flag only changes
 /// wall-clock time.
 pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
+    let threads = arg_value("--threads")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(1);
     if threads == 0 {
@@ -86,81 +87,18 @@ pub fn threads_from_args() -> usize {
     }
 }
 
-/// Prints a campaign summary (the [`Counters`] snapshot, via its
-/// `Display` impl) to stderr: faults simulated/dropped, Monte Carlo
-/// convergence, per-phase wall time.
-pub fn report_counters(counters: &Counters) {
-    eprint!("{}", counters.snapshot());
-}
-
-/// The observability sinks every table/figure binary accepts:
-/// `--trace-out FILE` (structured JSONL trace), `--metrics-out FILE`
-/// (Prometheus text snapshot plus stderr summary), `--quiet` (no live
-/// status line). Mirrors the `sfr` CLI flags so a bench run can be
-/// instrumented the same way as a campaign.
-pub struct ObsArgs {
-    trace: Option<TraceWriter>,
-    metrics: Option<(Metrics, String)>,
-    tty: TtyStatus,
-}
-
-impl ObsArgs {
-    /// Parses the observability flags from the process arguments and
-    /// opens the requested sinks (creating parent directories).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the trace file cannot be created.
-    pub fn from_env() -> std::io::Result<Self> {
-        let args: Vec<String> = std::env::args().collect();
-        let value = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-        };
-        let trace = match value("--trace-out") {
-            Some(path) => Some(TraceWriter::create(path)?),
-            None => None,
-        };
-        Ok(ObsArgs {
-            trace,
-            metrics: value("--metrics-out").map(|p| (Metrics::new(), p)),
-            tty: TtyStatus::stderr(args.iter().any(|a| a == "--quiet")),
-        })
-    }
-
-    /// The sink list (always including `counters`) to fan a run out to
-    /// with [`sfr_core::exec::Tee`].
-    pub fn sinks<'a>(&'a self, counters: &'a Counters) -> Vec<&'a dyn Progress> {
-        let mut sinks: Vec<&dyn Progress> = vec![counters, &self.tty];
-        if let Some(t) = &self.trace {
-            sinks.push(t);
-        }
-        if let Some((m, _)) = &self.metrics {
-            sinks.push(m);
-        }
-        sinks
-    }
-
-    /// Clears the status line, prints the metrics summary (when
-    /// enabled), and finalizes the trace and metrics files.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a sink file cannot be written.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.tty.finish();
-        if let Some((metrics, path)) = &self.metrics {
-            eprint!("{}", metrics.render_summary());
-            metrics.write_prometheus(path)?;
-            eprintln!("metrics written to {path}");
-        }
-        if let Some(trace) = self.trace {
-            let path = trace.path().display().to_string();
-            trace.finish()?;
-            eprintln!("trace written to {path}");
-        }
-        Ok(())
-    }
+/// Opens the observers every table/figure binary accepts, as the `sfr`
+/// CLI does: `--trace-out FILE` (structured JSONL trace),
+/// `--metrics-out FILE` (Prometheus text snapshot plus stderr summary)
+/// and `--quiet` (no live status line).
+///
+/// # Errors
+///
+/// Fails when the trace file cannot be created.
+pub fn sinks_from_args() -> Result<Sinks, String> {
+    Sinks::open(
+        arg_value("--trace-out").as_deref(),
+        arg_value("--metrics-out").as_deref(),
+        std::env::args().any(|a| a == "--quiet"),
+    )
 }

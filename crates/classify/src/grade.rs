@@ -24,7 +24,7 @@
 
 use sfr_exec::{
     ordered_waves, par_map_indexed_caught, LaneGrade, Phase, PhaseTimer, Progress, ProgressEvent,
-    TraceRecord,
+    TapeShape, TraceRecord,
 };
 use sfr_faultsim::{run_journaled_packs, PackBody, RunConfig, SimKernel, System};
 use sfr_journal::{CampaignJournal, RecordKind};
@@ -337,8 +337,8 @@ struct GradedPack {
     /// Simulator cycles the pack's Monte Carlo loop evaluated (0 when
     /// restored from a journal — nothing was simulated).
     cycles: u64,
-    /// The self-profiler's tape shape counters (zero when restored).
-    prof: PackProf,
+    /// The pack's tape shape, for the profile (zero when restored).
+    tape: TapeShape,
 }
 
 /// The journal body is the stall mask, the lane count, then four words
@@ -377,24 +377,9 @@ impl PackBody for GradedPack {
             results,
             stalls,
             cycles: 0,
-            prof: PackProf::default(),
+            tape: TapeShape::default(),
         })
     }
-}
-
-/// Tape-kernel shape counters the always-on self-profiler captures per
-/// computed pack: program size, levelized depth, baked-in force ops,
-/// and the delta sweep's dirty-column count from the last batch the
-/// stopping rule consumed. Pure diagnostics — never journaled, never
-/// fingerprinted.
-#[derive(Debug, Default, Clone, Copy)]
-struct PackProf {
-    ops: usize,
-    levels: usize,
-    force_ops: usize,
-    lanes: usize,
-    dirty_nets: usize,
-    nets: usize,
 }
 
 /// Lane capacity of one grade pack under `kernel` — the number of
@@ -426,7 +411,7 @@ pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &
 
 /// One pack's full Monte Carlo estimation: per-lane results (lane 0
 /// fault-free first), the accumulated watchdog stall mask, the
-/// simulated cycle count, and the self-profiler's tape shape counters.
+/// simulated cycle count, and the tape shape the manifest profiles.
 /// The first three are a pure function of `(sys, pack, cfg)` — every
 /// run produces bit-identical words for the same pack, on any number of
 /// workers; the profile is diagnostic only and never enters a payload
@@ -471,11 +456,10 @@ fn run_pack(sys: &System, pack: &[StuckAt], cfg: &GradeConfig, workers: usize) -
         results,
         stalls,
         cycles,
-        prof: PackProf {
+        tape: TapeShape {
             ops: prog.len(),
             levels: prog.level_count(),
             force_ops: prog.force_op_count(),
-            lanes: prog.lanes(),
             dirty_nets,
             nets: prog.net_count(),
         },
@@ -569,16 +553,8 @@ pub fn grade_faults_journaled_with_kernel(
                 });
                 progress.event(ProgressEvent::GradePack {
                     faults: packs[p].len(),
-                });
-                let prof = graded.prof;
-                progress.event(ProgressEvent::PackProfile {
-                    us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-                    ops: prof.ops,
-                    levels: prof.levels,
-                    force_ops: prof.force_ops,
-                    lanes: prof.lanes,
-                    dirty_nets: prof.dirty_nets,
-                    nets: prof.nets,
+                    elapsed,
+                    tape: graded.tape,
                 });
             }
             if tracing {
@@ -827,7 +803,7 @@ mod tests {
         // Three faults fit one lane pack.
         assert_eq!(snap.grade_packs, 1);
         assert_eq!(snap.grade_pack_faults, 3);
-        assert!(snap.phase_times.iter().any(|(p, _)| *p == Phase::Grade));
+        assert!(snap.phase_times.iter().any(|(p, ..)| *p == Phase::Grade));
     }
 
     #[test]
@@ -900,7 +876,7 @@ mod tests {
             results: results.clone(),
             stalls: 0b10,
             cycles: 99,
-            prof: PackProf::default(),
+            tape: TapeShape::default(),
         }
         .encode_body();
         let back = GradedPack::decode_body(&words, pack).expect("payload must roundtrip");

@@ -20,7 +20,7 @@
 use crate::error::StudyError;
 use crate::flow::{execute_study, Study, StudyConfig};
 use sfr_classify::GradeConfig;
-use sfr_exec::{Counters, NullProgress, Phase, Progress, ProgressEvent, Tee};
+use sfr_exec::{CounterState, Counters, NullProgress, Progress, Tee};
 use sfr_faultsim::{EngineKind, System};
 use sfr_fsm::{Encoding, FillPolicy};
 use sfr_hls::EmittedSystem;
@@ -29,7 +29,6 @@ use sfr_obs::{PhaseTime, ProfileSection, RunManifest, Tallies};
 use sfr_power_model::MonteCarloConfig;
 use sfr_tpg::MAX_PATTERN_BITS;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Where a study's system comes from.
@@ -436,99 +435,6 @@ pub struct PreparedStudy {
     collapse: bool,
 }
 
-/// Internal sink recording per-phase wall time *with* the aborted flag
-/// (which `Counters` does not keep) for the run manifest.
-struct PhaseLog(Mutex<Vec<(Phase, Duration, bool)>>);
-
-impl Progress for PhaseLog {
-    fn event(&self, event: ProgressEvent) {
-        if let ProgressEvent::PhaseDone {
-            phase,
-            elapsed,
-            aborted,
-        } = event
-        {
-            if let Ok(mut log) = self.0.lock() {
-                log.push((phase, elapsed, aborted));
-            }
-        }
-    }
-}
-
-/// Internal sink collecting the always-on self-profiler's
-/// [`ProgressEvent::PackProfile`] stream for the manifest's `profile`
-/// section: per-pack wall times for percentiles plus the compiled
-/// tape's shape counters (identical across packs of one campaign, so
-/// keeping the last observation suffices).
-#[derive(Default)]
-struct ProfileLog(Mutex<ProfileScratch>);
-
-#[derive(Default)]
-struct ProfileScratch {
-    pack_us: Vec<u64>,
-    ops: usize,
-    levels: usize,
-    force_ops: usize,
-    dirty_nets: usize,
-    nets: usize,
-}
-
-impl Progress for ProfileLog {
-    fn event(&self, event: ProgressEvent) {
-        if let ProgressEvent::PackProfile {
-            us,
-            ops,
-            levels,
-            force_ops,
-            dirty_nets,
-            nets,
-            ..
-        } = event
-        {
-            if let Ok(mut scratch) = self.0.lock() {
-                scratch.pack_us.push(us);
-                scratch.ops = ops;
-                scratch.levels = levels;
-                scratch.force_ops = force_ops;
-                scratch.dirty_nets = dirty_nets;
-                scratch.nets = nets;
-            }
-        }
-    }
-}
-
-impl ProfileScratch {
-    /// Fold the collected stream into the manifest section.
-    /// `packs_restored` and `mc_batches` come from the counters sink —
-    /// restored packs are never timed, so they are not in `pack_us`.
-    fn section(mut self, packs_restored: usize, mc_batches: usize) -> ProfileSection {
-        self.pack_us.sort_unstable();
-        let pct = |p: usize| -> u64 {
-            if self.pack_us.is_empty() {
-                0
-            } else {
-                self.pack_us[(self.pack_us.len() - 1) * p / 100]
-            }
-        };
-        ProfileSection {
-            packs_computed: self.pack_us.len(),
-            packs_restored,
-            pack_p50_us: pct(50),
-            pack_p90_us: pct(90),
-            pack_max_us: self.pack_us.last().copied().unwrap_or(0),
-            mc_batches,
-            tape_ops: self.ops,
-            tape_levels: self.levels,
-            tape_force_ops: self.force_ops,
-            tape_sparsity_pct: if self.nets == 0 {
-                0.0
-            } else {
-                self.dirty_nets as f64 * 100.0 / self.nets as f64
-            },
-        }
-    }
-}
-
 impl PreparedStudy {
     /// The benchmark name.
     pub fn name(&self) -> &str {
@@ -563,20 +469,17 @@ impl PreparedStudy {
     /// per-fault simulation events, and Monte Carlo convergence.
     ///
     /// When [`StudyBuilder::manifest_out`] was configured, the run
-    /// manifest is assembled from an internal tee'd observer and
-    /// written as the last act; a write failure is reported on stderr
-    /// (the study's results are unaffected).
+    /// manifest is assembled from a [`Counters`] tee'd with `progress`
+    /// and written as the last act; a write failure is reported on
+    /// stderr (the study's results are unaffected).
     pub fn run_with(self, progress: &dyn Progress) -> Study {
         let engine = self.engine.build();
         let engine_name = engine.name();
         let started = Instant::now();
-        // Tee the caller's observer with internal manifest sinks. The
-        // tee is transparent: the caller sees the exact event/record
-        // stream it would see without a manifest.
+        // The tee is transparent: the caller sees the exact
+        // event/record stream it would see without a manifest.
         let counters = Counters::new();
-        let phases = PhaseLog(Mutex::new(Vec::new()));
-        let profile = ProfileLog::default();
-        let sinks: [&dyn Progress; 4] = [progress, &counters, &phases, &profile];
+        let sinks: [&dyn Progress; 2] = [progress, &counters];
         let tee = Tee::new(&sinks);
         let study = execute_study(
             self.name.clone(),
@@ -589,12 +492,6 @@ impl PreparedStudy {
             self.collapse,
         );
         if let Some(path) = &self.manifest_out {
-            let snapshot = counters.snapshot();
-            let profile = profile
-                .0
-                .into_inner()
-                .unwrap_or_default()
-                .section(snapshot.packs_restored, snapshot.mc_batches);
             let manifest = assemble_manifest(
                 &self.name,
                 self.width,
@@ -604,9 +501,7 @@ impl PreparedStudy {
                 self.threads,
                 self.journal.as_ref(),
                 &study,
-                snapshot.faults_pruned,
-                phases.0.lock().map(|log| log.clone()).unwrap_or_default(),
-                profile,
+                &counters.snapshot(),
                 started.elapsed(),
             );
             // Overwrite was vetted in build(); force unconditionally so
@@ -630,9 +525,7 @@ fn assemble_manifest(
     threads: usize,
     journal: Option<&CampaignJournal>,
     study: &Study,
-    pruned: usize,
-    phases: Vec<(Phase, Duration, bool)>,
-    profile: ProfileSection,
+    counters: &CounterState,
     wall: Duration,
 ) -> RunManifest {
     let c = &study.classification;
@@ -682,18 +575,19 @@ fn assemble_manifest(
             sfr: c.sfr_count(),
             graded: study.grades.len(),
             flagged: study.flagged_count(),
-            pruned,
+            pruned: counters.faults_pruned,
             incidents: study.incidents.len(),
         },
-        phases: phases
-            .into_iter()
-            .map(|(phase, elapsed, aborted)| PhaseTime {
+        phases: counters
+            .phase_times
+            .iter()
+            .map(|&(phase, elapsed, aborted)| PhaseTime {
                 name: phase.label().to_string(),
                 wall_ms: elapsed.as_secs_f64() * 1e3,
                 aborted,
             })
             .collect(),
-        profile,
+        profile: profile_section(counters),
         wall_ms: wall.as_secs_f64() * 1e3,
         cpu_ms: sfr_obs::process_cpu_ms(),
         git: sfr_obs::git_revision(std::path::Path::new(".")),
@@ -701,22 +595,35 @@ fn assemble_manifest(
     }
 }
 
-/// Runs the builder flow over all three paper benchmarks at 4 bits.
-///
-/// # Errors
-///
-/// Propagates the first [`StudyError`] from any benchmark.
-pub fn paper_studies(cfg: &StudyConfig, threads: usize) -> Result<Vec<Study>, StudyError> {
-    ["diffeq", "facet", "poly"]
-        .into_iter()
-        .map(|name| {
-            Ok(StudyBuilder::new(name)
-                .config(cfg.clone())
-                .threads(threads)
-                .build()?
-                .run())
-        })
-        .collect()
+/// The manifest's `profile` section: computed-pack wall-time
+/// percentiles and the last computed pack's tape shape. Restored packs
+/// are never timed, so they count only in `packs_restored`.
+fn profile_section(c: &CounterState) -> ProfileSection {
+    let mut pack_us = c.pack_us.clone();
+    pack_us.sort_unstable();
+    let pct = |p: usize| -> u64 {
+        if pack_us.is_empty() {
+            0
+        } else {
+            pack_us[(pack_us.len() - 1) * p / 100]
+        }
+    };
+    ProfileSection {
+        packs_computed: pack_us.len(),
+        packs_restored: c.packs_restored,
+        pack_p50_us: pct(50),
+        pack_p90_us: pct(90),
+        pack_max_us: pack_us.last().copied().unwrap_or(0),
+        mc_batches: c.mc_batches,
+        tape_ops: c.tape.ops,
+        tape_levels: c.tape.levels,
+        tape_force_ops: c.tape.force_ops,
+        tape_sparsity_pct: if c.tape.nets == 0 {
+            0.0
+        } else {
+            c.tape.dirty_nets as f64 * 100.0 / c.tape.nets as f64
+        },
+    }
 }
 
 #[cfg(test)]
@@ -812,6 +719,47 @@ mod tests {
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "fault {}", a.fault);
         }
         assert_eq!(plain.incidents, collapsed.incidents);
+    }
+
+    #[test]
+    fn a_phase_unwound_by_a_caught_panic_reaches_the_manifest_as_aborted() {
+        use sfr_exec::{Phase, PhaseTimer};
+        let prepared = StudyBuilder::new("poly")
+            .test_patterns(240)
+            .quick_monte_carlo()
+            .build()
+            .expect("poly builds");
+        let (fingerprint, cfg) = (prepared.fingerprint, prepared.cfg.clone());
+        let study = prepared.run();
+        let counters = Counters::new();
+        PhaseTimer::start(&counters, Phase::Golden).finish();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _timer = PhaseTimer::start(&counters, Phase::Grade);
+            panic!("grade pack misbehaved");
+        }));
+        assert!(caught.is_err());
+        let manifest = assemble_manifest(
+            "poly",
+            4,
+            fingerprint,
+            &cfg,
+            "tape",
+            1,
+            None,
+            &study,
+            &counters.snapshot(),
+            Duration::ZERO,
+        );
+        let phases: Vec<(&str, bool)> = manifest
+            .phases
+            .iter()
+            .map(|p| (p.name.as_str(), p.aborted))
+            .collect();
+        assert_eq!(phases, [("golden", false), ("grade", true)]);
+        let json = manifest.render_json();
+        sfr_obs::check_manifest(&json).expect("manifest validates");
+        assert!(json.contains("\"name\": \"grade\", \"wall_ms\""), "{json}");
+        assert!(json.contains("\"aborted\": true"), "{json}");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 
 pub use sfr_exec::{
     default_threads, panic_message, par_map_indexed, par_map_indexed_caught, CounterState,
-    Counters, LaneGrade, NullProgress, Phase, PhaseTimer, Progress, ProgressEvent, TaskPanic, Tee,
-    TraceRecord,
+    Counters, LaneGrade, NullProgress, Phase, PhaseTimer, Progress, ProgressEvent, TapeShape,
+    TaskPanic, Tee, TraceRecord,
 };
 pub use sfr_faultsim::{
     run_campaign_quarantined, Engine, EngineKind, QuarantinedChunk, SerialEngine, SimKernel,

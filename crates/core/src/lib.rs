@@ -76,7 +76,7 @@ mod testprogram;
 mod worstcase;
 
 pub use breakdown::{measure_breakdown, ComponentPower, PowerBreakdown};
-pub use builder::{check_pattern_width, paper_studies, PreparedStudy, StudyBuilder};
+pub use builder::{check_pattern_width, PreparedStudy, StudyBuilder};
 pub use error::StudyError;
 pub use flow::{Incident, Study, StudyConfig};
 pub use report::{

@@ -25,9 +25,12 @@
 //!   spread one pack's batches across threads while its stopping rule
 //!   stays serial.
 //! * [`Progress`] — a campaign observer: phase wall times, per-fault
-//!   simulation/drop events, Monte Carlo convergence. The CLI and the
-//!   table/figure binaries subscribe to it; library callers pass
-//!   [`NullProgress`].
+//!   simulation/drop events, Monte Carlo convergence. Every event is
+//!   emitted on the calling thread: per-pack and per-fault events come
+//!   in one burst, in pack order, after the phase's parallel map has
+//!   returned. [`Counters`] is the one tally of that stream; the run
+//!   manifest, the metrics export and the stderr summary all read it.
+//!   Library callers pass [`NullProgress`].
 //!
 //! Determinism contract: callers key every random stream by the *work
 //! item* (a Monte Carlo batch's test set is seeded by its batch index),
@@ -279,9 +282,6 @@ where
 /// The pipeline stages an observer can time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Gate-level system construction (controller synthesis +
-    /// datapath elaboration).
-    Build,
     /// Static analysis pre-pass: lint rules and simulation-free fault
     /// classification over the controller netlist.
     Lint,
@@ -302,7 +302,6 @@ impl Phase {
     /// A short human-readable label.
     pub fn label(self) -> &'static str {
         match self {
-            Phase::Build => "build",
             Phase::Lint => "lint",
             Phase::Collapse => "collapse",
             Phase::Golden => "golden",
@@ -334,7 +333,7 @@ pub enum ProgressEvent {
         aborted: bool,
     },
     /// A phase announced its total work-item count (packs/chunks) up
-    /// front, so observers can render progress ratios and ETAs.
+    /// front.
     WorkPlanned {
         /// Which phase the items belong to.
         phase: Phase,
@@ -368,12 +367,17 @@ pub enum ProgressEvent {
         /// Whether the power test flags the fault.
         flagged: bool,
     },
-    /// One lane-packed grading pass finished: a batch of faults (plus
-    /// the fault-free baseline on lane 0) graded in a single
+    /// One lane-packed grading pass was computed (restored packs emit
+    /// [`ProgressEvent::PackRestored`] instead): a batch of faults
+    /// (plus the fault-free baseline on lane 0) graded in a single
     /// bit-parallel Monte Carlo sweep.
     GradePack {
         /// Faults packed into the sweep (excluding the baseline lane).
         faults: usize,
+        /// Wall time the pack spent simulating on its worker.
+        elapsed: Duration,
+        /// The shape of the pack's compiled tape.
+        tape: TapeShape,
     },
     /// A pack/chunk of campaign work panicked (twice) and was
     /// quarantined instead of aborting the study. The payload message
@@ -404,24 +408,23 @@ pub enum ProgressEvent {
     /// to in-memory operation (the message travels in the incident
     /// list and the structured [`TraceRecord::JournalDegraded`]).
     JournalDegraded,
-    /// The always-on self-profiler finished accounting one computed
-    /// grade pack: wall time plus tape-kernel shape counters.
-    PackProfile {
-        /// Wall time the pack spent simulating, µs (saturated).
-        us: u64,
-        /// Tape ops executed per Monte Carlo sweep (program length).
-        ops: usize,
-        /// Topological levels in the compiled tape.
-        levels: usize,
-        /// Fault-injection `Force` ops in the tape.
-        force_ops: usize,
-        /// Lanes occupied, including the baseline lane.
-        lanes: usize,
-        /// Net columns touched by the delta sweep in the final batch.
-        dirty_nets: usize,
-        /// Total net columns in the tape (sparsity denominator).
-        nets: usize,
-    },
+}
+
+/// The shape of one grade pack's compiled tape, as the manifest's
+/// `profile` section reports it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TapeShape {
+    /// Tape ops executed per Monte Carlo sweep (program length).
+    pub ops: usize,
+    /// Topological levels in the compiled tape.
+    pub levels: usize,
+    /// Fault-injection `Force` ops in the tape.
+    pub force_ops: usize,
+    /// Net columns touched by the delta sweep in the final consumed
+    /// batch.
+    pub dirty_nets: usize,
+    /// Total net columns in the tape (sparsity denominator).
+    pub nets: usize,
 }
 
 /// One lane's Monte Carlo outcome inside a [`TraceRecord::PackGraded`]
@@ -532,8 +535,10 @@ pub enum TraceRecord {
     },
 }
 
-/// A campaign observer. Implementations must be cheap and `Sync`:
-/// events arrive concurrently from worker threads.
+/// A campaign observer. Producers call it on the thread that drives the
+/// campaign, after each phase's parallel map has returned, so a sink
+/// sees one event at a time. The trait requires `Sync` so that a
+/// `&dyn Progress` can be captured by worker closures.
 pub trait Progress: Sync {
     /// Receives one event.
     fn event(&self, event: ProgressEvent);
@@ -559,9 +564,9 @@ impl Progress for NullProgress {
     fn event(&self, _event: ProgressEvent) {}
 }
 
-/// Fans events out to several observers in order — the way the CLI
-/// combines counters, a trace writer, a metrics registry, and the TTY
-/// renderer on one campaign.
+/// Fans events out to several observers in order — the way the study
+/// builder tees the caller's observer with the tally its run manifest
+/// is built from.
 pub struct Tee<'a> {
     sinks: &'a [&'a dyn Progress],
 }
@@ -640,8 +645,10 @@ impl Drop for PhaseTimer<'_> {
     }
 }
 
-/// An observer that accumulates campaign counters and phase wall times
-/// — the numbers the CLI and the bench binaries report.
+/// The one tally of a campaign's event stream: counts, phase wall
+/// times, computed grade pack wall times and the last computed pack's
+/// tape shape. The stderr summary renders it, and the run manifest and
+/// the metrics export read it.
 #[derive(Debug, Default)]
 pub struct Counters {
     inner: std::sync::Mutex<CounterState>,
@@ -664,7 +671,7 @@ pub struct CounterState {
     pub faults_graded: usize,
     /// Flagged subset of `faults_graded`.
     pub faults_flagged: usize,
-    /// Lane-packed grading sweeps completed.
+    /// Lane-packed grading sweeps computed (restored packs excluded).
     pub grade_packs: usize,
     /// Faults covered by those sweeps (sum of pack sizes).
     pub grade_pack_faults: usize,
@@ -686,21 +693,28 @@ pub struct CounterState {
     pub faults_collapsed: usize,
     /// Times the checkpoint journal degraded to in-memory operation.
     pub journal_degraded: usize,
-    /// Packs the self-profiler accounted (computed, not restored).
-    pub packs_profiled: usize,
-    /// Total pack wall time the self-profiler accounted, µs.
-    pub pack_time_us: u64,
     /// Simulated cycles accounted by completed packs/chunks.
     pub cycles_simulated: u64,
-    /// Wall time per completed phase, in completion order.
-    pub phase_times: Vec<(Phase, Duration)>,
+    /// Wall time of each computed grade pack, µs (saturated), in pack
+    /// order — one entry per [`ProgressEvent::GradePack`].
+    pub pack_us: Vec<u64>,
+    /// Fault-injection `Force` ops summed over the computed grade packs'
+    /// tapes.
+    pub force_ops: u64,
+    /// The tape shape of the last computed grade pack (zero until one
+    /// is computed).
+    pub tape: TapeShape,
+    /// Each completed phase with its wall time and whether it ended by
+    /// unwinding, in completion order.
+    pub phase_times: Vec<(Phase, Duration, bool)>,
 }
 
 impl CounterState {
     /// What happened since `earlier` was snapshotted: every count is
-    /// subtracted field-wise and only the phases completed after
-    /// `earlier` remain. `c.snapshot().delta(&start)` brackets one
-    /// stage of a longer campaign without hand-subtracting fields.
+    /// subtracted field-wise, only the phases and packs completed after
+    /// `earlier` remain, and `tape` stays the latest shape.
+    /// `c.snapshot().delta(&start)` brackets one stage of a longer
+    /// campaign without hand-subtracting fields.
     pub fn delta(&self, earlier: &CounterState) -> CounterState {
         CounterState {
             faults_simulated: self.faults_simulated - earlier.faults_simulated,
@@ -720,18 +734,19 @@ impl CounterState {
             faults_pruned: self.faults_pruned - earlier.faults_pruned,
             faults_collapsed: self.faults_collapsed - earlier.faults_collapsed,
             journal_degraded: self.journal_degraded - earlier.journal_degraded,
-            packs_profiled: self.packs_profiled - earlier.packs_profiled,
-            pack_time_us: self.pack_time_us - earlier.pack_time_us,
             cycles_simulated: self.cycles_simulated - earlier.cycles_simulated,
+            pack_us: self.pack_us[earlier.pack_us.len()..].to_vec(),
+            force_ops: self.force_ops - earlier.force_ops,
+            tape: self.tape,
             phase_times: self.phase_times[earlier.phase_times.len()..].to_vec(),
         }
     }
 }
 
-/// The end-of-run campaign summary the CLI and the bench binaries
-/// print to stderr — every populated counter group, then wall time per
-/// phase. Lines are omitted when their counters are zero, so a
-/// classification-only run prints no grading lines.
+/// The end-of-run campaign summary the front ends print to stderr —
+/// every populated counter group, then wall time per phase. Lines are
+/// omitted when their counters are zero, so a classification-only run
+/// prints no grading lines.
 impl std::fmt::Display for CounterState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.faults_pruned > 0 {
@@ -802,15 +817,19 @@ impl std::fmt::Display for CounterState {
                 self.journal_degraded
             )?;
         }
-        if self.packs_profiled > 0 {
+        if !self.pack_us.is_empty() {
+            let total_us = self
+                .pack_us
+                .iter()
+                .fold(0u64, |t, &us| t.saturating_add(us));
             writeln!(
                 f,
                 "profile: {} pack(s) timed, {:.1} ms total pack wall time",
-                self.packs_profiled,
-                self.pack_time_us as f64 / 1e3
+                self.pack_us.len(),
+                total_us as f64 / 1e3
             )?;
         }
-        for (phase, elapsed) in &self.phase_times {
+        for (phase, elapsed, _) in &self.phase_times {
             writeln!(
                 f,
                 "phase {:<8} {:>8.1} ms",
@@ -839,7 +858,11 @@ impl Progress for Counters {
         let mut s = self.inner.lock().expect("counter lock");
         match event {
             ProgressEvent::PhaseStart { .. } | ProgressEvent::WorkPlanned { .. } => {}
-            ProgressEvent::PhaseDone { phase, elapsed, .. } => s.phase_times.push((phase, elapsed)),
+            ProgressEvent::PhaseDone {
+                phase,
+                elapsed,
+                aborted,
+            } => s.phase_times.push((phase, elapsed, aborted)),
             ProgressEvent::CyclesSimulated { cycles } => s.cycles_simulated += cycles,
             ProgressEvent::FaultSimulated { dropped } => {
                 s.faults_simulated += 1;
@@ -861,9 +884,17 @@ impl Progress for Counters {
                     s.faults_flagged += 1;
                 }
             }
-            ProgressEvent::GradePack { faults } => {
+            ProgressEvent::GradePack {
+                faults,
+                elapsed,
+                tape,
+            } => {
                 s.grade_packs += 1;
                 s.grade_pack_faults += faults;
+                s.pack_us
+                    .push(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+                s.force_ops += tape.force_ops as u64;
+                s.tape = tape;
             }
             ProgressEvent::PackQuarantined { faults } => {
                 s.packs_quarantined += 1;
@@ -877,10 +908,6 @@ impl Progress for Counters {
             ProgressEvent::FaultPruned => s.faults_pruned += 1,
             ProgressEvent::FaultCollapsed => s.faults_collapsed += 1,
             ProgressEvent::JournalDegraded => s.journal_degraded += 1,
-            ProgressEvent::PackProfile { us, .. } => {
-                s.packs_profiled += 1;
-                s.pack_time_us = s.pack_time_us.saturating_add(us);
-            }
         }
     }
 }
@@ -1076,6 +1103,22 @@ mod tests {
         assert_eq!(states.into_inner(), 1, "one state serves every item");
     }
 
+    /// A computed grade pack of `faults` faults that took `elapsed`,
+    /// with a tape of `force_ops` force ops.
+    fn grade_pack(faults: usize, elapsed: Duration, force_ops: usize) -> ProgressEvent {
+        ProgressEvent::GradePack {
+            faults,
+            elapsed,
+            tape: TapeShape {
+                ops: 10 + force_ops,
+                levels: 3,
+                force_ops,
+                dirty_nets: 5,
+                nets: 20,
+            },
+        }
+    }
+
     #[test]
     fn counters_accumulate() {
         let c = Counters::new();
@@ -1086,8 +1129,8 @@ mod tests {
             converged: true,
         });
         c.event(ProgressEvent::FaultGraded { flagged: true });
-        c.event(ProgressEvent::GradePack { faults: 63 });
-        c.event(ProgressEvent::GradePack { faults: 7 });
+        c.event(grade_pack(63, Duration::from_micros(900), 63));
+        c.event(grade_pack(7, Duration::from_micros(100), 7));
         let s = c.snapshot();
         assert_eq!(s.faults_simulated, 2);
         assert_eq!(s.faults_dropped, 1);
@@ -1097,43 +1140,48 @@ mod tests {
         assert_eq!(s.faults_flagged, 1);
         assert_eq!(s.grade_packs, 2);
         assert_eq!(s.grade_pack_faults, 70);
+        assert_eq!(s.pack_us, [900, 100], "one wall time per computed pack");
+        assert_eq!(s.force_ops, 70, "force ops sum over packs");
+        assert_eq!(s.tape.force_ops, 7, "the shape is the last pack's");
+        assert_eq!(s.tape.ops, 17);
     }
 
     #[test]
-    fn counters_accumulate_profile_events() {
+    fn pack_wall_times_saturate_in_the_summary() {
         let c = Counters::new();
-        c.event(ProgressEvent::PackProfile {
-            us: u64::MAX,
-            ops: 10,
-            levels: 3,
-            force_ops: 2,
-            lanes: 8,
-            dirty_nets: 5,
-            nets: 20,
-        });
-        c.event(ProgressEvent::PackProfile {
-            us: 7,
-            ops: 10,
-            levels: 3,
-            force_ops: 2,
-            lanes: 8,
-            dirty_nets: 5,
-            nets: 20,
-        });
+        c.event(grade_pack(8, Duration::MAX, 2));
+        c.event(grade_pack(8, Duration::from_micros(7), 2));
         let s = c.snapshot();
-        assert_eq!(s.packs_profiled, 2);
-        assert_eq!(s.pack_time_us, u64::MAX, "pack time saturates");
+        assert_eq!(s.pack_us, [u64::MAX, 7], "pack time saturates");
         let text = s.to_string();
-        assert!(text.contains("profile: 2 pack(s) timed"));
+        assert!(text.contains("profile: 2 pack(s) timed"), "{text}");
+        assert!(text.contains(&format!("{:.1} ms", u64::MAX as f64 / 1e3)));
     }
 
     #[test]
     fn phase_timer_emits_start_and_done() {
         let c = Counters::new();
-        PhaseTimer::start(&c, Phase::Build).finish();
+        PhaseTimer::start(&c, Phase::Lint).finish();
         let s = c.snapshot();
         assert_eq!(s.phase_times.len(), 1);
-        assert_eq!(s.phase_times[0].0, Phase::Build);
+        assert_eq!(s.phase_times[0].0, Phase::Lint);
+        assert!(!s.phase_times[0].2, "a finished phase is not aborted");
+    }
+
+    #[test]
+    fn counters_keep_the_aborted_flag_of_an_unwound_phase() {
+        let c = Counters::new();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let _timer = PhaseTimer::start(&c, Phase::Grade);
+            panic!("pack misbehaved");
+        }));
+        assert!(caught.is_err());
+        let s = c.snapshot();
+        assert_eq!(s.phase_times.len(), 1);
+        assert_eq!(
+            (s.phase_times[0].0, s.phase_times[0].2),
+            (Phase::Grade, true)
+        );
     }
 
     /// Observer that remembers whether its span ended aborted.
@@ -1181,18 +1229,22 @@ mod tests {
         let c = Counters::new();
         c.event(ProgressEvent::FaultSimulated { dropped: true });
         c.event(ProgressEvent::CyclesSimulated { cycles: 100 });
+        c.event(grade_pack(9, Duration::from_micros(80), 9));
         PhaseTimer::start(&c, Phase::Golden).finish();
         let earlier = c.snapshot();
         c.event(ProgressEvent::FaultSimulated { dropped: false });
         c.event(ProgressEvent::FaultSimulated { dropped: false });
         c.event(ProgressEvent::CyclesSimulated { cycles: 50 });
         PhaseTimer::start(&c, Phase::Grade).finish();
+        c.event(grade_pack(4, Duration::from_micros(30), 4));
         let d = c.snapshot().delta(&earlier);
         assert_eq!(d.faults_simulated, 2);
         assert_eq!(d.faults_dropped, 0);
         assert_eq!(d.cycles_simulated, 50);
         assert_eq!(d.phase_times.len(), 1);
         assert_eq!(d.phase_times[0].0, Phase::Grade);
+        assert_eq!((d.grade_packs, d.force_ops), (1, 4));
+        assert_eq!(d.pack_us, [30]);
     }
 
     #[test]

@@ -1,24 +1,24 @@
 //! The fault-simulation engines behind one trait.
 //!
 //! [`TapeEngine`] is the production engine: 63-fault batches on the
-//! compiled op tape ([`sfr_netlist::TapeSim`]), sharded across scoped
-//! worker threads. Batch boundaries are fixed at [`MAX_PARALLEL_FAULTS`]
-//! regardless of thread count, each batch is an independent simulation,
-//! and the executor reassembles batch results in fault order, so
-//! verdicts, cycle counts, event streams and trace records are
-//! byte-identical at any thread count. [`SerialEngine`] is the scalar
-//! reference: one [`sfr_netlist::CycleSim`] run per fault, with the same
-//! verdict for every fault.
+//! compiled op tape ([`sfr_netlist::TapeSim`]). [`SerialEngine`] is the
+//! scalar reference: one [`sfr_netlist::CycleSim`] run per fault, with
+//! the same verdict for every fault.
 //!
-//! [`run_campaign_quarantined`] is the one campaign path: it feeds an
-//! engine chunk by chunk through the journaled, quarantined pack runner
-//! ([`run_journaled_packs`]).
+//! [`run_campaign_quarantined`] is the one campaign path, and the one
+//! place fault simulation goes parallel: it cuts the fault list into
+//! [`MAX_PARALLEL_FAULTS`]-fault chunks and spreads them over the
+//! engine's thread count through the journaled, quarantined pack runner
+//! ([`run_journaled_packs`]). Chunk boundaries do not depend on the
+//! thread count and results are reassembled in chunk order, so
+//! verdicts, cycle counts, event streams and trace records are
+//! byte-identical at any thread count.
 
 use crate::campaign::{run_serial_counted, run_tape_counted, CampaignOutcome, Detection};
 use crate::golden::GoldenTrace;
 use crate::packs::{run_journaled_packs, PackBody};
 use crate::system::System;
-use sfr_exec::{par_map_indexed, Progress, ProgressEvent, TraceRecord};
+use sfr_exec::{Progress, ProgressEvent, TraceRecord};
 use sfr_journal::{CampaignJournal, RecordKind};
 use sfr_netlist::{StuckAt, MAX_PARALLEL_FAULTS};
 
@@ -52,9 +52,10 @@ pub trait Engine: Sync {
         faults: &[StuckAt],
     ) -> (Vec<CampaignOutcome>, u64);
 
-    /// The worker count this engine represents — downstream per-fault
-    /// stages (controller-table analysis, the symbolic oracle, power
-    /// grading) shard to the same width. 1 for the serial engine.
+    /// The worker count this engine represents: the campaign spreads
+    /// its chunks over it, and downstream per-fault stages
+    /// (controller-table analysis, the symbolic oracle, power grading)
+    /// shard to the same width. 1 for the serial engine.
     fn threads(&self) -> usize {
         1
     }
@@ -86,8 +87,10 @@ impl Engine for SerialEngine {
     }
 }
 
-/// Compiled op-tape kernel: 63 faults per `u64` word, batches sharded
-/// across scoped worker threads (1 = run inline).
+/// Compiled op-tape kernel: 63 faults per pass. Its thread count is
+/// the width [`run_campaign_quarantined`] and the later phases spread
+/// their work over; [`Engine::run`] itself simulates on the calling
+/// thread.
 #[derive(Debug, Clone, Copy)]
 pub struct TapeEngine {
     threads: usize,
@@ -122,17 +125,7 @@ impl Engine for TapeEngine {
         golden: &GoldenTrace,
         faults: &[StuckAt],
     ) -> (Vec<CampaignOutcome>, u64) {
-        let batches: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
-        let per_batch = par_map_indexed(self.threads, batches.len(), |i| {
-            run_tape_counted(sys, golden, batches[i])
-        });
-        let mut outcomes = Vec::with_capacity(faults.len());
-        let mut cycles = 0u64;
-        for (batch_outcomes, batch_cycles) in per_batch {
-            outcomes.extend(batch_outcomes);
-            cycles += batch_cycles;
-        }
-        (outcomes, cycles)
+        run_tape_counted(sys, golden, faults)
     }
 }
 
@@ -335,25 +328,66 @@ mod tests {
     fn serial_and_tape_engines_agree() {
         let (sys, golden, faults) = setup();
         let (reference, _) = SerialEngine.run(&sys, &golden, &faults);
-        for threads in [1, 2, 8] {
-            let (got, _) = EngineKind::Tape(threads)
-                .build()
-                .run(&sys, &golden, &faults);
-            assert_eq!(
-                got, reference,
-                "tape on {threads} threads disagrees with serial"
-            );
+        let (tape, _) = EngineKind::Tape(1).build().run(&sys, &golden, &faults);
+        assert_eq!(tape, reference, "tape disagrees with serial");
+    }
+
+    /// Keeps the [`TraceRecord::ChunkSimulated`] records a campaign
+    /// emits, with their wall times zeroed.
+    #[derive(Default)]
+    struct ChunkRecords(std::sync::Mutex<Vec<TraceRecord>>);
+
+    impl Progress for ChunkRecords {
+        fn event(&self, _event: ProgressEvent) {}
+
+        fn record(&self, record: &TraceRecord) {
+            if let TraceRecord::ChunkSimulated { .. } = record {
+                let mut record = record.clone();
+                if let TraceRecord::ChunkSimulated { elapsed, .. } = &mut record {
+                    *elapsed = std::time::Duration::ZERO;
+                }
+                self.0.lock().expect("records lock").push(record);
+            }
+        }
+
+        fn wants_records(&self) -> bool {
+            true
         }
     }
 
     #[test]
-    fn tape_is_byte_identical_at_any_thread_count_including_cycles() {
+    fn campaign_is_byte_identical_at_any_thread_count_including_cycles() {
         let (sys, golden, faults) = setup();
-        let (one, one_cycles) = TapeEngine::new(1).run(&sys, &golden, &faults);
+        // Three copies of the universe span several chunks.
+        let faults: Vec<StuckAt> = faults
+            .iter()
+            .cycle()
+            .take(3 * faults.len())
+            .copied()
+            .collect();
+        let campaign = |threads: usize| {
+            let counters = sfr_exec::Counters::new();
+            let records = ChunkRecords::default();
+            let sinks: [&dyn Progress; 2] = [&counters, &records];
+            let (outcomes, quarantined) = run_campaign_quarantined(
+                &TapeEngine::new(threads),
+                &sys,
+                &golden,
+                &faults,
+                &sfr_exec::Tee::new(&sinks),
+                None,
+            );
+            assert!(quarantined.is_empty(), "threads = {threads}");
+            let records = records.0.into_inner().expect("records lock");
+            (outcomes, counters.snapshot().cycles_simulated, records)
+        };
+        let one = campaign(1);
+        assert_eq!(one.0.len(), faults.len());
+        assert!(one.1 > 0, "chunks account their cycles");
+        assert_eq!(one.2.len(), faults.len().div_ceil(MAX_PARALLEL_FAULTS));
+        assert!(one.2.len() > 1, "the campaign spans several chunks");
         for threads in [2, 3, 8] {
-            let (tape, cycles) = TapeEngine::new(threads).run(&sys, &golden, &faults);
-            assert_eq!(tape, one, "threads = {threads}");
-            assert_eq!(cycles, one_cycles, "threads = {threads}");
+            assert_eq!(campaign(threads), one, "threads = {threads}");
         }
     }
 

@@ -49,6 +49,20 @@ fn num_field(obj: &Value, line_no: usize, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("line {line_no}: field {key:?} must be a number"))
 }
 
+/// A count: a finite, non-negative integer below 2^64. JSON numbers are
+/// `f64`, and `as` casts saturate (NaN and negatives become 0), so a
+/// count is checked before it is converted.
+fn count_field(obj: &Value, line_no: usize, key: &str) -> Result<u64, String> {
+    let n = num_field(obj, line_no, key)?;
+    if n >= 0.0 && n.fract() == 0.0 && n < 18_446_744_073_709_551_616.0 {
+        Ok(n as u64)
+    } else {
+        Err(format!(
+            "line {line_no}: field {key:?} must be a non-negative integer, got {n}"
+        ))
+    }
+}
+
 fn bool_field(obj: &Value, line_no: usize, key: &str) -> Result<bool, String> {
     field(obj, line_no, key)?
         .as_bool()
@@ -139,18 +153,18 @@ pub fn check_trace(text: &str) -> Result<TraceStats, String> {
             }
             "plan" => {
                 str_field(&v, line_no, "phase")?;
-                num_field(&v, line_no, "items")?;
+                count_field(&v, line_no, "items")?;
             }
             "pack" => {
-                num_field(&v, line_no, "pack")?;
-                num_field(&v, line_no, "cycles")?;
+                count_field(&v, line_no, "pack")?;
+                count_field(&v, line_no, "cycles")?;
                 bool_field(&v, line_no, "restored")?;
                 id_list(&v, line_no, "stalled")?;
-                let occupancy = num_field(&v, line_no, "occupancy")?;
+                let occupancy = count_field(&v, line_no, "occupancy")?;
                 let lanes = field(&v, line_no, "lanes")?
                     .as_arr()
                     .ok_or_else(|| format!("line {line_no}: \"lanes\" must be an array"))?;
-                if lanes.len() != occupancy as usize {
+                if lanes.len() as u64 != occupancy {
                     return Err(format!(
                         "line {line_no}: occupancy {occupancy} != {} lanes",
                         lanes.len()
@@ -160,7 +174,7 @@ pub fn check_trace(text: &str) -> Result<TraceStats, String> {
                     opt_str(lane, line_no, "fault")?;
                     num_field(lane, line_no, "mean_uw")?;
                     num_field(lane, line_no, "half_width_uw")?;
-                    num_field(lane, line_no, "batches")?;
+                    count_field(lane, line_no, "batches")?;
                     bool_field(lane, line_no, "converged")?;
                 }
                 match lanes.first() {
@@ -174,16 +188,19 @@ pub fn check_trace(text: &str) -> Result<TraceStats, String> {
                 stats.packs += 1;
             }
             "chunk" => {
-                num_field(&v, line_no, "chunk")?;
+                count_field(&v, line_no, "chunk")?;
                 let faults = id_list(&v, line_no, "faults")?;
-                let detected = num_field(&v, line_no, "detected")?;
-                let potential = num_field(&v, line_no, "potential")?;
-                if detected as usize + potential as usize > faults {
-                    return Err(format!(
-                        "line {line_no}: detected+potential exceeds {faults} chunk faults"
-                    ));
+                let detected = count_field(&v, line_no, "detected")?;
+                let potential = count_field(&v, line_no, "potential")?;
+                match detected.checked_add(potential) {
+                    Some(flagged) if flagged <= faults as u64 => {}
+                    _ => {
+                        return Err(format!(
+                            "line {line_no}: detected+potential exceeds {faults} chunk faults"
+                        ))
+                    }
                 }
-                num_field(&v, line_no, "cycles")?;
+                count_field(&v, line_no, "cycles")?;
                 bool_field(&v, line_no, "restored")?;
                 stats.chunks += 1;
             }
@@ -192,7 +209,7 @@ pub fn check_trace(text: &str) -> Result<TraceStats, String> {
                 if kind != "faultsim" && kind != "grade" {
                     return Err(format!("line {line_no}: unknown quarantine kind {kind:?}"));
                 }
-                num_field(&v, line_no, "index")?;
+                count_field(&v, line_no, "index")?;
                 id_list(&v, line_no, "faults")?;
                 str_field(&v, line_no, "message")?;
                 opt_str(&v, line_no, "journal")?;
@@ -204,10 +221,10 @@ pub fn check_trace(text: &str) -> Result<TraceStats, String> {
                 stats.budgets += 1;
             }
             "collapse" => {
-                let universe = num_field(&v, line_no, "universe")?;
-                let classes = num_field(&v, line_no, "classes")?;
-                let merged = num_field(&v, line_no, "merged")?;
-                if classes + merged != universe {
+                let universe = count_field(&v, line_no, "universe")?;
+                let classes = count_field(&v, line_no, "classes")?;
+                let merged = count_field(&v, line_no, "merged")?;
+                if classes.checked_add(merged) != Some(universe) {
                     return Err(format!(
                         "line {line_no}: classes {classes} + merged {merged} != universe {universe}"
                     ));
@@ -247,9 +264,10 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
     for key in ["benchmark", "engine"] {
         str_field(&v, 1, key)?;
     }
-    for key in ["width", "fault_universe", "threads", "wall_ms"] {
-        num_field(&v, 1, key)?;
+    for key in ["width", "fault_universe", "threads"] {
+        count_field(&v, 1, key)?;
     }
+    num_field(&v, 1, "wall_ms")?;
     for key in ["campaign_fingerprint", "fingerprint"] {
         let fp = str_field(&v, 1, key)?;
         let digits = fp
@@ -268,7 +286,7 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
         "pruned",
         "incidents",
     ] {
-        num_field(tallies, 1, key)?;
+        count_field(tallies, 1, key)?;
     }
     let config = field(&v, 1, "config")?;
     let config = config.as_obj().ok_or("\"config\" must be an object")?;
@@ -296,13 +314,13 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
         "tape_ops",
         "tape_levels",
         "tape_force_ops",
-        "tape_sparsity_pct",
     ] {
-        num_field(profile, 1, key)?;
+        count_field(profile, 1, key)?;
     }
-    let p50 = num_field(profile, 1, "pack_p50_us")?;
-    let p90 = num_field(profile, 1, "pack_p90_us")?;
-    let max = num_field(profile, 1, "pack_max_us")?;
+    num_field(profile, 1, "tape_sparsity_pct")?;
+    let p50 = count_field(profile, 1, "pack_p50_us")?;
+    let p90 = count_field(profile, 1, "pack_p90_us")?;
+    let max = count_field(profile, 1, "pack_max_us")?;
     if p50 > p90 || p90 > max {
         return Err(format!(
             "profile pack percentiles not monotone: p50 {p50} / p90 {p90} / max {max}"
@@ -404,8 +422,8 @@ pub fn check_diagnostics(text: &str) -> Result<usize, String> {
         ("warning", tally[1]),
         ("info", tally[2]),
     ] {
-        let n = num_field(counts, 1, key)?;
-        if n as usize != expected {
+        let n = count_field(counts, 1, key)?;
+        if n != expected as u64 {
             return Err(format!(
                 "counts.{key} = {n} but the diagnostics array holds {expected}"
             ));
@@ -424,53 +442,52 @@ pub fn check_analysis(text: &str) -> Result<(), String> {
         return Err(format!("unexpected tool tag {tool:?}"));
     }
     str_field(&v, 1, "benchmark")?;
-    num_field(&v, 1, "width")?;
+    count_field(&v, 1, "width")?;
 
     let universe = field(&v, 1, "universe")?;
-    let uncollapsed = num_field(universe, 1, "uncollapsed")?;
-    let enumerated = num_field(universe, 1, "collapsed")?;
+    let uncollapsed = count_field(universe, 1, "uncollapsed")?;
+    let enumerated = count_field(universe, 1, "collapsed")?;
     if enumerated > uncollapsed {
         return Err("universe.collapsed exceeds universe.uncollapsed".into());
     }
 
     let classes = field(&v, 1, "classes")?;
-    let count = num_field(classes, 1, "count")?;
-    let merged = num_field(classes, 1, "merged")?;
-    if count + merged != enumerated {
+    let count = count_field(classes, 1, "count")?;
+    let merged = count_field(classes, 1, "merged")?;
+    if count.checked_add(merged) != Some(enumerated) {
         return Err(format!(
             "classes.count {count} + classes.merged {merged} != universe.collapsed {enumerated}"
         ));
     }
-    let chain_buffer = num_field(classes, 1, "chain_buffer")?;
-    let chain_controlling = num_field(classes, 1, "chain_controlling")?;
-    if chain_buffer + chain_controlling != merged {
+    let chain_buffer = count_field(classes, 1, "chain_buffer")?;
+    let chain_controlling = count_field(classes, 1, "chain_controlling")?;
+    if chain_buffer.checked_add(chain_controlling) != Some(merged) {
         return Err("chain merge attribution does not sum to classes.merged".into());
     }
     let ratio = num_field(classes, 1, "collapse_ratio")?;
     if !(0.0..=1.0).contains(&ratio) {
         return Err(format!("collapse_ratio {ratio} outside [0, 1]"));
     }
-    num_field(classes, 1, "dominance_pairs")?;
+    count_field(classes, 1, "dominance_pairs")?;
 
     let stat = field(&v, 1, "static")?;
-    let cfr = num_field(stat, 1, "cfr")?;
-    let sfr = num_field(stat, 1, "sfr")?;
-    let undecided = num_field(stat, 1, "undecided")?;
-    if cfr + sfr + undecided != enumerated {
+    let cfr = count_field(stat, 1, "cfr")?;
+    let sfr = count_field(stat, 1, "sfr")?;
+    let undecided = count_field(stat, 1, "undecided")?;
+    if cfr.checked_add(sfr).and_then(|n| n.checked_add(undecided)) != Some(enumerated) {
         return Err("static cfr + sfr + undecided != universe.collapsed".into());
     }
-    let by_rule = field(stat, 1, "by_rule")?
+    let by_rule = field(stat, 1, "by_rule")?;
+    let rules = by_rule
         .as_obj()
         .ok_or("\"static.by_rule\" must be an object")?;
-    for (rule, n) in by_rule {
-        if n.as_num().is_none() {
-            return Err(format!("static.by_rule.{rule} must be a number"));
-        }
+    for rule in rules.keys() {
+        count_field(by_rule, 1, rule)?;
     }
 
     let simulate = field(&v, 1, "simulate")?;
     for key in ["collapse_only", "static_only", "combined"] {
-        let n = num_field(simulate, 1, key)?;
+        let n = count_field(simulate, 1, key)?;
         if n > enumerated {
             return Err(format!("simulate.{key} {n} exceeds the universe"));
         }
@@ -485,6 +502,7 @@ pub fn check_analysis(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sfr_exec::Progress as _;
 
     const GOOD_TRACE: &str = r#"{"ev":"trace_start","version":1}
@@ -544,6 +562,50 @@ mod tests {
         assert!(check_trace(&bad_note)
             .expect_err("bad note")
             .contains("text"));
+    }
+
+    /// A one-chunk trace whose single fault has the given tallies.
+    fn chunk_trace(detected: &str, potential: &str) -> String {
+        format!(
+            "{{\"ev\":\"trace_start\",\"version\":1}}\n\
+             {{\"ev\":\"chunk\",\"chunk\":0,\"faults\":[\"g1.out/sa0\"],\
+             \"detected\":{detected},\"potential\":{potential},\"cycles\":9,\"ms\":0.1,\
+             \"restored\":false,\"t_ms\":0.2}}\n\
+             {{\"ev\":\"trace_end\",\"t_ms\":0.3}}"
+        )
+    }
+
+    #[test]
+    fn rejects_hostile_counts() {
+        check_trace(&chunk_trace("1", "0")).expect("one detected fault of one");
+        // 2^63 + 2^63 wraps to 0 in a `usize` sum; -1, 0.5 and 1e999
+        // (infinity) saturate under an `as` cast.
+        for (detected, potential) in [
+            ("1e19", "1e19"),
+            ("9223372036854775808", "9223372036854775808"),
+            ("1", "-1"),
+            ("0.5", "0.5"),
+            ("1e999", "0"),
+            ("18446744073709551616", "0"),
+        ] {
+            let err = check_trace(&chunk_trace(detected, potential))
+                .expect_err("hostile chunk tallies are refused");
+            assert!(
+                err.starts_with("line 2:"),
+                "{detected} + {potential}: {err}"
+            );
+        }
+        for occupancy in ["2.5", "-2", "1e19", "-0.5"] {
+            let pack = GOOD_TRACE.replace("\"occupancy\":2", &format!("\"occupancy\":{occupancy}"));
+            assert!(check_trace(&pack).is_err(), "occupancy {occupancy}");
+        }
+        let diagnostics = r#"{"tool":"sfr-lint","subject":"poly","diagnostics":[],
+            "counts":{"error":0,"warning":0,"info":0}}"#;
+        assert_eq!(check_diagnostics(diagnostics), Ok(0));
+        for count in ["0.5", "-0.5", "1e19", "-1e999"] {
+            let hostile = diagnostics.replace("\"info\":0", &format!("\"info\":{count}"));
+            assert!(check_diagnostics(&hostile).is_err(), "counts.info {count}");
+        }
     }
 
     #[test]
@@ -630,5 +692,159 @@ mod tests {
         let bad_universe = good.replace("\"collapsed\":100", "\"collapsed\":130");
         assert!(check_analysis(&bad_universe).is_err());
         assert!(check_analysis("{}").is_err());
+    }
+
+    /// One valid artifact of every kind the validators read.
+    fn valid_artifacts() -> Vec<String> {
+        // The chunk line comes first, so a mutation of its counts is
+        // not masked by an earlier line's refusal.
+        let trace = GOOD_TRACE
+            .replace(
+                "\"version\":1}\n",
+                "\"version\":1}\n{\"ev\":\"chunk\",\"chunk\":0,\"faults\":[\"g1.out/sa0\",\"g2.in1/sa1\"],\
+                 \"detected\":1,\"potential\":1,\"cycles\":40,\"ms\":0.3,\"restored\":true,\"t_ms\":0.05}\n",
+            )
+            .replace(
+            "{\"ev\":\"trace_end\"",
+            "{\"ev\":\"collapse\",\"universe\":10,\"classes\":7,\"merged\":3,\"t_ms\":2.16}\n\
+             {\"ev\":\"quarantine\",\"kind\":\"grade\",\"index\":1,\"faults\":[\"g3.out/sa0\"],\"message\":\"boom\",\"journal\":\"grade/1\",\"t_ms\":2.17}\n\
+             {\"ev\":\"budget\",\"fault\":\"g3.out/sa0\",\"journal\":null,\"t_ms\":2.18}\n\
+             {\"ev\":\"note\",\"text\":\"n\",\"t_ms\":2.19}\n\
+             {\"ev\":\"trace_end\"",
+        );
+        check_trace(&trace).expect("the rich trace is valid");
+        let manifest = crate::manifest::RunManifest {
+            benchmark: "poly".into(),
+            width: 8,
+            campaign_fingerprint: 1,
+            fault_universe: 10,
+            config: vec![("seed".into(), "7".into())],
+            engine: "tape".into(),
+            threads: 1,
+            tallies: crate::manifest::Tallies {
+                total: 10,
+                sfr: 2,
+                ..Default::default()
+            },
+            phases: vec![crate::manifest::PhaseTime {
+                name: "grade".into(),
+                wall_ms: 2.5,
+                aborted: false,
+            }],
+            profile: crate::manifest::ProfileSection {
+                packs_computed: 1,
+                pack_p50_us: 5,
+                pack_p90_us: 6,
+                pack_max_us: 7,
+                tape_sparsity_pct: 12.5,
+                ..Default::default()
+            },
+            wall_ms: 3.0,
+            cpu_ms: Some(2.0),
+            git: None,
+            journal: Some("j".into()),
+        }
+        .render_json();
+        let metrics = crate::metrics::Metrics::new();
+        metrics.event(sfr_exec::ProgressEvent::FaultGraded { flagged: true });
+        metrics.event(sfr_exec::ProgressEvent::CyclesSimulated { cycles: 90 });
+        let diagnostics = r#"{"tool":"sfr-lint","subject":"poly","diagnostics":[
+            {"rule":"constant-net","severity":"warning","subject":"n3","span":[7,3],"message":"stuck"}
+        ],"counts":{"error":0,"warning":1,"info":0}}"#;
+        let analysis = r#"{"tool":"sfr-analyze","benchmark":"poly","width":8,
+            "universe":{"uncollapsed":120,"collapsed":100},
+            "classes":{"count":80,"merged":20,"chain_buffer":12,"chain_controlling":8,
+                       "collapse_ratio":0.8,"dominance_pairs":5},
+            "static":{"cfr":30,"sfr":10,"undecided":60,"by_rule":{"dead-cone":9}},
+            "simulate":{"collapse_only":80,"static_only":60,"combined":48,"reduction_pct":52.0}}"#;
+        vec![
+            trace,
+            manifest,
+            metrics.render_prometheus(),
+            diagnostics.to_string(),
+            analysis.to_string(),
+        ]
+    }
+
+    /// Numbers a hostile artifact may carry where a count belongs.
+    const HOSTILE_NUMBERS: [&str; 10] = [
+        "1e19",
+        "9223372036854775808",
+        "18446744073709551616",
+        "-1",
+        "-0",
+        "0.5",
+        "1e999",
+        "-1e999",
+        "1e-999",
+        "0",
+    ];
+
+    /// `text` with about half of its numbers replaced by
+    /// [`HOSTILE_NUMBERS`], the choices drawn from `seed`.
+    fn hostile_numbers(text: &str, mut seed: u64) -> String {
+        let bytes = text.as_bytes();
+        let mut out = String::with_capacity(text.len());
+        let (mut copied, mut i) = (0, 0);
+        while i < bytes.len() {
+            let in_word = i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
+            if !bytes[i].is_ascii_digit() || in_word {
+                i += 1;
+                continue;
+            }
+            let end = (i..bytes.len())
+                .find(|&j| !matches!(bytes[j], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+                .unwrap_or(bytes.len());
+            // splitmix64: one draw per number.
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            if z & 1 == 1 {
+                out.push_str(&text[copied..i]);
+                out.push_str(HOSTILE_NUMBERS[(z >> 1) as usize % HOSTILE_NUMBERS.len()]);
+                copied = end;
+            }
+            i = end;
+        }
+        out.push_str(&text[copied..]);
+        out
+    }
+
+    /// Runs every validator over `text`; each may refuse it, none may
+    /// panic.
+    fn validate_all(text: &str) {
+        let _ = check_trace(text);
+        let _ = check_manifest(text);
+        let _ = check_metrics(text);
+        let _ = check_diagnostics(text);
+        let _ = check_analysis(text);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn validators_never_panic_on_arbitrary_text(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            validate_all(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn validators_never_panic_on_mutated_artifacts(
+            seed in any::<u64>(),
+            at in any::<usize>(),
+            byte in prop_oneof![Just(b'['), Just(b'{'), Just(b'"'), Just(b','), Just(b':'),
+                                Just(b'-'), Just(b'9'), Just(b'.'), Just(b'\n'), any::<u8>()],
+        ) {
+            for text in valid_artifacts() {
+                validate_all(&hostile_numbers(&text, seed));
+                let mut bytes = text.as_bytes().to_vec();
+                bytes[at % text.len()] = byte;
+                validate_all(&String::from_utf8_lossy(&bytes));
+                validate_all(&String::from_utf8_lossy(&text.as_bytes()[..at % (text.len() + 1)]));
+            }
+        }
     }
 }

@@ -332,7 +332,7 @@ mod tests {
             },
             phases: vec![
                 PhaseTime {
-                    name: "build".into(),
+                    name: "golden".into(),
                     wall_ms: 12.5,
                     aborted: false,
                 },

@@ -1,21 +1,19 @@
-//! Lock-free metrics registry: monotonic counters plus fixed
-//! log2-bucket histograms, exportable as Prometheus-style text and as
-//! a human summary table.
+//! Metrics export: the campaign's [`Counters`] tally plus fixed
+//! log2-bucket histograms, rendered as Prometheus-style text and as a
+//! human summary table.
 //!
-//! Everything is `AtomicU64` with relaxed ordering — observation never
-//! takes a lock and never allocates, so the registry can sit on the
-//! campaign's progress fan-out at any thread count without perturbing
-//! the hot grading path. The registry *extends* `sfr_exec::Counters`
-//! (which stays the source of truth for the classification tallies):
-//! it adds the latency/throughput distributions Counters has no room
-//! for.
+//! Every `sfr_*_total` family is read from the embedded [`Counters`],
+//! so the export, the stderr summary and the run manifest agree by
+//! construction. The registry adds only what a tally has no room for:
+//! the latency, throughput and tape-shape distributions, and the
+//! gauges derived from them.
 
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use sfr_exec::{Progress, ProgressEvent, TraceRecord};
+use sfr_exec::{CounterState, Counters, Progress, ProgressEvent, TraceRecord};
 
 /// Number of log2 buckets. Bucket `i` counts observations `v` with
 /// `v <= 2^i - 1` exclusive of lower buckets, i.e. `bits(v) == i`;
@@ -124,50 +122,95 @@ fn bucket_bound(i: usize) -> u64 {
     }
 }
 
-macro_rules! registry_counters {
-    ($($(#[$doc:meta])* $name:ident => $metric:literal, $help:literal;)*) => {
-        /// The counter block of the [`Metrics`] registry.
-        #[derive(Debug, Default)]
-        struct RegistryCounters {
-            $($(#[$doc])* $name: AtomicU64,)*
-        }
-
-        impl RegistryCounters {
-            fn render_prometheus(&self, out: &mut String) {
-                $(
-                    let _ = writeln!(out, "# HELP {} {}", $metric, $help);
-                    let _ = writeln!(out, "# TYPE {} counter", $metric);
-                    let _ = writeln!(out, "{} {}", $metric, self.$name.load(Ordering::Relaxed));
-                )*
-            }
-        }
-    };
+/// The `sfr_*_total` counter families — name, help text, value — read
+/// from one tally snapshot.
+fn counter_families(c: &CounterState) -> [(&'static str, &'static str, u64); 15] {
+    [
+        (
+            "sfr_faults_simulated_total",
+            "Faults that finished fault simulation",
+            c.faults_simulated as u64,
+        ),
+        (
+            "sfr_faults_dropped_total",
+            "Simulated faults detected and dropped",
+            c.faults_dropped as u64,
+        ),
+        (
+            "sfr_faults_pruned_total",
+            "Faults classified statically without simulation",
+            c.faults_pruned as u64,
+        ),
+        (
+            "sfr_faults_collapsed_total",
+            "Faults folded into equivalence-class representatives",
+            c.faults_collapsed as u64,
+        ),
+        (
+            "sfr_faults_graded_total",
+            "SFR faults that received a power grade",
+            c.faults_graded as u64,
+        ),
+        (
+            "sfr_faults_flagged_total",
+            "Graded faults the power test flags",
+            c.faults_flagged as u64,
+        ),
+        (
+            "sfr_mc_estimations_total",
+            "Monte Carlo power estimations completed",
+            (c.mc_converged + c.mc_capped) as u64,
+        ),
+        (
+            "sfr_mc_converged_total",
+            "Estimations that met the CI tolerance",
+            c.mc_converged as u64,
+        ),
+        (
+            "sfr_grade_packs_total",
+            "Lane-packed grading passes completed",
+            c.grade_packs as u64,
+        ),
+        (
+            "sfr_packs_quarantined_total",
+            "Packs/chunks quarantined after panicking",
+            c.packs_quarantined as u64,
+        ),
+        (
+            "sfr_packs_restored_total",
+            "Packs/chunks restored from a checkpoint journal",
+            c.packs_restored as u64,
+        ),
+        (
+            "sfr_budget_exhausted_total",
+            "Faults that exhausted their cycle budget",
+            c.budget_exhausted as u64,
+        ),
+        (
+            "sfr_cycles_simulated_total",
+            "Simulated controller+datapath cycles",
+            c.cycles_simulated,
+        ),
+        (
+            "sfr_journal_degraded_total",
+            "Checkpoint journals that degraded to in-memory operation",
+            c.journal_degraded as u64,
+        ),
+        (
+            "sfr_tape_force_ops_total",
+            "Fault-injection Force ops across compiled tapes",
+            c.force_ops,
+        ),
+    ]
 }
 
-registry_counters! {
-    faults_simulated => "sfr_faults_simulated_total", "Faults that finished fault simulation";
-    faults_dropped => "sfr_faults_dropped_total", "Simulated faults detected and dropped";
-    faults_pruned => "sfr_faults_pruned_total", "Faults classified statically without simulation";
-    faults_collapsed => "sfr_faults_collapsed_total", "Faults folded into equivalence-class representatives";
-    faults_graded => "sfr_faults_graded_total", "SFR faults that received a power grade";
-    faults_flagged => "sfr_faults_flagged_total", "Graded faults the power test flags";
-    mc_estimations => "sfr_mc_estimations_total", "Monte Carlo power estimations completed";
-    mc_converged => "sfr_mc_converged_total", "Estimations that met the CI tolerance";
-    grade_packs => "sfr_grade_packs_total", "Lane-packed grading passes completed";
-    packs_quarantined => "sfr_packs_quarantined_total", "Packs/chunks quarantined after panicking";
-    packs_restored => "sfr_packs_restored_total", "Packs/chunks restored from a checkpoint journal";
-    budget_exhausted => "sfr_budget_exhausted_total", "Faults that exhausted their cycle budget";
-    cycles_simulated => "sfr_cycles_simulated_total", "Simulated controller+datapath cycles";
-    journal_degraded => "sfr_journal_degraded_total", "Checkpoint journals that degraded to in-memory operation";
-    tape_force_ops => "sfr_tape_force_ops_total", "Fault-injection Force ops across compiled tapes";
-}
-
-/// The lock-free metrics registry. Implements [`Progress`], so it taps
-/// the same event stream as `Counters`; observation is allocation-free.
+/// The metrics registry. Implements [`Progress`]: it tallies the event
+/// stream in its [`Counters`] and feeds its histograms from the same
+/// events and from the structured records.
 #[derive(Debug)]
 pub struct Metrics {
     start: Instant,
-    counters: RegistryCounters,
+    counters: Counters,
     /// Wall time per grading pack, microseconds.
     pack_latency_us: Histogram,
     /// Wall time per fault-simulation chunk, microseconds.
@@ -178,10 +221,10 @@ pub struct Metrics {
     mc_batches: Histogram,
     /// Occupied lanes per grading pack (including the baseline lane).
     lane_occupancy: Histogram,
-    /// Tape ops per topological level, per profiled pack.
+    /// Tape ops per topological level, per computed pack.
     tape_ops_per_level: Histogram,
     /// Delta-sweep dirty net columns as a percentage of all net
-    /// columns, per profiled pack (the sparsity the sweep exploits).
+    /// columns, per computed pack (the sparsity the sweep exploits).
     tape_dirty_net_pct: Histogram,
 }
 
@@ -189,7 +232,7 @@ impl Default for Metrics {
     fn default() -> Self {
         Metrics {
             start: Instant::now(),
-            counters: RegistryCounters::default(),
+            counters: Counters::new(),
             pack_latency_us: Histogram::default(),
             chunk_latency_us: Histogram::default(),
             cycles_per_item: Histogram::default(),
@@ -207,35 +250,9 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn add(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn load(&self, counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
-    /// Graded faults per wall-clock second since the registry was
-    /// created.
-    pub fn faults_per_sec(&self) -> f64 {
-        let secs = self.start.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.load(&self.counters.faults_graded) as f64 / secs
-        }
-    }
-
-    /// Fraction (0–1) of classified faults settled by the static
-    /// pre-pass instead of simulation.
-    pub fn prune_hit_rate(&self) -> f64 {
-        let pruned = self.load(&self.counters.faults_pruned) as f64;
-        let simulated = self.load(&self.counters.faults_simulated) as f64;
-        if pruned + simulated == 0.0 {
-            0.0
-        } else {
-            pruned / (pruned + simulated)
-        }
+    /// The tally every counter family and summary total is read from.
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Mean lane utilization (0–1) across grading packs: occupied
@@ -246,18 +263,23 @@ impl Metrics {
 
     /// Render the registry in the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
+        let c = self.counters.snapshot();
         let mut out = String::new();
-        self.counters.render_prometheus(&mut out);
+        for (name, help, value) in counter_families(&c) {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} {value}");
+        }
         for (gauge, help, value) in [
             (
                 "sfr_faults_per_second",
                 "Graded faults per wall-clock second",
-                self.faults_per_sec(),
+                faults_per_sec(&c, self.start.elapsed().as_secs_f64()),
             ),
             (
                 "sfr_prune_hit_rate",
                 "Fraction of faults settled statically",
-                self.prune_hit_rate(),
+                prune_hit_rate(&c),
             ),
             (
                 "sfr_lane_utilization",
@@ -319,30 +341,28 @@ impl Metrics {
                 _ => "(no samples)".into(),
             }
         }
+        let c = self.counters.snapshot();
         let mut out = String::new();
         let _ = writeln!(out, "metrics summary:");
         for (label, value) in [
+            ("faults graded", c.faults_graded.to_string()),
+            ("faults flagged", c.faults_flagged.to_string()),
             (
-                "faults graded",
-                self.load(&self.counters.faults_graded).to_string(),
+                "faults/s",
+                format!(
+                    "{:.1}",
+                    faults_per_sec(&c, self.start.elapsed().as_secs_f64())
+                ),
             ),
-            (
-                "faults flagged",
-                self.load(&self.counters.faults_flagged).to_string(),
-            ),
-            ("faults/s", format!("{:.1}", self.faults_per_sec())),
             (
                 "prune hit-rate",
-                format!("{:.1}%", self.prune_hit_rate() * 100.0),
+                format!("{:.1}%", prune_hit_rate(&c) * 100.0),
             ),
             (
                 "lane utilization",
                 format!("{:.1}%", self.lane_utilization() * 100.0),
             ),
-            (
-                "cycles simulated",
-                self.load(&self.counters.cycles_simulated).to_string(),
-            ),
+            ("cycles simulated", c.cycles_simulated.to_string()),
             ("pack latency µs", quantiles(&self.pack_latency_us)),
             ("chunk latency µs", quantiles(&self.chunk_latency_us)),
             ("cycles/work item", quantiles(&self.cycles_per_item)),
@@ -367,61 +387,41 @@ impl Metrics {
     }
 }
 
+/// Graded faults per second over `secs` of wall time.
+fn faults_per_sec(c: &CounterState, secs: f64) -> f64 {
+    if secs <= 0.0 {
+        0.0
+    } else {
+        c.faults_graded as f64 / secs
+    }
+}
+
+/// Fraction (0–1) of classified faults settled by the static pre-pass.
+fn prune_hit_rate(c: &CounterState) -> f64 {
+    let settled = (c.faults_pruned + c.faults_simulated) as f64;
+    if settled == 0.0 {
+        0.0
+    } else {
+        c.faults_pruned as f64 / settled
+    }
+}
+
 impl Progress for Metrics {
     fn event(&self, event: ProgressEvent) {
+        self.counters.event(event);
         match event {
-            ProgressEvent::FaultSimulated { dropped } => {
-                self.add(&self.counters.faults_simulated, 1);
-                if dropped {
-                    self.add(&self.counters.faults_dropped, 1);
-                }
-            }
-            ProgressEvent::FaultPruned => self.add(&self.counters.faults_pruned, 1),
-            ProgressEvent::FaultCollapsed => self.add(&self.counters.faults_collapsed, 1),
-            ProgressEvent::FaultGraded { flagged } => {
-                self.add(&self.counters.faults_graded, 1);
-                if flagged {
-                    self.add(&self.counters.faults_flagged, 1);
-                }
-            }
-            ProgressEvent::MonteCarlo { batches, converged } => {
-                self.add(&self.counters.mc_estimations, 1);
-                if converged {
-                    self.add(&self.counters.mc_converged, 1);
-                }
-                self.mc_batches.observe(batches as u64);
-            }
-            ProgressEvent::GradePack { faults } => {
-                self.add(&self.counters.grade_packs, 1);
+            ProgressEvent::MonteCarlo { batches, .. } => self.mc_batches.observe(batches as u64),
+            ProgressEvent::GradePack { faults, tape, .. } => {
                 self.lane_occupancy.observe(faults as u64 + 1);
-            }
-            ProgressEvent::CyclesSimulated { cycles } => {
-                self.add(&self.counters.cycles_simulated, cycles);
-                self.cycles_per_item.observe(cycles);
-            }
-            ProgressEvent::PackQuarantined { .. } => self.add(&self.counters.packs_quarantined, 1),
-            ProgressEvent::PackRestored { .. } => self.add(&self.counters.packs_restored, 1),
-            ProgressEvent::BudgetExhausted => self.add(&self.counters.budget_exhausted, 1),
-            ProgressEvent::JournalDegraded => self.add(&self.counters.journal_degraded, 1),
-            ProgressEvent::PackProfile {
-                ops,
-                levels,
-                force_ops,
-                dirty_nets,
-                nets,
-                ..
-            } => {
-                self.add(&self.counters.tape_force_ops, force_ops as u64);
-                if let Some(per_level) = ops.checked_div(levels) {
+                if let Some(per_level) = tape.ops.checked_div(tape.levels) {
                     self.tape_ops_per_level.observe(per_level as u64);
                 }
-                if let Some(pct) = (dirty_nets * 100).checked_div(nets) {
+                if let Some(pct) = (tape.dirty_nets * 100).checked_div(tape.nets) {
                     self.tape_dirty_net_pct.observe(pct as u64);
                 }
             }
-            ProgressEvent::PhaseStart { .. }
-            | ProgressEvent::PhaseDone { .. }
-            | ProgressEvent::WorkPlanned { .. } => {}
+            ProgressEvent::CyclesSimulated { cycles } => self.cycles_per_item.observe(cycles),
+            _ => {}
         }
     }
 
@@ -485,21 +485,26 @@ mod tests {
         assert_eq!(h.count(), 4, "count still advances past saturation");
     }
 
+    fn grade_pack(faults: usize, force_ops: usize) -> ProgressEvent {
+        ProgressEvent::GradePack {
+            faults,
+            elapsed: std::time::Duration::from_micros(900),
+            tape: sfr_exec::TapeShape {
+                ops: 120,
+                levels: 6,
+                force_ops,
+                dirty_nets: 25,
+                nets: 100,
+            },
+        }
+    }
+
     #[test]
     fn prometheus_exposition_shape() {
         let m = Metrics::new();
         m.event(ProgressEvent::FaultGraded { flagged: true });
-        m.event(ProgressEvent::GradePack { faults: 63 });
+        m.event(grade_pack(63, 63));
         m.event(ProgressEvent::CyclesSimulated { cycles: 500 });
-        m.event(ProgressEvent::PackProfile {
-            us: 900,
-            ops: 120,
-            levels: 6,
-            force_ops: 63,
-            lanes: 64,
-            dirty_nets: 25,
-            nets: 100,
-        });
         let text = m.render_prometheus();
         assert!(text.contains("sfr_faults_graded_total 1"));
         assert!(text.contains("sfr_cycles_simulated_total 500"));
@@ -533,6 +538,110 @@ mod tests {
             assert!(n >= last, "cumulative: {line}");
             last = n;
         }
+    }
+
+    /// Every `sfr_*_total` sample equals the [`CounterState`] field (or
+    /// sum) a separate [`Counters`] fed the same events reports.
+    #[test]
+    fn counter_families_read_the_tally() {
+        use sfr_exec::Phase;
+        // Each family gets a different count, so a family reading the
+        // wrong field shows.
+        let mut events = vec![
+            ProgressEvent::PhaseStart {
+                phase: Phase::FaultSim,
+            },
+            ProgressEvent::WorkPlanned {
+                phase: Phase::FaultSim,
+                items: 3,
+            },
+            ProgressEvent::CyclesSimulated { cycles: 410 },
+        ];
+        let repeat = |events: &mut Vec<ProgressEvent>, n: usize, e: ProgressEvent| {
+            events.extend(std::iter::repeat(e).take(n));
+        };
+        repeat(
+            &mut events,
+            4,
+            ProgressEvent::FaultSimulated { dropped: true },
+        );
+        repeat(
+            &mut events,
+            3,
+            ProgressEvent::FaultSimulated { dropped: false },
+        );
+        repeat(&mut events, 1, ProgressEvent::FaultPruned);
+        repeat(&mut events, 2, ProgressEvent::FaultCollapsed);
+        repeat(&mut events, 11, ProgressEvent::PackRestored { faults: 63 });
+        repeat(
+            &mut events,
+            10,
+            ProgressEvent::PackQuarantined { faults: 5 },
+        );
+        repeat(&mut events, 13, ProgressEvent::JournalDegraded);
+        events.push(ProgressEvent::PhaseDone {
+            phase: Phase::FaultSim,
+            elapsed: std::time::Duration::from_millis(3),
+            aborted: false,
+        });
+        let capped = ProgressEvent::MonteCarlo {
+            batches: 60,
+            converged: false,
+        };
+        let converged = ProgressEvent::MonteCarlo {
+            batches: 9,
+            converged: true,
+        };
+        repeat(&mut events, 1, capped);
+        repeat(&mut events, 8, converged);
+        events.push(ProgressEvent::CyclesSimulated { cycles: 7_000 });
+        repeat(&mut events, 6, grade_pack(40, 41));
+        repeat(&mut events, 3, ProgressEvent::FaultGraded { flagged: true });
+        repeat(
+            &mut events,
+            2,
+            ProgressEvent::FaultGraded { flagged: false },
+        );
+        repeat(&mut events, 12, ProgressEvent::BudgetExhausted);
+        let counters = Counters::new();
+        let m = Metrics::new();
+        for &e in &events {
+            counters.event(e);
+            m.event(e);
+        }
+        let c = counters.snapshot();
+        let expected: [(&str, u64); 15] = [
+            ("sfr_faults_simulated_total", c.faults_simulated as u64),
+            ("sfr_faults_dropped_total", c.faults_dropped as u64),
+            ("sfr_faults_pruned_total", c.faults_pruned as u64),
+            ("sfr_faults_collapsed_total", c.faults_collapsed as u64),
+            ("sfr_faults_graded_total", c.faults_graded as u64),
+            ("sfr_faults_flagged_total", c.faults_flagged as u64),
+            (
+                "sfr_mc_estimations_total",
+                (c.mc_converged + c.mc_capped) as u64,
+            ),
+            ("sfr_mc_converged_total", c.mc_converged as u64),
+            ("sfr_grade_packs_total", c.grade_packs as u64),
+            ("sfr_packs_quarantined_total", c.packs_quarantined as u64),
+            ("sfr_packs_restored_total", c.packs_restored as u64),
+            ("sfr_budget_exhausted_total", c.budget_exhausted as u64),
+            ("sfr_cycles_simulated_total", c.cycles_simulated),
+            ("sfr_journal_degraded_total", c.journal_degraded as u64),
+            ("sfr_tape_force_ops_total", c.force_ops),
+        ];
+        let text = m.render_prometheus();
+        let samples: Vec<(&str, u64)> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.split_once(' '))
+            .filter(|(name, _)| name.ends_with("_total"))
+            .map(|(name, v)| (name, v.parse().expect("integer sample")))
+            .collect();
+        assert_eq!(samples, expected, "{text}");
+        let distinct: std::collections::BTreeSet<u64> = expected.iter().map(|&(_, v)| v).collect();
+        assert_eq!(distinct.len(), expected.len(), "{expected:?}");
+        assert_eq!(m.counters().snapshot().phase_times, c.phase_times);
     }
 
     #[test]

@@ -203,8 +203,7 @@ impl Progress for TraceWriter {
             | ProgressEvent::BudgetExhausted
             | ProgressEvent::FaultPruned
             | ProgressEvent::FaultCollapsed
-            | ProgressEvent::JournalDegraded
-            | ProgressEvent::PackProfile { .. } => {}
+            | ProgressEvent::JournalDegraded => {}
         }
     }
 

@@ -1,19 +1,20 @@
-//! Throttled live TTY status renderer.
+//! Live TTY status line.
 //!
-//! One carriage-return-overwritten stderr line showing the current
-//! phase, pack/chunk progress, an ETA extrapolated from the planned
-//! work-item count, and the incident tally. Repaints are throttled to
-//! one per 100 ms; the renderer disables itself when stderr is not a
+//! One carriage-return-overwritten stderr line naming the current phase
+//! and, once the phase announces it, its planned work-item count. The
+//! line is painted on the events that mark a phase's progress —
+//! `PhaseStart`, `WorkPlanned` and `PhaseDone` — and on nothing else:
+//! every event reaches observers on the driving thread after the
+//! phase's parallel map has returned, so per-pack and per-fault events
+//! arrive in one burst at the end of a phase, too late to show progress
+//! within it. The renderer disables itself when stderr is not a
 //! terminal or the user asked for `--quiet`, in which case every event
 //! is a no-op (campaign output stays machine-diffable in pipes and CI).
 
 use std::io::{IsTerminal, Write};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use sfr_exec::{Phase, Progress, ProgressEvent};
-
-const REPAINT_EVERY: Duration = Duration::from_millis(100);
 
 /// Live status line for interactive runs. Construct with
 /// [`TtyStatus::stderr`]; call [`TtyStatus::finish`] before printing
@@ -25,13 +26,9 @@ pub struct TtyStatus {
 
 #[derive(Default)]
 struct TtyState {
+    /// The phase running now, if any.
     phase: Option<Phase>,
-    phase_started: Option<Instant>,
-    items_total: usize,
-    items_done: usize,
-    faults_done: usize,
-    incidents: usize,
-    last_paint: Option<Instant>,
+    /// Whether a line is on screen.
     painted: bool,
 }
 
@@ -67,84 +64,29 @@ impl TtyStatus {
             state.painted = false;
         }
     }
-
-    fn repaint(&self, state: &mut TtyState, now: Instant) {
-        if let Some(last) = state.last_paint {
-            if now.duration_since(last) < REPAINT_EVERY {
-                return;
-            }
-        }
-        state.last_paint = Some(now);
-        state.painted = true;
-        let line = status_line(state, now);
-        let mut err = std::io::stderr().lock();
-        let _ = write!(err, "\r\x1b[2K{line}");
-        let _ = err.flush();
-    }
 }
 
-/// Render the status line for `state` at time `now`. Pure so it can be
+/// Fold one event into the current phase and return the line it paints,
+/// or `None` when the event does not change the line. Pure so it can be
 /// unit-tested without a terminal.
-fn status_line(state: &TtyState, now: Instant) -> String {
-    let mut line = String::from("sfr:");
-    if let Some(phase) = state.phase {
-        line.push_str(&format!(" {}", phase.label()));
-    }
-    if state.items_total > 0 {
-        line.push_str(&format!(" {}/{}", state.items_done, state.items_total));
-        if let (Some(started), true) = (state.phase_started, state.items_done > 0) {
-            let elapsed = now.duration_since(started).as_secs_f64();
-            let remaining =
-                elapsed / state.items_done as f64 * (state.items_total - state.items_done) as f64;
-            line.push_str(&format!(" eta {remaining:.1}s"));
-        }
-    }
-    if state.faults_done > 0 {
-        line.push_str(&format!(" faults {}", state.faults_done));
-    }
-    if state.incidents > 0 {
-        line.push_str(&format!(" incidents {}", state.incidents));
-    }
-    line
-}
-
-/// Fold one event into `state`. Pure (no painting) so the transition
-/// logic is unit-testable without a terminal.
-fn apply_event(state: &mut TtyState, event: ProgressEvent, now: Instant) {
+fn status_line(phase: &mut Option<Phase>, event: ProgressEvent) -> Option<String> {
     match event {
-        ProgressEvent::PhaseStart { phase } => {
-            state.phase = Some(phase);
-            state.phase_started = Some(now);
-            state.items_total = 0;
-            state.items_done = 0;
-            // Force the phase change onto the screen.
-            state.last_paint = None;
+        ProgressEvent::PhaseStart { phase: started } => {
+            *phase = Some(started);
+            Some(format!("sfr: {}", started.label()))
         }
-        ProgressEvent::PhaseDone { .. } => {
-            state.phase = None;
-            state.last_paint = None;
+        ProgressEvent::WorkPlanned {
+            phase: planned,
+            items,
+        } if *phase == Some(planned) => Some(format!(
+            "sfr: {}, {items} work item(s) planned",
+            planned.label()
+        )),
+        ProgressEvent::PhaseDone { phase: done, .. } => {
+            *phase = None;
+            Some(format!("sfr: {} done", done.label()))
         }
-        ProgressEvent::WorkPlanned { phase, items } => {
-            if state.phase == Some(phase) {
-                state.items_total = items;
-            }
-        }
-        ProgressEvent::GradePack { .. } | ProgressEvent::PackRestored { .. } => {
-            state.items_done += 1
-        }
-        ProgressEvent::PackQuarantined { .. } => {
-            state.items_done += 1;
-            state.incidents += 1;
-        }
-        ProgressEvent::BudgetExhausted | ProgressEvent::JournalDegraded => state.incidents += 1,
-        ProgressEvent::FaultSimulated { .. } | ProgressEvent::FaultGraded { .. } => {
-            state.faults_done += 1;
-        }
-        ProgressEvent::CyclesSimulated { .. }
-        | ProgressEvent::MonteCarlo { .. }
-        | ProgressEvent::FaultPruned
-        | ProgressEvent::FaultCollapsed
-        | ProgressEvent::PackProfile { .. } => {}
+        _ => None,
     }
 }
 
@@ -153,38 +95,80 @@ impl Progress for TtyStatus {
         if !self.enabled {
             return;
         }
-        let now = Instant::now();
         let mut state = match self.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        apply_event(&mut state, event, now);
-        self.repaint(&mut state, now);
+        if let Some(line) = status_line(&mut state.phase, event) {
+            state.painted = true;
+            let mut err = std::io::stderr().lock();
+            let _ = write!(err, "\r\x1b[2K{line}");
+            let _ = err.flush();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn status_line_shows_progress_and_eta() {
-        let now = Instant::now();
-        let state = TtyState {
-            phase: Some(Phase::Grade),
-            phase_started: Some(now - Duration::from_secs(2)),
-            items_total: 4,
-            items_done: 2,
-            faults_done: 126,
-            incidents: 1,
-            ..TtyState::default()
+    fn phase_line_follows_start_and_done() {
+        let mut phase = None;
+        let start = ProgressEvent::PhaseStart {
+            phase: Phase::FaultSim,
         };
-        let line = status_line(&state, now);
-        assert!(line.contains("grade"), "{line}");
-        assert!(line.contains("2/4"), "{line}");
-        assert!(line.contains("eta 2.0s"), "{line}");
-        assert!(line.contains("faults 126"), "{line}");
-        assert!(line.contains("incidents 1"), "{line}");
+        assert_eq!(
+            status_line(&mut phase, start).as_deref(),
+            Some("sfr: faultsim")
+        );
+        assert_eq!(phase, Some(Phase::FaultSim));
+        let done = ProgressEvent::PhaseDone {
+            phase: Phase::FaultSim,
+            elapsed: Duration::from_millis(4),
+            aborted: false,
+        };
+        assert_eq!(
+            status_line(&mut phase, done).as_deref(),
+            Some("sfr: faultsim done")
+        );
+        assert_eq!(phase, None);
+    }
+
+    #[test]
+    fn planned_items_of_the_current_phase_are_shown() {
+        let mut phase = Some(Phase::Grade);
+        let planned = ProgressEvent::WorkPlanned {
+            phase: Phase::Grade,
+            items: 4,
+        };
+        assert_eq!(
+            status_line(&mut phase, planned).as_deref(),
+            Some("sfr: grade, 4 work item(s) planned")
+        );
+        // A plan for a phase that is not running changes nothing.
+        let stray = ProgressEvent::WorkPlanned {
+            phase: Phase::FaultSim,
+            items: 9,
+        };
+        assert_eq!(status_line(&mut phase, stray), None);
+        assert_eq!(status_line(&mut None, planned), None);
+    }
+
+    #[test]
+    fn per_item_events_paint_nothing() {
+        let mut phase = Some(Phase::Grade);
+        for event in [
+            ProgressEvent::FaultGraded { flagged: true },
+            ProgressEvent::PackRestored { faults: 3 },
+            ProgressEvent::PackQuarantined { faults: 3 },
+            ProgressEvent::BudgetExhausted,
+            ProgressEvent::CyclesSimulated { cycles: 90 },
+        ] {
+            assert_eq!(status_line(&mut phase, event), None, "{event:?}");
+        }
+        assert_eq!(phase, Some(Phase::Grade));
     }
 
     #[test]
@@ -196,10 +180,9 @@ mod tests {
         tty.event(ProgressEvent::PhaseStart {
             phase: Phase::Grade,
         });
-        tty.event(ProgressEvent::GradePack { faults: 3 });
         tty.finish();
         let state = tty.state.lock().expect("lock");
         assert!(!state.painted);
-        assert_eq!(state.items_done, 0);
+        assert_eq!(state.phase, None);
     }
 }

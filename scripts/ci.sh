@@ -102,7 +102,13 @@ printf '%s\n' "sfr-journal v1" \
     "d96af08f H 0000000000000001 hostile" \
     "3901159f R grade 0 fffffffffffffff 1" \
     "9edc312d R grade 1 1 0" > "$HOSTILE_DIR/huge-length.journal"
+# A chunk whose detected and potential counts are 2^63 each: summed as
+# machine words they wrap to 0 and the line would pass for one fault.
+printf '%s\n' '{"ev":"trace_start","version":1}' \
+    '{"ev":"chunk","chunk":0,"faults":["g1.out/sa0"],"detected":9223372036854775808,"potential":9223372036854775808,"cycles":9,"ms":0.1,"restored":false,"t_ms":0.2}' \
+    '{"ev":"trace_end","t_ms":0.3}' > "$HOSTILE_DIR/wrapping-counts.jsonl"
 for args in "obs-check --manifest $HOSTILE_DIR/deep.json" \
+    "obs-check --trace $HOSTILE_DIR/wrapping-counts.jsonl" \
     "grade poly --patterns 240 --resume $HOSTILE_DIR/huge-length.journal"; do
     rc=0
     # shellcheck disable=SC2086 # split the argument string on purpose
@@ -201,7 +207,7 @@ for bench in diffeq facet poly fir; do
 done
 rm -rf "$TAPE_DIR"
 
-echo "== observability equivalence (diffeq: trace + metrics + manifest) =="
+echo "== observability equivalence (diffeq: trace + metrics + manifest; table2: trace + metrics) =="
 OBS_DIR="$(mktemp -d)"
 "$SFR" grade diffeq --patterns 600 > "$OBS_DIR/plain.out" 2>/dev/null
 "$SFR" grade diffeq --patterns 600 --threads 2 \
@@ -219,6 +225,16 @@ if "$SFR" grade diffeq --patterns 600 --manifest-out "$OBS_DIR/manifest.json" \
     exit 1
 fi
 echo "   manifest overwrite without --force refused"
+# The table binaries open the same sinks through the same type; their
+# artifacts must validate too, and leave stdout unchanged.
+target/release/table2 > "$OBS_DIR/table2-plain.out" 2>/dev/null
+target/release/table2 --trace-out "$OBS_DIR/table2-trace.jsonl" \
+    --metrics-out "$OBS_DIR/table2-metrics.prom" --quiet \
+    > "$OBS_DIR/table2-observed.out" 2>/dev/null
+diff "$OBS_DIR/table2-plain.out" "$OBS_DIR/table2-observed.out"
+"$SFR" obs-check --trace "$OBS_DIR/table2-trace.jsonl" \
+    --metrics "$OBS_DIR/table2-metrics.prom" | sed 's/^/   /'
+echo "   table2's trace and metrics validate; its table is byte-identical to the unobserved run"
 rm -rf "$OBS_DIR"
 
 echo "== kill-and-resume smoke (SIGKILL mid-campaign, resume, diff) =="

@@ -87,8 +87,8 @@
 //! result tables, byte-identical with every sink on or off.
 //! `obs-check` validates previously written artifacts.
 
-use sfr_power::exec::{Counters, EngineKind, Progress, Tee};
-use sfr_power::obs::{Metrics, TraceWriter, TtyStatus};
+use sfr_power::exec::{EngineKind, Progress};
+use sfr_power::obs::Sinks;
 use sfr_power::{
     benchmarks, classify_system_with, describe_effect, ClassifyConfig, EmittedSystem, FaultClass,
     Logic, StuckAt, StudyBuilder, System, SystemConfig,
@@ -118,77 +118,6 @@ fn usage() -> ExitCode {
          engines: tape (default) | serial"
     );
     ExitCode::FAILURE
-}
-
-/// The observability sinks selected on the command line: the always-on
-/// [`Counters`] summary plus the optional JSONL trace writer, metrics
-/// registry, and throttled live status line. Fan them out to a study
-/// with [`Obs::sinks`] and a [`Tee`].
-struct Obs {
-    counters: Counters,
-    trace: Option<TraceWriter>,
-    metrics: Option<(Metrics, String)>,
-    tty: TtyStatus,
-}
-
-impl Obs {
-    /// Opens the sinks requested by `--trace-out` / `--metrics-out` /
-    /// `--quiet`. The trace file (and its parent directories) are
-    /// created up front so a bad path fails before the campaign runs.
-    fn create(
-        trace_out: Option<&str>,
-        metrics_out: Option<&str>,
-        quiet: bool,
-    ) -> Result<Self, String> {
-        let trace = match trace_out {
-            Some(path) => Some(
-                TraceWriter::create(path)
-                    .map_err(|e| format!("cannot open trace file {path}: {e}"))?,
-            ),
-            None => None,
-        };
-        Ok(Obs {
-            counters: Counters::new(),
-            trace,
-            metrics: metrics_out.map(|p| (Metrics::new(), p.to_string())),
-            tty: TtyStatus::stderr(quiet),
-        })
-    }
-
-    /// The sink list to pass to [`Tee::new`].
-    fn sinks(&self) -> Vec<&dyn Progress> {
-        let mut sinks: Vec<&dyn Progress> = vec![&self.counters, &self.tty];
-        if let Some(t) = &self.trace {
-            sinks.push(t);
-        }
-        if let Some((m, _)) = &self.metrics {
-            sinks.push(m);
-        }
-        sinks
-    }
-
-    /// Clears the status line, renders the campaign summary (and the
-    /// metrics summary when enabled) to stderr, and finalizes the
-    /// trace and metrics files.
-    fn finish(self) -> Result<(), String> {
-        self.tty.finish();
-        eprint!("{}", self.counters.snapshot());
-        if let Some((metrics, path)) = &self.metrics {
-            eprint!("{}", metrics.render_summary());
-            metrics
-                .write_prometheus(path)
-                .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-            eprintln!("metrics written to {path}");
-        }
-        if let Some(trace) = self.trace {
-            let path = trace.path().display().to_string();
-            trace
-                .finish()
-                .map_err(|e| format!("cannot finalize trace {path}: {e}"))?;
-            eprintln!("trace written to {path}");
-        }
-        Ok(())
-    }
 }
 
 /// Minimal `--key value` argument scanner.
@@ -323,9 +252,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         "classify" => {
             let name = args.positional().ok_or("missing benchmark name")?;
             let sys = build_tested_system(&name, width)?;
-            let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-            let sinks = obs.sinks();
-            let tee = Tee::new(&sinks);
+            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
             let (c, _quarantined) = sfr_power::classify_system_collapsed(
                 &sys,
                 &ClassifyConfig {
@@ -334,12 +261,11 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                     ..Default::default()
                 },
                 engine.build().as_ref(),
-                &tee,
+                &sinks,
                 None,
                 collapse,
             );
-            drop(sinks);
-            obs.finish()?;
+            sinks.finish()?;
             println!(
                 "{name} (width {width}): {} controller faults — {} SFI, {} CFR, {} SFR ({:.1}%)",
                 c.total(),
@@ -382,12 +308,9 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             eprintln!(
                 "classifying and grading {name} by Monte Carlo power on {threads} thread(s)..."
             );
-            let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-            let sinks = obs.sinks();
-            let tee = Tee::new(&sinks);
-            let study = prepared.run_with(&tee);
-            drop(sinks);
-            obs.finish()?;
+            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
+            let study = prepared.run_with(&sinks);
+            sinks.finish()?;
             if let Some(path) = &manifest_out {
                 // run_with already warned on stderr if the write failed.
                 if std::path::Path::new(path).exists() {
@@ -432,12 +355,9 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             let emitted = build_bench(&name, width)?;
             let sys =
                 System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
-            let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-            let sinks = obs.sinks();
-            let tee = Tee::new(&sinks);
-            let report = run_analysis(&name, width, &sys, eff_threads, &tee);
-            drop(sinks);
-            obs.finish()?;
+            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
+            let report = run_analysis(&name, width, &sys, eff_threads, &sinks);
+            sinks.finish()?;
             if format == "json" {
                 println!("{}", report.render_json());
             } else {
@@ -524,12 +444,9 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                 builder = builder.manifest_out(path);
             }
             let prepared = builder.build().map_err(|e| e.to_string())?;
-            let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-            let sinks = obs.sinks();
-            let tee = Tee::new(&sinks);
-            let study = prepared.run_with(&tee);
-            drop(sinks);
-            obs.finish()?;
+            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
+            let study = prepared.run_with(&sinks);
+            sinks.finish()?;
             let prog = sfr_power::generate_test_program(
                 &study,
                 &sfr_power::TestProgramConfig {
