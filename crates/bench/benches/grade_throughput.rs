@@ -24,10 +24,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sfr_bench::quick_config;
 use sfr_core::exec::{Counters, EngineKind, NullProgress, SimKernel};
 use sfr_core::{
-    analyze_controller_static, benchmarks, classify_system_with,
-    grade_faults_journaled_with_kernel, grade_faults_scalar_with, measure_power_tape_watched,
-    measure_power_with_testset, static_rule_label, FaultClasses, GradeConfig, MonteCarloConfig,
-    PowerGrade, StuckAt, System, SystemConfig, TapeProgram, TestSet,
+    benchmarks, classify_system_journaled, grade_faults_journaled_with_kernel,
+    grade_faults_scalar_with, measure_power_tape_watched, measure_power_with_testset, CampaignPlan,
+    GradeConfig, MonteCarloConfig, PowerGrade, StuckAt, System, SystemConfig, TapeProgram, TestSet,
 };
 use std::time::Instant;
 
@@ -128,7 +127,8 @@ fn bench(c: &mut Criterion) {
     let emitted = benchmarks::diffeq(4).expect("diffeq builds");
     let sys = System::build(&emitted, cfg.system).expect("system builds");
     let engine = EngineKind::Tape(threads).build();
-    let cls = classify_system_with(&sys, &cfg.classify, engine.as_ref(), &NullProgress);
+    let (cls, _) =
+        classify_system_journaled(&sys, &cfg.classify, engine.as_ref(), &NullProgress, None);
     let mut faults: Vec<StuckAt> = cls.sfr().map(|f| f.fault).collect();
     if quick {
         faults.truncate(12);
@@ -240,24 +240,19 @@ fn bench(c: &mut Criterion) {
     }
     engines_json.truncate(engines_json.trim_end_matches(",\n").len());
     // The analyze stage (`sfr analyze`): per-benchmark collapse ratio
-    // and the wall time of the full static pass — equivalence-class
-    // partition plus the abstract-interpretation/table/oracle rules.
-    // The claim worth tracking is that shrinking the universe costs
-    // milliseconds against grading sweeps that cost seconds.
+    // and the wall time of planning a `--static-prune --collapse`
+    // campaign — the abstract-interpretation/table/oracle pre-pass plus
+    // the equivalence-class partition. The claim worth tracking is that
+    // shrinking the universe costs milliseconds against grading sweeps
+    // that cost seconds.
     let mut collapse_json = String::new();
     for (bench, emitted) in benchmarks::extended_benchmarks(4).expect("benchmarks build") {
         let csys = System::build(&emitted, SystemConfig::default()).expect("system builds");
-        let universe = csys.controller_faults();
         let start = Instant::now();
-        let classes = FaultClasses::build(&csys.netlist, &universe);
-        let analysis = analyze_controller_static(&csys);
-        let mut campaign = std::collections::BTreeSet::new();
-        for (i, &f) in universe.iter().enumerate() {
-            if static_rule_label(&csys, &analysis, f).is_none() {
-                campaign.insert(classes.representative(i));
-            }
-        }
+        let plan = CampaignPlan::build(&csys, true, true, 1, &NullProgress);
         let analyze_seconds = start.elapsed().as_secs_f64();
+        let classes = plan.classes().expect("a collapsing plan has classes");
+        let campaign = plan.campaign();
         collapse_json.push_str(&format!(
             "    {{\"bench\": \"{}\", \"universe\": {}, \"classes\": {}, \
              \"collapse_ratio\": {:.4}, \"campaign\": {}, \"analyze_seconds\": {:.4}}},\n",

@@ -9,14 +9,13 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
+use sfr_bench::{args_from_env, paper_config};
 use sfr_core::{benchmarks, Fig7Series, StudyBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
-    let threads = threads_from_args();
     // One trace/metrics file spans all three benchmark studies.
-    let sinks = sinks_from_args()?;
+    let (threads, sinks) = args_from_env()?;
     println!("Figure 7: SFR controller faults vs datapath power (±5% band).");
     println!();
     let labels = ["(a) diffeq", "(b) facet", "(c) poly"];

@@ -7,16 +7,15 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
+use sfr_bench::{args_from_env, paper_config};
 use sfr_core::{render_table1, StudyBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let threads = threads_from_args();
+    let (threads, sinks) = args_from_env()?;
     eprintln!(
         "classifying and grading diffeq on {threads} thread(s) \
          (Monte Carlo power, 63 faults + baseline per lane-packed pass)..."
     );
-    let sinks = sinks_from_args()?;
     let study = StudyBuilder::new("diffeq")
         .config(paper_config())
         .threads(threads)

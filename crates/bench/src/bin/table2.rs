@@ -5,15 +5,14 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
+use sfr_bench::{args_from_env, paper_config};
 use sfr_core::exec::EngineKind;
-use sfr_core::{benchmarks, classify_system_with, System};
+use sfr_core::{benchmarks, classify_system_journaled, System};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
-    let threads = threads_from_args();
+    let (threads, sinks) = args_from_env()?;
     let engine = EngineKind::Tape(threads).build();
-    let sinks = sinks_from_args()?;
     let start = std::time::Instant::now();
     println!("Table 2: Breakdown of controller faults for the three examples.");
     println!();
@@ -31,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         assert_eq!(name, pname);
         let sys = System::build(&emitted, cfg.system)?;
-        let c = classify_system_with(&sys, &cfg.classify, engine.as_ref(), &sinks);
+        let c = classify_system_journaled(&sys, &cfg.classify, engine.as_ref(), &sinks, None).0;
         println!(
             "{:<10} {:>12} {:>10} {:>10.1}%    ({ptot} / {psfr} / {ppct}%)",
             name,

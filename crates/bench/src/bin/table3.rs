@@ -17,24 +17,27 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
-use sfr_core::exec::{EngineKind, Progress, SimKernel};
+use sfr_bench::{args_from_env, paper_config};
+use sfr_core::exec::Progress;
 use sfr_core::{
-    benchmarks, classify_system_with, grade_faults_journaled_with_kernel,
-    measure_power_tape_watched, EmittedSystem, PowerReport, StuckAt, System, TapeProgram, TestSet,
+    measure_power_tape_watched, PowerReport, StuckAt, StudyBuilder, TapeProgram, TestSet,
 };
 
 fn show(
     name: &str,
-    emitted: &EmittedSystem,
+    benchmark: &str,
     threads: usize,
     progress: &dyn Progress,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
-    let sys = System::build(emitted, cfg.system)?;
-    let engine = EngineKind::Tape(threads).build();
-    let c = classify_system_with(&sys, &cfg.classify, engine.as_ref(), progress);
-    let sfr: Vec<_> = c.sfr().map(|f| f.fault).collect();
+    // The study's lane-packed sweep grades every SFR fault and the
+    // baseline.
+    let study = StudyBuilder::new(benchmark)
+        .config(cfg.clone())
+        .threads(threads)
+        .build()?
+        .run_with(progress);
+    let (sys, base_mc, grades) = (&study.system, study.baseline, &study.grades);
     let trio = TestSet::paper_trio(sys.pattern_width())?;
 
     println!("({name})");
@@ -42,17 +45,6 @@ fn show(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "", "Monte Carlo", "Test set 1", "Test set 2", "Test set 3"
     );
-    // One lane-packed sweep grades every SFR fault and the baseline.
-    let report = grade_faults_journaled_with_kernel(
-        &sys,
-        &sfr,
-        &cfg.grade,
-        threads,
-        progress,
-        None,
-        SimKernel::Tape,
-    );
-    let (base_mc, grades) = (report.baseline, report.grades);
 
     // Representative faults spanning the power range (as the paper
     // does).
@@ -69,7 +61,7 @@ fn show(
     let prog = TapeProgram::<u64>::compile(&sys.netlist, &picked)?;
     let per_set: Vec<Vec<PowerReport>> = trio
         .iter()
-        .map(|ts| measure_power_tape_watched(&sys, &prog, ts, &cfg.grade).0)
+        .map(|ts| measure_power_tape_watched(sys, &prog, ts, &cfg.grade).0)
         .collect();
     let base_ts: Vec<f64> = per_set.iter().map(|r| r[0].total_uw).collect();
     println!(
@@ -122,23 +114,12 @@ fn show(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let threads = threads_from_args();
-    let sinks = sinks_from_args()?;
+    let (threads, sinks) = args_from_env()?;
     println!("Table 3: Power in the presence of SFR faults for different test sets");
     println!("(percentage change from fault-free shown beneath each row).");
     println!();
-    show(
-        "a: differential equation solver",
-        &benchmarks::diffeq(4)?,
-        threads,
-        &sinks,
-    )?;
-    show(
-        "b: polynomial evaluator",
-        &benchmarks::poly(4)?,
-        threads,
-        &sinks,
-    )?;
+    show("a: differential equation solver", "diffeq", threads, &sinks)?;
+    show("b: polynomial evaluator", "poly", threads, &sinks)?;
     sinks.finish()?;
     Ok(())
 }

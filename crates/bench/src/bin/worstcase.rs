@@ -7,14 +7,13 @@
 
 #![allow(clippy::unwrap_used)]
 
-use sfr_bench::{paper_config, sinks_from_args, threads_from_args};
+use sfr_bench::{args_from_env, paper_config};
 use sfr_core::exec::{Progress, TraceRecord};
 use sfr_core::{benchmarks, worst_case_extra_effects, System};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
-    let threads = threads_from_args();
-    let sinks = sinks_from_args()?;
+    let (threads, sinks) = args_from_env()?;
     let start = std::time::Instant::now();
     println!("Worst-case non-disruptive control line effects (paper Section 4).");
     println!();

@@ -65,40 +65,36 @@ pub fn quick_config() -> StudyConfig {
     }
 }
 
-/// The value after `name` in the process arguments, if any.
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip_while(|a| a != name).skip(1);
-    args.next()
-}
-
-/// Reads the shared `--threads N` flag every table/figure binary
-/// accepts (`cargo run -p sfr-bench --bin table2 -- --threads 8`).
-/// Returns 1 when absent; 0 resolves to all available cores. Results
-/// are byte-identical at every thread count — the flag only changes
-/// wall-clock time.
-pub fn threads_from_args() -> usize {
-    let threads = arg_value("--threads")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
-    if threads == 0 {
-        sfr_core::exec::default_threads()
-    } else {
-        threads
-    }
-}
-
-/// Opens the observers every table/figure binary accepts, as the `sfr`
-/// CLI does: `--trace-out FILE` (structured JSONL trace),
-/// `--metrics-out FILE` (Prometheus text snapshot plus stderr summary)
-/// and `--quiet` (no live status line).
+/// The flags every table/figure binary accepts, from the process
+/// arguments: `--threads N` (default 1, 0 = all cores; results are
+/// byte-identical at every count) and the observers the `sfr` CLI opens
+/// (`--trace-out FILE`, `--metrics-out FILE`, `--quiet`).
 ///
 /// # Errors
 ///
-/// Fails when the trace file cannot be created.
-pub fn sinks_from_args() -> Result<Sinks, String> {
-    Sinks::open(
-        arg_value("--trace-out").as_deref(),
-        arg_value("--metrics-out").as_deref(),
-        std::env::args().any(|a| a == "--quiet"),
-    )
+/// Any other argument, a flag without its value, an unparsable
+/// `--threads`, or a trace file that cannot be created.
+pub fn args_from_env() -> Result<(usize, Sinks), String> {
+    let mut threads = 1;
+    let (mut trace_out, mut metrics_out, mut quiet) = (None, None, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--threads" => {
+                threads = value()?
+                    .parse::<usize>()
+                    .map_err(|_| "bad --threads".to_string())?;
+            }
+            "--trace-out" => trace_out = Some(value()?),
+            "--metrics-out" => metrics_out = Some(value()?),
+            "--quiet" => quiet = true,
+            _ => return Err(format!("unexpected argument `{arg}`")),
+        }
+    }
+    if threads == 0 {
+        threads = sfr_core::exec::default_threads();
+    }
+    let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
+    Ok((threads, sinks))
 }

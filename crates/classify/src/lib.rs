@@ -72,9 +72,9 @@ pub use grade::{
 };
 pub use oracle::{judge, Mismatch, Verdict};
 pub use pipeline::{
-    classify_system, classify_system_collapsed, classify_system_journaled, classify_system_with,
-    collapse_grading_set, static_rule_label, Classification, ClassifiedFault, ClassifyConfig,
-    FaultClass, SfiReason,
+    classify_system, classify_system_journaled, classify_system_planned, collapse_grading_set,
+    CampaignPlan, Classification, ClassifiedFault, ClassifyConfig, FaultClass, GradingSet,
+    SfiReason, STATIC_RULES,
 };
 pub use rules::{classify_effect, judge_by_rules, EffectClass, RuleVerdict};
 pub use sfr_faultsim::{HOLD_OBSERVE_CYCLES, LOOP_DEPTHS};

@@ -12,16 +12,30 @@
 //!    Section 3 structural rules decide the clear cases, and the
 //!    symbolic input-output [oracle](crate::judge) decides the
 //!    data-dependent ones — yielding the final SFR/SFI split.
+//!
+//! # The campaign plan
+//!
+//! Like the paper, a study simulates only what controller-only analysis
+//! cannot settle, and a [`CampaignPlan`] decides that once. Per fault it
+//! holds the static pre-pass's record and rule (one of
+//! [`STATIC_RULES`]), or the universe index of the fault whose campaign
+//! verdict and power grade it takes: itself, or with collapsing its
+//! equivalence class's representative. The campaign simulates the
+//! undecided representatives in universe order; classification,
+//! grading and `sfr analyze` read the one plan. The pre-pass must
+//! decide every equivalence class whole, and [`CampaignPlan::build`]
+//! panics where it does not.
 
 use std::collections::HashMap;
 
+use crate::grade::{GradeIncident, GradeReport, PowerGrade};
 use crate::oracle::{judge, Mismatch, Verdict};
 use crate::rules::{judge_by_rules, RuleVerdict};
 use crate::table::{analyze_controller_fault, ControlLineEffect};
 use sfr_exec::{NullProgress, Phase, PhaseTimer, Progress, ProgressEvent, TraceRecord};
 use sfr_faultsim::{
-    golden_trace, run_campaign_quarantined, Detection, Engine, QuarantinedChunk, RunConfig,
-    SerialEngine, System, TapeEngine,
+    golden_trace, run_campaign_quarantined, CampaignOutcome, Detection, Engine, QuarantinedChunk,
+    RunConfig, SerialEngine, System, TapeEngine,
 };
 use sfr_journal::CampaignJournal;
 use sfr_netlist::{FaultClasses, StuckAt};
@@ -156,42 +170,257 @@ impl Classification {
     }
 }
 
-/// Runs the full methodology over a system's controller fault universe
-/// with the default engine selection from `cfg.parallel` and no
-/// observer. See [`classify_system_with`] for the engine- and
-/// progress-aware entry point.
-pub fn classify_system(sys: &System, cfg: &ClassifyConfig) -> Classification {
-    if cfg.parallel {
-        classify_system_with(sys, cfg, &TapeEngine::new(1), &NullProgress)
-    } else {
-        classify_system_with(sys, cfg, &SerialEngine, &NullProgress)
+/// The static pre-pass's deciding rules, in the order they are tried
+/// and reported: the CFR proofs cheapest first, the exhaustive table
+/// (CFR), and the oracle (SFR).
+pub const STATIC_RULES: [&str; 6] = [
+    "dead-cone",
+    "constant-site",
+    "masked-propagation",
+    "parity-cancellation",
+    "table-cfr",
+    "oracle-sfr",
+];
+
+/// Which faults a campaign simulates, and where every other fault's
+/// verdict comes from (DESIGN.md §13).
+#[derive(Debug)]
+pub struct CampaignPlan {
+    /// The controller fault universe.
+    universe: Vec<StuckAt>,
+    /// Per fault, the static pre-pass's deciding rule and record; empty
+    /// when the pre-pass did not run.
+    decided: Vec<Option<(&'static str, ClassifiedFault)>>,
+    /// The equivalence classes, when the plan collapses.
+    classes: Option<FaultClasses>,
+}
+
+impl CampaignPlan {
+    /// Plans a campaign over `sys`'s controller fault universe: with
+    /// `static_prune` the pre-pass decides what it can on `threads`
+    /// workers (phase `lint`, one [`ProgressEvent::FaultPruned`] each),
+    /// with `collapse` the equivalence classes are built (phase
+    /// `collapse`, one [`ProgressEvent::FaultCollapsed`] per folded
+    /// undecided fault). With both off, every fault is its own source.
+    ///
+    /// Panics if the pre-pass decides a class member differently from
+    /// its representative: equivalent faults share their controller
+    /// table, so the pre-pass or the classes are wrong.
+    pub fn build(
+        sys: &System,
+        static_prune: bool,
+        collapse: bool,
+        threads: usize,
+        progress: &dyn Progress,
+    ) -> CampaignPlan {
+        let mut plan = CampaignPlan {
+            universe: sys.controller_faults(),
+            decided: Vec::new(),
+            classes: None,
+        };
+        if static_prune {
+            let timer = PhaseTimer::start(progress, Phase::Lint);
+            let analysis = sfr_lint::analyze_controller_static(sys);
+            let universe = &plan.universe;
+            plan.decided = sfr_exec::par_map_indexed(threads, universe.len(), |i| {
+                static_decision(sys, &analysis, universe[i])
+            });
+            for _ in plan.decided.iter().flatten() {
+                progress.event(ProgressEvent::FaultPruned);
+            }
+            timer.finish();
+        }
+        if collapse {
+            let timer = PhaseTimer::start(progress, Phase::Collapse);
+            let classes = FaultClasses::build(&sys.netlist, &plan.universe);
+            if progress.wants_records() {
+                progress.record(&TraceRecord::Collapse {
+                    universe: classes.len(),
+                    classes: classes.class_count(),
+                    merged: classes.merged_count(),
+                });
+            }
+            plan.classes = Some(classes);
+            for i in 0..plan.universe.len() {
+                plan.check_whole_class(i);
+                if plan.source(i) != i && plan.decision(i).is_none() {
+                    progress.event(ProgressEvent::FaultCollapsed);
+                }
+            }
+            timer.finish();
+        }
+        plan
+    }
+
+    /// Panics unless fault `i` is decided exactly as its source is (see
+    /// [`build`](Self::build)).
+    fn check_whole_class(&self, i: usize) {
+        let class_of = |j: usize| self.decision(j).map(|(_, record)| record.class);
+        let source = self.source(i);
+        assert_eq!(
+            class_of(i),
+            class_of(source),
+            "the static pre-pass split an equivalence class: {} and its \
+             representative {} are decided differently",
+            self.universe[i],
+            self.universe[source]
+        );
+    }
+
+    /// The controller fault universe the plan covers.
+    pub fn universe(&self) -> &[StuckAt] {
+        &self.universe
+    }
+
+    /// How the static pre-pass decides fault `i`: the deciding rule (one
+    /// of [`STATIC_RULES`]) and the fault's record. `None` when the
+    /// fault's class depends on campaign evidence.
+    pub fn decision(&self, i: usize) -> Option<(&'static str, &ClassifiedFault)> {
+        let (rule, record) = self.decided.get(i)?.as_ref()?;
+        Some((rule, record))
+    }
+
+    /// The universe index of the fault whose campaign verdict — and,
+    /// for an SFR fault, power grade — fault `i` takes: its equivalence
+    /// class's representative ([`FaultClasses::representative`]) when
+    /// the plan collapses, otherwise `i` itself.
+    pub fn source(&self, i: usize) -> usize {
+        self.classes.as_ref().map_or(i, |c| c.representative(i))
+    }
+
+    /// The equivalence classes, when the plan collapses.
+    pub fn classes(&self) -> Option<&FaultClasses> {
+        self.classes.as_ref()
+    }
+
+    /// The faults the campaign simulates: the undecided faults that are
+    /// their own source, in universe order.
+    pub fn campaign(&self) -> Vec<StuckAt> {
+        (0..self.universe.len())
+            .filter(|&i| self.decision(i).is_none() && self.source(i) == i)
+            .map(|i| self.universe[i])
+            .collect()
+    }
+
+    /// How many faults each rule of [`STATIC_RULES`] decides, in that
+    /// order.
+    pub fn rule_counts(&self) -> Vec<(&'static str, usize)> {
+        STATIC_RULES
+            .iter()
+            .map(|&rule| {
+                let n = self.decided.iter().flatten().filter(|(r, _)| *r == rule);
+                (rule, n.count())
+            })
+            .collect()
+    }
+
+    /// Arranges `sfr`, a universe-ordered list of SFR faults, for power
+    /// grading: each fault takes the grade of its [source](Self::source),
+    /// so only sources are graded. Panics if `sfr` is out of order or
+    /// holds a fault but not its source.
+    pub fn grading_set(&self, sfr: &[StuckAt]) -> GradingSet {
+        if self.classes.is_none() {
+            return GradingSet {
+                faults: sfr.to_vec(),
+                takes: Vec::new(),
+            };
+        }
+        // Sources precede their members in universe order, so a member's
+        // source is already graded (or not SFR) when the member comes.
+        let (mut graded, mut faults) = (Vec::new(), Vec::new());
+        let mut u = 0;
+        let takes = sfr
+            .iter()
+            .map(|&f| {
+                u += self.universe[u..]
+                    .iter()
+                    .position(|&g| g == f)
+                    .expect("SFR faults are a universe-ordered subsequence");
+                let source = self.source(u);
+                if source == u {
+                    graded.push(u);
+                    faults.push(f);
+                }
+                let k = graded.binary_search(&source).unwrap_or_else(|_| {
+                    panic!("SFR fault {f} takes the grade of a fault that is not SFR")
+                });
+                (f, k)
+            })
+            .collect();
+        GradingSet { faults, takes }
     }
 }
 
-/// Runs the full methodology on an explicit fault-simulation [`Engine`],
-/// reporting phase timings and per-fault events to `progress`.
-///
-/// All engines yield identical classifications (the campaign verdicts
-/// are engine-invariant and every later step is deterministic).
-pub fn classify_system_with(
-    sys: &System,
-    cfg: &ClassifyConfig,
-    engine: &dyn Engine,
-    progress: &dyn Progress,
-) -> Classification {
-    classify_system_journaled(sys, cfg, engine, progress, None).0
+/// A planned study's SFR faults arranged for power grading (see
+/// [`CampaignPlan::grading_set`]).
+#[derive(Debug)]
+pub struct GradingSet {
+    /// The faults to grade, in universe order.
+    pub faults: Vec<StuckAt>,
+    /// Per SFR fault, in order: the fault and the position in `faults`
+    /// of the fault whose grade it takes. Empty when every SFR fault is
+    /// graded itself.
+    takes: Vec<(StuckAt, usize)>,
 }
 
-/// [`classify_system_with`] plus campaign resilience: fault-simulation
-/// chunks run under panic quarantine and, when `journal` is given,
-/// completed chunks are checkpointed and previously-journaled chunks
-/// restored verbatim (see
-/// [`run_campaign_quarantined`]).
-///
-/// Quarantined chunks' faults are absent from the returned
-/// [`Classification`] — they have no verdict — and are reported in the
-/// second tuple element instead. With a healthy engine the
-/// classification is identical to [`classify_system_with`]'s.
+impl GradingSet {
+    /// Spreads a report over [`faults`](Self::faults) back over every
+    /// SFR fault, in SFR order: each takes its source's grade (none when
+    /// the source's pack was quarantined) and watchdog hit. Quarantined
+    /// packs stay first, naming the faults that ran.
+    pub fn expand(&self, report: GradeReport) -> GradeReport {
+        if self.takes.is_empty() {
+            return report;
+        }
+        // Grades and watchdog hits come back in `faults` order, without
+        // the faults of quarantined packs.
+        let (stalls, mut incidents): (Vec<_>, Vec<_>) = report
+            .incidents
+            .into_iter()
+            .partition(|i| matches!(i, GradeIncident::BudgetExhausted { .. }));
+        let mut grades = report.grades.into_iter().peekable();
+        let mut stalls = stalls.into_iter().peekable();
+        let graded: Vec<(Option<PowerGrade>, bool)> = self
+            .faults
+            .iter()
+            .map(|&f| {
+                let stall = GradeIncident::BudgetExhausted { fault: f };
+                (
+                    grades.next_if(|g| g.fault == f),
+                    stalls.next_if(|s| *s == stall).is_some(),
+                )
+            })
+            .collect();
+        let mut expanded = Vec::with_capacity(self.takes.len());
+        for &(fault, k) in &self.takes {
+            let (grade, stalled) = graded[k];
+            expanded.extend(grade.map(|g| PowerGrade { fault, ..g }));
+            if stalled {
+                incidents.push(GradeIncident::BudgetExhausted { fault });
+            }
+        }
+        GradeReport {
+            baseline: report.baseline,
+            grades: expanded,
+            incidents,
+        }
+    }
+}
+
+/// Runs the full methodology over a system's controller fault universe
+/// with the engine selection from `cfg.parallel` and no observer. See
+/// [`classify_system_journaled`] for the engine- and progress-aware
+/// entry point.
+pub fn classify_system(sys: &System, cfg: &ClassifyConfig) -> Classification {
+    let tape = TapeEngine::new(1);
+    let engine: &dyn Engine = if cfg.parallel { &tape } else { &SerialEngine };
+    classify_system_journaled(sys, cfg, engine, &NullProgress, None).0
+}
+
+/// Runs the full methodology on an explicit fault-simulation [`Engine`],
+/// reporting phase timings and per-fault events to `progress`, without
+/// collapsing (the static pre-pass runs when `cfg.static_prune` is set).
+/// See [`classify_system_planned`].
 pub fn classify_system_journaled(
     sys: &System,
     cfg: &ClassifyConfig,
@@ -199,93 +428,27 @@ pub fn classify_system_journaled(
     progress: &dyn Progress,
     journal: Option<&CampaignJournal>,
 ) -> (Classification, Vec<QuarantinedChunk>) {
-    classify_system_collapsed(sys, cfg, engine, progress, journal, false)
+    let plan = CampaignPlan::build(sys, cfg.static_prune, false, engine.threads(), progress);
+    classify_system_planned(sys, cfg, engine, progress, journal, &plan)
 }
 
-/// [`classify_system_journaled`] plus structural fault collapsing: with
-/// `collapse` set, equivalence classes from
-/// [`FaultClasses`] are built over the controller
-/// universe and only one *campaign representative* per class — the
-/// class's first member the static pre-pass left undecided — enters the
-/// fault-simulation campaign. Every folded member then clones its
-/// representative's verdict with its own fault identity restored.
-///
-/// Equivalent faults produce faulty machines that agree at every
-/// observation point (system outputs, watchdog state decode, datapath
-/// activity), so the representative's detection verdict, detection
-/// cycle, table effects, and oracle verdict are the member's own — the
-/// returned [`Classification`] is bit-identical to the uncollapsed run.
-/// Members whose representative landed in a quarantined chunk are
-/// absent, exactly as the representative is.
-pub fn classify_system_collapsed(
+/// Runs the methodology as `plan` lays it out: its campaign simulates
+/// on `engine` under panic quarantine, checkpointed to `journal` (see
+/// [`run_campaign_quarantined`]); decided faults keep their pre-pass
+/// record and every other fault takes its source's verdict. Faults
+/// whose source landed in a quarantined chunk have no verdict: they
+/// are absent, and the chunks are returned instead. Every engine,
+/// thread count and plan yields the same classification (DESIGN.md §7
+/// and §13).
+pub fn classify_system_planned(
     sys: &System,
     cfg: &ClassifyConfig,
     engine: &dyn Engine,
     progress: &dyn Progress,
     journal: Option<&CampaignJournal>,
-    collapse: bool,
+    plan: &CampaignPlan,
 ) -> (Classification, Vec<QuarantinedChunk>) {
-    let faults = sys.controller_faults();
-
-    // Static pre-pass: classify what needs no simulation, prune it
-    // from the campaign. Verdicts are per-fault and deterministic, so
-    // the pruned pipeline is bit-identical to the unpruned one.
-    let mut decided: Vec<Option<ClassifiedFault>> = vec![None; faults.len()];
-    if cfg.static_prune {
-        let timer = PhaseTimer::start(progress, Phase::Lint);
-        let analysis = sfr_lint::analyze_controller_static(sys);
-        decided = sfr_exec::par_map_indexed(engine.threads(), faults.len(), |i| {
-            static_decision(sys, &analysis, faults[i]).map(|(_, record)| record)
-        });
-        for _ in decided.iter().flatten() {
-            progress.event(ProgressEvent::FaultPruned);
-        }
-        timer.finish();
-    }
-
-    // Collapse: pick one campaign representative per equivalence class
-    // and remember, for every folded member, whose verdict it inherits.
-    // The pre-pass decides classes all-or-none (equivalent faults have
-    // identical controller tables), so a class either vanishes entirely
-    // or fields exactly one representative.
-    let mut campaign: Vec<StuckAt> = Vec::with_capacity(faults.len());
-    let mut inherits: Vec<Option<StuckAt>> = vec![None; faults.len()];
-    if collapse {
-        let timer = PhaseTimer::start(progress, Phase::Collapse);
-        let classes = FaultClasses::build(&sys.netlist, &faults);
-        let mut chosen: HashMap<usize, StuckAt> = HashMap::new();
-        for (i, (&f, d)) in faults.iter().zip(&decided).enumerate() {
-            if d.is_some() {
-                continue;
-            }
-            match chosen.get(&classes.representative(i)) {
-                None => {
-                    chosen.insert(classes.representative(i), f);
-                    campaign.push(f);
-                }
-                Some(&rep) => {
-                    inherits[i] = Some(rep);
-                    progress.event(ProgressEvent::FaultCollapsed);
-                }
-            }
-        }
-        if progress.wants_records() {
-            progress.record(&TraceRecord::Collapse {
-                universe: classes.len(),
-                classes: classes.class_count(),
-                merged: classes.merged_count(),
-            });
-        }
-        timer.finish();
-    } else {
-        campaign.extend(
-            faults
-                .iter()
-                .zip(&decided)
-                .filter(|(_, d)| d.is_none())
-                .map(|(&f, _)| f),
-        );
-    }
+    let campaign = plan.campaign();
 
     let timer = PhaseTimer::start(progress, Phase::Golden);
     let ts = TestSet::pseudorandom(sys.pattern_width(), cfg.test_patterns, cfg.test_seed)
@@ -306,47 +469,37 @@ pub fn classify_system_collapsed(
         classify_outcome(sys, outcomes[i])
     });
 
-    // Merge back into fault-universe order: statically-decided faults
-    // carry their own record, simulated faults look themselves up, and
-    // folded members look up their representative and re-label the
-    // clone. Faults in quarantined chunks (and their folded members)
-    // carry no verdict and stay absent.
-    let simulated: HashMap<StuckAt, ClassifiedFault> =
-        classified.into_iter().map(|c| (c.fault, c)).collect();
-    let mut merged: Vec<ClassifiedFault> = Vec::with_capacity(faults.len());
-    for (i, (&f, d)) in faults.iter().zip(decided).enumerate() {
-        if let Some(c) = d {
-            merged.push(c);
-        } else if let Some(c) = simulated.get(&inherits[i].unwrap_or(f)) {
-            let mut c = c.clone();
-            c.fault = f;
-            merged.push(c);
-        }
+    // Merge in universe order. Outcomes come back in campaign order,
+    // without the faults of quarantined chunks; a folded fault's source
+    // precedes it, so the source's verdict is already merged (or lost
+    // to quarantine, and the fault's with it).
+    let universe = plan.universe();
+    let mut classified = classified.into_iter().peekable();
+    let mut faults: Vec<ClassifiedFault> = Vec::with_capacity(universe.len());
+    for (i, &fault) in universe.iter().enumerate() {
+        let source = universe[plan.source(i)];
+        let record = match plan.decision(i) {
+            Some((_, record)) => Some(record.clone()),
+            None if source == fault => classified.next_if(|c| c.fault == fault),
+            None => faults
+                .iter()
+                .rev()
+                .find(|c| c.fault == source)
+                .map(|c| ClassifiedFault { fault, ..c.clone() }),
+        };
+        faults.extend(record);
     }
-
-    (Classification { faults: merged }, quarantined)
+    (Classification { faults }, quarantined)
 }
 
-/// Tries to classify one fault without simulation: the deciding rule's
-/// label (see [`static_rule_label`]) with the classified record. `None`
-/// means the fault's final class depends on campaign evidence (a
-/// detection cycle) and it must be simulated.
-///
-/// Sound prunes, and why they reproduce the simulated pipeline bit for
-/// bit:
-///
-/// * **CFR** (static proof or exhaustive table): the faulty machine is
-///   behaviourally identical to the fault-free one on every enumerated
-///   state and status, so no physical execution can ever *detect* it —
-///   and [`classify_outcome`]'s CFR branch returns before consulting
-///   the detection verdict anyway.
-/// * **SFR** (table effects + oracle `Redundant`): the oracle proves
-///   I/O-equivalence, so detection is impossible, and the SFR branch
-///   likewise ignores potential-detection evidence.
-///
-/// Sequence-altering and oracle-irredundant faults are *not* pruned:
-/// their [`SfiReason`] embeds the first detecting/ambiguous cycle,
-/// which only the campaign can produce.
+/// Tries to classify one fault without simulation: the deciding rule
+/// (one of [`STATIC_RULES`]) with the record, or `None` when the class
+/// depends on campaign evidence. After the CFR proofs this is
+/// [`classify_outcome`] on a not-detected outcome, kept when CFR or SFR:
+/// neither branch reads the detection, and no simulation can detect
+/// such a fault (DESIGN.md §7), so the record is the campaign's own.
+/// An SFI fault's [`SfiReason`] embeds the first detecting or ambiguous
+/// cycle, which only the campaign can produce.
 fn static_decision(
     sys: &System,
     analysis: &sfr_lint::StaticAnalysis,
@@ -354,88 +507,46 @@ fn static_decision(
 ) -> Option<(&'static str, ClassifiedFault)> {
     use sfr_lint::StaticCfrReason;
     let sf = sys.fault_to_standalone(fault)?;
-    let cfr = |label| {
+    if let Some(reason) = sfr_lint::statically_cfr(sys, analysis, sf) {
+        let rule = match reason {
+            StaticCfrReason::DeadCone => "dead-cone",
+            StaticCfrReason::ConstantSite => "constant-site",
+            StaticCfrReason::MaskedPropagation => "masked-propagation",
+            StaticCfrReason::ParityCancellation => "parity-cancellation",
+        };
         let record = ClassifiedFault {
             fault,
             class: FaultClass::Cfr,
             effects: Vec::new(),
             rule_verdict: None,
         };
-        Some((label, record))
-    };
-    if let Some(reason) = sfr_lint::statically_cfr(sys, analysis, sf) {
-        return cfr(match reason {
-            StaticCfrReason::DeadCone => "dead-cone",
-            StaticCfrReason::ConstantSite => "constant-site",
-            StaticCfrReason::MaskedPropagation => "masked-propagation",
-            StaticCfrReason::ParityCancellation => "parity-cancellation",
-        });
+        return Some((rule, record));
     }
-    let behavior = analyze_controller_fault(sys, sf);
-    if behavior.is_cfr() {
-        return cfr("table-cfr");
-    }
-    if behavior.sequence_altering {
-        return None;
-    }
-    match judge(sys, &behavior.faulty_outputs) {
-        Verdict::Redundant => {
-            let record = ClassifiedFault {
-                fault,
-                class: FaultClass::Sfr,
-                rule_verdict: Some(judge_by_rules(sys, &behavior.effects)),
-                effects: behavior.effects,
-            };
-            Some(("oracle-sfr", record))
-        }
-        Verdict::Irredundant(_) => None,
+    let record = classify_outcome(
+        sys,
+        CampaignOutcome {
+            fault,
+            detection: Detection::NotDetected,
+        },
+    );
+    match record.class {
+        FaultClass::Cfr => Some(("table-cfr", record)),
+        FaultClass::Sfr => Some(("oracle-sfr", record)),
+        FaultClass::Sfi(_) => None,
     }
 }
 
-/// Collapses a universe-ordered SFR list to its grading set: one
-/// representative per structural equivalence class (the class's first
-/// SFR member) plus the member → representative map for expanding the
-/// representatives' power grades back over the whole list.
-///
-/// Equivalence classes never split across verdicts — equivalent faults
-/// share their controller table, detection behaviour, and datapath
-/// activity — so each class is either absent from `sfr` or present in
-/// full, and the representative's grade is every member's grade.
+/// A collapsing plan's [`CampaignPlan::grading_set`] of a
+/// universe-ordered SFR list, as `(representatives, member →
+/// representative)`: one fault per structural equivalence class, whose
+/// power grade is every member's. Panics as `grading_set` does.
 pub fn collapse_grading_set(
     sys: &System,
     sfr: &[StuckAt],
 ) -> (Vec<StuckAt>, HashMap<StuckAt, StuckAt>) {
-    let universe = sys.controller_faults();
-    let classes = FaultClasses::build(&sys.netlist, &universe);
-    let index: HashMap<StuckAt, usize> =
-        universe.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-    let mut reps = Vec::with_capacity(sfr.len());
-    let mut rep_of = HashMap::with_capacity(sfr.len());
-    let mut chosen: HashMap<usize, StuckAt> = HashMap::new();
-    for &f in sfr {
-        let root = classes.representative(index[&f]);
-        let rep = *chosen.entry(root).or_insert_with(|| {
-            reps.push(f);
-            f
-        });
-        rep_of.insert(f, rep);
-    }
-    (reps, rep_of)
-}
-
-/// Attribution for `sfr analyze`: which static rule decides `fault`
-/// without any simulation. Returns the deciding rule's stable label —
-/// `dead-cone`, `constant-site`, `masked-propagation`,
-/// `parity-cancellation` (CFR proofs, cheapest first), `table-cfr`, or
-/// `oracle-sfr` — or `None` when only campaign evidence can finish the
-/// classification. Decisions are [`classify_system_collapsed`]'s static
-/// pre-pass itself.
-pub fn static_rule_label(
-    sys: &System,
-    analysis: &sfr_lint::StaticAnalysis,
-    fault: StuckAt,
-) -> Option<&'static str> {
-    static_decision(sys, analysis, fault).map(|(label, _)| label)
+    let set = CampaignPlan::build(sys, false, true, 1, &NullProgress).grading_set(sfr);
+    let rep_of = set.takes.iter().map(|&(f, k)| (f, set.faults[k])).collect();
+    (set.faults, rep_of)
 }
 
 /// Steps 2–4 of the methodology for one campaign outcome.
@@ -590,7 +701,8 @@ mod tests {
         let one = classify_system(&sys, &cfg);
         for threads in [2, 8] {
             let engine = TapeEngine::new(threads);
-            let threaded = classify_system_with(&sys, &cfg, &engine, &sfr_exec::NullProgress);
+            let (threaded, _) =
+                classify_system_journaled(&sys, &cfg, &engine, &sfr_exec::NullProgress, None);
             assert_eq!(one.faults.len(), threaded.faults.len());
             for (a, b) in one.faults.iter().zip(&threaded.faults) {
                 assert_eq!(a.fault, b.fault);
@@ -623,7 +735,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.static_prune = true;
         let counters = sfr_exec::Counters::new();
-        let c = classify_system_with(&sys, &cfg, &TapeEngine::new(1), &counters);
+        let (c, _) = classify_system_journaled(&sys, &cfg, &TapeEngine::new(1), &counters, None);
         let snap = counters.snapshot();
         assert!(snap.faults_pruned > 0, "toy system has SFR faults to prune");
         assert!(snap.faults_pruned >= c.cfr_count() + c.sfr_count());
@@ -634,6 +746,18 @@ mod tests {
         );
     }
 
+    /// Classifies `sys` through a plan with `collapse`, reporting to
+    /// `progress`.
+    fn planned(
+        sys: &System,
+        cfg: &ClassifyConfig,
+        collapse: bool,
+        progress: &dyn Progress,
+    ) -> Classification {
+        let plan = CampaignPlan::build(sys, cfg.static_prune, collapse, 1, progress);
+        classify_system_planned(sys, cfg, &TapeEngine::new(1), progress, None, &plan).0
+    }
+
     #[test]
     fn collapsed_classification_is_bit_identical() {
         for sys in [toy_system(), muxed_system()] {
@@ -642,22 +766,8 @@ mod tests {
                     static_prune,
                     ..quick_cfg()
                 };
-                let (plain, _) = classify_system_collapsed(
-                    &sys,
-                    &cfg,
-                    &TapeEngine::new(1),
-                    &sfr_exec::NullProgress,
-                    None,
-                    false,
-                );
-                let (collapsed, _) = classify_system_collapsed(
-                    &sys,
-                    &cfg,
-                    &TapeEngine::new(1),
-                    &sfr_exec::NullProgress,
-                    None,
-                    true,
-                );
+                let plain = planned(&sys, &cfg, false, &NullProgress);
+                let collapsed = planned(&sys, &cfg, true, &NullProgress);
                 assert_eq!(plain.faults.len(), collapsed.faults.len());
                 for (a, b) in plain.faults.iter().zip(&collapsed.faults) {
                     assert_eq!(format!("{a:?}"), format!("{b:?}"), "fault {}", a.fault);
@@ -670,14 +780,7 @@ mod tests {
     fn collapsed_campaign_simulates_only_representatives() {
         let sys = toy_system();
         let counters = sfr_exec::Counters::new();
-        let (c, _) = classify_system_collapsed(
-            &sys,
-            &quick_cfg(),
-            &TapeEngine::new(1),
-            &counters,
-            None,
-            true,
-        );
+        let c = planned(&sys, &quick_cfg(), true, &counters);
         let snap = counters.snapshot();
         assert_eq!(c.total(), sys.controller_faults().len());
         assert_eq!(
@@ -687,6 +790,130 @@ mod tests {
         );
         let classes = FaultClasses::build(&sys.netlist, &sys.controller_faults());
         assert_eq!(snap.faults_collapsed, classes.merged_count());
+    }
+
+    #[test]
+    fn the_plan_accounts_for_every_fault_once() {
+        for sys in [toy_system(), muxed_system()] {
+            let counters = sfr_exec::Counters::new();
+            let plan = CampaignPlan::build(&sys, true, true, 2, &counters);
+            let snap = counters.snapshot();
+            let universe = plan.universe().len();
+            let decided = (0..universe).filter(|&i| plan.decision(i).is_some());
+            assert_eq!(decided.count(), snap.faults_pruned);
+            let by_rule: usize = plan.rule_counts().iter().map(|(_, n)| n).sum();
+            assert_eq!(by_rule, snap.faults_pruned, "every decision names a rule");
+            assert_eq!(
+                plan.campaign().len() + snap.faults_collapsed + snap.faults_pruned,
+                universe
+            );
+            for i in 0..universe {
+                let source = plan.source(i);
+                assert!(source <= i, "a source is its class's lowest index");
+                assert_eq!(plan.source(source), source);
+            }
+        }
+    }
+
+    /// A fault-simulation engine whose every chunk panics.
+    struct Panicking;
+
+    impl Engine for Panicking {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn run(
+            &self,
+            _: &System,
+            _: &sfr_faultsim::GoldenTrace,
+            _: &[StuckAt],
+        ) -> (Vec<CampaignOutcome>, u64) {
+            panic!("every chunk panics")
+        }
+    }
+
+    #[test]
+    fn faults_whose_source_is_quarantined_have_no_verdict() {
+        let sys = toy_system();
+        let plan = CampaignPlan::build(&sys, true, true, 1, &NullProgress);
+        let universe = plan.universe().len();
+        assert!(
+            (0..universe).any(|i| plan.decision(i).is_none() && plan.source(i) != i),
+            "the toy system has a folded undecided fault"
+        );
+        let (c, quarantined) =
+            classify_system_planned(&sys, &quick_cfg(), &Panicking, &NullProgress, None, &plan);
+        assert_eq!(quarantined.len(), 1, "the toy campaign is one chunk");
+        let decided: Vec<StuckAt> = (0..universe)
+            .filter_map(|i| plan.decision(i).map(|(_, record)| record.fault))
+            .collect();
+        let kept: Vec<StuckAt> = c.faults.iter().map(|f| f.fault).collect();
+        assert_eq!(kept, decided, "only the pre-pass's records survive");
+    }
+
+    #[test]
+    #[should_panic(expected = "split an equivalence class")]
+    fn a_class_decided_in_part_fails_loudly() {
+        let sys = toy_system();
+        let mut plan = CampaignPlan::build(&sys, false, true, 1, &NullProgress);
+        let member = (0..plan.universe().len())
+            .find(|&i| plan.source(i) != i)
+            .expect("the toy system has a folded fault");
+        let record = ClassifiedFault {
+            fault: plan.universe[member],
+            class: FaultClass::Cfr,
+            effects: Vec::new(),
+            rule_verdict: None,
+        };
+        plan.decided = vec![None; plan.universe.len()];
+        plan.decided[member] = Some(("table-cfr", record));
+        plan.check_whole_class(member);
+    }
+
+    #[test]
+    fn grades_spread_over_members_without_their_quarantined_source() {
+        use sfr_netlist::GateId;
+        let fault = |g: usize| StuckAt::output(GateId::from_index(g), true);
+        let (a, a2, b, b2) = (fault(1), fault(2), fault(3), fault(4));
+        let set = GradingSet {
+            faults: vec![a, b],
+            takes: vec![(a, 0), (a2, 0), (b, 1), (b2, 1)],
+        };
+        let grade = |fault| PowerGrade {
+            fault,
+            mean_uw: 2.0,
+            pct_change: 1.0,
+            flagged: false,
+        };
+        let quarantine = GradeIncident::QuarantinedPack {
+            pack: 0,
+            faults: vec![a],
+            message: "boom".into(),
+        };
+        let report = set.expand(GradeReport {
+            baseline: sfr_power_model::MonteCarloResult {
+                mean_uw: 1.0,
+                half_width_uw: 0.0,
+                batches: 1,
+                converged: true,
+            },
+            grades: vec![grade(b)],
+            incidents: vec![
+                quarantine.clone(),
+                GradeIncident::BudgetExhausted { fault: b },
+            ],
+        });
+        let graded: Vec<StuckAt> = report.grades.iter().map(|g| g.fault).collect();
+        assert_eq!(graded, [b, b2]);
+        assert_eq!(
+            report.incidents,
+            [
+                quarantine,
+                GradeIncident::BudgetExhausted { fault: b },
+                GradeIncident::BudgetExhausted { fault: b2 },
+            ]
+        );
     }
 
     #[test]

@@ -84,18 +84,10 @@ impl StudyBuilder {
 
     /// A study of a caller-supplied emitted system.
     pub fn from_emitted(name: impl Into<String>, emitted: EmittedSystem) -> Self {
+        let name = name.into();
         StudyBuilder {
-            source: Source::Emitted(name.into(), Box::new(emitted)),
-            width: 4,
-            cfg: StudyConfig::default(),
-            threads: 1,
-            engine: None,
-            checkpoint: None,
-            resume: None,
-            cycle_budget: None,
-            manifest_out: None,
-            force: false,
-            collapse: false,
+            source: Source::Emitted(name.clone(), Box::new(emitted)),
+            ..StudyBuilder::new(name)
         }
     }
 
@@ -230,14 +222,14 @@ impl StudyBuilder {
         self
     }
 
-    /// Watchdog budget for power grading, as a multiple of the
-    /// design's nominal run length
-    /// ([`System::nominal_run_cycles`]): each faulty run is ceilinged
-    /// at `factor × nominal` cycles (never above the existing loop
-    /// guard). Runaway faults — those still outside HOLD when the
-    /// fault-free lane completes a run — are reported as
-    /// budget-exhausted incidents whether or not a budget is set; the
-    /// budget additionally bounds the cycles they can burn.
+    /// Arms the grading watchdog with a budget of `factor` times the
+    /// design's nominal run length ([`System::nominal_run_cycles`]):
+    /// each faulty run is ceilinged at `factor × nominal` cycles (never
+    /// above the existing loop guard), and runaway faults — those still
+    /// outside HOLD when the fault-free lane completes a run — are
+    /// reported as budget-exhausted incidents. Without a budget the
+    /// watchdog is disarmed: runs end only at the loop guard and no
+    /// fault is reported.
     pub fn cycle_budget(mut self, factor: usize) -> Self {
         self.cycle_budget = Some(factor);
         self
@@ -595,9 +587,10 @@ fn assemble_manifest(
     }
 }
 
-/// The manifest's `profile` section: computed-pack wall-time
-/// percentiles and the last computed pack's tape shape. Restored packs
-/// are never timed, so they count only in `packs_restored`.
+/// The manifest's `profile` section: computed grade pack wall-time
+/// percentiles and the last computed pack's tape shape. Restored grade
+/// packs are never timed, so they count only in `packs_restored`
+/// (restored fault-simulation chunks do not count there).
 fn profile_section(c: &CounterState) -> ProfileSection {
     let mut pack_us = c.pack_us.clone();
     pack_us.sort_unstable();
@@ -610,7 +603,7 @@ fn profile_section(c: &CounterState) -> ProfileSection {
     };
     ProfileSection {
         packs_computed: pack_us.len(),
-        packs_restored: c.packs_restored,
+        packs_restored: c.grade_packs_restored,
         pack_p50_us: pct(50),
         pack_p90_us: pct(90),
         pack_max_us: pack_us.last().copied().unwrap_or(0),

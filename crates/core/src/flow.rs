@@ -1,8 +1,8 @@
 //! The end-to-end study flow: synthesize → classify → grade.
 
 use sfr_classify::{
-    classify_system_collapsed, collapse_grading_set, grade_faults_journaled_with_kernel,
-    Classification, ClassifyConfig, GradeConfig, GradeIncident, PowerGrade,
+    classify_system_planned, grade_faults_journaled_with_kernel, CampaignPlan, Classification,
+    ClassifyConfig, GradeConfig, GradeIncident, PowerGrade,
 };
 use sfr_exec::Progress;
 use sfr_faultsim::{Engine, System, SystemConfig};
@@ -172,91 +172,53 @@ pub(crate) fn execute_study(
     journal: Option<&CampaignJournal>,
     collapse: bool,
 ) -> Study {
+    let plan = CampaignPlan::build(
+        &system,
+        cfg.classify.static_prune,
+        collapse,
+        engine.threads(),
+        progress,
+    );
     let (classification, quarantined_chunks) =
-        classify_system_collapsed(&system, &cfg.classify, engine, progress, journal, collapse);
+        classify_system_planned(&system, &cfg.classify, engine, progress, journal, &plan);
     let sfr: Vec<StuckAt> = classification.sfr().map(|f| f.fault).collect();
 
     // With collapsing, grade one representative per equivalence class
     // and copy its measurement to every member: equivalent faults force
     // identical datapath activity, so the expanded table is the one an
     // uncollapsed run would have measured fault by fault.
-    let (to_grade, rep_of) = if collapse {
-        let (reps, rep_of) = collapse_grading_set(&system, &sfr);
-        (reps, Some(rep_of))
-    } else {
-        (sfr.clone(), None)
-    };
-
+    let grading = plan.grading_set(&sfr);
     // Grading runs on the kernel the engine names.
-    let report = grade_faults_journaled_with_kernel(
+    let report = grading.expand(grade_faults_journaled_with_kernel(
         &system,
-        &to_grade,
+        &grading.faults,
         &cfg.grade,
         threads,
         progress,
         journal,
         engine.kernel(),
-    );
+    ));
 
-    let mut incidents = Vec::new();
-    for q in quarantined_chunks {
-        incidents.push(Incident::FaultSimQuarantined {
+    let chunks = quarantined_chunks
+        .into_iter()
+        .map(|q| Incident::FaultSimQuarantined {
             chunk: q.chunk,
             faults: q.faults,
             message: q.message,
         });
-    }
-
-    let (grades, grade_incidents) = match rep_of {
-        None => (report.grades, report.incidents),
-        Some(rep_of) => {
-            // Expand representative measurements over the members, in
-            // SFR order — the order the uncollapsed run grades (and
-            // reports watchdog hits) in. Members whose representative
-            // sat in a quarantined pack stay ungraded, exactly as the
-            // representative does; the pack incidents themselves remain
-            // representative-scoped (those are the faults that ran).
-            let mut packs = Vec::new();
-            let mut exhausted = std::collections::HashSet::new();
-            for i in report.incidents {
-                match i {
-                    GradeIncident::QuarantinedPack { .. } => packs.push(i),
-                    GradeIncident::BudgetExhausted { fault } => {
-                        exhausted.insert(fault);
-                    }
-                }
-            }
-            let by_rep: std::collections::HashMap<StuckAt, PowerGrade> =
-                report.grades.into_iter().map(|g| (g.fault, g)).collect();
-            let mut grades = Vec::with_capacity(sfr.len());
-            let mut expanded = packs;
-            for &f in &sfr {
-                let rep = rep_of[&f];
-                if let Some(g) = by_rep.get(&rep) {
-                    grades.push(PowerGrade { fault: f, ..*g });
-                }
-                if exhausted.contains(&rep) {
-                    expanded.push(GradeIncident::BudgetExhausted { fault: f });
-                }
-            }
-            (grades, expanded)
-        }
-    };
-
-    for i in grade_incidents {
-        incidents.push(match i {
-            GradeIncident::QuarantinedPack {
-                pack,
-                faults,
-                message,
-            } => Incident::GradePackQuarantined {
-                pack,
-                faults,
-                message,
-            },
-            GradeIncident::BudgetExhausted { fault } => Incident::BudgetExhausted { fault },
-        });
-    }
+    let graded = report.incidents.into_iter().map(|i| match i {
+        GradeIncident::QuarantinedPack {
+            pack,
+            faults,
+            message,
+        } => Incident::GradePackQuarantined {
+            pack,
+            faults,
+            message,
+        },
+        GradeIncident::BudgetExhausted { fault } => Incident::BudgetExhausted { fault },
+    });
+    let mut incidents: Vec<Incident> = chunks.chain(graded).collect();
     if let Some(message) = journal.and_then(CampaignJournal::degradation) {
         progress.event(sfr_exec::ProgressEvent::JournalDegraded);
         if progress.wants_records() {
@@ -273,7 +235,7 @@ pub(crate) fn execute_study(
         classification,
         sfr,
         baseline: report.baseline,
-        grades,
+        grades: report.grades,
         incidents,
     }
 }
@@ -332,6 +294,55 @@ mod tests {
         );
         assert!(study.baseline.mean_uw > 0.0);
         assert!(study.classification.total() > 50);
+    }
+
+    #[test]
+    fn collapse_grading_set_is_the_plans_grading_set() {
+        use sfr_classify::{collapse_grading_set, GradeReport};
+        let cfg = quick();
+        for (name, emitted) in sfr_benchmarks::extended_benchmarks(4).expect("benchmarks build") {
+            let system = System::build(&emitted, cfg.system).expect("system builds");
+            let plan = CampaignPlan::build(&system, true, true, 1, &NullProgress);
+            let engine = TapeEngine::new(1);
+            let (classification, _) = classify_system_planned(
+                &system,
+                &cfg.classify,
+                &engine,
+                &NullProgress,
+                None,
+                &plan,
+            );
+            let sfr: Vec<StuckAt> = classification.sfr().map(|f| f.fault).collect();
+            let set = plan.grading_set(&sfr);
+            let (reps, rep_of) = collapse_grading_set(&system, &sfr);
+            assert_eq!(set.faults, reps, "{name}: graded representatives");
+            // Grade representative k at k µW: every SFR fault must come
+            // back with the grade of the representative the map names.
+            let expanded = set.expand(GradeReport {
+                baseline: MonteCarloResult {
+                    mean_uw: 1.0,
+                    half_width_uw: 0.0,
+                    batches: 1,
+                    converged: true,
+                },
+                grades: reps
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &fault)| PowerGrade {
+                        fault,
+                        mean_uw: k as f64,
+                        pct_change: 0.0,
+                        flagged: false,
+                    })
+                    .collect(),
+                incidents: Vec::new(),
+            });
+            assert_eq!(expanded.grades.len(), sfr.len(), "{name}");
+            for (g, f) in expanded.grades.iter().zip(&sfr) {
+                assert_eq!(g.fault, *f, "{name}: grade order");
+                assert_eq!(reps[g.mean_uw as usize], rep_of[f], "{name}: {f}");
+            }
+        }
     }
 
     #[test]

@@ -89,14 +89,13 @@ pub use worstcase::{table_power, worst_case_extra_effects, DatapathHarness, Wors
 // The substrates, re-exported under their domain names.
 pub use sfr_benchmarks as benchmarks;
 pub use sfr_classify::{
-    analyze_controller_fault, classify_system, classify_system_collapsed,
-    classify_system_journaled, classify_system_with, collapse_grading_set,
-    grade_faults_journaled_with_kernel, grade_faults_scalar_with, grade_pack_capacity,
-    grade_pack_count, grade_pack_slice, judge, judge_by_rules, measure_power_monte_carlo,
-    measure_power_tape_watched, measure_power_with_testset, static_rule_label, Classification,
-    ClassifiedFault, ClassifyConfig, ControlLineEffect, ControllerBehavior, EffectClass,
-    FaultClass, GradeConfig, GradeIncident, GradeReport, Mismatch, PowerGrade, RuleVerdict,
-    SfiReason, Verdict,
+    analyze_controller_fault, classify_system, classify_system_journaled, classify_system_planned,
+    collapse_grading_set, grade_faults_journaled_with_kernel, grade_faults_scalar_with,
+    grade_pack_capacity, grade_pack_count, grade_pack_slice, judge, judge_by_rules,
+    measure_power_monte_carlo, measure_power_tape_watched, measure_power_with_testset,
+    CampaignPlan, Classification, ClassifiedFault, ClassifyConfig, ControlLineEffect,
+    ControllerBehavior, EffectClass, FaultClass, GradeConfig, GradeIncident, GradeReport,
+    GradingSet, Mismatch, PowerGrade, RuleVerdict, SfiReason, Verdict, STATIC_RULES,
 };
 pub use sfr_faultsim::{
     golden_trace, run_serial, run_tape_counted, CampaignOutcome, Detection, GoldenTrace, RunConfig,

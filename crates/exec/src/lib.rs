@@ -390,6 +390,8 @@ pub enum ProgressEvent {
     /// A pack/chunk was restored from a checkpoint journal instead of
     /// being recomputed.
     PackRestored {
+        /// Its campaign: [`Phase::FaultSim`] or [`Phase::Grade`].
+        phase: Phase,
         /// Faults in the restored pack.
         faults: usize,
     },
@@ -683,6 +685,8 @@ pub struct CounterState {
     pub packs_restored: usize,
     /// Faults inside those restored packs.
     pub faults_restored: usize,
+    /// Grade packs among the restored packs.
+    pub grade_packs_restored: usize,
     /// Faults whose per-run cycle budget was exhausted (watchdog hits).
     pub budget_exhausted: usize,
     /// Faults the static-analysis pre-pass classified without
@@ -730,6 +734,7 @@ impl CounterState {
             faults_quarantined: self.faults_quarantined - earlier.faults_quarantined,
             packs_restored: self.packs_restored - earlier.packs_restored,
             faults_restored: self.faults_restored - earlier.faults_restored,
+            grade_packs_restored: self.grade_packs_restored - earlier.grade_packs_restored,
             budget_exhausted: self.budget_exhausted - earlier.budget_exhausted,
             faults_pruned: self.faults_pruned - earlier.faults_pruned,
             faults_collapsed: self.faults_collapsed - earlier.faults_collapsed,
@@ -900,9 +905,10 @@ impl Progress for Counters {
                 s.packs_quarantined += 1;
                 s.faults_quarantined += faults;
             }
-            ProgressEvent::PackRestored { faults } => {
+            ProgressEvent::PackRestored { phase, faults } => {
                 s.packs_restored += 1;
                 s.faults_restored += faults;
+                s.grade_packs_restored += usize::from(phase == Phase::Grade);
             }
             ProgressEvent::BudgetExhausted => s.budget_exhausted += 1,
             ProgressEvent::FaultPruned => s.faults_pruned += 1,

@@ -96,6 +96,7 @@ pub fn run_journaled_packs<T: PackBody + Send>(
             Ok(Ok((value, elapsed))) => {
                 if elapsed.is_none() {
                     progress.event(ProgressEvent::PackRestored {
+                        phase,
                         faults: packs[i].len(),
                     });
                 }

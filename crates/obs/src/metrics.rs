@@ -572,7 +572,14 @@ mod tests {
         );
         repeat(&mut events, 1, ProgressEvent::FaultPruned);
         repeat(&mut events, 2, ProgressEvent::FaultCollapsed);
-        repeat(&mut events, 11, ProgressEvent::PackRestored { faults: 63 });
+        repeat(
+            &mut events,
+            11,
+            ProgressEvent::PackRestored {
+                phase: Phase::FaultSim,
+                faults: 63,
+            },
+        );
         repeat(
             &mut events,
             10,

@@ -161,7 +161,10 @@ mod tests {
         let mut phase = Some(Phase::Grade);
         for event in [
             ProgressEvent::FaultGraded { flagged: true },
-            ProgressEvent::PackRestored { faults: 3 },
+            ProgressEvent::PackRestored {
+                phase: Phase::Grade,
+                faults: 3,
+            },
             ProgressEvent::PackQuarantined { faults: 3 },
             ProgressEvent::BudgetExhausted,
             ProgressEvent::CyclesSimulated { cycles: 90 },

@@ -90,6 +90,39 @@ for args in "shard serve diffeq" "shard work --connect 127.0.0.1:9" "report t.js
 done
 rm -f /tmp/sfr-command.err
 
+echo "== flags a command does not read are refused with exit code 1 =="
+FLAG_DIR="$(mktemp -d)"
+for args in "grade poly --patterns 240 --colapse" \
+    "classify poly --checkpoint $FLAG_DIR/poly.journal --threshold 9" \
+    "lint poly --manifest-out $FLAG_DIR/manifest.json" \
+    "grade poly --patterns 240 extra" "grade poly --patterns 240 --threads"; do
+    rc=0
+    # shellcheck disable=SC2086 # split the argument string on purpose
+    "$SFR" $args > /dev/null 2> "$FLAG_DIR/err" || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "   ERROR: sfr $args exited $rc: $(cat "$FLAG_DIR/err")"
+        exit 1
+    fi
+    echo "   sfr ${args%% *}: $(sed 's/^error: //' "$FLAG_DIR/err")"
+done
+if [ -e "$FLAG_DIR/poly.journal" ] || [ -e "$FLAG_DIR/manifest.json" ]; then
+    echo "   ERROR: a refused command wrote a journal or a manifest"
+    exit 1
+fi
+for bin in worstcase table2; do
+    for args in "--threads abc --bogus" "--bogus"; do
+        rc=0
+        # shellcheck disable=SC2086 # split the argument string on purpose
+        "target/release/$bin" $args > /dev/null 2> "$FLAG_DIR/err" || rc=$?
+        if [ "$rc" -ne 1 ]; then
+            echo "   ERROR: $bin $args exited $rc: $(cat "$FLAG_DIR/err")"
+            exit 1
+        fi
+    done
+done
+rm -rf "$FLAG_DIR"
+echo "   the table binaries refuse --threads abc and unknown flags too"
+
 echo "== hostile inputs are refused with exit code 1, not an abort =="
 HOSTILE_DIR="$(mktemp -d)"
 # 50,000 nested arrays: the JSON reader must refuse them at its depth
@@ -313,6 +346,23 @@ done
 diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-serial.out"
 echo "   poly: collapsed serial grade table matches the tape reference"
 rm -rf "$COLLAPSE_DIR"
+
+echo "== sfr analyze predicts the pruned, collapsed campaign (one plan) =="
+PLAN_DIR="$(mktemp -d)"
+for bench in diffeq facet poly fir; do
+    "$SFR" analyze "$bench" --format json > "$PLAN_DIR/$bench.json" 2>/dev/null
+    predicted=$(sed -n 's/.*"combined": *\([0-9]*\).*/\1/p' "$PLAN_DIR/$bench.json")
+    "$SFR" grade "$bench" --patterns 240 --static-prune --collapse \
+        --metrics-out "$PLAN_DIR/$bench.prom" --quiet > /dev/null 2>&1
+    simulated=$(sed -n 's/^sfr_faults_simulated_total \([0-9]*\)$/\1/p' "$PLAN_DIR/$bench.prom")
+    if [ -z "$predicted" ] || [ "$predicted" != "$simulated" ]; then
+        echo "   ERROR: $bench: sfr analyze predicts ${predicted:-?} simulated faults," \
+            "the campaign simulated ${simulated:-?}"
+        exit 1
+    fi
+    echo "   $bench: the campaign simulated $simulated faults, as sfr analyze predicts"
+done
+rm -rf "$PLAN_DIR"
 
 echo "== whole-study benchmark smoke (perfbench --smoke) =="
 # perfbench drives studies through the public layer calls it mirrors

@@ -63,35 +63,36 @@
 //! fingerprint are byte-identical to the uncollapsed run at any thread
 //! count and engine.
 //!
-//! `analyze` reports what the static layer proves about a benchmark
-//! *without* running a campaign: the collapsed fault universe, the
-//! equivalence-class partition with per-rule merge attribution, the
-//! statically-decided CFR/SFR split (dead cone, constant site,
-//! abstract-interpretation masking/parity, exhaustive table, oracle),
-//! and how many faults a `--static-prune --collapse` campaign would
-//! actually simulate. `--format json` emits the same report
-//! machine-readably (validated by `sfr obs-check --analysis`).
+//! `analyze` plans a `--static-prune --collapse` campaign over a
+//! benchmark *without* running it and reports the plan: the collapsed
+//! fault universe, the equivalence-class partition with per-rule merge
+//! attribution, the statically-decided CFR/SFR split (dead cone,
+//! constant site, abstract-interpretation masking/parity, exhaustive
+//! table, oracle), and how many faults the campaign would simulate.
+//! `--format json` emits the same report machine-readably (validated by
+//! `sfr obs-check --analysis`).
 //!
 //! `vcd` dumps a waveform of one computation run (optionally with a
 //! controller fault injected, e.g. `--fault g21.out/sa1`) for any VCD
 //! viewer.
 //!
-//! Every campaign command (`classify`, `grade`, `testprogram`) accepts
-//! the observability flags: `--trace-out FILE` streams a structured
-//! JSONL event trace, `--metrics-out FILE` exports a Prometheus text
-//! snapshot (plus a human summary on stderr), `--manifest-out FILE`
-//! (grade/testprogram) writes a deterministic run manifest —
-//! refusing to overwrite an existing one unless `--force` is given —
-//! and `--quiet` silences the live status line. All observability
-//! output goes to stderr or the named files; stdout carries only the
-//! result tables, byte-identical with every sink on or off.
-//! `obs-check` validates previously written artifacts.
+//! A command refuses any flag it does not read, with exit code 1.
+//! The campaign commands (`classify`, `grade`, `testprogram`) and
+//! `analyze` accept the observability flags: `--trace-out FILE`
+//! streams a structured JSONL event trace, `--metrics-out FILE` exports
+//! a Prometheus text snapshot (plus a human summary on stderr),
+//! `--manifest-out FILE` (grade/testprogram) writes a deterministic run
+//! manifest — refusing to overwrite an existing one unless `--force` is
+//! given — and `--quiet` silences the live status line. All
+//! observability output goes to stderr or the named files; stdout
+//! carries only the result tables, byte-identical with every sink on or
+//! off. `obs-check` validates previously written artifacts.
 
-use sfr_power::exec::{EngineKind, Progress};
+use sfr_power::exec::EngineKind;
 use sfr_power::obs::Sinks;
 use sfr_power::{
-    benchmarks, classify_system_with, describe_effect, ClassifyConfig, EmittedSystem, FaultClass,
-    Logic, StuckAt, StudyBuilder, System, SystemConfig,
+    benchmarks, classify_system_journaled, classify_system_planned, describe_effect, CampaignPlan,
+    ClassifyConfig, EmittedSystem, Logic, StuckAt, StudyBuilder, System, SystemConfig,
 };
 use std::process::ExitCode;
 
@@ -112,51 +113,97 @@ fn usage() -> ExitCode {
          sfr table2      [--patterns N] [--threads N] [--engine NAME]\n  \
          sfr obs-check   [--trace FILE] [--manifest FILE] [--metrics FILE]\n                  \
          [--diagnostics FILE] [--analysis FILE]\n\
-         observability (classify/grade/testprogram): [--trace-out FILE] [--metrics-out FILE]\n                  \
-         [--manifest-out FILE] [--force] [--quiet]\n\
+         observability (classify/grade/analyze/testprogram): [--trace-out FILE] [--metrics-out FILE]\n                  \
+         [--quiet]; grade/testprogram also [--manifest-out FILE] [--force]\n\
          benchmarks: diffeq | facet | poly | fir\n\
          engines: tape (default) | serial"
     );
     ExitCode::FAILURE
 }
 
-/// Minimal `--key value` argument scanner.
+/// Minimal `--key value` argument scanner. Each command takes the flags
+/// it reads; [`finish`](Self::finish) then refuses whatever is left.
 struct Args {
     rest: Vec<String>,
 }
 
 impl Args {
-    fn new(args: Vec<String>) -> Self {
-        Args { rest: args }
-    }
-
-    fn flag(&mut self, name: &str) -> Option<String> {
-        let pos = self.rest.iter().position(|a| a == name)?;
+    /// Removes `name VALUE` and returns the value.
+    fn flag(&mut self, name: &str) -> Result<Option<String>, String> {
+        let Some(pos) = self.rest.iter().position(|a| a == name) else {
+            return Ok(None);
+        };
         if pos + 1 >= self.rest.len() {
-            return None;
+            return Err(format!("{name} needs a value"));
         }
         self.rest.remove(pos);
-        Some(self.rest.remove(pos))
+        Ok(Some(self.rest.remove(pos)))
+    }
+
+    /// Removes `name VALUE` and parses the value, or returns `default`.
+    fn parsed<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+        match self.flag(name)? {
+            Some(v) => v.parse().map_err(|_| format!("bad {name}")),
+            None => Ok(default),
+        }
     }
 
     /// Removes a bare switch (no value) and reports whether it was
     /// present.
     fn switch(&mut self, name: &str) -> bool {
-        match self.rest.iter().position(|a| a == name) {
-            Some(pos) => {
-                self.rest.remove(pos);
-                true
-            }
-            None => false,
+        let pos = self.rest.iter().position(|a| a == name);
+        pos.map(|pos| self.rest.remove(pos)).is_some()
+    }
+
+    /// Removes the first argument that is not a flag.
+    fn positional(&mut self) -> Option<String> {
+        let pos = self.rest.iter().position(|a| !a.starts_with("--"))?;
+        Some(self.rest.remove(pos))
+    }
+
+    /// Refuses the arguments no flag or positional took.
+    fn finish(self) -> Result<(), String> {
+        let unread = self.rest.first();
+        unread.map_or(Ok(()), |arg| Err(format!("unexpected argument `{arg}`")))
+    }
+
+    /// `--width N` (default 4).
+    fn width(&mut self) -> Result<usize, String> {
+        self.parsed("--width", 4)
+    }
+
+    /// `--threads N` (default 1; 0 = all cores).
+    fn threads(&mut self) -> Result<usize, String> {
+        match self.parsed("--threads", 1)? {
+            0 => Ok(sfr_power::exec::default_threads()),
+            threads => Ok(threads),
         }
     }
 
-    fn positional(&mut self) -> Option<String> {
-        if self.rest.is_empty() {
-            None
-        } else {
-            Some(self.rest.remove(0))
+    /// `--engine NAME` (default tape) on `threads` workers.
+    fn engine(&mut self, threads: usize) -> Result<EngineKind, String> {
+        match self.flag("--engine")? {
+            Some(name) => EngineKind::parse(&name, threads)
+                .ok_or_else(|| format!("unknown engine `{name}` (serial|tape)")),
+            None => Ok(EngineKind::Tape(threads)),
         }
+    }
+
+    /// `--format text|json` (default text); true for json.
+    fn json(&mut self) -> Result<bool, String> {
+        match self.flag("--format")?.as_deref() {
+            None | Some("text") => Ok(false),
+            Some("json") => Ok(true),
+            Some(other) => Err(format!("unknown format `{other}` (text|json)")),
+        }
+    }
+
+    /// The observability flags `--trace-out FILE`, `--metrics-out FILE`
+    /// and `--quiet`, as the opener of their sinks.
+    fn observers(&mut self) -> Result<impl FnOnce() -> Result<Sinks, String>, String> {
+        let (trace, metrics) = (self.flag("--trace-out")?, self.flag("--metrics-out")?);
+        let quiet = self.switch("--quiet");
+        Ok(move || Sinks::open(trace.as_deref(), metrics.as_deref(), quiet))
     }
 }
 
@@ -172,12 +219,14 @@ fn build_bench(name: &str, width: usize) -> Result<EmittedSystem, String> {
     }
 }
 
-/// Builds a benchmark's integrated system for a command that drives it
-/// with test patterns, refusing widths whose data inputs do not fit one
-/// pattern word.
-fn build_tested_system(name: &str, width: usize) -> Result<System, String> {
+/// Builds a benchmark's integrated system. A command that drives it
+/// with test patterns (`tested`) refuses widths whose data inputs do
+/// not fit one pattern word.
+fn build_system(name: &str, width: usize, tested: bool) -> Result<System, String> {
     let emitted = build_bench(name, width)?;
-    sfr_power::check_pattern_width(name, &emitted).map_err(|e| e.to_string())?;
+    if tested {
+        sfr_power::check_pattern_width(name, &emitted).map_err(|e| e.to_string())?;
+    }
     System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())
 }
 
@@ -187,8 +236,7 @@ fn main() -> ExitCode {
         return usage();
     }
     let cmd = argv.remove(0);
-    let mut args = Args::new(argv);
-    match run(&cmd, &mut args) {
+    match run(&cmd, Args { rest: argv }) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -197,73 +245,31 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
-    let width: usize = args
-        .flag("--width")
-        .map(|s| s.parse().map_err(|_| "bad --width"))
-        .transpose()?
-        .unwrap_or(4);
-    let patterns: usize = args
-        .flag("--patterns")
-        .map(|s| s.parse().map_err(|_| "bad --patterns"))
-        .transpose()?
-        .unwrap_or(1200);
-    let threshold: f64 = args
-        .flag("--threshold")
-        .map(|s| s.parse().map_err(|_| "bad --threshold"))
-        .transpose()?
-        .unwrap_or(5.0);
-    let threads: usize = args
-        .flag("--threads")
-        .map(|s| s.parse().map_err(|_| "bad --threads"))
-        .transpose()?
-        .unwrap_or(1);
-    let eff_threads = if threads == 0 {
-        sfr_power::exec::default_threads()
-    } else {
-        threads
-    };
-    let engine = match args.flag("--engine") {
-        Some(name) => EngineKind::parse(&name, eff_threads)
-            .ok_or_else(|| format!("unknown engine `{name}` (serial|tape)"))?,
-        None => EngineKind::Tape(eff_threads),
-    };
-    let static_prune = args.switch("--static-prune");
-    let collapse = args.switch("--collapse");
-    let format = args.flag("--format").unwrap_or_else(|| "text".to_string());
-    if format != "text" && format != "json" {
-        return Err(format!("unknown format `{format}` (text|json)"));
-    }
-    let fault_spec = args.flag("--fault");
-    let out_file = args.flag("--out");
-    let checkpoint = args.flag("--checkpoint");
-    let resume = args.flag("--resume");
-    let cycle_budget: Option<usize> = args
-        .flag("--cycle-budget")
-        .map(|s| s.parse().map_err(|_| "bad --cycle-budget"))
-        .transpose()?;
-    let trace_out = args.flag("--trace-out");
-    let metrics_out = args.flag("--metrics-out");
-    let manifest_out = args.flag("--manifest-out");
-    let force = args.switch("--force");
-    let quiet = args.switch("--quiet");
-
+fn run(cmd: &str, mut args: Args) -> Result<(), String> {
     match cmd {
         "classify" => {
+            let width = args.width()?;
+            let patterns = args.parsed("--patterns", 1200)?;
+            let threads = args.threads()?;
+            let engine = args.engine(threads)?.build();
+            let static_prune = args.switch("--static-prune");
+            let collapse = args.switch("--collapse");
+            let open_sinks = args.observers()?;
             let name = args.positional().ok_or("missing benchmark name")?;
-            let sys = build_tested_system(&name, width)?;
-            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-            let (c, _quarantined) = sfr_power::classify_system_collapsed(
+            args.finish()?;
+            let sys = build_system(&name, width, true)?;
+            let sinks = open_sinks()?;
+            let plan = CampaignPlan::build(&sys, static_prune, collapse, engine.threads(), &sinks);
+            let (c, _quarantined) = classify_system_planned(
                 &sys,
                 &ClassifyConfig {
                     test_patterns: patterns,
-                    static_prune,
                     ..Default::default()
                 },
-                engine.build().as_ref(),
+                engine.as_ref(),
                 &sinks,
                 None,
-                collapse,
+                &plan,
             );
             sinks.finish()?;
             println!(
@@ -282,7 +288,24 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "grade" => {
+            let width = args.width()?;
+            let patterns = args.parsed("--patterns", 1200)?;
+            let threshold = args.parsed("--threshold", 5.0)?;
+            let threads = args.threads()?;
+            let engine = args.engine(threads)?;
+            let static_prune = args.switch("--static-prune");
+            let collapse = args.switch("--collapse");
+            let checkpoint = args.flag("--checkpoint")?;
+            let resume = args.flag("--resume")?;
+            let cycle_budget = args
+                .flag("--cycle-budget")?
+                .map(|s| s.parse().map_err(|_| "bad --cycle-budget"))
+                .transpose()?;
+            let manifest_out = args.flag("--manifest-out")?;
+            let force = args.switch("--force");
+            let open_sinks = args.observers()?;
             let name = args.positional().ok_or("missing benchmark name")?;
+            args.finish()?;
             let emitted = build_bench(&name, width)?;
             let mut builder = StudyBuilder::from_emitted(&name, emitted)
                 .test_patterns(patterns)
@@ -308,7 +331,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             eprintln!(
                 "classifying and grading {name} by Monte Carlo power on {threads} thread(s)..."
             );
-            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
+            let sinks = open_sinks()?;
             let study = prepared.run_with(&sinks);
             sinks.finish()?;
             if let Some(path) = &manifest_out {
@@ -320,17 +343,24 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             print_grade_table(&name, threshold, &study)
         }
         "lint" => {
-            let (subject, mut report) = if args.switch("--fixture") {
-                ("fixture".to_string(), sfr_power::fixture_report())
+            let width = args.width()?;
+            let json = args.json()?;
+            let fixture = args.switch("--fixture");
+            let name = if fixture {
+                None
             } else {
-                let name = args.positional().ok_or("missing benchmark name")?;
-                let emitted = build_bench(&name, width)?;
-                let sys =
-                    System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
-                (name, sfr_power::lint_system(&sys))
+                Some(args.positional().ok_or("missing benchmark name")?)
+            };
+            args.finish()?;
+            let (subject, mut report) = match name {
+                None => ("fixture".to_string(), sfr_power::fixture_report()),
+                Some(name) => {
+                    let sys = build_system(&name, width, false)?;
+                    (name, sfr_power::lint_system(&sys))
+                }
             };
             report.normalize();
-            if format == "json" {
+            if json {
                 println!("{}", render_lint_json(&subject, &report));
             } else {
                 for d in &report.diagnostics {
@@ -351,14 +381,24 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "analyze" => {
+            let width = args.width()?;
+            let threads = args.threads()?;
+            let json = args.json()?;
+            let open_sinks = args.observers()?;
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
-            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
-            let report = run_analysis(&name, width, &sys, eff_threads, &sinks);
+            args.finish()?;
+            let sys = build_system(&name, width, false)?;
+            let sinks = open_sinks()?;
+            // The plan reports its phases, counters and collapse record
+            // exactly as the campaign would.
+            let report = AnalysisReport {
+                benchmark: name,
+                width,
+                uncollapsed: sys.controller_faults_uncollapsed().len(),
+                plan: CampaignPlan::build(&sys, true, true, threads, &sinks),
+            };
             sinks.finish()?;
-            if format == "json" {
+            if json {
                 println!("{}", report.render_json());
             } else {
                 print!("{report}");
@@ -366,14 +406,14 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "stats" => {
+            let width = args.width()?;
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            args.finish()?;
+            let sys = build_system(&name, width, false)?;
             println!("{name} (width {width}) — integrated system:");
-            print!("{}", sfr_netlist_stats(&sys.netlist));
+            print!("{}", sfr_power::NetlistStats::of(&sys.netlist));
             println!("controller alone:");
-            print!("{}", sfr_netlist_stats(&sys.ctrl_netlist));
+            print!("{}", sfr_power::NetlistStats::of(&sys.ctrl_netlist));
             println!(
                 "controller fault universe: {} collapsed stuck-at faults",
                 sys.controller_faults().len()
@@ -381,10 +421,12 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "vcd" => {
+            let width = args.width()?;
+            let fault_spec = args.flag("--fault")?;
+            let out_file = args.flag("--out")?;
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            args.finish()?;
+            let sys = build_system(&name, width, false)?;
             let fault = match fault_spec {
                 Some(spec) => Some(parse_fault(&sys, &spec)?),
                 None => None,
@@ -415,10 +457,11 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "verilog" => {
+            let width = args.width()?;
+            let out_file = args.flag("--out")?;
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            args.finish()?;
+            let sys = build_system(&name, width, false)?;
             let path = out_file.unwrap_or_else(|| format!("{name}.v"));
             let mut text = Vec::new();
             sfr_power::write_cell_library(&mut text).map_err(|e| e.to_string())?;
@@ -432,7 +475,17 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "testprogram" => {
+            let width = args.width()?;
+            let patterns = args.parsed("--patterns", 1200)?;
+            let threshold = args.parsed("--threshold", 5.0)?;
+            let threads = args.threads()?;
+            let engine = args.engine(threads)?;
+            let out_file = args.flag("--out")?;
+            let manifest_out = args.flag("--manifest-out")?;
+            let force = args.switch("--force");
+            let open_sinks = args.observers()?;
             let name = args.positional().ok_or("missing benchmark name")?;
+            args.finish()?;
             let emitted = build_bench(&name, width)?;
             eprintln!("running the full study (classification + power grading)...");
             let mut builder = StudyBuilder::from_emitted(&name, emitted)
@@ -444,7 +497,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                 builder = builder.manifest_out(path);
             }
             let prepared = builder.build().map_err(|e| e.to_string())?;
-            let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
+            let sinks = open_sinks()?;
             let study = prepared.run_with(&sinks);
             sinks.finish()?;
             let prog = sfr_power::generate_test_program(
@@ -470,16 +523,22 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "table2" => {
+            let width = args.width()?;
+            let patterns = args.parsed("--patterns", 1200)?;
+            let threads = args.threads()?;
+            let engine = args.engine(threads)?.build();
+            args.finish()?;
             for name in ["diffeq", "facet", "poly"] {
-                let sys = build_tested_system(name, width)?;
-                let c = classify_system_with(
+                let sys = build_system(name, width, true)?;
+                let (c, _quarantined) = classify_system_journaled(
                     &sys,
                     &ClassifyConfig {
                         test_patterns: patterns,
                         ..Default::default()
                     },
-                    engine.build().as_ref(),
+                    engine.as_ref(),
                     &sfr_power::exec::NullProgress,
+                    None,
                 );
                 println!(
                     "{name:<8} {:>5} faults  {:>4} SFR  {:>5.1}%",
@@ -487,76 +546,60 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                     c.sfr_count(),
                     c.percent_sfr()
                 );
-                debug_assert!(matches!(
-                    c.faults.first().map(|f| f.class),
-                    Some(FaultClass::Sfi(_)) | Some(FaultClass::Sfr) | Some(FaultClass::Cfr) | None
-                ));
             }
             Ok(())
         }
         "obs-check" => {
-            let trace = args.flag("--trace");
-            let manifest = args.flag("--manifest");
-            let metrics = args.flag("--metrics");
-            let diagnostics = args.flag("--diagnostics");
-            let analysis = args.flag("--analysis");
-            if trace.is_none()
-                && manifest.is_none()
-                && metrics.is_none()
-                && diagnostics.is_none()
-                && analysis.is_none()
-            {
+            use sfr_power::obs;
+            type Check = fn(&str) -> Result<String, String>;
+            let checks: [(&str, &str, Check); 5] = [
+                ("--trace", "trace", |text| {
+                    let s = obs::check_trace(text)?;
+                    Ok(format!(
+                        " — {} lines, {} spans ({} aborted), {} packs, {} chunks, \
+                         {} quarantines, {} budget hits, {} collapse record(s)",
+                        s.lines,
+                        s.spans,
+                        s.aborted_spans,
+                        s.packs,
+                        s.chunks,
+                        s.quarantines,
+                        s.budgets,
+                        s.collapses
+                    ))
+                }),
+                ("--manifest", "manifest", |text| {
+                    obs::check_manifest(text).map(|()| String::new())
+                }),
+                ("--metrics", "metrics", |text| {
+                    obs::check_metrics(text).map(|n| format!(" — {n} samples"))
+                }),
+                ("--diagnostics", "diagnostics", |text| {
+                    obs::check_diagnostics(text).map(|n| format!(" — {n} diagnostic(s)"))
+                }),
+                ("--analysis", "analysis", |text| {
+                    obs::check_analysis(text).map(|()| String::new())
+                }),
+            ];
+            let mut files = Vec::new();
+            for (flag, kind, check) in checks {
+                if let Some(path) = args.flag(flag)? {
+                    files.push((kind, path, check));
+                }
+            }
+            args.finish()?;
+            if files.is_empty() {
                 return Err(
                     "obs-check needs at least one of --trace, --manifest, --metrics, \
                             --diagnostics, --analysis"
                         .into(),
                 );
             }
-            if let Some(path) = trace {
+            for (kind, path, check) in files {
                 let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read trace {path}: {e}"))?;
-                let stats = sfr_power::obs::check_trace(&text)
-                    .map_err(|e| format!("invalid trace {path}: {e}"))?;
-                println!(
-                    "trace {path}: ok — {} lines, {} spans ({} aborted), {} packs, {} chunks, \
-                     {} quarantines, {} budget hits, {} collapse record(s)",
-                    stats.lines,
-                    stats.spans,
-                    stats.aborted_spans,
-                    stats.packs,
-                    stats.chunks,
-                    stats.quarantines,
-                    stats.budgets,
-                    stats.collapses
-                );
-            }
-            if let Some(path) = manifest {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read manifest {path}: {e}"))?;
-                sfr_power::obs::check_manifest(&text)
-                    .map_err(|e| format!("invalid manifest {path}: {e}"))?;
-                println!("manifest {path}: ok");
-            }
-            if let Some(path) = metrics {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read metrics {path}: {e}"))?;
-                let samples = sfr_power::obs::check_metrics(&text)
-                    .map_err(|e| format!("invalid metrics {path}: {e}"))?;
-                println!("metrics {path}: ok — {samples} samples");
-            }
-            if let Some(path) = diagnostics {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read diagnostics {path}: {e}"))?;
-                let n = sfr_power::obs::check_diagnostics(&text)
-                    .map_err(|e| format!("invalid diagnostics {path}: {e}"))?;
-                println!("diagnostics {path}: ok — {n} diagnostic(s)");
-            }
-            if let Some(path) = analysis {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read analysis {path}: {e}"))?;
-                sfr_power::obs::check_analysis(&text)
-                    .map_err(|e| format!("invalid analysis {path}: {e}"))?;
-                println!("analysis {path}: ok");
+                    .map_err(|e| format!("cannot read {kind} {path}: {e}"))?;
+                let summary = check(&text).map_err(|e| format!("invalid {kind} {path}: {e}"))?;
+                println!("{kind} {path}: ok{summary}");
             }
             Ok(())
         }
@@ -601,10 +644,6 @@ fn print_grade_table(name: &str, threshold: f64, study: &sfr_power::Study) -> Re
     Ok(())
 }
 
-fn sfr_netlist_stats(nl: &sfr_power::Netlist) -> String {
-    sfr_power::NetlistStats::of(nl).to_string()
-}
-
 /// Renders a normalized lint report as the `sfr-lint` JSON object
 /// validated by `sfr obs-check --diagnostics`.
 fn render_lint_json(subject: &str, report: &sfr_power::LintReport) -> String {
@@ -638,45 +677,36 @@ fn render_lint_json(subject: &str, report: &sfr_power::LintReport) -> String {
     out
 }
 
-/// The stable order static rules are attributed and printed in:
-/// structural CFR proofs cheapest-first, then the abstract-interpretation
-/// proofs, then the exhaustive fallbacks.
-const ANALYZE_RULES: [&str; 6] = [
-    "dead-cone",
-    "constant-site",
-    "masked-propagation",
-    "parity-cancellation",
-    "table-cfr",
-    "oracle-sfr",
-];
-
-/// What `sfr analyze` computed for one benchmark.
+/// What `sfr analyze` reports for one benchmark: the plan of a
+/// `--static-prune --collapse` campaign over it, not run.
 struct AnalysisReport {
     benchmark: String,
     width: usize,
     uncollapsed: usize,
-    universe: usize,
-    class_count: usize,
-    merged: usize,
-    chain_buffer: usize,
-    chain_controlling: usize,
-    collapse_ratio: f64,
-    dominance_pairs: usize,
-    cfr: usize,
-    sfr: usize,
-    undecided: usize,
-    by_rule: Vec<(&'static str, usize)>,
-    collapse_only: usize,
-    static_only: usize,
-    combined: usize,
+    plan: CampaignPlan,
 }
 
 impl AnalysisReport {
+    fn classes(&self) -> &sfr_power::FaultClasses {
+        self.plan.classes().expect("a collapsing plan has classes")
+    }
+
+    /// The statically decided CFR and SFR faults, and the undecided ones.
+    fn split(&self) -> (usize, usize, usize) {
+        let universe = self.plan.universe().len();
+        let decided: Vec<_> = (0..universe)
+            .filter_map(|i| self.plan.decision(i))
+            .collect();
+        let sfr = decided.iter().filter(|(_, r)| r.class.is_sfr()).count();
+        (decided.len() - sfr, sfr, universe - decided.len())
+    }
+
     fn reduction_pct(&self) -> f64 {
-        if self.universe == 0 {
+        let universe = self.plan.universe().len();
+        if universe == 0 {
             0.0
         } else {
-            100.0 * (1.0 - self.combined as f64 / self.universe as f64)
+            100.0 * (1.0 - self.plan.campaign().len() as f64 / universe as f64)
         }
     }
 
@@ -684,8 +714,10 @@ impl AnalysisReport {
     /// `sfr obs-check --analysis`.
     fn render_json(&self) -> String {
         use sfr_power::obs::json::{escaped, num};
+        let (classes, (cfr, sfr, undecided)) = (self.classes(), self.split());
         let by_rule: Vec<String> = self
-            .by_rule
+            .plan
+            .rule_counts()
             .iter()
             .map(|(rule, n)| format!("{}:{n}", escaped(rule)))
             .collect();
@@ -700,20 +732,20 @@ impl AnalysisReport {
             escaped(&self.benchmark),
             self.width,
             self.uncollapsed,
-            self.universe,
-            self.class_count,
-            self.merged,
-            self.chain_buffer,
-            self.chain_controlling,
-            num(self.collapse_ratio),
-            self.dominance_pairs,
-            self.cfr,
-            self.sfr,
-            self.undecided,
+            self.plan.universe().len(),
+            classes.class_count(),
+            classes.merged_count(),
+            classes.chain_buffer_merges(),
+            classes.chain_controlling_merges(),
+            num(classes.collapse_ratio()),
+            classes.dominance_pairs(),
+            cfr,
+            sfr,
+            undecided,
             by_rule.join(","),
-            self.collapse_only,
-            self.static_only,
-            self.combined,
+            classes.class_count(),
+            undecided,
+            self.plan.campaign().len(),
             num(self.reduction_pct()),
         )
     }
@@ -721,6 +753,8 @@ impl AnalysisReport {
 
 impl std::fmt::Display for AnalysisReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (classes, (cfr, sfr, undecided)) = (self.classes(), self.split());
+        let universe = self.plan.universe().len();
         writeln!(
             f,
             "{} (width {}) — static fault analysis:",
@@ -728,122 +762,38 @@ impl std::fmt::Display for AnalysisReport {
         )?;
         writeln!(
             f,
-            "  fault universe:      {} site-collapsed faults ({} uncollapsed)",
-            self.universe, self.uncollapsed
+            "  fault universe:      {universe} site-collapsed faults ({} uncollapsed)",
+            self.uncollapsed
         )?;
         writeln!(
             f,
             "  equivalence classes: {} ({} folded: {} buf/inv chain, {} controlling link; \
              ratio {:.3})",
-            self.class_count,
-            self.merged,
-            self.chain_buffer,
-            self.chain_controlling,
-            self.collapse_ratio
+            classes.class_count(),
+            classes.merged_count(),
+            classes.chain_buffer_merges(),
+            classes.chain_controlling_merges(),
+            classes.collapse_ratio()
         )?;
         writeln!(
             f,
             "  dominance pairs:     {} (reported, not merged)",
-            self.dominance_pairs
+            classes.dominance_pairs()
         )?;
         writeln!(
             f,
-            "  statically decided:  {} CFR + {} SFR of {} ({} undecided)",
-            self.cfr, self.sfr, self.universe, self.undecided
+            "  statically decided:  {cfr} CFR + {sfr} SFR of {universe} ({undecided} undecided)"
         )?;
-        for (rule, n) in &self.by_rule {
+        for (rule, n) in self.plan.rule_counts() {
             writeln!(f, "    {rule:<20} {n}")?;
         }
         writeln!(
             f,
-            "  campaign after --static-prune --collapse: {} of {} faults \
+            "  campaign after --static-prune --collapse: {} of {universe} faults \
              ({:.1}% fewer simulated)",
-            self.combined,
-            self.universe,
+            self.plan.campaign().len(),
             self.reduction_pct()
         )
-    }
-}
-
-/// Runs the static layer — fault collapsing plus the rule/table/oracle
-/// attribution — over one benchmark, reporting phases, counters, and
-/// the collapse trace record to `progress` exactly as a campaign would.
-fn run_analysis(
-    name: &str,
-    width: usize,
-    sys: &System,
-    threads: usize,
-    progress: &dyn Progress,
-) -> AnalysisReport {
-    use sfr_power::exec::{par_map_indexed, Phase, PhaseTimer, ProgressEvent, TraceRecord};
-
-    let faults = sys.controller_faults();
-    let uncollapsed = sys.controller_faults_uncollapsed().len();
-
-    let timer = PhaseTimer::start(progress, Phase::Collapse);
-    let classes = sfr_power::FaultClasses::build(&sys.netlist, &faults);
-    for _ in 0..classes.merged_count() {
-        progress.event(ProgressEvent::FaultCollapsed);
-    }
-    if progress.wants_records() {
-        progress.record(&TraceRecord::Collapse {
-            universe: classes.len(),
-            classes: classes.class_count(),
-            merged: classes.merged_count(),
-        });
-    }
-    timer.finish();
-
-    let timer = PhaseTimer::start(progress, Phase::Lint);
-    let analysis = sfr_power::analyze_controller_static(sys);
-    let labels = par_map_indexed(threads, faults.len(), |i| {
-        sfr_power::static_rule_label(sys, &analysis, faults[i])
-    });
-    for _ in labels.iter().flatten() {
-        progress.event(ProgressEvent::FaultPruned);
-    }
-    timer.finish();
-
-    let mut by_rule: Vec<(&'static str, usize)> = ANALYZE_RULES.iter().map(|&r| (r, 0)).collect();
-    let mut undecided_classes = std::collections::BTreeSet::new();
-    let mut undecided = 0;
-    for (i, label) in labels.iter().enumerate() {
-        match label {
-            Some(rule) => {
-                if let Some(slot) = by_rule.iter_mut().find(|(r, _)| r == rule) {
-                    slot.1 += 1;
-                }
-            }
-            None => {
-                undecided += 1;
-                undecided_classes.insert(classes.representative(i));
-            }
-        }
-    }
-    let sfr = by_rule
-        .iter()
-        .find(|(r, _)| *r == "oracle-sfr")
-        .map_or(0, |(_, n)| *n);
-    let cfr = faults.len() - undecided - sfr;
-
-    AnalysisReport {
-        benchmark: name.to_string(),
-        width,
-        uncollapsed,
-        universe: faults.len(),
-        class_count: classes.class_count(),
-        merged: classes.merged_count(),
-        chain_buffer: classes.chain_buffer_merges(),
-        chain_controlling: classes.chain_controlling_merges(),
-        collapse_ratio: classes.collapse_ratio(),
-        dominance_pairs: classes.dominance_pairs(),
-        cfr,
-        sfr,
-        undecided,
-        by_rule,
-        collapse_only: classes.class_count(),
-        static_only: undecided,
-        combined: undecided_classes.len(),
     }
 }
 

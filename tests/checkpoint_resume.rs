@@ -149,6 +149,7 @@ fn journal_from_an_earlier_release_resumes_without_recomputation() {
     for threads in ["1", "2"] {
         let journal = scratch(&format!("fixture-{threads}.journal"));
         let manifest = scratch(&format!("fixture-manifest-{threads}.json"));
+        let metrics = scratch(&format!("fixture-metrics-{threads}.prom"));
         std::fs::copy(fixture, &journal).expect("fixture copies");
         let _ = std::fs::remove_file(&manifest);
 
@@ -163,22 +164,32 @@ fn journal_from_an_earlier_release_resumes_without_recomputation() {
             journal.to_str().expect("utf-8 temp path"),
             "--manifest-out",
             manifest.to_str().expect("utf-8 temp path"),
+            "--metrics-out",
+            metrics.to_str().expect("utf-8 temp path"),
         ]);
         assert_eq!(
             resumed, fresh,
             "a resumed run on {threads} thread(s) prints the fresh run's table"
         );
+        // 181 faults make three fault-simulation chunks; 38 SFR faults
+        // make one grade pack. All four come from the journal, and the
+        // manifest's profile counts the grade pack among them.
+        let prom = std::fs::read_to_string(&metrics).expect("metrics written");
+        assert!(
+            prom.lines().any(|l| l == "sfr_packs_restored_total 4"),
+            "{threads} thread(s): {prom}"
+        );
+        assert!(prom.lines().any(|l| l == "sfr_faults_simulated_total 0"));
 
         let text = std::fs::read_to_string(&manifest).expect("manifest written");
         let v = sfr_power::obs::json::parse(&text).expect("manifest parses");
         let profile = v.get("profile").expect("profile section");
         let num = |key: &str| profile.get(key).unwrap().as_num().unwrap();
-        // 181 faults make three fault-simulation chunks; 38 SFR faults
-        // make one grade pack. All four come from the journal.
-        assert_eq!(num("packs_restored"), 4.0, "{threads} thread(s)");
+        assert_eq!(num("packs_restored"), 1.0, "{threads} thread(s)");
         assert_eq!(num("packs_computed"), 0.0, "{threads} thread(s)");
         assert_eq!(num("mc_batches"), 0.0, "no Monte Carlo batch ran");
-        let _ = std::fs::remove_file(&journal);
-        let _ = std::fs::remove_file(&manifest);
+        for path in [&journal, &manifest, &metrics] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

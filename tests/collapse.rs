@@ -2,10 +2,11 @@
 //! collapsed campaign simulates one representative per equivalence
 //! class, yet its classification, baseline, grade table, and incident
 //! list are byte-identical to the uncollapsed run's — at every thread
-//! count, on every benchmark. The
-//! equivalence rule itself is checked by property: on random netlists,
-//! every class member's detection behaviour and power-relevant
-//! activity equal its representative's.
+//! count, on every benchmark, alone or with the static pre-pass, fresh
+//! or resumed from a checkpoint journal. The equivalence rule itself is
+//! checked by property: on random netlists, every class member's
+//! detection behaviour and power-relevant activity equal its
+//! representative's.
 
 #![allow(clippy::unwrap_used)]
 
@@ -129,6 +130,74 @@ fn collapsed_poly_is_byte_identical_at_every_thread_count() {
 #[test]
 fn collapsed_fir_is_byte_identical_at_every_thread_count() {
     thread_sweep("fir");
+}
+
+/// The static pre-pass and collapsing together, as one campaign plan:
+/// a pruned, collapsed study checkpointed at 1 and 2 threads, then
+/// resumed from its journal, is bit-identical to the plain study, and
+/// every fault of the universe is simulated, folded or pruned exactly
+/// once.
+fn prune_collapse_resume(bench: &str) {
+    let reference = quick(bench).build().expect("builds").run();
+    for threads in [1, 2] {
+        let journal = std::env::temp_dir().join(format!(
+            "sfr-plan-{bench}-{threads}-{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&journal);
+        let run = |resume: bool| {
+            let builder = quick(bench)
+                .static_prune(true)
+                .collapse(true)
+                .threads(threads);
+            let builder = if resume {
+                builder.resume(&journal)
+            } else {
+                builder.checkpoint(&journal)
+            };
+            let counters = Counters::new();
+            let study = builder.build().expect("builds").run_with(&counters);
+            (study, counters.snapshot())
+        };
+        let (fresh, snap) = run(false);
+        assert!(snap.faults_pruned > 0, "{bench}: the pre-pass prunes");
+        assert!(snap.faults_collapsed > 0, "{bench}: collapsing folds");
+        assert_eq!(
+            snap.faults_simulated + snap.faults_collapsed + snap.faults_pruned,
+            reference.classification.total(),
+            "{bench}: simulated + folded + pruned must cover the universe"
+        );
+        assert_identical(&reference, &fresh, &format!("{bench}, {threads} threads"));
+        let (resumed, snap) = run(true);
+        assert_eq!(snap.faults_simulated, 0, "{bench}: every chunk restored");
+        assert_eq!(snap.grade_packs, 0, "{bench}: every grade pack restored");
+        assert_identical(
+            &reference,
+            &resumed,
+            &format!("{bench}, {threads} threads, resumed"),
+        );
+        std::fs::remove_file(&journal).unwrap();
+    }
+}
+
+#[test]
+fn pruned_collapsed_diffeq_resumes_byte_identical() {
+    prune_collapse_resume("diffeq");
+}
+
+#[test]
+fn pruned_collapsed_facet_resumes_byte_identical() {
+    prune_collapse_resume("facet");
+}
+
+#[test]
+fn pruned_collapsed_poly_resumes_byte_identical() {
+    prune_collapse_resume("poly");
+}
+
+#[test]
+fn pruned_collapsed_fir_resumes_byte_identical() {
+    prune_collapse_resume("fir");
 }
 
 /// Collapsing is a campaign-execution strategy, not a result knob: it
