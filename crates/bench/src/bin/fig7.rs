@@ -12,7 +12,11 @@
 use sfr_bench::{args_from_env, paper_config};
 use sfr_core::{benchmarks, Fig7Series, StudyBuilder};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> std::process::ExitCode {
+    sfr_bench::exit_code(run())
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     // One trace/metrics file spans all three benchmark studies.
     let (threads, sinks) = args_from_env()?;

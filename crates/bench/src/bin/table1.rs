@@ -10,7 +10,11 @@
 use sfr_bench::{args_from_env, paper_config};
 use sfr_core::{render_table1, StudyBuilder};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> std::process::ExitCode {
+    sfr_bench::exit_code(run())
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let (threads, sinks) = args_from_env()?;
     eprintln!(
         "classifying and grading diffeq on {threads} thread(s) \

@@ -9,7 +9,11 @@ use sfr_bench::{args_from_env, paper_config};
 use sfr_core::exec::EngineKind;
 use sfr_core::{benchmarks, classify_system_journaled, System};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> std::process::ExitCode {
+    sfr_bench::exit_code(run())
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     let (threads, sinks) = args_from_env()?;
     let engine = EngineKind::Tape(threads).build();

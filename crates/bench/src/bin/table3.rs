@@ -113,7 +113,11 @@ fn show(
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> std::process::ExitCode {
+    sfr_bench::exit_code(run())
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let (threads, sinks) = args_from_env()?;
     println!("Table 3: Power in the presence of SFR faults for different test sets");
     println!("(percentage change from fault-free shown beneath each row).");

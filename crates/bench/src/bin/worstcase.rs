@@ -11,7 +11,11 @@ use sfr_bench::{args_from_env, paper_config};
 use sfr_core::exec::{Progress, TraceRecord};
 use sfr_core::{benchmarks, worst_case_extra_effects, System};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> std::process::ExitCode {
+    sfr_bench::exit_code(run())
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
     let (threads, sinks) = args_from_env()?;
     let start = std::time::Instant::now();

@@ -98,3 +98,16 @@ pub fn args_from_env() -> Result<(usize, Sinks), String> {
     let sinks = Sinks::open(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
     Ok((threads, sinks))
 }
+
+/// The process exit of a table/figure binary, reported the way the
+/// `sfr` CLI reports it: success, or `error: <message>` on stderr and
+/// exit code 1.
+pub fn exit_code(result: Result<(), Box<dyn std::error::Error>>) -> std::process::ExitCode {
+    match result {
+        Ok(()) => std::process::ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::ExitCode::FAILURE
+        }
+    }
+}

@@ -8,10 +8,12 @@
 //!
 //! Grading is **lane-packed** on the compiled op tape: up to
 //! [`MAX_PARALLEL_FAULTS`] faults plus the fault-free baseline (lane 0)
-//! share every simulation pass of one [`TapeSim`], with per-lane
-//! switching activity accumulated bit-parallel ([`TapeActivity`]). Lane
-//! 0 doubles as a baseline-activity cache: the separate fault-free Monte
-//! Carlo the scalar path runs per design comes for free with pack 0.
+//! share every simulation pass of one [`TapeSim`], and each lane's
+//! datapath energy is summed as an exact integer of switched
+//! femtofarads ([`TapeEnergy`], over the same [`EnergyWeights`] the
+//! scalar path uses). Lane 0 doubles as a baseline cache: the separate
+//! fault-free Monte Carlo the scalar path runs per design comes for free
+//! with pack 0.
 //! Grading never meets `X` — every run resets the controller to its
 //! reset code and every datapath register to 0, every primary input
 //! takes one bit of a binary pattern, and stuck-at forces are 0 or 1
@@ -29,11 +31,11 @@ use sfr_exec::{
 use sfr_faultsim::{run_journaled_packs, PackBody, RunConfig, SimKernel, System};
 use sfr_journal::{CampaignJournal, RecordKind};
 use sfr_netlist::{
-    Activity, CycleSim, Logic, StuckAt, TapeActivity, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS,
+    Activity, CycleSim, Logic, StuckAt, TapeEnergy, TapeProgram, TapeSim, MAX_PARALLEL_FAULTS,
 };
 use sfr_power_model::{
-    power_from_activity_where, power_from_tape_activity_where, run_monte_carlo,
-    run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult, PowerConfig, PowerReport,
+    power_from_activity_where, power_from_tape_energy, run_monte_carlo, run_monte_carlo_lanes,
+    EnergyWeights, MonteCarloConfig, MonteCarloResult, PowerConfig, PowerReport,
 };
 use sfr_tpg::TestSet;
 
@@ -188,7 +190,7 @@ pub fn measure_activity_with_testset(
 /// Per-run resets overwrite sequential state only, so the toggle edge
 /// between consecutive runs is counted exactly as the scalar path counts
 /// it; every report is bit-identical to a scalar measurement of that
-/// lane's circuit.
+/// lane's circuit ([`measure_power_with_testset`]).
 ///
 /// Bit `i` of the stall mask is set when `prog.faults()[i]`'s lane was
 /// *not* in HOLD at the end of a run the fault-free lane completed
@@ -206,25 +208,32 @@ pub fn measure_power_tape_watched(
     cfg: &GradeConfig,
 ) -> (Vec<PowerReport>, u64) {
     let mut sim = TapeSim::new(prog);
-    let mut act = TapeActivity::new(prog);
-    measure_power_tape_watched_with(sys, &mut sim, &mut act, ts, cfg)
+    let mut energy = datapath_energy(sys, prog);
+    measure_power_tape_watched_with(sys, &mut sim, &mut energy, ts, cfg)
+}
+
+/// Zeroed per-lane sums over the datapath's energy weights (every gate
+/// outside the controller's range, as [`measure_power_with_testset`]
+/// counts), for simulators of `prog`.
+fn datapath_energy(sys: &System, prog: &TapeProgram<u64>) -> TapeEnergy {
+    let w = EnergyWeights::new(&sys.netlist, |g| !sys.is_controller_gate(g));
+    TapeEnergy::new(prog, &w.net_ff, &w.clock_ff)
 }
 
 /// [`measure_power_tape_watched`] over a caller-owned [`TapeSim`] and
-/// [`TapeActivity`], so consecutive Monte Carlo batches reuse one
-/// simulator's buffers (slot array, deviation scratch, activity counter
-/// rows) instead of reallocating them per batch. Activity counters
-/// restart from zero on every call; reports are identical to the
-/// fresh-simulator form.
+/// [`TapeEnergy`], so consecutive Monte Carlo batches reuse one
+/// simulator's buffers (slot array, deviation scratch) instead of
+/// reallocating them per batch. The sums restart from zero on every
+/// call; reports are identical to the fresh-simulator form.
 fn measure_power_tape_watched_with(
     sys: &System,
     sim: &mut TapeSim<'_, u64>,
-    act: &mut TapeActivity,
+    energy: &mut TapeEnergy,
     ts: &TestSet,
     cfg: &GradeConfig,
 ) -> (Vec<PowerReport>, u64) {
     let n_faults = sim.faults().len();
-    act.reset();
+    energy.reset();
     let hold = sys.meta.hold_state();
     let ceiling = cfg.run.run_ceiling();
     let armed = cfg.run.cycle_budget != 0;
@@ -251,7 +260,7 @@ fn measure_power_tape_watched_with(
                     }
                 }
             }
-            sim.clock_counting(act);
+            sim.clock_counting(energy);
             if st == Some(hold) {
                 in_hold_for += 1;
                 if in_hold_for > cfg.run.hold_cycles {
@@ -260,10 +269,7 @@ fn measure_power_tape_watched_with(
             }
         }
     }
-    let reports = power_from_tape_activity_where(&sys.netlist, act, &cfg.power, |g| {
-        !sys.is_controller_gate(g)
-    });
-    (reports, stalled)
+    (power_from_tape_energy(energy, &cfg.power), stalled)
 }
 
 /// One Monte Carlo batch: fresh pseudorandom data keyed by the *batch
@@ -419,35 +425,33 @@ pub fn grade_pack_slice(faults: &[StuckAt], pack: usize, kernel: SimKernel) -> &
 ///
 /// The pack's two-valued [`TapeProgram`] is compiled once and shared.
 /// Its batches run on `workers` threads through [`ordered_waves`]: each
-/// worker reuses one [`TapeSim`] and one [`TapeActivity`] for every
-/// batch it computes, and the stopping rule ([`run_monte_carlo_lanes`])
+/// worker reuses one [`TapeSim`] and one [`TapeEnergy`] for every batch
+/// it computes, and the stopping rule ([`run_monte_carlo_lanes`])
 /// consumes batches in index order.
 /// Batch `i` depends only on `i`, so which worker ran it does not
-/// matter. Stall mask, cycles and the profile's dirty-column count
-/// come from consumed batches only; the at most `workers − 1` batches
-/// computed past the last lane's stop are dropped unread.
+/// matter. Stall mask and cycles come from consumed batches only; the
+/// at most `workers − 1` batches computed past the last lane's stop are
+/// dropped unread.
 fn run_pack(sys: &System, pack: &[StuckAt], cfg: &GradeConfig, workers: usize) -> GradedPack {
     let prog =
         TapeProgram::<u64>::compile(&sys.netlist, pack).expect("packs never exceed the lane limit");
+    let energy = datapath_energy(sys, &prog);
     let mut stalls = 0u64;
     let mut cycles = 0u64;
-    let mut dirty_nets = 0usize;
     let results = ordered_waves(
         workers,
-        || (TapeSim::new(&prog), TapeActivity::new(&prog)),
-        |(sim, act), batch| {
+        || (TapeSim::new(&prog), energy.clone()),
+        |(sim, energy), batch| {
             let ts = batch_testset(sys, cfg, batch);
-            let (reports, batch_stalls) = measure_power_tape_watched_with(sys, sim, act, &ts, cfg);
-            (reports, batch_stalls, act.dirty_net_columns())
+            measure_power_tape_watched_with(sys, sim, energy, &ts, cfg)
         },
         |next| {
             run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
-                let (reports, batch_stalls, dirty) = next(batch);
+                let (reports, batch_stalls) = next(batch);
                 stalls |= batch_stalls;
                 // All lanes share one schedule; lane 0's cycle count is
                 // the pack's per-batch simulation cost.
                 cycles += reports[0].cycles;
-                dirty_nets = dirty;
                 reports
             })
         },
@@ -460,8 +464,6 @@ fn run_pack(sys: &System, pack: &[StuckAt], cfg: &GradeConfig, workers: usize) -
             ops: prog.len(),
             levels: prog.level_count(),
             force_ops: prog.force_op_count(),
-            dirty_nets,
-            nets: prog.net_count(),
         },
     }
 }

@@ -611,11 +611,6 @@ fn profile_section(c: &CounterState) -> ProfileSection {
         tape_ops: c.tape.ops,
         tape_levels: c.tape.levels,
         tape_force_ops: c.tape.force_ops,
-        tape_sparsity_pct: if c.tape.nets == 0 {
-            0.0
-        } else {
-            c.tape.dirty_nets as f64 * 100.0 / c.tape.nets as f64
-        },
     }
 }
 

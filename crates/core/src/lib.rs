@@ -116,14 +116,14 @@ pub use sfr_logic::{minimize, Cover, Cube, SopMapper};
 pub use sfr_netlist::{
     critical_path, logic_to_u64, parse_verilog, parse_verilog_spanned, u64_to_logic,
     write_cell_library, write_verilog, Activity, ActivityMismatch, Atpg, CellKind, CycleSim,
-    FaultClasses, FaultSite, GateId, LaneCounts, LaneValue, Logic, NetId, Netlist, NetlistBuilder,
-    NetlistError, NetlistStats, ParseError, Pat, SourceSpans, StuckAt, TapeActivity, TapeProgram,
+    FaultClasses, FaultSite, GateId, LaneValue, Logic, NetId, Netlist, NetlistBuilder,
+    NetlistError, NetlistStats, ParseError, Pat, SourceSpans, StuckAt, TapeEnergy, TapeProgram,
     TapeSim, TestOutcome, TooManyFaultsError, VcdRecorder, MAX_PARALLEL_FAULTS,
 };
 pub use sfr_obs as obs;
 pub use sfr_power_model::{
-    power_from_activity, power_from_activity_where, power_from_tape_activity_where,
-    run_monte_carlo, run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult, PowerConfig,
+    power_from_activity, power_from_activity_where, power_from_tape_energy, run_monte_carlo,
+    run_monte_carlo_lanes, EnergyWeights, MonteCarloConfig, MonteCarloResult, PowerConfig,
     PowerPopulation, PowerReport, VariationModel,
 };
 pub use sfr_rtl::{

@@ -422,11 +422,6 @@ pub struct TapeShape {
     pub levels: usize,
     /// Fault-injection `Force` ops in the tape.
     pub force_ops: usize,
-    /// Net columns touched by the delta sweep in the final consumed
-    /// batch.
-    pub dirty_nets: usize,
-    /// Total net columns in the tape (sparsity denominator).
-    pub nets: usize,
 }
 
 /// One lane's Monte Carlo outcome inside a [`TraceRecord::PackGraded`]
@@ -1119,8 +1114,6 @@ mod tests {
                 ops: 10 + force_ops,
                 levels: 3,
                 force_ops,
-                dirty_nets: 5,
-                nets: 20,
             },
         }
     }

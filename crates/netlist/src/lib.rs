@@ -17,8 +17,8 @@
 //!   one fault per further lane) that is exact for sequential circuits
 //!   and bit-identical, lane for lane, to the scalar reference: on
 //!   three-valued [`Pat`] lanes for any stimulus, and on two-valued
-//!   `u64` lanes — the only ones that count switching activity
-//!   ([`TapeActivity`]) — for stimulus that never produces `X`.
+//!   `u64` lanes — the only ones that sum switching energy
+//!   ([`TapeEnergy`]) — for stimulus that never produces `X`.
 //!
 //! # Example
 //!
@@ -82,8 +82,7 @@ pub use logic::{logic_to_u64, u64_to_logic, Logic};
 pub use sim::{Activity, ActivityMismatch, CycleSim};
 pub use stats::{critical_path, NetlistStats};
 pub use tape::{
-    LaneCounts, LaneValue, Pat, TapeActivity, TapeProgram, TapeSim, TooManyFaultsError,
-    MAX_PARALLEL_FAULTS,
+    LaneValue, Pat, TapeEnergy, TapeProgram, TapeSim, TooManyFaultsError, MAX_PARALLEL_FAULTS,
 };
 pub use vcd::VcdRecorder;
 pub use verilog::{

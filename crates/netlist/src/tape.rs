@@ -22,9 +22,11 @@
 //! * `u64` — single-rail two-valued lanes, half the work per op. Exact
 //!   wherever no `X` can arise: every flip-flop reset to a known value
 //!   and every primary input driven with one. Power grading runs here,
-//!   and only here is per-lane switching activity counted
-//!   ([`TapeActivity`], [`TapeSim::clock_counting`]) — bit-identical to
-//!   a `CycleSim` run of that lane's circuit for the same binary
+//!   and only here is switching counted: [`TapeSim::clock_counting`]
+//!   adds each lane's net toggles and clock events, weighted by whole
+//!   femtofarads, into one integer energy sum per lane
+//!   ([`TapeEnergy`]). The sums equal the same weights applied to a
+//!   `CycleSim` run of that lane's circuit for the same binary
 //!   stimulus.
 //!
 //! Both equivalences are property-tested in `tests/proptests.rs`.
@@ -32,7 +34,6 @@
 use crate::fault::{FaultSite, StuckAt};
 use crate::graph::{GateId, NetId, Netlist};
 use crate::logic::Logic;
-use crate::sim::Activity;
 
 /// Maximum number of faults in one tape pack (lane 0 is the fault-free
 /// reference).
@@ -336,19 +337,12 @@ enum TapeOp {
 #[derive(Debug, Clone, Copy)]
 enum SeqOp {
     /// Plain flip-flop: `state = slots[d]`, clock event in every lane.
-    /// `col` is the gate's clock-counter column (its position among the
-    /// sequential gates).
-    Dff { state: u32, d: u32, col: u32 },
+    Dff { state: u32, d: u32 },
     /// Clock-gated flip-flop: `state = mux(state, slots[d], slots[en])`
     /// — load where the enable is 1, hold where 0, and on three-valued
     /// lanes degrade to `X` where the enable is unknown and the data
     /// disagrees with the held state.
-    Dffe {
-        state: u32,
-        d: u32,
-        en: u32,
-        col: u32,
-    },
+    Dffe { state: u32, d: u32, en: u32 },
 }
 
 /// A netlist (plus one pack of stuck-at faults) compiled to a flat
@@ -543,16 +537,15 @@ impl<V: LaneValue> TapeProgram<V> {
         //    after every driver has settled, and the clock reads the
         //    forced slot.
         let mut seq = Vec::with_capacity(nl.sequential_gates().len());
-        for (col, &g) in nl.sequential_gates().iter().enumerate() {
+        for &g in nl.sequential_gates() {
             let gate = nl.gate(g);
             let state = state_slot[g.index()];
-            let col = col as u32;
             let d = forced_pin(g, 0, gate.inputs()[0], &mut ops, &mut n_slots);
             match gate.kind() {
-                crate::cell::CellKind::Dff => seq.push(SeqOp::Dff { state, d, col }),
+                crate::cell::CellKind::Dff => seq.push(SeqOp::Dff { state, d }),
                 crate::cell::CellKind::Dffe => {
                     let en = forced_pin(g, 1, gate.inputs()[1], &mut ops, &mut n_slots);
-                    seq.push(SeqOp::Dffe { state, d, en, col });
+                    seq.push(SeqOp::Dffe { state, d, en });
                 }
                 _ => unreachable!("non-sequential gate in sequential list"),
             }
@@ -610,12 +603,6 @@ impl<V: LaneValue> TapeProgram<V> {
             .count()
     }
 
-    /// Net columns the tape's activity counters track (the sparsity
-    /// denominator for delta-sweep diagnostics).
-    pub fn net_count(&self) -> usize {
-        self.n_nets
-    }
-
     /// Mask covering every live lane, including lane 0 (`compile`
     /// keeps the lane count within `1..=64`).
     fn live_lanes_mask(&self) -> u64 {
@@ -623,240 +610,133 @@ impl<V: LaneValue> TapeProgram<V> {
     }
 }
 
-/// Per-lane switching-activity counters of a two-valued [`TapeSim`],
-/// filled by [`TapeSim::clock_counting`]: per cycle and per lane, the
-/// same net toggles and clock events the scalar
-/// [`crate::CycleSim::clock`] records. Power grading is the only
+/// Per-lane switched capacitance of a two-valued [`TapeSim`], summed by
+/// [`TapeSim::clock_counting`]: for each lane, Σ C over every net toggle
+/// and, separately, Σ C over every flip-flop clock event — the same
+/// toggles and clock events the scalar [`crate::CycleSim::clock`]
+/// records for that lane's circuit, weighted. Power grading is the only
 /// consumer, and it runs on two-valued lanes, so the three-valued tape
-/// counts nothing.
+/// sums nothing.
 ///
-/// Counters are kept as *deltas against lane 0*: a fault lane toggles
+/// The weights are fixed when the accumulator is built: a whole number
+/// of femtofarads per net toggle and per clock event, 0 where the
+/// caller does not count the energy. Every sum is an exact integer, so
+/// the order of accumulation cannot change a result.
+///
+/// Sums are kept as *deviations from lane 0*: a fault lane toggles
 /// exactly like the fault-free lane on almost every net in almost every
-/// cycle, so per column we store lane 0's scalar count plus a signed
-/// per-lane deviation row — `+1` whenever a lane switched while lane 0
-/// did not, `−1` whenever it held still while lane 0 switched. A lane's
-/// exact count is `base + delta`, integer arithmetic throughout, so
-/// extraction is bit-identical to a dense per-lane counter; the win is
-/// that the per-cycle accumulation only ever touches the (rare)
-/// individual lane bits that deviate, and columns with no deviation at
-/// all own no row and are never rescanned.
+/// cycle. Lane 0's sum is one scalar; a lane that toggles a net where
+/// lane 0 does not adds `+C` to its own 64-entry `i64` deviation, and a
+/// lane that holds where lane 0 toggles adds `−C`. A lane's exact sum
+/// is lane 0's plus its deviation, so per-lane work touches only the
+/// (rare) individual lane bits that deviate.
 ///
-/// Two counter families share that layout (`DeltaRows`): net toggles,
-/// one column per net, and clock events, one column per *sequential*
-/// gate (combinational gates never clock, so they get no column).
-///
-/// The counters are built for one [`TapeProgram`] and must only record
-/// simulators of that program.
+/// The accumulator is built for one [`TapeProgram`] and must only
+/// record simulators of that program.
 #[derive(Debug, Clone)]
-pub struct TapeActivity {
+pub struct TapeEnergy {
     lanes: usize,
-    /// Lane 0's toggle count per net.
-    net_base: Vec<u64>,
-    /// Per-lane toggle deviations, one column per net.
-    net_delta: DeltaRows,
-    /// Lane 0's clock-event count per sequential gate, in
-    /// [`Netlist::sequential_gates`] order.
-    clock_base: Vec<u64>,
-    /// Per-lane clock-event deviations, one column per sequential gate.
-    clock_delta: DeltaRows,
-    /// Gate index → clock column ([`NO_ROW`] for combinational gates).
-    clock_col: Vec<u32>,
+    /// Whole fF switched by one toggle of each net.
+    net_ff: Vec<u64>,
+    /// Σ clock fF of the counted plain flip-flops, which clock in every
+    /// lane every cycle.
+    dff_ff: u64,
+    /// The counted enabled flip-flops: enable slot and clock fF.
+    dffe: Vec<(u32, u64)>,
+    /// Lane 0's switching and clock sums.
+    switching0: u64,
+    clock0: u64,
+    /// Each lane's switching and clock sums minus lane 0's.
+    switching_dev: [i64; 64],
+    clock_dev: [i64; 64],
     cycles: u64,
     /// The previous cycle's settled net values, the other end of each
     /// toggle; meaningful once `have_prev` is set.
     prev: Vec<u64>,
     have_prev: bool,
-    /// Per-net scratch holding each net's deviation word for the edge:
-    /// lanes that disagreed with lane 0 about toggling, with the sign
-    /// packed into (otherwise always-clear) bit 0. Filled branch-free
-    /// each edge, drained sparsely into the delta rows.
-    dev_scratch: Vec<u64>,
-    /// One bit per net, set when that net's `dev_scratch` word is
-    /// nonzero, maintained by the toggle sweep so the drain walks
-    /// straight to deviating columns without re-reading clean ones.
-    dev_sel: Vec<u64>,
+    /// Each net's toggle word for the edge, filled branch-free and then
+    /// scanned for deviations.
+    toggles: Vec<u64>,
+    /// One bit per net, set when the net carries weight.
+    weighted: Vec<u64>,
 }
 
-/// Row index marking a column that has not deviated since the last
-/// reset (and, in `clock_col`, a gate with no clock column).
-const NO_ROW: u32 = u32::MAX;
-
-/// One counter family's signed per-lane deviations from lane 0, stored
-/// sparsely: a column gets a row of `stride` (= live lanes) counters on
-/// its first deviation after a reset, packed densely after the rows
-/// allocated before it. The buffer is reserved for every column up
-/// front, so it never reallocates, and a reset truncates it — the
-/// memory a simulator touches is the rows its busiest batch used, at
-/// `stride` counters each. A deviation's magnitude is bounded by the
-/// tracked cycle count, which [`TapeSim::clock_counting`] caps at
-/// `i32::MAX`.
-#[derive(Debug, Clone)]
-struct DeltaRows {
-    /// Column → row index into `delta`, or [`NO_ROW`] while clean.
-    row: Vec<u32>,
-    /// Allocated rows, `stride` counters each, in allocation order.
-    delta: Vec<i32>,
-    stride: usize,
-}
-
-impl DeltaRows {
-    fn new(columns: usize, stride: usize) -> Self {
-        DeltaRows {
-            row: vec![NO_ROW; columns],
-            delta: Vec::with_capacity(columns * stride),
-            stride,
-        }
-    }
-
-    /// Forgets every row; clean columns read as zero deviation again.
-    fn reset(&mut self) {
-        self.row.fill(NO_ROW);
-        self.delta.clear();
-    }
-
-    /// Columns holding a row — those that deviated since the reset.
-    fn rows(&self) -> usize {
-        self.delta.len() / self.stride
-    }
-
-    /// Column `col`'s row, if it has one.
-    fn get(&self, col: usize) -> Option<&[i32]> {
-        match self.row[col] {
-            NO_ROW => None,
-            r => {
-                let at = r as usize * self.stride;
-                Some(&self.delta[at..at + self.stride])
-            }
-        }
-    }
-
-    /// Applies one column's deviation word to its row: every set bit is
-    /// one lane that disagreed with lane 0 this edge, bumped by `sign`
-    /// (`+1` for a toggle lane 0 did not make, `−1` for one it made
-    /// alone). Deviation words almost always carry a single set bit, so
-    /// this is a short trailing-zeros walk, not a per-lane sweep.
-    #[inline]
-    fn bump(&mut self, col: usize, w: u64, sign: i32) {
-        let at = match self.row[col] {
-            NO_ROW => {
-                let at = self.delta.len();
-                self.row[col] = (at / self.stride) as u32;
-                self.delta.resize(at + self.stride, 0);
-                at
-            }
-            r => r as usize * self.stride,
-        };
-        let row = &mut self.delta[at..at + self.stride];
-        let mut bits = w;
-        while bits != 0 {
-            row[bits.trailing_zeros() as usize] += sign;
-            bits &= bits - 1;
-        }
+/// Drains one lane word into per-lane deviations from lane 0: every
+/// lane whose bit differs from lane 0's gets `+c` when lane 0's bit is
+/// clear (the lane switched where lane 0 did not) and `−c` when it is
+/// set (lane 0 switched and the lane did not). Deviating lanes are
+/// almost always few, so this is a short trailing-zeros walk, not a
+/// per-lane sweep.
+#[inline]
+fn drain(dev: &mut [i64; 64], word: u64, c: u64) {
+    let lane0 = (word & 1).wrapping_neg();
+    let c = if lane0 == 0 { c as i64 } else { -(c as i64) };
+    let mut lanes = word ^ lane0;
+    while lanes != 0 {
+        dev[lanes.trailing_zeros() as usize] += c;
+        lanes &= lanes - 1;
     }
 }
 
-/// Drains the per-column deviation scratch into the delta rows. A
-/// scratch word's bit 0 carries the sign (set ⇔ lane 0 toggled and the
-/// flagged lanes held, so their counts fall *behind* lane 0's).
-/// Deviations are sparse (most columns agree with lane 0 on most
-/// edges), and the toggle sweep already folded a one-bit
-/// nonzero-flag per column into the `sel` bitmap while the scratch
-/// word was in a register, so the drain walks straight to the hot
-/// columns — clean scratch words are never re-read at all.
-fn drain_deviations(sel: &[u64], scratch: &[u64], delta: &mut DeltaRows) {
-    for (word, &bits) in sel.iter().enumerate() {
-        let mut bits = bits;
-        while bits != 0 {
-            let idx = word * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let w = scratch[idx];
-            let sign = 1 - 2 * (w & 1) as i32;
-            delta.bump(idx, w & !1, sign);
-        }
-    }
-}
-
-/// One column's per-lane counts, as streamed by
-/// [`TapeActivity::for_each_net_count`]: on almost every column no lane
-/// deviates from lane 0, so the counts collapse to one shared value and
-/// nothing is materialized.
-#[derive(Debug, Clone, Copy)]
-pub enum LaneCounts<'a> {
-    /// Every lane has this exact count.
-    Uniform(u64),
-    /// Per-lane counts, indexed by lane.
-    PerLane(&'a [u64]),
-}
-
-impl LaneCounts<'_> {
-    /// The count for `lane`.
+impl TapeEnergy {
+    /// Zeroed sums for simulators of `prog`, weighting each toggle of
+    /// net `n` by `net_ff[n.index()]` and each clock event of flip-flop
+    /// `g` by `clock_ff[g.index()]` (entries of combinational gates are
+    /// ignored).
     ///
     /// # Panics
     ///
-    /// Panics if a [`LaneCounts::PerLane`] column is indexed out of
-    /// range.
-    pub fn get(&self, lane: usize) -> u64 {
-        match *self {
-            LaneCounts::Uniform(c) => c,
-            LaneCounts::PerLane(counts) => counts[lane],
+    /// Panics if `net_ff` does not have one entry per net or `clock_ff`
+    /// one per gate of the compiled netlist.
+    pub fn new(prog: &TapeProgram<u64>, net_ff: &[u64], clock_ff: &[u64]) -> Self {
+        assert_eq!(net_ff.len(), prog.n_nets, "one weight per net");
+        assert_eq!(clock_ff.len(), prog.state_slot.len(), "one weight per gate");
+        let mut dff_ff = 0;
+        let mut dffe = Vec::new();
+        for (&slot, &c) in prog.state_slot.iter().zip(clock_ff) {
+            if slot == u32::MAX || c == 0 {
+                continue;
+            }
+            // State slots follow the net slots in sequential-gate order,
+            // like `prog.seq`.
+            match prog.seq[slot as usize - prog.n_nets] {
+                SeqOp::Dff { .. } => dff_ff += c,
+                SeqOp::Dffe { en, .. } => dffe.push((en, c)),
+            }
         }
-    }
-}
-
-/// One column's per-lane counts: [`LaneCounts::Uniform`] when the
-/// column owns no deviation row, streamed without touching `counts`,
-/// else `base + delta` per lane, written into the `counts` scratch
-/// buffer.
-fn column_counts<'a>(base: u64, row: Option<&[i32]>, counts: &'a mut [u64]) -> LaneCounts<'a> {
-    let Some(row) = row else {
-        return LaneCounts::Uniform(base);
-    };
-    // A lane's count never undershoots zero: `neg` events only occur on
-    // edges lane 0 actually toggled.
-    for (c, &d) in counts.iter_mut().zip(row) {
-        *c = base.wrapping_add_signed(i64::from(d));
-    }
-    LaneCounts::PerLane(counts)
-}
-
-impl TapeActivity {
-    /// Zeroed counters for simulators of `prog`.
-    pub fn new(prog: &TapeProgram<u64>) -> Self {
-        let lanes = prog.lanes();
-        let n_seq = prog.seq.len();
-        TapeActivity {
-            lanes,
-            net_base: vec![0; prog.n_nets],
-            net_delta: DeltaRows::new(prog.n_nets, lanes),
-            clock_base: vec![0; n_seq],
-            clock_delta: DeltaRows::new(n_seq, lanes),
-            clock_col: prog
-                .state_slot
-                .iter()
-                .map(|&slot| match slot {
-                    NO_ROW => NO_ROW,
-                    // State slots follow the net slots in
-                    // sequential-gate order, like the clock columns.
-                    slot => slot - prog.n_nets as u32,
-                })
-                .collect(),
+        TapeEnergy {
+            lanes: prog.lanes(),
+            net_ff: net_ff.to_vec(),
+            dff_ff,
+            dffe,
+            switching0: 0,
+            clock0: 0,
+            switching_dev: [0; 64],
+            clock_dev: [0; 64],
             cycles: 0,
             prev: vec![0; prog.n_nets],
             have_prev: false,
-            dev_scratch: vec![0; prog.n_nets],
-            dev_sel: vec![0; prog.n_nets.div_ceil(64)],
+            toggles: vec![0; prog.n_nets],
+            weighted: net_ff
+                .chunks(64)
+                .map(|ff| {
+                    ff.iter()
+                        .enumerate()
+                        .fold(0, |w, (j, &c)| w | u64::from(c != 0) << j)
+                })
+                .collect(),
         }
     }
 
-    /// Restarts every counter from zero in place, keeping the buffers —
-    /// the cheap path for Monte Carlo loops that run many batches over
-    /// one simulator. The next edge only records its settled values as
-    /// the baseline for the one after.
+    /// Restarts every sum from zero in place, keeping the buffers — the
+    /// cheap path for Monte Carlo loops that run many batches over one
+    /// simulator. The next edge only records its settled values as the
+    /// baseline for the one after.
     pub fn reset(&mut self) {
-        self.net_base.fill(0);
-        self.net_delta.reset();
-        self.clock_base.fill(0);
-        self.clock_delta.reset();
+        self.switching0 = 0;
+        self.clock0 = 0;
+        self.switching_dev = [0; 64];
+        self.clock_dev = [0; 64];
         self.cycles = 0;
         self.have_prev = false;
     }
@@ -865,105 +745,60 @@ impl TapeActivity {
     /// slots are `slots`: net toggles against the previous edge's
     /// settled values, then clock events.
     fn count_edge(&mut self, prog: &TapeProgram<u64>, slots: &[u64]) {
-        let live = prog.live_lanes_mask();
         let nets = prog.n_nets;
-        debug_assert_eq!(self.net_base.len(), nets, "counters of another program");
+        debug_assert_eq!(self.net_ff.len(), nets, "sums of another program");
         if self.have_prev {
-            // Delta accumulation, two passes. Pass A is branch-free (no
-            // data-dependent control flow at all, so it auto-vectorizes):
-            // a lane toggled when its settled value differs from the
-            // previous edge's, `(prev ^ cur) & live`; lane 0's toggle is
-            // a scalar increment, and the lanes *disagreeing* with lane
-            // 0 land in one per-net scratch word,
-            // `d = toggled ^ (live & splat(toggled₀))` — when lane 0
-            // held, `d` is the lanes that toggled anyway; when lane 0
-            // toggled, `d` is the live lanes that held. Bit 0 of the
-            // scratch word is always clear (lane 0 never disagrees with
-            // itself), so it carries the sign, set only when `d` is
-            // nonzero to keep clean columns all-zero. The previous-cycle
-            // plane is refreshed and each column's nonzero flag is
-            // folded into a selection bitmap in the same sweep while the
-            // scratch word is still in a register, so pass B walks
-            // straight to the deviating columns and never touches a
-            // clean one.
-            let cur = &slots[..nets];
-            let prev = &mut self.prev[..nets];
-            let base = &mut self.net_base[..nets];
-            let dev = &mut self.dev_scratch[..nets];
-            // The per-net body, returning the scratch word's nonzero
-            // flag to fold into the selection bitmap. Split into full
-            // 8-net chunks plus a remainder so the hot inner loop has a
-            // constant trip count the compiler can unroll and vectorize.
-            macro_rules! sweep_net {
-                ($i:expr) => {{
-                    let i = $i;
-                    let toggled = (prev[i] ^ cur[i]) & live;
-                    prev[i] = cur[i];
-                    let lane0 = toggled & 1;
-                    base[i] += lane0;
-                    let d = toggled ^ (live & lane0.wrapping_neg());
-                    let nonzero = (d | d.wrapping_neg()) >> 63;
-                    let w = d | (lane0 & nonzero);
-                    dev[i] = w;
-                    (w | w.wrapping_neg()) >> 63
-                }};
+            // Two passes. Pass A is branch-free, with no data-dependent
+            // control flow at all, so it vectorizes: per net, the lanes
+            // that toggled are `prev ^ cur`; the word refreshes the
+            // previous-value plane and lands in a scratch word, and lane
+            // 0's bit adds the net's weight to one scalar.
+            let mut switching0 = 0u64;
+            let nets = slots[..nets]
+                .iter()
+                .zip(&mut self.prev)
+                .zip(&self.net_ff)
+                .zip(&mut self.toggles);
+            for (((&cur, prev), &c), word) in nets {
+                let toggled = *prev ^ cur;
+                *prev = cur;
+                *word = toggled;
+                switching0 += c & (toggled & 1).wrapping_neg();
             }
-            let full = nets / 8;
-            let sel = &mut self.dev_sel[..nets.div_ceil(64)];
-            sel.fill(0);
-            for blk in 0..full {
-                let start = blk * 8;
-                let mut mask = 0u64;
-                for j in 0..8 {
-                    mask |= sweep_net!(start + j) << j;
+            self.switching0 += switching0;
+            // Pass B drains the lanes that disagree with lane 0 as `±C`.
+            // Lanes past the pack carry no fault and mirror lane 0, so a
+            // net deviates exactly when its toggle word is neither
+            // all-0 nor all-1; a 64-net selection word gathers those
+            // flags and, masked by the weighted nets, walks straight to
+            // the deviating nets that count.
+            let blocks = self.toggles.chunks(64).zip(&self.weighted);
+            for (block, (toggles, &weighted)) in blocks.enumerate() {
+                let mut bits = toggles.iter().enumerate().fold(0, |sel, (j, &t)| {
+                    sel | u64::from(t.wrapping_add(1) > 1) << j
+                }) & weighted;
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    drain(
+                        &mut self.switching_dev,
+                        toggles[j],
+                        self.net_ff[block * 64 + j],
+                    );
                 }
-                // 8-net chunks at 8-aligned offsets never straddle a
-                // 64-bit selection word.
-                sel[start >> 6] |= mask << (start & 63);
             }
-            if nets % 8 != 0 {
-                let start = full * 8;
-                let mut mask = 0u64;
-                for (j, i) in (start..nets).enumerate() {
-                    mask |= sweep_net!(i) << j;
-                }
-                sel[start >> 6] |= mask << (start & 63);
-            }
-            // Pass B drains the scratch into the delta rows, walking the
-            // selection bitmap straight to the deviating columns.
-            drain_deviations(&self.dev_sel, &self.dev_scratch, &mut self.net_delta);
         } else {
             self.prev.copy_from_slice(&slots[..nets]);
         }
         self.have_prev = true;
-        // The i32 delta rows hold any deviation up to the tracked cycle
-        // count; refuse to run past their range rather than silently
-        // wrap.
-        assert!(
-            self.cycles < i32::MAX as u64,
-            "activity tracking is limited to i32::MAX cycles per reset"
-        );
         self.cycles += 1;
-        for op in &prog.seq {
-            match *op {
-                // Every live lane clocks — no delta against lane 0, just
-                // the scalar base count.
-                SeqOp::Dff { col, .. } => self.clock_base[col as usize] += 1,
-                SeqOp::Dffe { en, col, .. } => {
-                    let col = col as usize;
-                    let enabled = slots[en as usize] & live;
-                    let e0 = (enabled & 1).wrapping_neg();
-                    self.clock_base[col] += enabled & 1;
-                    let pos = enabled & !e0;
-                    let neg = live & e0 & !enabled;
-                    if pos != 0 {
-                        self.clock_delta.bump(col, pos, 1);
-                    }
-                    if neg != 0 {
-                        self.clock_delta.bump(col, neg, -1);
-                    }
-                }
-            }
+        // Every lane clocks a plain flip-flop: lane 0's sum only. An
+        // enabled one clocks the lanes whose enable is high.
+        self.clock0 += self.dff_ff;
+        for &(en, c) in &self.dffe {
+            let enabled = slots[en as usize];
+            self.clock0 += c & (enabled & 1).wrapping_neg();
+            drain(&mut self.clock_dev, enabled, c);
         }
     }
 
@@ -977,100 +812,36 @@ impl TapeActivity {
         self.cycles
     }
 
-    /// Net columns where some lane deviated from lane 0 since the last
-    /// reset — the columns the delta sweep actually materialized.
-    /// `dirty_net_columns() / net_columns()` is the density the sparse
-    /// representation exploits (diagnostic).
-    pub fn dirty_net_columns(&self) -> usize {
-        self.net_delta.rows()
-    }
-
-    /// Total net columns tracked (the sparsity denominator).
-    pub fn net_columns(&self) -> usize {
-        self.net_base.len()
-    }
-
-    /// Extracts one lane's counters as a scalar [`Activity`] record —
-    /// bit-identical to what a scalar simulation of that lane's circuit
-    /// would have accumulated. Returns `None` if `lane` is out of range.
-    pub fn try_lane(&self, lane: usize) -> Option<Activity> {
-        if lane >= self.lanes {
-            return None;
-        }
-        let read = |base: u64, row: Option<&[i32]>| match row {
-            Some(row) => base.wrapping_add_signed(i64::from(row[lane])),
-            None => base,
-        };
-        Some(Activity {
-            net_toggles: self
-                .net_base
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| read(b, self.net_delta.get(i)))
-                .collect(),
-            clock_events: self
-                .clock_col
-                .iter()
-                .map(|&col| match col {
-                    NO_ROW => 0,
-                    col => read(
-                        self.clock_base[col as usize],
-                        self.clock_delta.get(col as usize),
-                    ),
-                })
-                .collect(),
-            cycles: self.cycles,
-        })
-    }
-
-    /// Streams the exact per-lane toggle counts of every net, in net-id
-    /// order: `f(net_index, counts)` with `counts.get(lane)` the same
-    /// value [`try_lane`](Self::try_lane) would report. One pass over
-    /// the delta rows — the fast path for whole-pack consumers
-    /// (per-lane power) that would otherwise extract `lanes` full
-    /// [`Activity`] records.
-    pub fn for_each_net_count(&self, mut f: impl FnMut(usize, LaneCounts<'_>)) {
-        let mut counts = vec![0u64; self.lanes];
-        for (i, &base) in self.net_base.iter().enumerate() {
-            f(i, column_counts(base, self.net_delta.get(i), &mut counts));
-        }
-    }
-
-    /// Streams the exact per-lane clock-event counts of every gate, in
-    /// gate-index order (combinational gates report zero for all
-    /// lanes). See [`for_each_net_count`](Self::for_each_net_count).
-    pub fn for_each_clock_count(&self, mut f: impl FnMut(usize, LaneCounts<'_>)) {
-        let mut counts = vec![0u64; self.lanes];
-        for (g, &col) in self.clock_col.iter().enumerate() {
-            match col {
-                NO_ROW => f(g, LaneCounts::Uniform(0)),
-                col => {
-                    let col = col as usize;
-                    let base = self.clock_base[col];
-                    f(
-                        g,
-                        column_counts(base, self.clock_delta.get(col), &mut counts),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Extracts one lane's counters as a scalar [`Activity`] record.
+    /// Lane `lane`'s switching sum: Σ over its net toggles of the
+    /// toggled net's weight, in fF.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= self.lanes()`; use
-    /// [`try_lane`](Self::try_lane) for a fallible read.
-    pub fn lane(&self, lane: usize) -> Activity {
-        match self.try_lane(lane) {
-            Some(a) => a,
-            None => panic!(
-                "TapeActivity lane index {lane} out of range: this pack tracks {} lanes \
-                 (lane 0 fault-free, one per fault)",
-                self.lanes
-            ),
-        }
+    /// Panics if `lane >= self.lanes()`.
+    pub fn switching_ff(&self, lane: usize) -> u64 {
+        self.lane_sum(self.switching0, &self.switching_dev, lane)
+    }
+
+    /// Lane `lane`'s clock sum: Σ over its flip-flop clock events of the
+    /// flip-flop's weight, in fF.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.lanes()`.
+    pub fn clock_ff(&self, lane: usize) -> u64 {
+        self.lane_sum(self.clock0, &self.clock_dev, lane)
+    }
+
+    fn lane_sum(&self, base: u64, dev: &[i64; 64], lane: usize) -> u64 {
+        assert!(
+            lane < self.lanes,
+            "TapeEnergy lane index {lane} out of range: this pack tracks {} lanes \
+             (lane 0 fault-free, one per fault)",
+            self.lanes
+        );
+        // A lane's sum never undershoots zero: `−C` only lands on edges
+        // where lane 0 itself added `C`.
+        base.wrapping_add_signed(dev[lane])
     }
 }
 
@@ -1131,8 +902,8 @@ impl<'p, V: LaneValue> TapeSim<'p, V> {
 
     /// Overwrites one sequential gate's stored state (all lanes) — used
     /// by system-level reset to load a specific controller state code.
-    /// Activity counters are untouched, so the toggle edge into the
-    /// reset state is counted like any other.
+    /// Energy sums are untouched, so the toggle edge into the reset
+    /// state is counted like any other.
     ///
     /// # Panics
     ///
@@ -1275,10 +1046,10 @@ impl<'p, V: LaneValue> TapeSim<'p, V> {
     pub fn clock(&mut self) {
         for op in &self.prog.seq {
             match *op {
-                SeqOp::Dff { state, d, .. } => {
+                SeqOp::Dff { state, d } => {
                     self.slots[state as usize] = self.slots[d as usize];
                 }
-                SeqOp::Dffe { state, d, en, .. } => {
+                SeqOp::Dffe { state, d, en } => {
                     let s = state as usize;
                     self.slots[s] = V::mux(
                         self.slots[s],
@@ -1292,13 +1063,13 @@ impl<'p, V: LaneValue> TapeSim<'p, V> {
 }
 
 impl TapeSim<'_, u64> {
-    /// [`clock`](Self::clock), first counting the settled cycle's
-    /// switching activity into `act` — per cycle and per lane the same
-    /// net toggles and clock events the scalar
-    /// [`crate::CycleSim::clock`] records. `act` must have been built
+    /// [`clock`](Self::clock), first adding the settled cycle's
+    /// weighted net toggles and clock events into `energy` — per lane
+    /// the same toggles and clock events the scalar
+    /// [`crate::CycleSim::clock`] records. `energy` must have been built
     /// for this simulator's program.
-    pub fn clock_counting(&mut self, act: &mut TapeActivity) {
-        act.count_edge(self.prog, &self.slots);
+    pub fn clock_counting(&mut self, energy: &mut TapeEnergy) {
+        energy.count_edge(self.prog, &self.slots);
         self.clock();
     }
 }
@@ -1485,13 +1256,65 @@ mod tests {
         }
     }
 
+    /// The weightings every energy test applies: random whole weights,
+    /// then a one-hot weight on each net, then one on each flip-flop's
+    /// clock — so every (net, lane) toggle count and every (flip-flop,
+    /// lane) clock count is pinned on its own.
+    fn weightings(nl: &Netlist, seed: u64) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let (nets, gates) = (nl.net_count(), nl.gate_count());
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % 100
+        };
+        let random = (
+            (0..nets).map(|_| next()).collect(),
+            (0..gates).map(|_| next()).collect(),
+        );
+        let one_hot =
+            |len: usize, at: usize| -> Vec<u64> { (0..len).map(|i| u64::from(i == at)).collect() };
+        std::iter::once(random)
+            .chain((0..nets).map(|n| (one_hot(nets, n), vec![0; gates])))
+            .chain(
+                nl.sequential_gates()
+                    .iter()
+                    .map(|g| (vec![0; nets], one_hot(gates, g.index()))),
+            )
+            .collect()
+    }
+
+    /// Asserts that each lane's switching and clock sums in `energy`
+    /// are `weights` applied to that lane's scalar activity.
+    fn assert_lane_sums(energy: &TapeEnergy, weights: &(Vec<u64>, Vec<u64>), scalars: &[CycleSim]) {
+        let (net_ff, clock_ff) = weights;
+        assert_eq!(energy.lanes(), scalars.len());
+        for (lane, s) in scalars.iter().enumerate() {
+            let a = s.activity();
+            let switching: u64 = a.net_toggles.iter().zip(net_ff).map(|(t, w)| t * w).sum();
+            let clock: u64 = a
+                .clock_events
+                .iter()
+                .zip(clock_ff)
+                .map(|(e, w)| e * w)
+                .sum();
+            assert_eq!(energy.cycles(), a.cycles, "lane {lane}");
+            assert_eq!(
+                energy.switching_ff(lane),
+                switching,
+                "switching, lane {lane}"
+            );
+            assert_eq!(energy.clock_ff(lane), clock, "clock, lane {lane}");
+        }
+    }
+
     #[test]
-    fn two_valued_lanes_and_activity_agree_with_scalar_simulation() {
+    fn two_valued_lanes_and_energy_agree_with_scalar_simulation() {
         let nl = build();
         let faults = full_pack(&nl);
         let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
         let mut tape = TapeSim::new(&prog);
-        let mut act = TapeActivity::new(&prog);
         tape.reset_state(One);
         let mut scalars = scalar_lanes(&nl, &faults, One);
         let stim = [
@@ -1512,60 +1335,45 @@ mod tests {
                 }
                 s.clock();
             }
-            tape.clock_counting(&mut act);
+            tape.clock();
         }
-        for (lane, s) in scalars.iter().enumerate() {
-            let got = act.lane(lane);
-            let want = s.activity();
-            assert_eq!(got.cycles, want.cycles, "lane {lane}");
-            assert_eq!(&got.net_toggles, &want.net_toggles, "lane {lane}");
-            assert_eq!(&got.clock_events, &want.clock_events, "lane {lane}");
+        for weights in weightings(&nl, 7) {
+            let mut energy = TapeEnergy::new(&prog, &weights.0, &weights.1);
+            tape.reset_state(One);
+            for inputs in stim {
+                tape.set_inputs(&inputs);
+                tape.eval();
+                tape.clock_counting(&mut energy);
+            }
+            assert_lane_sums(&energy, &weights, &scalars);
         }
     }
 
-    /// Restarts `act`, runs `stim` from reset on `tape` and on one fresh
-    /// scalar simulator per lane, and checks every lane's net toggles
-    /// and clock events through both the per-lane and the streaming
-    /// readers. Returns how many lanes clocked some gate a different
-    /// number of times than lane 0.
+    /// Restarts `energy`, runs `stim` from reset on `tape` and on one
+    /// fresh scalar simulator per lane, and checks every lane's sums
+    /// against `weights` applied to its scalar activity. Returns how
+    /// many lanes clocked some gate a different number of times than
+    /// lane 0.
     fn check_tracked_segment(
         nl: &Netlist,
         faults: &[StuckAt],
         tape: &mut TapeSim<'_, u64>,
-        act: &mut TapeActivity,
+        energy: &mut TapeEnergy,
+        weights: &(Vec<u64>, Vec<u64>),
         stim: &[[Logic; 2]],
     ) -> usize {
-        act.reset();
+        energy.reset();
         tape.reset_state(Zero);
         let mut scalars = scalar_lanes(nl, faults, Zero);
         for inputs in stim {
             tape.set_inputs(inputs);
             tape.eval();
-            tape.clock_counting(act);
+            tape.clock_counting(energy);
             for s in scalars.iter_mut() {
                 s.step(inputs);
             }
         }
-        for (lane, s) in scalars.iter().enumerate() {
-            let got = act.lane(lane);
-            assert_eq!(got.cycles, s.activity().cycles, "lane {lane}");
-            assert_eq!(got.net_toggles, s.activity().net_toggles, "lane {lane}");
-            assert_eq!(got.clock_events, s.activity().clock_events, "lane {lane}");
-        }
-        act.for_each_net_count(|net, counts| {
-            for (lane, s) in scalars.iter().enumerate() {
-                assert_eq!(counts.get(lane), s.activity().net_toggles[net], "net {net}");
-            }
-        });
-        act.for_each_clock_count(|gate, counts| {
-            for (lane, s) in scalars.iter().enumerate() {
-                assert_eq!(
-                    counts.get(lane),
-                    s.activity().clock_events[gate],
-                    "gate {gate}"
-                );
-            }
-        });
+        assert_lane_sums(energy, weights, &scalars);
         let lane0 = &scalars[0].activity().clock_events;
         scalars
             .iter()
@@ -1574,10 +1382,11 @@ mod tests {
     }
 
     #[test]
-    fn reused_counters_restart_exactly_between_tracked_segments() {
+    fn reused_sums_restart_exactly_between_tracked_segments() {
         // An enabled register, a plain register and some logic around
         // them. Faults on the enable pin make the enable differ by
-        // lane, so the clock counters deviate from lane 0.
+        // lane, so the clock sums deviate from lane 0 in both
+        // directions.
         let mut b = NetlistBuilder::new("two-regs");
         let d = b.input("d");
         let en = b.input("en");
@@ -1595,10 +1404,9 @@ mod tests {
         faults.truncate(MAX_PARALLEL_FAULTS);
         let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
         let mut tape = TapeSim::new(&prog);
-        let mut act = TapeActivity::new(&prog);
 
-        // A busy first segment allocates many deviation rows; the
-        // shorter, quieter second one must not see any of them.
+        // A busy first segment deviates on many nets; the shorter,
+        // quieter second one must not see any of its sums.
         let busy = [
             [One, One],
             [Zero, One],
@@ -1610,21 +1418,19 @@ mod tests {
             [One, One],
         ];
         let quiet = [[Zero, Zero], [Zero, One], [Zero, Zero]];
-        let deviating = check_tracked_segment(&nl, &faults, &mut tape, &mut act, &busy);
-        assert!(
-            deviating > 0,
-            "some lane's enable must differ from lane 0's"
-        );
-        let busy_rows = act.dirty_net_columns();
-        check_tracked_segment(&nl, &faults, &mut tape, &mut act, &quiet);
-        let quiet_rows = act.dirty_net_columns();
-        assert!(quiet_rows < busy_rows, "{quiet_rows} vs {busy_rows} rows");
-        check_tracked_segment(&nl, &faults, &mut tape, &mut act, &busy);
-        assert_eq!(
-            act.dirty_net_columns(),
-            busy_rows,
-            "a repeated segment allocates the same rows"
-        );
+        for weights in weightings(&nl, 11) {
+            let mut energy = TapeEnergy::new(&prog, &weights.0, &weights.1);
+            let mut segment = |stim: &[[Logic; 2]]| {
+                check_tracked_segment(&nl, &faults, &mut tape, &mut energy, &weights, stim)
+            };
+            let deviating = segment(&busy);
+            assert!(
+                deviating > 0,
+                "some lane's enable must differ from lane 0's"
+            );
+            segment(&quiet);
+            segment(&busy);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sfr_netlist::{
     parse_verilog, write_verilog, CellKind, CycleSim, LaneValue, Logic, Netlist, NetlistBuilder,
-    Pat, StuckAt, TapeActivity, TapeProgram, TapeSim,
+    Pat, StuckAt, TapeEnergy, TapeProgram, TapeSim,
 };
 
 /// A fixed small sequential circuit with reconvergent fanout and a
@@ -276,32 +276,38 @@ proptest! {
 
     /// Every lane of the two-valued tape reproduces a scalar `CycleSim`
     /// run of that lane's circuit — every net value every cycle, and
-    /// the extracted per-lane toggle and clock-event counts — over
-    /// random netlists, random fault packings, every flip-flop reset to
-    /// a random bit, and random binary stimulus.
+    /// the per-lane switching and clock sums equal to the scalar toggle
+    /// and clock-event counts weighted alike — over random netlists,
+    /// random fault packings, every flip-flop reset to a random bit, and
+    /// random binary stimulus. The sums are checked under random whole
+    /// weights and under a one-hot weight on each net and on each
+    /// flip-flop, which pins every count of every lane.
     #[test]
-    fn two_valued_tape_lanes_and_activity_equal_scalar_runs(
+    fn two_valued_tape_lanes_and_energy_equal_scalar_runs(
         seed in 1u64..3000,
         rot in any::<u64>(),
         reset_bits in any::<u64>(),
+        weight_seed in any::<u64>(),
         stimulus in proptest::collection::vec(0u8..8, 1..24),
     ) {
         let nl = random_seq(seed);
         let batch = random_pack(&nl, rot);
         let reset = |gate: usize| Logic::from_bool(reset_bits >> (gate % 64) & 1 == 1);
+        let inputs = |bits: u8| [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
         let prog = TapeProgram::<u64>::compile(&nl, &batch).expect("fits");
         let mut tape = TapeSim::new(&prog);
-        let mut act = TapeActivity::new(&prog);
-        for &g in nl.sequential_gates() {
-            tape.set_gate_state(g, u64::splat(reset(g.index())));
-        }
+        let reset_tape = |tape: &mut TapeSim<'_, u64>| {
+            for &g in nl.sequential_gates() {
+                tape.set_gate_state(g, u64::splat(reset(g.index())));
+            }
+        };
+        reset_tape(&mut tape);
         let mut scalars = scalar_lanes(&nl, &batch, reset);
         for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            tape.set_inputs(&inputs);
+            tape.set_inputs(&inputs(bits));
             tape.eval();
             for (lane, s) in scalars.iter_mut().enumerate() {
-                s.set_inputs(&inputs);
+                s.set_inputs(&inputs(bits));
                 s.eval();
                 for net in nl.net_ids() {
                     prop_assert_eq!(
@@ -312,16 +318,53 @@ proptest! {
                 }
                 s.clock();
             }
-            tape.clock_counting(&mut act);
+            tape.clock();
         }
-        for (lane, s) in scalars.iter().enumerate() {
-            let got = act.lane(lane);
-            let want = s.activity();
-            prop_assert_eq!(got.cycles, want.cycles, "lane {}", lane);
-            prop_assert_eq!(&got.net_toggles, &want.net_toggles, "lane {}", lane);
-            prop_assert_eq!(&got.clock_events, &want.clock_events, "lane {}", lane);
+        for (net_ff, clock_ff) in weightings(&nl, weight_seed) {
+            let mut energy = TapeEnergy::new(&prog, &net_ff, &clock_ff);
+            reset_tape(&mut tape);
+            for &bits in &stimulus {
+                tape.set_inputs(&inputs(bits));
+                tape.eval();
+                tape.clock_counting(&mut energy);
+            }
+            for (lane, s) in scalars.iter().enumerate() {
+                let a = s.activity();
+                let switching: u64 = a.net_toggles.iter().zip(&net_ff).map(|(t, w)| t * w).sum();
+                let clock: u64 = a.clock_events.iter().zip(&clock_ff).map(|(e, w)| e * w).sum();
+                prop_assert_eq!(energy.cycles(), a.cycles, "lane {}", lane);
+                prop_assert_eq!(energy.switching_ff(lane), switching, "switching, lane {}", lane);
+                prop_assert_eq!(energy.clock_ff(lane), clock, "clock, lane {}", lane);
+            }
         }
     }
+}
+
+/// Random whole weights, then a one-hot weight on each net, then one on
+/// each flip-flop's clock: `(net_ff, clock_ff)` per weighting.
+fn weightings(nl: &Netlist, seed: u64) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let (nets, gates) = (nl.net_count(), nl.gate_count());
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s % 1000
+    };
+    let random = (
+        (0..nets).map(|_| next()).collect(),
+        (0..gates).map(|_| next()).collect(),
+    );
+    let one_hot =
+        |len: usize, at: usize| -> Vec<u64> { (0..len).map(|i| u64::from(i == at)).collect() };
+    std::iter::once(random)
+        .chain((0..nets).map(|n| (one_hot(nets, n), vec![0; gates])))
+        .chain(
+            nl.sequential_gates()
+                .iter()
+                .map(|g| (vec![0; nets], one_hot(gates, g.index()))),
+        )
+        .collect()
 }
 
 /// Random 4-input combinational circuits for ATPG cross-checking.

@@ -317,7 +317,6 @@ pub fn check_manifest(text: &str) -> Result<(), String> {
     ] {
         count_field(profile, 1, key)?;
     }
-    num_field(profile, 1, "tape_sparsity_pct")?;
     let p50 = count_field(profile, 1, "pack_p50_us")?;
     let p90 = count_field(profile, 1, "pack_p90_us")?;
     let max = count_field(profile, 1, "pack_max_us")?;
@@ -736,7 +735,6 @@ mod tests {
                 pack_p50_us: 5,
                 pack_p90_us: 6,
                 pack_max_us: 7,
-                tape_sparsity_pct: 12.5,
                 ..Default::default()
             },
             wall_ms: 3.0,

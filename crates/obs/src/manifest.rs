@@ -73,9 +73,6 @@ pub struct ProfileSection {
     /// Fault-injection force ops of the last computed pack (0 when no
     /// pack was computed).
     pub tape_force_ops: usize,
-    /// Delta-sweep dirty net-column share of the final Monte Carlo
-    /// batch, percent (0 when no pack was computed).
-    pub tape_sparsity_pct: f64,
 }
 
 /// A study's run manifest. Built by `sfr-core` after a study
@@ -210,12 +207,7 @@ impl RunManifest {
         let _ = writeln!(out, "    \"mc_batches\": {},", pr.mc_batches);
         let _ = writeln!(out, "    \"tape_ops\": {},", pr.tape_ops);
         let _ = writeln!(out, "    \"tape_levels\": {},", pr.tape_levels);
-        let _ = writeln!(out, "    \"tape_force_ops\": {},", pr.tape_force_ops);
-        let _ = writeln!(
-            out,
-            "    \"tape_sparsity_pct\": {}",
-            json::num(pr.tape_sparsity_pct)
-        );
+        let _ = writeln!(out, "    \"tape_force_ops\": {}", pr.tape_force_ops);
         out.push_str("  },\n");
         let _ = writeln!(out, "  \"wall_ms\": {},", json::num(self.wall_ms));
         match self.cpu_ms {
@@ -352,7 +344,6 @@ mod tests {
                 tape_ops: 5_000,
                 tape_levels: 30,
                 tape_force_ops: 62,
-                tape_sparsity_pct: 12.5,
             },
             wall_ms: 950.0,
             cpu_ms: Some(940.0),

@@ -223,9 +223,6 @@ pub struct Metrics {
     lane_occupancy: Histogram,
     /// Tape ops per topological level, per computed pack.
     tape_ops_per_level: Histogram,
-    /// Delta-sweep dirty net columns as a percentage of all net
-    /// columns, per computed pack (the sparsity the sweep exploits).
-    tape_dirty_net_pct: Histogram,
 }
 
 impl Default for Metrics {
@@ -239,7 +236,6 @@ impl Default for Metrics {
             mc_batches: Histogram::default(),
             lane_occupancy: Histogram::default(),
             tape_ops_per_level: Histogram::default(),
-            tape_dirty_net_pct: Histogram::default(),
         }
     }
 }
@@ -321,11 +317,6 @@ impl Metrics {
                 &self.tape_ops_per_level,
                 "sfr_tape_ops_per_level",
                 "Tape ops per topological level per profiled pack",
-            ),
-            (
-                &self.tape_dirty_net_pct,
-                "sfr_tape_dirty_net_pct",
-                "Delta-sweep dirty net columns as percent of all columns",
             ),
         ] {
             hist.render_prometheus(&mut out, name, help);
@@ -416,9 +407,6 @@ impl Progress for Metrics {
                 if let Some(per_level) = tape.ops.checked_div(tape.levels) {
                     self.tape_ops_per_level.observe(per_level as u64);
                 }
-                if let Some(pct) = (tape.dirty_nets * 100).checked_div(tape.nets) {
-                    self.tape_dirty_net_pct.observe(pct as u64);
-                }
             }
             ProgressEvent::CyclesSimulated { cycles } => self.cycles_per_item.observe(cycles),
             _ => {}
@@ -493,8 +481,6 @@ mod tests {
                 ops: 120,
                 levels: 6,
                 force_ops,
-                dirty_nets: 25,
-                nets: 100,
             },
         }
     }
@@ -511,7 +497,7 @@ mod tests {
         assert!(text.contains("sfr_tape_force_ops_total 63"));
         assert!(text.contains("# HELP sfr_pack_latency_microseconds "));
         assert!(text.contains("# TYPE sfr_pack_latency_microseconds histogram"));
-        assert!(text.contains("# HELP sfr_tape_dirty_net_pct "));
+        assert!(text.contains("# HELP sfr_tape_ops_per_level "));
         assert!(text.contains("sfr_lane_occupancy_bucket{le=\"+Inf\"} 1"));
         // Every exposed metric family carries both comment lines.
         for family in text.lines().filter_map(|l| {

@@ -6,8 +6,19 @@
 //! The clock term is what makes the paper's register-load faults
 //! *guaranteed* power increases: an extra load un-gates a register's clock
 //! for a cycle, spending clock energy even when the data does not change.
+//!
+//! Every capacitance of the cell library and of the wire-load model is a
+//! whole number of femtofarads, so the sums are kept as exact integers —
+//! Σ C·toggles and Σ C·clock events, in fF — and converted to power once,
+//! × ½·Vdd² × f / cycles. The scalar path
+//! ([`power_from_activity_where`]) and the compiled tape
+//! ([`power_from_tape_energy`]) use the same [`EnergyWeights`] and the
+//! same conversion, so they agree bit for bit at any [`PowerConfig`].
 
-use sfr_netlist::{Activity, LaneCounts, Netlist, TapeActivity};
+use sfr_netlist::{Activity, GateId, Netlist, TapeEnergy};
+
+/// Integer sums up to here convert to `f64` exactly.
+const EXACT_SUM: u64 = 1 << 53;
 
 /// Electrical operating point for power estimation.
 ///
@@ -66,6 +77,86 @@ impl PowerReport {
     pub fn percent_change_from(&self, baseline: &PowerReport) -> f64 {
         100.0 * (self.total_uw - baseline.total_uw) / baseline.total_uw
     }
+
+    /// The report of exact integer energy sums over `cycles` cycles:
+    /// each sum × ½·Vdd² × f / cycles. Zero cycles give a zero report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sum reaches 2^53, past which `f64` cannot hold it
+    /// exactly.
+    fn from_sums(switching_ff: u64, clock_ff: u64, cycles: u64, cfg: &PowerConfig) -> Self {
+        if cycles == 0 {
+            return PowerReport::default();
+        }
+        assert!(
+            switching_ff < EXACT_SUM && clock_ff < EXACT_SUM,
+            "energy sums of {switching_ff} / {clock_ff} fF reach 2^53 and would round"
+        );
+        // P(µW) = E(fJ) · 1e-15 / (cycles / f) · 1e6 = E·f/cycles · 1e-9.
+        let fj_per_ff = cfg.swing_energy_fj(1.0);
+        let scale = cfg.freq_hz / cycles as f64 * 1e-9;
+        let switching_uw = switching_ff as f64 * fj_per_ff * scale;
+        let clock_uw = clock_ff as f64 * fj_per_ff * scale;
+        PowerReport {
+            total_uw: switching_uw + clock_uw,
+            switching_uw,
+            clock_uw,
+            cycles,
+        }
+    }
+}
+
+/// Whole-femtofarad energy weights of a netlist: the capacitance one
+/// toggle of each net switches and the internal capacitance one clock
+/// event of each sequential cell switches, 0 wherever the energy is not
+/// counted. The one table both the scalar path and the tape sum over.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnergyWeights {
+    /// fF per toggle, indexed by [`sfr_netlist::NetId::index`].
+    pub net_ff: Vec<u64>,
+    /// fF per clock event, indexed by [`GateId::index`] (0 for
+    /// combinational gates).
+    pub clock_ff: Vec<u64>,
+}
+
+impl EnergyWeights {
+    /// The weights of the sub-circuit whose gates satisfy `include`.
+    ///
+    /// A net counts when its driving gate is included (primary-input
+    /// nets, having no driver, never count — their energy belongs to the
+    /// environment); a sequential cell's clock counts when the cell is
+    /// included. The paper reports "power consumed by the datapath",
+    /// i.e. the system minus the controller — pass a predicate over the
+    /// controller's gate range to reproduce that accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counted capacitance is not a whole number of
+    /// femtofarads below 2^53: integer sums would then round.
+    pub fn new(nl: &Netlist, include: impl Fn(GateId) -> bool) -> Self {
+        let whole_ff = |c: f64| {
+            assert!(
+                c >= 0.0 && c.fract() == 0.0 && c < EXACT_SUM as f64,
+                "a capacitance of {c} fF is not a whole number of femtofarads"
+            );
+            c as u64
+        };
+        let net_ff = nl
+            .net_ids()
+            .map(|net| match nl.driver(net) {
+                Some(driver) if include(driver) => whole_ff(nl.net_cap_ff(net)),
+                _ => 0,
+            })
+            .collect();
+        let mut clock_ff = vec![0; nl.gate_count()];
+        for &g in nl.sequential_gates() {
+            if include(g) {
+                clock_ff[g.index()] = whole_ff(nl.gate(g).kind().clock_cap_ff());
+            }
+        }
+        EnergyWeights { net_ff, clock_ff }
+    }
 }
 
 /// Converts accumulated [`Activity`] on `nl` into average power.
@@ -77,129 +168,52 @@ pub fn power_from_activity(nl: &Netlist, act: &Activity, cfg: &PowerConfig) -> P
 }
 
 /// Like [`power_from_activity`], but restricted to the sub-circuit whose
-/// driver gates satisfy `include`.
+/// gates satisfy `include` (see [`EnergyWeights::new`]): Σ C·toggles and
+/// Σ C·clock events over its [`EnergyWeights`], as integers, then one
+/// conversion to power.
 ///
-/// A net contributes when its driving gate is included (primary-input
-/// nets, having no driver, are excluded — their energy belongs to the
-/// environment); a sequential cell's clock energy contributes when the
-/// cell is included. The paper reports "power consumed by the datapath",
-/// i.e. the system minus the controller — pass a predicate over the
-/// controller's gate range to reproduce that accounting.
+/// # Panics
+///
+/// Panics if a sum reaches 2^53 fF.
 pub fn power_from_activity_where(
     nl: &Netlist,
     act: &Activity,
     cfg: &PowerConfig,
-    include: impl Fn(sfr_netlist::GateId) -> bool,
+    include: impl Fn(GateId) -> bool,
 ) -> PowerReport {
-    if act.cycles == 0 {
-        return PowerReport::default();
-    }
-    let mut switching_fj = 0.0;
-    for net in nl.net_ids() {
-        let toggles = act.net_toggles[net.index()];
-        if toggles > 0 {
-            if let Some(driver) = nl.driver(net) {
-                if include(driver) {
-                    switching_fj += toggles as f64 * cfg.swing_energy_fj(nl.net_cap_ff(net));
-                }
-            }
-        }
-    }
-    let mut clock_fj = 0.0;
-    for &g in nl.sequential_gates() {
-        let events = act.clock_events[g.index()];
-        if events > 0 && include(g) {
-            clock_fj += events as f64 * cfg.swing_energy_fj(nl.gate(g).kind().clock_cap_ff());
-        }
-    }
-    // P(µW) = E(fJ) · 1e-15 / (cycles / f) · 1e6 = E·f/cycles · 1e-9.
-    let scale = cfg.freq_hz / act.cycles as f64 * 1e-9;
-    let switching_uw = switching_fj * scale;
-    let clock_uw = clock_fj * scale;
-    PowerReport {
-        total_uw: switching_uw + clock_uw,
-        switching_uw,
-        clock_uw,
-        cycles: act.cycles,
-    }
+    let w = EnergyWeights::new(nl, include);
+    // Saturating, so an overflow trips the 2^53 check instead of wrapping.
+    let sum = |counts: &[u64], weights: &[u64]| {
+        counts
+            .iter()
+            .zip(weights)
+            .fold(0u64, |s, (&n, &c)| s.saturating_add(n.saturating_mul(c)))
+    };
+    PowerReport::from_sums(
+        sum(&act.net_toggles, &w.net_ff),
+        sum(&act.clock_events, &w.clock_ff),
+        act.cycles,
+        cfg,
+    )
 }
 
-/// Converts a compiled two-valued tape's per-lane [`TapeActivity`] into one
-/// [`PowerReport`] per lane, restricted to the sub-circuit whose driver
-/// gates satisfy `include`.
+/// One [`PowerReport`] per lane of a two-valued tape's [`TapeEnergy`]:
+/// each lane's exact integer sums through the same conversion as
+/// [`power_from_activity_where`], so a lane's report is bit-identical to
+/// the scalar report of that lane's circuit under the same weights.
 ///
-/// Bit-identical to extracting each lane's [`Activity`] and calling
-/// [`power_from_activity_where`] on it, but one pass over the tape's
-/// sparse delta counters instead of `lanes` full extractions: per
-/// column the energy coefficient is computed once and every lane's
-/// accumulator receives its terms in the same order, with the same
-/// multiplications, as the per-lane reference — excluded or quiet
-/// columns contribute an exact `+0.0`, which leaves an IEEE-754 sum
-/// unchanged.
-pub fn power_from_tape_activity_where(
-    nl: &Netlist,
-    act: &TapeActivity,
-    cfg: &PowerConfig,
-    include: impl Fn(sfr_netlist::GateId) -> bool,
-) -> Vec<PowerReport> {
-    let lanes = act.lanes();
-    if act.cycles() == 0 {
-        return vec![PowerReport::default(); lanes];
-    }
-    let net_e: Vec<f64> = nl
-        .net_ids()
-        .map(|net| match nl.driver(net) {
-            Some(driver) if include(driver) => cfg.swing_energy_fj(nl.net_cap_ff(net)),
-            _ => 0.0,
-        })
-        .collect();
-    // Clock coefficients indexed by gate; combinational gates keep 0.0
-    // and report zero events, and `sequential_gates()` is ascending, so
-    // the index-order stream below adds each lane's nonzero clock terms
-    // in exactly the reference iteration order.
-    let mut clk_e = vec![0.0f64; nl.gate_count()];
-    for &g in nl.sequential_gates() {
-        if include(g) {
-            clk_e[g.index()] = cfg.swing_energy_fj(nl.gate(g).kind().clock_cap_ff());
-        }
-    }
-    let mut switching_fj = vec![0.0f64; lanes];
-    let mut clock_fj = vec![0.0f64; lanes];
-    let accumulate = |acc: &mut [f64], e: f64, counts: LaneCounts<'_>| {
-        if e == 0.0 {
-            return; // every lane's term is an exact +0.0
-        }
-        match counts {
-            LaneCounts::Uniform(c) => {
-                if c != 0 {
-                    let term = c as f64 * e;
-                    for a in acc.iter_mut() {
-                        *a += term;
-                    }
-                }
-            }
-            LaneCounts::PerLane(counts) => {
-                for (a, &c) in acc.iter_mut().zip(counts) {
-                    *a += c as f64 * e;
-                }
-            }
-        }
-    };
-    act.for_each_net_count(|net, counts| accumulate(&mut switching_fj, net_e[net], counts));
-    act.for_each_clock_count(|gate, counts| accumulate(&mut clock_fj, clk_e[gate], counts));
-    let scale = cfg.freq_hz / act.cycles() as f64 * 1e-9;
-    switching_fj
-        .iter()
-        .zip(&clock_fj)
-        .map(|(&s, &c)| {
-            let switching_uw = s * scale;
-            let clock_uw = c * scale;
-            PowerReport {
-                total_uw: switching_uw + clock_uw,
-                switching_uw,
-                clock_uw,
-                cycles: act.cycles(),
-            }
+/// # Panics
+///
+/// Panics if a lane's sum reaches 2^53 fF.
+pub fn power_from_tape_energy(energy: &TapeEnergy, cfg: &PowerConfig) -> Vec<PowerReport> {
+    (0..energy.lanes())
+        .map(|lane| {
+            PowerReport::from_sums(
+                energy.switching_ff(lane),
+                energy.clock_ff(lane),
+                energy.cycles(),
+                cfg,
+            )
         })
         .collect()
 }
@@ -307,25 +321,64 @@ mod tests {
         assert!((b.percent_change_from(&a) + 25.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn tape_lane_power_matches_scalar_power() {
-        use sfr_netlist::{StuckAt, TapeProgram, TapeSim};
-        let nl = toggler();
-        let cfg = PowerConfig::default();
-        let faults = StuckAt::enumerate_collapsed(&nl);
-        let prog = TapeProgram::<u64>::compile(&nl, &faults).unwrap();
-        let mut tape = TapeSim::new(&prog);
-        let mut act = TapeActivity::new(&prog);
-        tape.reset_state(Logic::Zero);
-        let stim = [
-            [Logic::One, Logic::One],
-            [Logic::Zero, Logic::Zero],
-            [Logic::One, Logic::Zero],
-            [Logic::Zero, Logic::One],
-            [Logic::One, Logic::One],
+    /// A random sequential netlist: three inputs, eight random gates, a
+    /// plain and an enabled register fed from random nets.
+    fn random_seq(seed: u64) -> sfr_netlist::Netlist {
+        let mut next = xorshift(seed);
+        let mut b = NetlistBuilder::new("randseq");
+        let mut nets: Vec<_> = (0..3).map(|i| b.input(format!("i{i}"))).collect();
+        let (q1, q2) = (b.net("q1"), b.net("q2"));
+        nets.extend([q1, q2]);
+        let kinds = [
+            CellKind::And2,
+            CellKind::Nor2,
+            CellKind::Xor2,
+            CellKind::Inv,
+            CellKind::Mux2,
         ];
-        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
-            .chain(faults.iter().map(|&f| CycleSim::with_fault(&nl, f)))
+        for g in 0..8 {
+            let kind = kinds[(next() % kinds.len() as u64) as usize];
+            let ins: Vec<_> = (0..kind.arity())
+                .map(|_| nets[(next() % nets.len() as u64) as usize])
+                .collect();
+            let out = b.gate_net(kind, format!("g{g}"), &ins);
+            nets.push(out);
+        }
+        let mut pick = || nets[(next() % nets.len() as u64) as usize];
+        let (d1, en, d2) = (pick(), pick(), pick());
+        b.gate(CellKind::Dffe, "r1", &[d1, en], q1);
+        b.gate(CellKind::Dff, "r2", &[d2], q2);
+        b.mark_output(q1);
+        b.mark_output(q2);
+        b.finish().unwrap()
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    /// One pass of `stim` over the fault-free circuit and every
+    /// collapsed fault of `nl`: a scalar simulator per lane and a
+    /// two-valued tape summing `weights`.
+    fn run_lanes<'n>(
+        nl: &'n sfr_netlist::Netlist,
+        weights: &EnergyWeights,
+        stim: &[Vec<Logic>],
+    ) -> (Vec<CycleSim<'n>>, TapeEnergy) {
+        use sfr_netlist::{StuckAt, TapeProgram, TapeSim};
+        let faults = StuckAt::enumerate_collapsed(nl);
+        let prog = TapeProgram::<u64>::compile(nl, &faults).unwrap();
+        let mut tape = TapeSim::new(&prog);
+        let mut energy = TapeEnergy::new(&prog, &weights.net_ff, &weights.clock_ff);
+        tape.reset_state(Logic::Zero);
+        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(nl))
+            .chain(faults.iter().map(|&f| CycleSim::with_fault(nl, f)))
             .map(|mut s| {
                 s.track_activity(true);
                 s.reset_state(Logic::Zero);
@@ -333,19 +386,139 @@ mod tests {
             })
             .collect();
         for inputs in stim {
-            tape.set_inputs(&inputs);
+            tape.set_inputs(inputs);
             tape.eval();
-            tape.clock_counting(&mut act);
+            tape.clock_counting(&mut energy);
             for s in scalars.iter_mut() {
-                s.step(&inputs);
+                s.step(inputs);
             }
         }
-        let reports = power_from_tape_activity_where(&nl, &act, &cfg, |_| true);
-        assert_eq!(reports.len(), faults.len() + 1);
-        for (lane, s) in scalars.iter().enumerate() {
-            let want = power_from_activity(&nl, s.activity(), &cfg);
-            assert_eq!(reports[lane], want, "lane {lane}");
+        (scalars, energy)
+    }
+
+    /// Random binary stimulus for `nl`'s inputs.
+    fn random_stim(nl: &sfr_netlist::Netlist, len: usize, seed: u64) -> Vec<Vec<Logic>> {
+        let mut next = xorshift(seed);
+        (0..len)
+            .map(|_| {
+                let bits = next();
+                (0..nl.inputs().len())
+                    .map(|i| Logic::from_bool(bits >> i & 1 == 1))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tape_lane_energy_matches_scalar_activity() {
+        let nl = toggler();
+        let stim = random_stim(&nl, 12, 5);
+        let (nets, gates) = (nl.net_count(), nl.gate_count());
+        let mut next = xorshift(9);
+        let one_hot =
+            |len: usize, at: usize| -> Vec<u64> { (0..len).map(|i| u64::from(i == at)).collect() };
+        // The library's weights, random whole weights, then a one-hot
+        // weight on each net and on each flip-flop.
+        let weightings = [
+            EnergyWeights::new(&nl, |_| true),
+            EnergyWeights {
+                net_ff: (0..nets).map(|_| next() % 100).collect(),
+                clock_ff: (0..gates).map(|_| next() % 100).collect(),
+            },
+        ]
+        .into_iter()
+        .chain((0..nets).map(|n| EnergyWeights {
+            net_ff: one_hot(nets, n),
+            clock_ff: vec![0; gates],
+        }))
+        .chain(nl.sequential_gates().iter().map(|g| EnergyWeights {
+            net_ff: vec![0; nets],
+            clock_ff: one_hot(gates, g.index()),
+        }));
+        for w in weightings {
+            let (scalars, energy) = run_lanes(&nl, &w, &stim);
+            for (lane, s) in scalars.iter().enumerate() {
+                let a = s.activity();
+                let switching: u64 = a
+                    .net_toggles
+                    .iter()
+                    .zip(&w.net_ff)
+                    .map(|(t, c)| t * c)
+                    .sum();
+                let clock: u64 = a
+                    .clock_events
+                    .iter()
+                    .zip(&w.clock_ff)
+                    .map(|(e, c)| e * c)
+                    .sum();
+                assert_eq!(energy.cycles(), a.cycles, "lane {lane}");
+                assert_eq!(energy.switching_ff(lane), switching, "{w:?} lane {lane}");
+                assert_eq!(energy.clock_ff(lane), clock, "{w:?} lane {lane}");
+            }
         }
+    }
+
+    #[test]
+    fn tape_and_scalar_power_agree_at_any_operating_point() {
+        let low = PowerConfig {
+            vdd: 3.3,
+            freq_hz: 33.0e6,
+        };
+        for (nl, seed) in [(toggler(), 3), (random_seq(0x5EED), 4), (random_seq(77), 5)] {
+            let stim = random_stim(&nl, 40, seed);
+            // Everything, and everything but the first sequential cell
+            // and its output net.
+            let skip = nl.sequential_gates()[0];
+            let includes: [&dyn Fn(GateId) -> bool; 2] = [&|_| true, &|g| g != skip];
+            for include in includes {
+                let w = EnergyWeights::new(&nl, include);
+                let (scalars, energy) = run_lanes(&nl, &w, &stim);
+                for cfg in [PowerConfig::default(), low] {
+                    let reports = power_from_tape_energy(&energy, &cfg);
+                    assert_eq!(reports.len(), scalars.len());
+                    for (lane, s) in scalars.iter().enumerate() {
+                        let want = power_from_activity_where(&nl, s.activity(), &cfg, include);
+                        assert_eq!(reports[lane], want, "{} lane {lane} at {cfg:?}", nl.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_sums_equal_the_per_term_fold_at_five_volts() {
+        // At 5 V each term ½·C·25·n is a multiple of 0.5 far below 2^53,
+        // so a float fold term by term is exact and must match.
+        let nl = random_seq(0xFEED);
+        let stim = random_stim(&nl, 200, 6);
+        let (scalars, _) = run_lanes(&nl, &EnergyWeights::new(&nl, |_| true), &stim);
+        let cfg = PowerConfig::default();
+        for s in &scalars {
+            let a = s.activity();
+            let switching_fj: f64 = nl
+                .net_ids()
+                .filter(|&n| nl.driver(n).is_some())
+                .map(|n| a.net_toggles[n.index()] as f64 * cfg.swing_energy_fj(nl.net_cap_ff(n)))
+                .sum();
+            let clock_fj: f64 = nl
+                .sequential_gates()
+                .iter()
+                .map(|&g| {
+                    a.clock_events[g.index()] as f64
+                        * cfg.swing_energy_fj(nl.gate(g).kind().clock_cap_ff())
+                })
+                .sum();
+            let scale = cfg.freq_hz / a.cycles as f64 * 1e-9;
+            let p = power_from_activity(&nl, a, &cfg);
+            assert_eq!(p.switching_uw, switching_fj * scale);
+            assert_eq!(p.clock_uw, clock_fj * scale);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reach 2^53")]
+    fn sums_past_exact_f64_are_refused() {
+        let _ = PowerReport::from_sums(1 << 53, 0, 1, &PowerConfig::default());
     }
 
     #[test]

@@ -53,8 +53,8 @@ mod montecarlo;
 mod variation;
 
 pub use energy::{
-    power_from_activity, power_from_activity_where, power_from_tape_activity_where, PowerConfig,
-    PowerReport,
+    power_from_activity, power_from_activity_where, power_from_tape_energy, EnergyWeights,
+    PowerConfig, PowerReport,
 };
 pub use montecarlo::{run_monte_carlo, run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult};
 pub use variation::{PowerPopulation, VariationModel};
