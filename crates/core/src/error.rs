@@ -2,7 +2,7 @@
 
 use sfr_hls::EmitError;
 use sfr_journal::JournalError;
-use sfr_netlist::{NetlistError, ParseError};
+use sfr_netlist::NetlistError;
 use std::fmt;
 
 /// Everything that can go wrong preparing or running a study.
@@ -23,8 +23,6 @@ pub enum StudyError {
     /// (missing file on `--resume`, corruption, or a fingerprint from a
     /// different campaign).
     Journal(JournalError),
-    /// A structural Verilog source failed to parse.
-    Parse(ParseError),
     /// The run-manifest destination is unusable (an existing manifest
     /// without `--force`, or an unwritable path).
     Manifest(String),
@@ -37,7 +35,6 @@ impl fmt::Display for StudyError {
             StudyError::Benchmark(e) => write!(f, "benchmark build failed: {e}"),
             StudyError::InvalidConfig(msg) => write!(f, "invalid study configuration: {msg}"),
             StudyError::Journal(e) => write!(f, "checkpoint journal error: {e}"),
-            StudyError::Parse(e) => write!(f, "verilog parse error: {e}"),
             StudyError::Manifest(msg) => write!(f, "run manifest error: {msg}"),
         }
     }
@@ -50,7 +47,6 @@ impl std::error::Error for StudyError {
             StudyError::Benchmark(e) => Some(e),
             StudyError::InvalidConfig(_) => None,
             StudyError::Journal(e) => Some(e),
-            StudyError::Parse(e) => Some(e),
             StudyError::Manifest(_) => None,
         }
     }
@@ -59,12 +55,6 @@ impl std::error::Error for StudyError {
 impl From<JournalError> for StudyError {
     fn from(e: JournalError) -> Self {
         StudyError::Journal(e)
-    }
-}
-
-impl From<ParseError> for StudyError {
-    fn from(e: ParseError) -> Self {
-        StudyError::Parse(e)
     }
 }
 

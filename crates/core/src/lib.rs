@@ -32,10 +32,9 @@
 //! * [`worst_case_extra_effects`] — the Section 4 experiment: the most
 //!   power a maximal set of non-disruptive control line effects can
 //!   waste.
-//! * [`lint_system`] / [`lint_verilog`] — the `sfr-lint` structural
-//!   rule suite over FSM, schedule, and netlist, plus
-//!   [`StudyBuilder::static_prune`], the simulation-free fault-pruning
-//!   pre-pass built on the same analyses.
+//! * [`lint_system`] — the `sfr-lint` structural rule suite over FSM,
+//!   schedule, and netlist, plus [`StudyBuilder::static_prune`], the
+//!   simulation-free fault-pruning pre-pass built on the same analyses.
 //! * Re-exports of every substrate: netlist, logic synthesis, RTL, FSM
 //!   synthesis, HLS, TPG, fault simulation, classification, power.
 //!
@@ -109,16 +108,15 @@ pub use sfr_hls::{
 pub use sfr_journal::{CampaignJournal, JournalError, RecordKind};
 pub use sfr_lint::{
     absint_cfr, analyze_controller_static, cone_is_dead, controller_net_constants, fixture_report,
-    lint_fsm, lint_netlist, lint_schedule, lint_system, lint_verilog, statically_cfr, Diagnostic,
-    LintReport, Location, NetConstants, Severity, StaticAnalysis, StaticCfrReason,
+    lint_fsm, lint_netlist, lint_schedule, lint_system, statically_cfr, Diagnostic, LintReport,
+    NetConstants, Severity, StaticAnalysis, StaticCfrReason,
 };
 pub use sfr_logic::{minimize, Cover, Cube, SopMapper};
 pub use sfr_netlist::{
-    critical_path, logic_to_u64, parse_verilog, parse_verilog_spanned, u64_to_logic,
-    write_cell_library, write_verilog, Activity, ActivityMismatch, Atpg, CellKind, CycleSim,
-    FaultClasses, FaultSite, GateId, LaneValue, Logic, NetId, Netlist, NetlistBuilder,
-    NetlistError, NetlistStats, ParseError, Pat, SourceSpans, StuckAt, TapeEnergy, TapeProgram,
-    TapeSim, TestOutcome, TooManyFaultsError, VcdRecorder, MAX_PARALLEL_FAULTS,
+    critical_path, logic_to_u64, u64_to_logic, write_cell_library, write_verilog, Activity,
+    ActivityMismatch, Atpg, CellKind, CycleSim, FaultClasses, FaultSite, GateId, LaneValue, Logic,
+    NetId, Netlist, NetlistBuilder, NetlistError, NetlistStats, Pat, StuckAt, TapeEnergy,
+    TapeProgram, TapeSim, TestOutcome, TooManyFaultsError, VcdRecorder, MAX_PARALLEL_FAULTS,
 };
 pub use sfr_obs as obs;
 pub use sfr_power_model::{

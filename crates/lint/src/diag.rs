@@ -1,4 +1,4 @@
-//! Structured lint diagnostics: rule ids, severities, locations.
+//! Structured lint diagnostics: rule ids, severities, subjects.
 
 use std::fmt;
 
@@ -29,25 +29,6 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Where a diagnostic points.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Location {
-    /// The net, cell, state, or register the rule fired on.
-    pub subject: String,
-    /// 1-based source (line, column), when the design came from text
-    /// with recorded spans ([`sfr_netlist::SourceSpans`]).
-    pub span: Option<(usize, usize)>,
-}
-
-impl fmt::Display for Location {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.span {
-            Some((line, col)) => write!(f, "{}:{line}:{col}", self.subject),
-            None => write!(f, "{}", self.subject),
-        }
-    }
-}
-
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -55,8 +36,8 @@ pub struct Diagnostic {
     pub rule: &'static str,
     /// How serious it is.
     pub severity: Severity,
-    /// What the rule fired on.
-    pub location: Location,
+    /// The net, cell, state, or register the rule fired on.
+    pub subject: String,
     /// Human-readable explanation.
     pub message: String,
 }
@@ -66,7 +47,7 @@ impl fmt::Display for Diagnostic {
         write!(
             f,
             "{}[{}] {}: {}",
-            self.severity, self.rule, self.location, self.message
+            self.severity, self.rule, self.subject, self.message
         )
     }
 }
@@ -113,9 +94,9 @@ impl LintReport {
     }
 
     /// Canonicalizes the report for stable CI diffing: diagnostics are
-    /// sorted by (severity descending, rule, subject, span, message)
-    /// and exact repeats of the same rule id at the same location are
-    /// emitted once. The sort is total, so two reports over the same
+    /// sorted by (severity descending, rule, subject, message) and
+    /// repeats of the same rule id on the same subject are emitted
+    /// once. The sort is total, so two reports over the same
     /// design render byte-identically regardless of rule evaluation
     /// order.
     pub fn normalize(&mut self) {
@@ -123,12 +104,11 @@ impl LintReport {
             b.severity
                 .cmp(&a.severity)
                 .then_with(|| a.rule.cmp(b.rule))
-                .then_with(|| a.location.subject.cmp(&b.location.subject))
-                .then_with(|| a.location.span.cmp(&b.location.span))
+                .then_with(|| a.subject.cmp(&b.subject))
                 .then_with(|| a.message.cmp(&b.message))
         });
         self.diagnostics
-            .dedup_by(|a, b| a.rule == b.rule && a.location == b.location);
+            .dedup_by(|a, b| a.rule == b.rule && a.subject == b.subject);
     }
 }
 
@@ -153,20 +133,14 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_render_rule_and_location() {
+    fn diagnostics_render_rule_and_subject() {
         let d = Diagnostic {
             rule: "constant-net",
             severity: Severity::Warning,
-            location: Location {
-                subject: "x".into(),
-                span: Some((7, 3)),
-            },
+            subject: "x".into(),
             message: "net is stuck at 0".into(),
         };
-        assert_eq!(
-            d.to_string(),
-            "warning[constant-net] x:7:3: net is stuck at 0"
-        );
+        assert_eq!(d.to_string(), "warning[constant-net] x: net is stuck at 0");
     }
 
     #[test]
@@ -176,13 +150,13 @@ mod tests {
         r.push(Diagnostic {
             rule: "a",
             severity: Severity::Error,
-            location: Location::default(),
+            subject: String::new(),
             message: String::new(),
         });
         r.push(Diagnostic {
             rule: "b",
             severity: Severity::Info,
-            location: Location::default(),
+            subject: String::new(),
             message: String::new(),
         });
         assert_eq!(r.error_count(), 1);
@@ -192,46 +166,27 @@ mod tests {
 
     #[test]
     fn normalize_dedupes_and_stable_sorts() {
-        let at = |subject: &str, span| Location {
-            subject: subject.into(),
-            span,
-        };
-        let d = |rule, severity, location: Location, message: &str| Diagnostic {
+        let d = |rule, severity, subject: &str, message: &str| Diagnostic {
             rule,
             severity,
-            location,
+            subject: subject.into(),
             message: message.into(),
         };
         let mut r = LintReport::new();
-        r.push(d("b-rule", Severity::Info, at("n2", None), "later"));
-        r.push(d(
-            "a-rule",
-            Severity::Warning,
-            at("n1", Some((3, 1))),
-            "dup",
-        ));
-        r.push(d(
-            "a-rule",
-            Severity::Warning,
-            at("n1", Some((3, 1))),
-            "dup",
-        ));
-        r.push(d("a-rule", Severity::Error, at("n0", None), "first"));
-        // Same rule, different span: both survive.
-        r.push(d(
-            "a-rule",
-            Severity::Warning,
-            at("n1", Some((9, 1))),
-            "dup",
-        ));
+        r.push(d("b-rule", Severity::Info, "n2", "later"));
+        r.push(d("a-rule", Severity::Warning, "n1", "dup"));
+        r.push(d("a-rule", Severity::Warning, "n1", "dup"));
+        r.push(d("a-rule", Severity::Error, "n0", "first"));
+        // Same rule, another subject: both survive.
+        r.push(d("a-rule", Severity::Warning, "n3", "dup"));
         r.normalize();
         let rendered: Vec<String> = r.diagnostics.iter().map(|d| d.to_string()).collect();
         assert_eq!(
             rendered,
             vec![
                 "error[a-rule] n0: first",
-                "warning[a-rule] n1:3:1: dup",
-                "warning[a-rule] n1:9:1: dup",
+                "warning[a-rule] n1: dup",
+                "warning[a-rule] n3: dup",
                 "info[b-rule] n2: later",
             ]
         );

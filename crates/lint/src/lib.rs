@@ -10,9 +10,9 @@
 //!   (`ClassifyConfig::static_prune` in `sfr-classify`) builds on these
 //!   proofs; pruned campaigns are bit-identical to unpruned ones.
 //! * **Design linting** — a rule suite over the FSM specification, the
-//!   HLS schedule, and the gate-level netlist ([`lint_system`],
-//!   [`lint_verilog`]), emitting structured [`Diagnostic`]s with rule
-//!   ids, severities, and source spans where the design came from text.
+//!   HLS schedule, and the gate-level netlist ([`lint_system`]),
+//!   emitting structured [`Diagnostic`]s with rule ids, severities, and
+//!   the subject each rule fired on.
 //!
 //! The rule catalogue is documented on [`rules`] (module docs).
 //!
@@ -22,7 +22,7 @@
 //! use sfr_lint::{fixture_report, Severity};
 //!
 //! let report = fixture_report();
-//! assert!(report.error_count() >= 2); // unreachable state + comb loop
+//! assert_eq!(report.error_count(), 1); // the unreachable state
 //! assert!(report.diagnostics.iter().any(|d| d.severity == Severity::Error));
 //! ```
 
@@ -42,6 +42,6 @@ pub use absint::absint_cfr;
 pub use cfr::{analyze_controller_static, statically_cfr, StaticAnalysis, StaticCfrReason};
 pub use cone::cone_is_dead;
 pub use constprop::{controller_net_constants, NetConstants};
-pub use diag::{Diagnostic, LintReport, Location, Severity};
-pub use fixture::{fixture_fsm, fixture_report, LOOPED_VERILOG};
-pub use rules::{lint_fsm, lint_netlist, lint_schedule, lint_system, lint_verilog};
+pub use diag::{Diagnostic, LintReport, Severity};
+pub use fixture::{fixture_fsm, fixture_report};
+pub use rules::{lint_fsm, lint_netlist, lint_schedule, lint_system};

@@ -8,16 +8,13 @@
 //! | `dead-gate`               | warning  | gates whose output feeds nothing |
 //! | `never-selected-mux-input`| info     | mux legs no schedule step routes (§3.1 don't-care coverage) |
 //! | `lifespan-overlap`        | error    | two variables sharing a register with overlapping lifespans |
-//! | `combinational-loop`      | error    | a cycle through combinational cells (full path reported) |
-//! | `invalid-netlist`         | error    | other structural validation failures of parsed Verilog |
-//! | `parse-error`             | error    | malformed structural Verilog |
 
 use crate::constprop::controller_net_constants;
-use crate::diag::{Diagnostic, LintReport, Location, Severity};
+use crate::diag::{Diagnostic, LintReport, Severity};
 use sfr_faultsim::System;
 use sfr_fsm::FsmSpec;
 use sfr_hls::{spans_conflict, DesignMeta};
-use sfr_netlist::{parse_verilog_spanned, CellKind, Netlist, NetlistError, SourceSpans};
+use sfr_netlist::{CellKind, Netlist};
 use std::collections::BTreeSet;
 
 /// Lints a controller specification: reachability and transition
@@ -30,10 +27,7 @@ pub fn lint_fsm(spec: &FsmSpec) -> LintReport {
             r.push(Diagnostic {
                 rule: "unreachable-state",
                 severity: Severity::Error,
-                location: Location {
-                    subject: spec.state_name(s).to_string(),
-                    span: None,
-                },
+                subject: spec.state_name(s).to_string(),
                 message: format!(
                     "state `{}` is not reachable from reset state `{}`",
                     spec.state_name(s),
@@ -47,10 +41,7 @@ pub fn lint_fsm(spec: &FsmSpec) -> LintReport {
                 r.push(Diagnostic {
                     rule: "dead-transition",
                     severity: Severity::Warning,
-                    location: Location {
-                        subject: format!("{}#{i}", spec.state_name(s)),
-                        span: None,
-                    },
+                    subject: format!("{}#{i}", spec.state_name(s)),
                     message: format!(
                         "transition {i} of state `{}` (to `{}`) can never fire: \
                          every matching status is claimed by an earlier guard",
@@ -64,10 +55,8 @@ pub fn lint_fsm(spec: &FsmSpec) -> LintReport {
     r
 }
 
-/// Lints a bare gate-level netlist: gates driving nothing. `spans`
-/// (from [`parse_verilog_spanned`]) attaches source locations when the
-/// netlist came from text.
-pub fn lint_netlist(nl: &Netlist, spans: Option<&SourceSpans>) -> LintReport {
+/// Lints a bare gate-level netlist: gates driving nothing.
+pub fn lint_netlist(nl: &Netlist) -> LintReport {
     let mut r = LintReport::new();
     for g in nl.gate_ids() {
         let gate = nl.gate(g);
@@ -76,10 +65,7 @@ pub fn lint_netlist(nl: &Netlist, spans: Option<&SourceSpans>) -> LintReport {
             r.push(Diagnostic {
                 rule: "dead-gate",
                 severity: Severity::Warning,
-                location: Location {
-                    subject: gate.name().to_string(),
-                    span: spans.and_then(|s| s.gate(gate.name())),
-                },
+                subject: gate.name().to_string(),
                 message: format!(
                     "gate `{}` drives net `{}`, which nothing reads",
                     gate.name(),
@@ -102,10 +88,7 @@ pub fn lint_schedule(meta: &DesignMeta, muxes: &[sfr_rtl::Mux]) -> LintReport {
                     r.push(Diagnostic {
                         rule: "lifespan-overlap",
                         severity: Severity::Error,
-                        location: Location {
-                            subject: meta.reg_names[reg].clone(),
-                            span: None,
-                        },
+                        subject: meta.reg_names[reg].clone(),
                         message: format!(
                             "variables `{}` (written CS{}) and `{}` (written CS{}) \
                              share register `{}` with overlapping lifespans",
@@ -128,10 +111,7 @@ pub fn lint_schedule(meta: &DesignMeta, muxes: &[sfr_rtl::Mux]) -> LintReport {
                 r.push(Diagnostic {
                     rule: "never-selected-mux-input",
                     severity: Severity::Info,
-                    location: Location {
-                        subject: format!("{}.in{leg}", mux.name()),
-                        span: None,
-                    },
+                    subject: format!("{}.in{leg}", mux.name()),
                     message: format!(
                         "input {leg} of mux `{}` is never routed by the schedule: \
                          its select code is a don't care (§3.1 slack)",
@@ -150,7 +130,7 @@ pub fn lint_schedule(meta: &DesignMeta, muxes: &[sfr_rtl::Mux]) -> LintReport {
 pub fn lint_system(sys: &System) -> LintReport {
     let mut r = lint_fsm(sys.fsm.spec());
     r.extend(lint_schedule(&sys.meta, sys.datapath.muxes()));
-    r.extend(lint_netlist(&sys.ctrl_netlist, None));
+    r.extend(lint_netlist(&sys.ctrl_netlist));
 
     let constants = controller_net_constants(sys);
     let nl = &sys.ctrl_netlist;
@@ -168,10 +148,7 @@ pub fn lint_system(sys: &System) -> LintReport {
             r.push(Diagnostic {
                 rule: "constant-net",
                 severity: Severity::Warning,
-                location: Location {
-                    subject: nl.net(net).name().to_string(),
-                    span: None,
-                },
+                subject: nl.net(net).name().to_string(),
                 message: format!(
                     "net `{}` holds {} in every reachable controller evaluation",
                     nl.net(net).name(),
@@ -183,63 +160,12 @@ pub fn lint_system(sys: &System) -> LintReport {
     r
 }
 
-/// Lints structural Verilog text: parse failures (including
-/// combinational loops, with the full cycle path) become diagnostics
-/// positioned at the offending source line; valid modules get the
-/// netlist rules with source spans attached.
-pub fn lint_verilog(src: &str) -> LintReport {
-    let mut r = LintReport::new();
-    match parse_verilog_spanned(src) {
-        Ok((nl, spans)) => r.extend(lint_netlist(&nl, Some(&spans))),
-        Err(e) => {
-            let span = Some((e.line, e.col));
-            match e.cause {
-                Some(NetlistError::CombinationalLoop { ref cycle }) => r.push(Diagnostic {
-                    rule: "combinational-loop",
-                    severity: Severity::Error,
-                    location: Location {
-                        subject: cycle.first().cloned().unwrap_or_default(),
-                        span,
-                    },
-                    message: format!(
-                        "combinational loop: {}",
-                        cycle
-                            .iter()
-                            .chain(cycle.first())
-                            .map(|n| format!("`{n}`"))
-                            .collect::<Vec<_>>()
-                            .join(" -> ")
-                    ),
-                }),
-                Some(ref cause) => r.push(Diagnostic {
-                    rule: "invalid-netlist",
-                    severity: Severity::Error,
-                    location: Location {
-                        subject: String::new(),
-                        span,
-                    },
-                    message: cause.to_string(),
-                }),
-                None => r.push(Diagnostic {
-                    rule: "parse-error",
-                    severity: Severity::Error,
-                    location: Location {
-                        subject: String::new(),
-                        span,
-                    },
-                    message: e.message,
-                }),
-            }
-        }
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sfr_faultsim::fixtures::toy_system;
     use sfr_fsm::{FsmSpecBuilder, Tri};
+    use sfr_netlist::NetlistBuilder;
 
     #[test]
     fn toy_system_is_error_clean() {
@@ -278,32 +204,21 @@ mod tests {
     }
 
     #[test]
-    fn combinational_loop_reports_the_cycle_with_location() {
-        let looped = "module m(clk, n_a, n_o);\n  input clk;\n  input n_a;\n  output n_o;\n  wire n_x;\n  wire n_y;\n  SFR_AND2 g1(.y(n_x), .a(n_a), .b(n_y));\n  SFR_BUF g2(.y(n_y), .a(n_x));\n  SFR_BUF g3(.y(n_o), .a(n_x));\nendmodule\n";
-        let r = lint_verilog(looped);
-        assert_eq!(r.error_count(), 1);
-        let d = &r.diagnostics[0];
-        assert_eq!(d.rule, "combinational-loop");
-        assert!(d.location.span.is_some(), "loop diagnostic needs a span");
-        assert!(
-            d.message.contains("`x`") && d.message.contains("`y`"),
-            "{}",
-            d.message
-        );
-    }
-
-    #[test]
-    fn dead_gate_found_with_span() {
-        let src = "module m(clk, n_a, n_o);\n  input clk;\n  input n_a;\n  output n_o;\n  wire n_d;\n  SFR_INV dead(.y(n_d), .a(n_a));\n  SFR_BUF live(.y(n_o), .a(n_a));\nendmodule\n";
-        let r = lint_verilog(src);
+    fn dead_gate_found() {
+        let mut b = NetlistBuilder::new("m");
+        let a = b.input("a");
+        b.gate_net(CellKind::Inv, "dead", &[a]);
+        let o = b.gate_net(CellKind::Buf, "live", &[a]);
+        b.mark_output(o);
+        let r = lint_netlist(&b.finish().expect("valid netlist"));
         assert!(r.is_error_free());
         let d = r
             .diagnostics
             .iter()
             .find(|d| d.rule == "dead-gate")
             .expect("dead gate reported");
-        assert_eq!(d.location.subject, "dead");
-        assert_eq!(d.location.span, Some((6, 3)));
+        assert_eq!(d.subject, "dead");
+        assert_eq!(r.diagnostics.len(), 1, "{r}");
     }
 
     #[test]

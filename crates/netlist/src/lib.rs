@@ -85,7 +85,4 @@ pub use tape::{
     LaneValue, Pat, TapeEnergy, TapeProgram, TapeSim, TooManyFaultsError, MAX_PARALLEL_FAULTS,
 };
 pub use vcd::VcdRecorder;
-pub use verilog::{
-    parse_verilog, parse_verilog_spanned, write_cell_library, write_verilog, ParseError,
-    SourceSpans,
-};
+pub use verilog::{write_cell_library, write_verilog};

@@ -1,16 +1,12 @@
-//! Structural Verilog export and re-import.
+//! Structural Verilog export.
 //!
 //! Writes a [`crate::Netlist`] as a flat structural Verilog module over
 //! a small behavioural cell library (emitted alongside), so synthesized
 //! controllers and elaborated datapaths can be inspected, re-simulated,
-//! or re-synthesized by external tools. [`parse_verilog`] reads that
-//! same structural subset back, reporting malformed input as a
-//! positioned [`ParseError`] instead of panicking.
+//! or re-synthesized by external tools.
 
 use crate::cell::CellKind;
-use crate::graph::{NetId, Netlist, NetlistBuilder, NetlistError};
-use std::collections::HashMap;
-use std::fmt;
+use crate::graph::{NetId, Netlist};
 use std::io::{self, Write};
 
 /// Writes `nl` as structural Verilog.
@@ -140,440 +136,6 @@ pub fn write_cell_library<W: Write>(mut w: W) -> io::Result<()> {
     writeln!(w, "endmodule")
 }
 
-/// A failure parsing structural Verilog, positioned at the offending
-/// source location (1-based line and column).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based source line of the problem.
-    pub line: usize,
-    /// 1-based column of the problem.
-    pub col: usize,
-    /// What was wrong there.
-    pub message: String,
-    /// The structural validation error behind this parse failure, when
-    /// the text was well-formed but did not build a valid netlist
-    /// (multiple drivers, combinational loop, …).
-    pub cause: Option<NetlistError>,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "line {}, column {}: {}",
-            self.line, self.col, self.message
-        )
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses the structural subset that [`write_verilog`] emits back into
-/// a [`Netlist`]: one flat module, `input`/`output`/`wire` single-bit
-/// declarations, constant `assign`s, and `SFR_*` cell instances with
-/// named port connections.
-///
-/// Net names are stored with the export's `n_` prefix stripped, so a
-/// parse → re-export round trip is textually stable. One export
-/// lossiness is accepted: a net that is both a primary input and a
-/// primary output comes back as an input only, because the exported
-/// text cannot represent the dual role.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] carrying the 1-based line and column of the
-/// first malformed construct — unknown cells, undeclared nets,
-/// misnamed ports, duplicate declarations, or a truncated module.
-pub fn parse_verilog(src: &str) -> Result<Netlist, ParseError> {
-    parse_verilog_spanned(src).map(|(nl, _)| nl)
-}
-
-/// Source locations recorded while parsing structural Verilog: where
-/// each net was declared and each cell instantiated, keyed by the
-/// stored (prefix-stripped) name. Lets downstream diagnostics point at
-/// the offending source line instead of just naming a net.
-#[derive(Debug, Clone, Default)]
-pub struct SourceSpans {
-    nets: HashMap<String, (usize, usize)>,
-    gates: HashMap<String, (usize, usize)>,
-}
-
-impl SourceSpans {
-    /// 1-based (line, column) where the net named `name` was declared.
-    pub fn net(&self, name: &str) -> Option<(usize, usize)> {
-        self.nets.get(strip_net(name)).copied()
-    }
-
-    /// 1-based (line, column) where the gate instance `name` appears.
-    pub fn gate(&self, name: &str) -> Option<(usize, usize)> {
-        self.gates.get(name).copied()
-    }
-}
-
-/// Like [`parse_verilog`], but also returns the [`SourceSpans`] mapping
-/// declared nets and cell instances back to their source locations.
-///
-/// # Errors
-///
-/// Same as [`parse_verilog`]; additionally, when the module text is
-/// well-formed but fails netlist validation, the returned error is
-/// positioned at the declaration of the offending net (first cycle net
-/// for combinational loops) and carries the [`NetlistError`] in
-/// [`ParseError::cause`].
-pub fn parse_verilog_spanned(src: &str) -> Result<(Netlist, SourceSpans), ParseError> {
-    let mut p = Parser::new(src);
-    p.parse()
-}
-
-/// The export's `n_` prefix, stripped on re-import.
-const NET_PREFIX: &str = "n_";
-
-struct Parser<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
-    /// 1-based line number of the line most recently yielded.
-    line_no: usize,
-    /// 1-based column where the current statement starts in its raw line.
-    col_no: usize,
-    spans: SourceSpans,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            lines: src.lines().enumerate(),
-            line_no: 0,
-            col_no: 1,
-            spans: SourceSpans::default(),
-        }
-    }
-
-    fn err(&self, col: usize, message: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line_no,
-            col,
-            message: message.into(),
-            cause: None,
-        }
-    }
-
-    /// Current statement's span: its line and starting column.
-    fn here(&self) -> (usize, usize) {
-        (self.line_no, self.col_no)
-    }
-
-    /// The next line that is not blank or a pure `//` comment, trimmed.
-    fn next_line(&mut self) -> Option<&'a str> {
-        for (i, raw) in self.lines.by_ref() {
-            self.line_no = i + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with("//") {
-                continue;
-            }
-            self.col_no = raw.len() - raw.trim_start().len() + 1;
-            return Some(line);
-        }
-        None
-    }
-
-    fn parse(&mut self) -> Result<(Netlist, SourceSpans), ParseError> {
-        let header = self
-            .next_line()
-            .ok_or_else(|| self.err(1, "expected a `module` header, found end of input"))?;
-        let (name, ports) = self.parse_header(header)?;
-
-        let mut b = NetlistBuilder::new(name);
-        let mut nets: std::collections::HashMap<String, NetId> = std::collections::HashMap::new();
-        let mut outputs: Vec<NetId> = Vec::new();
-        let mut declared: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut n_consts = 0usize;
-        let mut closed = false;
-
-        while let Some(line) = self.next_line() {
-            if line == "endmodule" {
-                closed = true;
-                break;
-            }
-            let body = line
-                .strip_suffix(';')
-                .ok_or_else(|| self.err(line.len(), "expected `;` at end of statement"))?;
-            if let Some(rest) = body.strip_prefix("input ") {
-                let name = ident(rest.trim()).map_err(|c| self.err(c, "invalid input name"))?;
-                if name == "clk" {
-                    continue; // the implicit clock, not a data net
-                }
-                self.declare(&mut b, &mut nets, &mut declared, name, Decl::Input)?;
-            } else if let Some(rest) = body.strip_prefix("output ") {
-                let name = ident(rest.trim()).map_err(|c| self.err(c, "invalid output name"))?;
-                let id = self.declare(&mut b, &mut nets, &mut declared, name, Decl::Wire)?;
-                outputs.push(id);
-            } else if let Some(rest) = body.strip_prefix("wire ") {
-                let name = ident(rest.trim()).map_err(|c| self.err(c, "invalid wire name"))?;
-                self.declare(&mut b, &mut nets, &mut declared, name, Decl::Wire)?;
-            } else if let Some(rest) = body.strip_prefix("assign ") {
-                self.parse_assign(&mut b, &nets, rest.trim(), &mut n_consts)?;
-            } else {
-                self.parse_instance(&mut b, &nets, body)?;
-            }
-        }
-        if !closed {
-            return Err(self.err(1, "missing `endmodule` before end of input"));
-        }
-        // Declarations name every port; make sure none dangled.
-        for port in &ports {
-            if port != "clk" && !declared.contains(strip_net(port)) {
-                return Err(self.err(
-                    1,
-                    format!("module port `{port}` was never declared input or output"),
-                ));
-            }
-        }
-        for id in outputs {
-            b.mark_output(id);
-        }
-        match b.finish() {
-            Ok(nl) => Ok((nl, std::mem::take(&mut self.spans))),
-            Err(e) => {
-                // Point the error at the declaration of the offending
-                // net (first cycle net for loops) when we know it.
-                let loc = match &e {
-                    NetlistError::MultipleDrivers { net }
-                    | NetlistError::UndrivenNet { net }
-                    | NetlistError::UnknownNet { net }
-                    | NetlistError::DuplicateNetName { net } => self.spans.net(net),
-                    NetlistError::CombinationalLoop { cycle } => {
-                        cycle.first().and_then(|n| self.spans.net(n))
-                    }
-                    NetlistError::BadArity { gate, .. } => self.spans.gate(gate),
-                };
-                let (line, col) = loc.unwrap_or((1, 1));
-                Err(ParseError {
-                    line,
-                    col,
-                    message: format!("module is not a valid netlist: {e}"),
-                    cause: Some(e),
-                })
-            }
-        }
-    }
-
-    /// `module name(clk, a, b);` → (name, ports).
-    fn parse_header(&self, line: &str) -> Result<(String, Vec<String>), ParseError> {
-        let rest = line
-            .strip_prefix("module ")
-            .ok_or_else(|| self.err(1, "expected `module <name>(<ports>);`"))?;
-        let open = rest
-            .find('(')
-            .ok_or_else(|| self.err(line.len(), "expected `(` after module name"))?;
-        let name = ident(rest[..open].trim())
-            .map_err(|c| self.err("module ".len() + c, "invalid module name"))?;
-        let close = rest
-            .rfind(')')
-            .filter(|&c| c > open && rest[c + 1..].trim() == ";")
-            .ok_or_else(|| self.err(line.len(), "expected `);` closing the port list"))?;
-        let mut ports = Vec::new();
-        for part in rest[open + 1..close].split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                return Err(self.err(open + 1, "empty name in port list"));
-            }
-            ports.push(part.to_string());
-        }
-        if ports.first().map(String::as_str) != Some("clk") {
-            return Err(self.err(open + 2, "first module port must be `clk`"));
-        }
-        Ok((name.to_string(), ports))
-    }
-
-    fn declare(
-        &mut self,
-        b: &mut NetlistBuilder,
-        nets: &mut std::collections::HashMap<String, NetId>,
-        declared: &mut std::collections::HashSet<String>,
-        name: &str,
-        decl: Decl,
-    ) -> Result<NetId, ParseError> {
-        let stored = strip_net(name).to_string();
-        if !declared.insert(stored.clone()) {
-            return Err(self.err(1, format!("net `{name}` declared twice")));
-        }
-        self.spans.nets.insert(stored.clone(), self.here());
-        let id = match decl {
-            Decl::Input => b.input(stored.clone()),
-            Decl::Wire => b.net(stored.clone()),
-        };
-        nets.insert(stored, id);
-        Ok(id)
-    }
-
-    /// `assign n_x = 1'b0` (already stripped of `assign ` and `;`).
-    fn parse_assign(
-        &mut self,
-        b: &mut NetlistBuilder,
-        nets: &std::collections::HashMap<String, NetId>,
-        body: &str,
-        n_consts: &mut usize,
-    ) -> Result<(), ParseError> {
-        let (lhs, rhs) = body
-            .split_once('=')
-            .ok_or_else(|| self.err(1, "expected `assign <net> = <const>`"))?;
-        let out = self.lookup(nets, lhs.trim())?;
-        let kind = match rhs.trim() {
-            "1'b0" => CellKind::Const0,
-            "1'b1" => CellKind::Const1,
-            other => {
-                return Err(self.err(
-                    1,
-                    format!("unsupported assign value `{other}` (expected 1'b0 or 1'b1)"),
-                ))
-            }
-        };
-        *n_consts += 1;
-        let inst = format!("const{}", *n_consts);
-        self.spans.gates.insert(inst.clone(), self.here());
-        b.gate(kind, inst, &[], out);
-        Ok(())
-    }
-
-    /// `SFR_XOR2 x1(.y(n_o), .a(n_a), .b(n_b))` (already stripped of `;`).
-    fn parse_instance(
-        &mut self,
-        b: &mut NetlistBuilder,
-        nets: &std::collections::HashMap<String, NetId>,
-        body: &str,
-    ) -> Result<(), ParseError> {
-        let open = body
-            .find('(')
-            .ok_or_else(|| self.err(1, format!("unrecognised statement `{body}`")))?;
-        let close = body
-            .rfind(')')
-            .filter(|&c| c > open)
-            .ok_or_else(|| self.err(body.len(), "expected `)` closing the port connections"))?;
-        let head: Vec<&str> = body[..open].split_whitespace().collect();
-        let [cell, inst] = head[..] else {
-            return Err(self.err(
-                1,
-                format!("expected `<CELL> <instance>(...)`, got `{}`", &body[..open]),
-            ));
-        };
-        let kind = cell_kind(cell).ok_or_else(|| self.err(1, format!("unknown cell `{cell}`")))?;
-        let inst = ident(inst).map_err(|c| self.err(c, "invalid instance name"))?;
-        self.spans.gates.insert(inst.to_string(), self.here());
-
-        let mut conns: Vec<(String, NetId)> = Vec::new();
-        for part in body[open + 1..close].split(',') {
-            let part = part.trim();
-            let inner = part
-                .strip_prefix('.')
-                .and_then(|p| p.strip_suffix(')'))
-                .and_then(|p| p.split_once('('))
-                .ok_or_else(|| {
-                    self.err(open + 1, format!("expected `.port(net)`, got `{part}`"))
-                })?;
-            let (port, net) = inner;
-            if port == "clk" {
-                continue; // every sequential cell shares the implicit clock
-            }
-            conns.push((port.to_string(), self.lookup(nets, net)?));
-        }
-
-        let (input_ports, out_port): (&[&str], &str) = match kind {
-            CellKind::Dff => (&["d"], "q"),
-            CellKind::Dffe => (&["d", "en"], "q"),
-            CellKind::Mux2 => (&["a", "b", "s"], "y"),
-            _ => {
-                // Combinational cells: .y plus .a, .b, … in arity order.
-                let mut inputs = Vec::with_capacity(kind.arity());
-                let out = self.take_port(&mut conns, "y", cell)?;
-                for i in 0..kind.arity() {
-                    let port = ((b'a' + i as u8) as char).to_string();
-                    inputs.push(self.take_port(&mut conns, &port, cell)?);
-                }
-                self.no_extra_ports(&conns, cell)?;
-                b.gate(kind, inst, &inputs, out);
-                return Ok(());
-            }
-        };
-        let out = self.take_port(&mut conns, out_port, cell)?;
-        let inputs: Vec<NetId> = input_ports
-            .iter()
-            .map(|p| self.take_port(&mut conns, p, cell))
-            .collect::<Result<_, _>>()?;
-        self.no_extra_ports(&conns, cell)?;
-        b.gate(kind, inst, &inputs, out);
-        Ok(())
-    }
-
-    fn take_port(
-        &self,
-        conns: &mut Vec<(String, NetId)>,
-        port: &str,
-        cell: &str,
-    ) -> Result<NetId, ParseError> {
-        let pos = conns.iter().position(|(p, _)| p == port).ok_or_else(|| {
-            self.err(
-                1,
-                format!("cell `{cell}` is missing its `.{port}` connection"),
-            )
-        })?;
-        Ok(conns.remove(pos).1)
-    }
-
-    fn no_extra_ports(&self, conns: &[(String, NetId)], cell: &str) -> Result<(), ParseError> {
-        if let Some((port, _)) = conns.first() {
-            return Err(self.err(1, format!("cell `{cell}` has no port `.{port}`")));
-        }
-        Ok(())
-    }
-
-    fn lookup(
-        &self,
-        nets: &std::collections::HashMap<String, NetId>,
-        name: &str,
-    ) -> Result<NetId, ParseError> {
-        let name = name.trim();
-        nets.get(strip_net(name))
-            .copied()
-            .ok_or_else(|| self.err(1, format!("net `{name}` is not declared")))
-    }
-}
-
-enum Decl {
-    Input,
-    Wire,
-}
-
-/// Strips the exporter's `n_` net prefix so round trips are stable.
-fn strip_net(name: &str) -> &str {
-    name.strip_prefix(NET_PREFIX).unwrap_or(name)
-}
-
-/// Validates an identifier, returning it or the 1-based column of the
-/// first offending character.
-fn ident(s: &str) -> Result<&str, usize> {
-    if s.is_empty() {
-        return Err(1);
-    }
-    for (i, c) in s.char_indices() {
-        if !(c.is_ascii_alphanumeric() || c == '_') {
-            return Err(i + 1);
-        }
-    }
-    if s.starts_with(|c: char| c.is_ascii_digit()) {
-        return Err(1);
-    }
-    Ok(s)
-}
-
-/// The reverse of [`cell_name`].
-fn cell_kind(name: &str) -> Option<CellKind> {
-    ALL_PARSE_CELLS
-        .iter()
-        .find(|&&kind| cell_name(kind) == name)
-        .copied()
-}
-
-const ALL_PARSE_CELLS: &[CellKind] = &crate::cell::ALL_CELL_KINDS;
-
 fn cell_name(kind: CellKind) -> &'static str {
     use CellKind::*;
     match kind {
@@ -627,45 +189,53 @@ mod tests {
     use super::*;
     use crate::graph::NetlistBuilder;
 
-    fn sample() -> Netlist {
+    #[test]
+    fn export_is_pinned_on_every_branch() {
+        // Constants, both flip-flops, a mux, an n-ary cell, an output
+        // that is also an input, and names that need sanitizing.
         let mut b = NetlistBuilder::new("3bad name");
         let a = b.input("a");
         let en = b.input("en");
         let q = b.net("q");
+        let p = b.net("p.1");
+        let zero = b.gate_net(CellKind::Const0, "zero", &[]);
+        let one = b.gate_net(CellKind::Const1, "one", &[]);
         let d = b.gate_net(CellKind::Xor2, "x1", &[a, q]);
         b.gate(CellKind::Dffe, "r", &[d, en], q);
-        let o = b.gate_net(CellKind::Inv, "i1", &[q]);
+        let m = b.gate_net(CellKind::Mux2, "m", &[zero, one, q]);
+        b.gate(CellKind::Dff, "s", &[m], p);
+        let o = b.gate_net(CellKind::Nand3, "nand 3", &[p, q, a]);
         b.mark_output(o);
-        b.finish().unwrap()
-    }
-
-    fn export(nl: &Netlist) -> String {
+        b.mark_output(q);
+        b.mark_output(a);
+        let nl = b.finish().unwrap();
         let mut out = Vec::new();
-        write_verilog(nl, &mut out).unwrap();
-        String::from_utf8(out).unwrap()
-    }
-
-    #[test]
-    fn exports_a_parseable_module_shape() {
-        let text = export(&sample());
-        assert!(text.starts_with("// Generated"));
-        assert!(text.contains("module _3bad_name(clk, n_a, n_en, n_i1_o);"));
-        assert!(text.contains("SFR_DFFE r(.clk(clk), .d(n_x1_o), .en(n_en), .q(n_q));"));
-        assert!(text.contains("SFR_XOR2 x1(.y(n_x1_o), .a(n_a), .b(n_q));"));
-        assert!(text.trim_end().ends_with("endmodule"));
-    }
-
-    #[test]
-    fn every_gate_appears_once() {
-        let nl = sample();
-        let text = export(&nl);
-        for g in nl.gate_ids() {
-            let inst = nl.gate(g).name();
-            assert!(
-                text.contains(&format!(" {inst}(")),
-                "missing instance {inst}"
-            );
-        }
+        write_verilog(&nl, &mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "\
+// Generated by sfr-netlist — structural export.
+module _3bad_name(clk, n_a, n_en, n_nand_3_o, n_q);
+  input clk;
+  input n_a;
+  input n_en;
+  output n_nand_3_o;
+  output n_q;
+  wire n_p_1;
+  wire n_zero_o;
+  wire n_one_o;
+  wire n_x1_o;
+  wire n_m_o;
+  assign n_zero_o = 1'b0;
+  assign n_one_o = 1'b1;
+  SFR_XOR2 x1(.y(n_x1_o), .a(n_a), .b(n_q));
+  SFR_DFFE r(.clk(clk), .d(n_x1_o), .en(n_en), .q(n_q));
+  SFR_MUX2 m(.a(n_zero_o), .b(n_one_o), .s(n_q), .y(n_m_o));
+  SFR_DFF s(.clk(clk), .d(n_m_o), .q(n_p_1));
+  SFR_NAND3 nand_3(.y(n_nand_3_o), .a(n_p_1), .b(n_q), .c(n_a));
+endmodule
+"
+        );
     }
 
     #[test]
@@ -686,145 +256,5 @@ mod tests {
             lib.matches("\nmodule ").count(),
             lib.matches("endmodule").count()
         );
-    }
-
-    #[test]
-    fn constants_become_assigns() {
-        let mut b = NetlistBuilder::new("k");
-        let o = b.gate_net(CellKind::Const1, "one", &[]);
-        b.mark_output(o);
-        let nl = b.finish().unwrap();
-        let text = export(&nl);
-        assert!(text.contains("assign n_one_o = 1'b1;"));
-    }
-
-    #[test]
-    fn parse_round_trips_the_export() {
-        let nl = sample();
-        let text = export(&nl);
-        let back = parse_verilog(&text).expect("export parses");
-        assert_eq!(back.inputs().len(), nl.inputs().len());
-        assert_eq!(back.outputs().len(), nl.outputs().len());
-        assert_eq!(back.gate_ids().count(), nl.gate_ids().count());
-        // Re-exporting the parsed netlist reproduces the text exactly.
-        assert_eq!(export(&back), text);
-    }
-
-    #[test]
-    fn parse_round_trips_constants_and_muxes() {
-        let mut b = NetlistBuilder::new("km");
-        let a = b.input("a");
-        let s = b.input("s");
-        let k = b.gate_net(CellKind::Const0, "zero", &[]);
-        let y = b.gate_net(CellKind::Mux2, "m", &[a, k, s]);
-        b.mark_output(y);
-        let nl = b.finish().unwrap();
-        let text = export(&nl);
-        let back = parse_verilog(&text).expect("export parses");
-        assert_eq!(export(&back), text);
-    }
-
-    #[test]
-    fn parse_errors_carry_positions() {
-        let missing_semi = "module m(clk, n_a);\n  input clk;\n  input n_a\nendmodule\n";
-        let e = parse_verilog(missing_semi).expect_err("missing semicolon");
-        assert_eq!(e.line, 3);
-        assert!(e.message.contains(";"), "{}", e.message);
-
-        let unknown_cell =
-            "module m(clk, n_a, n_y);\n  input clk;\n  input n_a;\n  output n_y;\n  SFR_FROB g(.y(n_y), .a(n_a));\nendmodule\n";
-        let e = parse_verilog(unknown_cell).expect_err("unknown cell");
-        assert_eq!(e.line, 5);
-        assert!(e.message.contains("SFR_FROB"), "{}", e.message);
-        assert!(e.to_string().starts_with("line 5, column"));
-
-        let undeclared =
-            "module m(clk, n_a, n_y);\n  input clk;\n  input n_a;\n  output n_y;\n  SFR_INV g(.y(n_y), .a(n_b));\nendmodule\n";
-        let e = parse_verilog(undeclared).expect_err("undeclared net");
-        assert_eq!(e.line, 5);
-        assert!(e.message.contains("n_b"), "{}", e.message);
-    }
-
-    #[test]
-    fn spanned_parse_records_declaration_sites() {
-        let nl = sample();
-        let text = export(&nl);
-        let (back, spans) = parse_verilog_spanned(&text).expect("export parses");
-        for n in back.net_ids() {
-            let (line, col) = spans
-                .net(back.net(n).name())
-                .unwrap_or_else(|| panic!("no span for net {}", back.net(n).name()));
-            assert!(line >= 2, "net span should be past the header");
-            assert!(col >= 1);
-        }
-        for g in back.gate_ids() {
-            assert!(
-                spans.gate(back.gate(g).name()).is_some(),
-                "no span for gate {}",
-                back.gate(g).name()
-            );
-        }
-        // Spans survive the exporter's n_ prefix.
-        assert_eq!(spans.net("q"), spans.net("n_q"));
-    }
-
-    #[test]
-    fn netlist_validation_errors_carry_cause_and_position() {
-        // x and y form a combinational loop; the parser's own checks all
-        // pass, so the failure comes from netlist validation.
-        let looped = "module m(clk, n_a, n_o);\n  input clk;\n  input n_a;\n  output n_o;\n  wire n_x;\n  wire n_y;\n  SFR_AND2 g1(.y(n_x), .a(n_a), .b(n_y));\n  SFR_BUF g2(.y(n_y), .a(n_x));\n  SFR_BUF g3(.y(n_o), .a(n_x));\nendmodule\n";
-        let e = parse_verilog(looped).expect_err("loop must fail validation");
-        let Some(NetlistError::CombinationalLoop { ref cycle }) = e.cause else {
-            panic!("expected a CombinationalLoop cause, got {:?}", e.cause);
-        };
-        assert_eq!(cycle.len(), 2);
-        // Positioned at the declaration of a net on the cycle.
-        let decl_lines: Vec<usize> = cycle.iter().map(|n| if n == "x" { 5 } else { 6 }).collect();
-        assert!(
-            decl_lines.contains(&e.line),
-            "line {} not a cycle net",
-            e.line
-        );
-        assert!(e.message.contains("combinational loop"), "{}", e.message);
-    }
-
-    #[test]
-    fn parse_rejects_truncation_and_bad_headers() {
-        let e = parse_verilog("// nothing here\n").expect_err("empty");
-        assert!(e.message.contains("module"), "{}", e.message);
-
-        let e = parse_verilog("module m(n_a);\n  input n_a;\nendmodule\n")
-            .expect_err("clk must lead the ports");
-        assert!(e.message.contains("clk"), "{}", e.message);
-
-        let e = parse_verilog("module m(clk, n_a);\n  input clk;\n  input n_a;\n")
-            .expect_err("no endmodule");
-        assert!(e.message.contains("endmodule"), "{}", e.message);
-    }
-
-    #[test]
-    fn parse_rejects_bad_port_maps() {
-        let base = "module m(clk, n_a, n_y);\n  input clk;\n  input n_a;\n  output n_y;\n";
-        let missing = format!("{base}  SFR_INV g(.y(n_y));\nendmodule\n");
-        let e = parse_verilog(&missing).expect_err("missing .a");
-        assert!(e.message.contains(".a"), "{}", e.message);
-
-        let extra = format!("{base}  SFR_INV g(.y(n_y), .a(n_a), .zz(n_a));\nendmodule\n");
-        let e = parse_verilog(&extra).expect_err("extra port");
-        assert!(e.message.contains("zz"), "{}", e.message);
-    }
-
-    #[test]
-    fn parsed_netlists_simulate() {
-        use crate::logic::Logic;
-        use crate::sim::CycleSim;
-        let nl = sample();
-        let back = parse_verilog(&export(&nl)).expect("parses");
-        let mut sim = CycleSim::new(&back);
-        sim.reset_state(Logic::Zero);
-        // a=1, en=1: q loads a^q = 1, inverter output goes low.
-        sim.step(&[Logic::One, Logic::One]);
-        sim.eval();
-        assert_eq!(sim.outputs(), vec![Logic::Zero]);
     }
 }

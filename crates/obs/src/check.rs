@@ -375,8 +375,8 @@ pub fn check_metrics(text: &str) -> Result<usize, String> {
 
 /// Validate a machine-readable lint report (`sfr lint --format json`):
 /// tool tag, per-diagnostic shape (rule id, known severity, subject,
-/// span null-or-`[line,col]`, message), and severity counts consistent
-/// with the diagnostics array. Returns the diagnostic count.
+/// message), and severity counts consistent with the diagnostics array.
+/// Returns the diagnostic count.
 pub fn check_diagnostics(text: &str) -> Result<usize, String> {
     let v = json::parse(text).map_err(|e| format!("diagnostics: {e}"))?;
     let tool = str_field(&v, 1, "tool")?;
@@ -399,19 +399,6 @@ pub fn check_diagnostics(text: &str) -> Result<usize, String> {
             "info" => tally[2] += 1,
             other => {
                 return Err(format!("diagnostic {line_no}: unknown severity {other:?}"));
-            }
-        }
-        match field(d, line_no, "span")? {
-            Value::Null => {}
-            span => {
-                let arr = span.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                    format!("diagnostic {line_no}: span must be null or [line, col]")
-                })?;
-                for half in arr {
-                    if half.as_num().is_none() {
-                        return Err(format!("diagnostic {line_no}: span halves must be numbers"));
-                    }
-                }
             }
         }
     }
@@ -654,8 +641,8 @@ mod tests {
     #[test]
     fn validates_diagnostics_json() {
         let good = r#"{"tool":"sfr-lint","subject":"poly","diagnostics":[
-            {"rule":"constant-net","severity":"warning","subject":"n3","span":[7,3],"message":"stuck"},
-            {"rule":"dead-state","severity":"info","subject":"s1","span":null,"message":"slack"}
+            {"rule":"constant-net","severity":"warning","subject":"n3","message":"stuck"},
+            {"rule":"dead-state","severity":"info","subject":"s1","message":"slack"}
         ],"counts":{"error":0,"warning":1,"info":1}}"#;
         assert_eq!(check_diagnostics(good), Ok(2));
 
@@ -663,8 +650,6 @@ mod tests {
         assert!(check_diagnostics(&wrong_tool).is_err());
         let bad_sev = good.replace("\"warning\",", "\"fatal\",");
         assert!(check_diagnostics(&bad_sev).is_err());
-        let bad_span = good.replace("[7,3]", "[7]");
-        assert!(check_diagnostics(&bad_span).is_err());
         let bad_count = good.replace("\"warning\":1", "\"warning\":2");
         assert!(check_diagnostics(&bad_count).is_err());
         assert!(check_diagnostics("not json").is_err());
@@ -747,7 +732,7 @@ mod tests {
         metrics.event(sfr_exec::ProgressEvent::FaultGraded { flagged: true });
         metrics.event(sfr_exec::ProgressEvent::CyclesSimulated { cycles: 90 });
         let diagnostics = r#"{"tool":"sfr-lint","subject":"poly","diagnostics":[
-            {"rule":"constant-net","severity":"warning","subject":"n3","span":[7,3],"message":"stuck"}
+            {"rule":"constant-net","severity":"warning","subject":"n3","message":"stuck"}
         ],"counts":{"error":0,"warning":1,"info":0}}"#;
         let analysis = r#"{"tool":"sfr-analyze","benchmark":"poly","width":8,
             "universe":{"uncollapsed":120,"collapsed":100},

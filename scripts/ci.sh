@@ -29,19 +29,23 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
-echo "== sfr lint (all benchmarks must be error-free) =="
+echo "== sfr lint (all benchmarks error-free, output matches the committed record) =="
 SFR=target/release/sfr
+LINT_OUT="$(mktemp)"
 for bench in diffeq facet poly fir; do
-    echo "   lint $bench"
-    "$SFR" lint "$bench"
-done
+    echo "== $bench =="
+    "$SFR" lint "$bench" 2>/dev/null
+done > "$LINT_OUT"
+diff reports/lint.txt "$LINT_OUT"
+rm -f "$LINT_OUT"
+echo "   diffeq facet poly fir are error-free and reproduce reports/lint.txt"
 echo "   lint --fixture (must fail with rule ids)"
 if "$SFR" lint --fixture > /tmp/sfr-lint-fixture.out 2>&1; then
     echo "   ERROR: fixture lint unexpectedly passed"
     exit 1
 fi
 grep -q "unreachable-state" /tmp/sfr-lint-fixture.out
-grep -q "combinational-loop" /tmp/sfr-lint-fixture.out
+grep -q "dead-transition" /tmp/sfr-lint-fixture.out
 rm -f /tmp/sfr-lint-fixture.out
 
 echo "== widths past the 64-bit test pattern or below a design's floor are refused with exit code 1 =="

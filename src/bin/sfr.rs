@@ -3,17 +3,19 @@
 //! ```text
 //! sfr classify    <benchmark> [--width N] [--patterns N] [--threads N] [--engine NAME]
 //!                             [--static-prune] [--collapse]
-//! sfr grade       <benchmark> [--width N] [--threshold PCT] [--threads N] [--engine NAME]
-//!                             [--static-prune] [--collapse] [--checkpoint FILE]
-//!                             [--resume FILE] [--cycle-budget N]
+//! sfr grade       <benchmark> [--width N] [--patterns N] [--threshold PCT] [--threads N]
+//!                             [--engine NAME] [--static-prune] [--collapse]
+//!                             [--checkpoint FILE] [--resume FILE] [--cycle-budget N]
 //! sfr analyze     <benchmark> [--width N] [--threads N] [--format text|json]
 //! sfr lint        <benchmark>|--fixture [--width N] [--format text|json]
 //! sfr stats       <benchmark> [--width N]
 //! sfr vcd         <benchmark> [--width N] [--fault SPEC] [--out FILE]
 //! sfr verilog     <benchmark> [--width N] [--out FILE]
-//! sfr testprogram <benchmark> [--width N] [--patterns N] [--out FILE] [--threads N]
-//!                             [--engine NAME]
-//! sfr table2      [--patterns N] [--threads N] [--engine NAME]
+//! sfr testprogram <benchmark> [--width N] [--patterns N] [--threshold PCT] [--out FILE]
+//!                             [--threads N] [--engine NAME]
+//! sfr table2      [--width N] [--patterns N] [--threads N] [--engine NAME]
+//! sfr obs-check   [--trace FILE] [--manifest FILE] [--metrics FILE]
+//!                 [--diagnostics FILE] [--analysis FILE]
 //! ```
 //!
 //! `<benchmark>` is one of `diffeq`, `facet`, `poly`, `fir`.
@@ -42,17 +44,16 @@
 //! listed on stderr and the exit status is nonzero.
 //!
 //! `lint` runs the `sfr-lint` structural rule suite — unreachable FSM
-//! states, dead transitions, constant and stuck nets, never-selected
-//! mux inputs, lifespan overlaps, combinational loops — over a
-//! benchmark (or the built-in broken `--fixture`) and exits nonzero if
-//! any `error`-severity diagnostic fires. Diagnostics are normalized:
-//! stable-sorted by severity/rule/location and exact repeats of the
-//! same rule at the same location printed once. `--format json` emits
-//! the report as a machine-readable object instead (validated by
-//! `sfr obs-check --diagnostics`). `--static-prune` on
-//! `classify`/`grade` classifies statically-provable faults without
-//! simulation and prunes them from the campaign; results are
-//! byte-identical to the unpruned run.
+//! states, dead transitions, constant nets, dead gates, never-selected
+//! mux inputs, lifespan overlaps — over a benchmark (or the built-in
+//! broken `--fixture`) and exits nonzero if any `error`-severity
+//! diagnostic fires. Diagnostics are normalized: stable-sorted by
+//! severity/rule/subject, and repeats of the same rule on the same
+//! subject printed once. `--format json` emits the report as a
+//! machine-readable object instead (validated by `sfr obs-check
+//! --diagnostics`). `--static-prune` on `classify`/`grade` classifies
+//! statically-provable faults without simulation and prunes them from
+//! the campaign; results are byte-identical to the unpruned run.
 //!
 //! `--collapse` on `classify`/`grade` enables structural
 //! fault collapsing: structurally equivalent controller faults (BUF/INV
@@ -100,17 +101,17 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  sfr classify    <benchmark> [--width N] [--patterns N] [--threads N] [--engine NAME]\n                  \
          [--static-prune] [--collapse]\n  \
-         sfr grade       <benchmark> [--width N] [--threshold PCT] [--threads N] [--engine NAME]\n                  \
-         [--static-prune] [--collapse] [--checkpoint FILE] [--resume FILE]\n                  \
-         [--cycle-budget N]\n  \
+         sfr grade       <benchmark> [--width N] [--patterns N] [--threshold PCT] [--threads N]\n                  \
+         [--engine NAME] [--static-prune] [--collapse] [--checkpoint FILE]\n                  \
+         [--resume FILE] [--cycle-budget N]\n  \
          sfr analyze     <benchmark> [--width N] [--threads N] [--format text|json]\n  \
          sfr lint        <benchmark>|--fixture [--width N] [--format text|json]\n  \
          sfr stats       <benchmark> [--width N]\n  \
          sfr vcd         <benchmark> [--width N] [--fault SPEC] [--out FILE]\n  \
          sfr verilog     <benchmark> [--width N] [--out FILE]\n  \
-         sfr testprogram <benchmark> [--width N] [--patterns N] [--out FILE] [--threads N]\n                  \
-         [--engine NAME]\n  \
-         sfr table2      [--patterns N] [--threads N] [--engine NAME]\n  \
+         sfr testprogram <benchmark> [--width N] [--patterns N] [--threshold PCT] [--out FILE]\n                  \
+         [--threads N] [--engine NAME]\n  \
+         sfr table2      [--width N] [--patterns N] [--threads N] [--engine NAME]\n  \
          sfr obs-check   [--trace FILE] [--manifest FILE] [--metrics FILE]\n                  \
          [--diagnostics FILE] [--analysis FILE]\n\
          observability (classify/grade/analyze/testprogram): [--trace-out FILE] [--metrics-out FILE]\n                  \
@@ -490,6 +491,7 @@ fn run(cmd: &str, mut args: Args) -> Result<(), String> {
             eprintln!("running the full study (classification + power grading)...");
             let mut builder = StudyBuilder::from_emitted(&name, emitted)
                 .test_patterns(patterns)
+                .threshold_pct(threshold)
                 .threads(threads)
                 .engine(engine)
                 .force(force);
@@ -656,15 +658,11 @@ fn render_lint_json(subject: &str, report: &sfr_power::LintReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        let span = match d.location.span {
-            Some((line, col)) => format!("[{line},{col}]"),
-            None => "null".to_string(),
-        };
         out.push_str(&format!(
-            "{{\"rule\":{},\"severity\":{},\"subject\":{},\"span\":{span},\"message\":{}}}",
+            "{{\"rule\":{},\"severity\":{},\"subject\":{},\"message\":{}}}",
             escaped(d.rule),
             escaped(&d.severity.to_string()),
-            escaped(&d.location.subject),
+            escaped(&d.subject),
             escaped(&d.message)
         ));
     }

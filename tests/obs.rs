@@ -209,3 +209,39 @@ fn manifest_refuses_overwrite_without_force() {
     // any simulation ran.
     assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
 }
+
+/// `sfr testprogram --threshold PCT` grades at PCT, so its run manifest
+/// records that threshold and flags exactly the SFR faults the
+/// program's power screen detects.
+#[test]
+fn testprogram_threshold_reaches_the_manifest() {
+    let path = scratch("manifest-testprogram.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sfr"))
+        .args("testprogram poly --patterns 240 --threshold 3 --quiet --force".split(' '))
+        .arg("--manifest-out")
+        .arg(&path)
+        .output()
+        .expect("sfr runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // `# coverage: functional 143/143 SFI; power 11/38 SFR; ...`
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let power_detected: f64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("# coverage: ")?.split("; power ").nth(1))
+        .and_then(|power| power.split('/').next()?.parse().ok())
+        .expect("coverage header");
+    let text = std::fs::read_to_string(&path).unwrap();
+    obs::check_manifest(&text).expect("manifest validates");
+    let v = obs::json::parse(&text).unwrap();
+    let config = v.get("config").unwrap();
+    assert_eq!(config.get("threshold_pct").unwrap().as_str(), Some("3"));
+    let tallies = v.get("tallies").unwrap();
+    assert_eq!(
+        tallies.get("flagged").unwrap().as_num(),
+        Some(power_detected)
+    );
+}
